@@ -6,9 +6,10 @@
 //! ```
 //!
 //! Expands the config's matrix into content-addressed cells, executes
-//! them in parallel, journals every completion into `DIR/journal.log`
-//! (so a killed campaign resumes where it stopped), and writes
-//! `DIR/report.json` + `DIR/report.md`.
+//! them in parallel, writes each cell's artifacts into `DIR/cells/<id>/`,
+//! journals every completion into `DIR/journal.log` (so a killed
+//! campaign resumes where it stopped), and writes `DIR/report.json` +
+//! `DIR/report.md`.
 //!
 //! `--bench-history PATH` appends one JSONL line per invocation —
 //! this campaign's bench cycles/op keyed by workload — to `PATH`, and

@@ -21,6 +21,9 @@ pub enum CellKind {
     Leakage,
     /// Flight-recorder record → replay → diff determinism check.
     Replay,
+    /// Checkpoint/restore: restore determinism (`quiet`) or one staged
+    /// rollback attack that must be refused, recorded, and attributed.
+    Snapshot,
     /// Fleet load-gen run with accounting/failover gates and latency
     /// percentiles.
     Fleet,
@@ -35,10 +38,11 @@ pub enum CellKind {
 
 impl CellKind {
     /// Every kind, in report order.
-    pub const ALL: [CellKind; 7] = [
+    pub const ALL: [CellKind; 8] = [
         CellKind::Bench,
         CellKind::Leakage,
         CellKind::Replay,
+        CellKind::Snapshot,
         CellKind::Fleet,
         CellKind::Profile,
         CellKind::Figure,
@@ -51,6 +55,7 @@ impl CellKind {
             CellKind::Bench => "bench",
             CellKind::Leakage => "leakage",
             CellKind::Replay => "replay",
+            CellKind::Snapshot => "snapshot",
             CellKind::Fleet => "fleet",
             CellKind::Profile => "profile",
             CellKind::Figure => "figure",
@@ -126,17 +131,17 @@ pub struct CellSpec {
     pub id: String,
     /// Experiment kind.
     pub kind: CellKind,
-    /// Protection policy (leakage, replay).
+    /// Protection policy (leakage, replay, restore-determinism snapshot).
     pub policy: Option<String>,
     /// Workload (all kinds).
     pub workload: String,
     /// Enclave heap sizing in pages (fleet).
     pub enclave_size: Option<u64>,
-    /// Named fault plan (replay, fleet).
+    /// Named fault plan (replay, snapshot, fleet, watch).
     pub fault_plan: Option<String>,
     /// Traffic shape (fleet).
     pub traffic_shape: Option<String>,
-    /// Seed axis value (replay, fleet).
+    /// Seed axis value (replay, rollback snapshot, fleet, watch).
     pub seed: Option<u64>,
     /// Gate parameters inherited from the suite.
     pub params: SuiteParams,
@@ -209,6 +214,19 @@ impl CellSpec {
                     self.params.secret,
                 ));
             }
+            // Restore determinism runs one restore-matrix schedule; a
+            // rollback attack stages on its own world, keyed by seed.
+            CellKind::Snapshot => match self.fault_plan.as_deref().unwrap_or("quiet") {
+                "quiet" => out.push_str(&format!(
+                    " policy={} workload={} fault_plan=quiet",
+                    self.policy.as_deref().unwrap_or("-"),
+                    self.workload,
+                )),
+                plan => out.push_str(&format!(
+                    " fault_plan={plan} seed={}",
+                    self.seed.unwrap_or(0)
+                )),
+            },
             CellKind::Fleet => {
                 out.push_str(&format!(
                     " workload={} traffic_shape={} fault_plan={} enclave_size={} seed={} \
@@ -328,6 +346,10 @@ impl GateOutcome {
     }
 }
 
+/// Files a cell leaves in its artifact directory, as `(file name,
+/// contents)` pairs.
+pub type Artifacts = Vec<(String, String)>;
+
 /// What one executed cell produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellOutcome {
@@ -346,6 +368,21 @@ impl CellOutcome {
             gate: GateOutcome::Fail,
             metrics: Vec::new(),
             reason: reason.into(),
+        }
+    }
+
+    /// Pass with `pass_reason` when `failures` is empty, else fail with
+    /// every failure joined.
+    pub fn gated(metrics: Vec<(String, f64)>, failures: Vec<String>, pass_reason: String) -> Self {
+        let (gate, reason) = if failures.is_empty() {
+            (GateOutcome::Pass, pass_reason)
+        } else {
+            (GateOutcome::Fail, failures.join("; "))
+        };
+        Self {
+            gate,
+            metrics,
+            reason,
         }
     }
 

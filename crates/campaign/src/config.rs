@@ -8,8 +8,9 @@
 //! * `[matrix]` — the shared axis vocabulary: `policy`, `workload`,
 //!   `enclave_size`, `fault_plan`, `traffic_shape`, `seed`;
 //! * `[[suite]]` — one experiment kind each (`bench`, `leakage`,
-//!   `replay`, `fleet`, `profile`, `figure`), inheriting the matrix
-//!   axes unless overridden, plus the kind's gate parameters.
+//!   `replay`, `snapshot`, `fleet`, `profile`, `figure`, `watch`),
+//!   inheriting the matrix axes unless overridden, plus the kind's gate
+//!   parameters.
 //!
 //! Each kind consumes only the axes that can change its outcome (a
 //! bench cell has no policy; a leakage cell folds the seed axis into
@@ -26,6 +27,11 @@ use crate::toml::{self, Table};
 /// Valid fault-plan names for replay cells (deterministically
 /// replayable injection campaigns).
 pub const REPLAY_FAULT_PLANS: [&str; 3] = ["quiet", "transient", "hostile"];
+/// Valid fault-plan names for snapshot cells: `quiet` runs restore
+/// determinism on one restore-matrix (policy, workload) pair; the rest
+/// name the staged rollback attack a seeded cell must catch.
+pub const SNAPSHOT_FAULT_PLANS: [&str; 5] =
+    ["quiet", "stale", "fork", "truncate", "counter-rollback"];
 /// Valid fault-plan names for fleet cells (`staged-evict` is the
 /// supervisor's staged mid-run crash).
 pub const FLEET_FAULT_PLANS: [&str; 3] = ["quiet", "transient", "staged-evict"];
@@ -152,6 +158,14 @@ impl Suite {
             CellKind::Replay => {
                 a.policy.len() * a.workload.len() * a.fault_plan.len() * a.seed.len()
             }
+            CellKind::Snapshot => a
+                .fault_plan
+                .iter()
+                .map(|plan| match plan.as_str() {
+                    "quiet" => a.policy.len() * a.workload.len(),
+                    _ => a.seed.len(),
+                })
+                .sum(),
             CellKind::Fleet => {
                 a.workload.len()
                     * a.traffic_shape.len()
@@ -216,6 +230,35 @@ impl Suite {
                                     self.params.clone(),
                                 ));
                             }
+                        }
+                    }
+                }
+            }
+            // Restore determinism consumes (policy, workload); a rollback
+            // attack stages on the spell-checker world its seed builds.
+            CellKind::Snapshot => {
+                for fault_plan in &a.fault_plan {
+                    let mut push = |policy: Option<&String>, workload: &str, seed| {
+                        cells.push(CellSpec::new(
+                            self.kind,
+                            policy.cloned(),
+                            workload.to_owned(),
+                            None,
+                            Some(fault_plan.clone()),
+                            None,
+                            seed,
+                            self.params.clone(),
+                        ))
+                    };
+                    if fault_plan == "quiet" {
+                        for policy in &a.policy {
+                            for workload in &a.workload {
+                                push(Some(policy), workload, None);
+                            }
+                        }
+                    } else {
+                        for &seed in &a.seed {
+                            push(None, "spell", Some(seed));
                         }
                     }
                 }
@@ -340,6 +383,26 @@ impl Suite {
                 }
                 check("fault_plan", &self.axes.fault_plan, &REPLAY_FAULT_PLANS)?;
             }
+            CellKind::Snapshot => {
+                check("fault_plan", &self.axes.fault_plan, &SNAPSHOT_FAULT_PLANS)?;
+                if self.axes.fault_plan.iter().any(|p| p == "quiet") {
+                    let matrix = autarky_flightrec::Schedule::restore_matrix();
+                    for p in &self.axes.policy {
+                        for w in &self.axes.workload {
+                            if !matrix
+                                .iter()
+                                .any(|s| s.policy.name() == p && s.workload.name() == w)
+                            {
+                                return Err(ConfigError(format!(
+                                    "snapshot suite: {p}/{w} is not in the restore matrix \
+                                     (policies clusters, rate-limit, cached-oram × workloads \
+                                     spell, kvstore)"
+                                )));
+                            }
+                        }
+                    }
+                }
+            }
             CellKind::Fleet => {
                 check("workload", &self.axes.workload, &FLEET_WORKLOADS)?;
                 check("traffic_shape", &self.axes.traffic_shape, &TRAFFIC_SHAPES)?;
@@ -445,9 +508,9 @@ impl CampaignConfig {
                 .ok_or_else(|| ConfigError(format!("suite #{}: missing `kind`", i + 1)))?;
             let kind = CellKind::from_name(kind_tag).ok_or_else(|| {
                 ConfigError(format!(
-                    "suite #{}: unknown kind {kind_tag:?} (valid: bench, leakage, replay, \
-                     fleet, profile, figure, watch)",
-                    i + 1
+                    "suite #{}: unknown kind {kind_tag:?} (valid: {})",
+                    i + 1,
+                    CellKind::ALL.map(CellKind::name).join(", ")
                 ))
             })?;
             let mut axes = matrix_axes.clone();
@@ -642,6 +705,14 @@ workload = ["font", "paging"]
                 "fault_plan",
             ),
             ("[[suite]]\nkind = \"leakage\"\nsamples = 1", "samples"),
+            (
+                "[[suite]]\nkind = \"snapshot\"\nfault_plan = [\"replay-forever\"]",
+                "fault_plan",
+            ),
+            (
+                "[[suite]]\nkind = \"snapshot\"\nworkload = [\"font\"]",
+                "restore matrix",
+            ),
             ("[[suite]]\nkind = \"nope\"", "kind"),
         ] {
             let toml = format!("[campaign]\nname = \"v\"\n{snippet}\n");
@@ -660,5 +731,28 @@ workload = ["font", "paging"]
             vec!["spell"],
             "overridden workload"
         );
+    }
+
+    #[test]
+    fn snapshot_suites_expand_restore_pairs_and_attack_seeds() {
+        let config = CampaignConfig::from_toml(
+            r#"
+[campaign]
+name = "snap"
+[[suite]]
+kind = "snapshot"
+policy = ["clusters", "rate-limit"]
+workload = ["spell", "kvstore"]
+fault_plan = ["quiet", "stale", "fork"]
+seed = [1, 2, 3]
+"#,
+        )
+        .expect("parses");
+        // 2 × 2 restore pairs, then 2 attacks × 3 seeds: an attack
+        // ignores the policy and workload axes.
+        assert_eq!(config.suites[0].cell_count(), 4 + 6);
+        let cells = config.expand();
+        assert_eq!(cells.len(), 4 + 6);
+        assert!(cells[4..].iter().all(|c| c.policy.is_none()));
     }
 }

@@ -90,9 +90,31 @@ impl Journal {
         self.done.is_empty()
     }
 
-    /// Record one completed cell: append + flush, then remember it.
-    pub fn record(&mut self, id: &str, outcome: &CellOutcome) -> std::io::Result<()> {
+    /// Record one completed cell: write its artifacts into
+    /// `cells/<id>/` beside the journal, then append + flush its line,
+    /// then remember it. Artifacts land first, so a journaled cell
+    /// always has its artifacts on disk; a crash in between re-runs the
+    /// cell on resume. Ephemeral journals keep neither.
+    pub fn record(
+        &mut self,
+        id: &str,
+        outcome: &CellOutcome,
+        artifacts: &[(String, String)],
+    ) -> std::io::Result<()> {
         if let Some(writer) = &mut self.writer {
+            let dir = self.path.with_file_name("cells").join(id);
+            // A re-run replaces the whole set: no file outlives the
+            // outcome that wrote it.
+            match std::fs::remove_dir_all(&dir) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+            if !artifacts.is_empty() {
+                std::fs::create_dir_all(&dir)?;
+            }
+            for (name, contents) in artifacts {
+                std::fs::write(dir.join(name), contents)?;
+            }
             writeln!(writer, "{}", outcome.encode_line(id))?;
             writer.flush()?;
         }
@@ -122,8 +144,10 @@ mod tests {
         {
             let mut j = Journal::open(&path).expect("opens");
             assert!(j.is_empty());
-            j.record("aaaaaaaaaaaa", &outcome("one")).expect("records");
-            j.record("bbbbbbbbbbbb", &outcome("two")).expect("records");
+            j.record("aaaaaaaaaaaa", &outcome("one"), &[])
+                .expect("records");
+            j.record("bbbbbbbbbbbb", &outcome("two"), &[])
+                .expect("records");
         }
         let j = Journal::open(&path).expect("reopens");
         assert_eq!(j.len(), 2);
@@ -142,8 +166,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut j = Journal::open(&path).expect("opens");
-            j.record("aaaaaaaaaaaa", &outcome("kept")).expect("records");
-            j.record("bbbbbbbbbbbb", &outcome("torn")).expect("records");
+            j.record("aaaaaaaaaaaa", &outcome("kept"), &[])
+                .expect("records");
+            j.record("bbbbbbbbbbbb", &outcome("torn"), &[])
+                .expect("records");
         }
         // Simulate a crash mid-append: chop the last line in half.
         let text = std::fs::read_to_string(&path).expect("read");

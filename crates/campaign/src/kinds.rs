@@ -11,8 +11,14 @@
 //!   (policy × workload) audit cell;
 //! * `replay` → [`autarky_flightrec::verify_replay`] record → replay →
 //!   diff determinism check;
+//! * `snapshot` → [`autarky_flightrec::verify_restore_replay`] restore
+//!   determinism on one restore-matrix pair (`quiet`), or
+//!   [`autarky_flightrec::rollback_attack_run`] staging one rollback
+//!   attack (`stale`, `fork`, `truncate`, `counter-rollback`);
 //! * `fleet` → [`autarky_fleet::Fleet`] load-generated run with latency
-//!   percentiles and the zero-silent-drop accounting gate;
+//!   percentiles, the zero-silent-drop accounting gate, and the staged
+//!   crash's failover gates;
+//! * `watch` → the watchtower raced against the three-strike watchdog;
 //! * `profile` → [`autarky_profile::collect`] cycle-attribution profile
 //!   with the unattributed-residual gate and a hot-path cycles/fault
 //!   baseline gate;
@@ -21,35 +27,52 @@
 //!
 //! Executors are pure functions of the spec (plus, for bench and
 //! profile, the baseline file named in it), so a cell's outcome is
-//! reproducible from its content address alone. Profile cells
-//! deliberately report only simulated-cycle metrics — the collector's
-//! host wall-clock account stays out of the journal so resumed and
-//! fresh campaigns stay byte-identical.
+//! reproducible from its content address alone. Alongside the outcome
+//! each executor returns its [`Artifacts`] — latency reports, forensics,
+//! alert logs, Perfetto traces, flamegraphs — which the journal writes
+//! into `cells/<id>/` before the outcome is journaled. Artifacts are
+//! simulated-clock data only, so they too are byte-identical across
+//! reruns and `--jobs` levels. Profile cells deliberately report only
+//! simulated-cycle metrics — the collector's host wall-clock account
+//! stays out of the journal so resumed and fresh campaigns stay
+//! byte-identical.
 
 use autarky_fleet::Request;
 use autarky_fleet::{
     export_trace, kv_stream, render_alert_log, spell_stream, Arrivals, Fleet, FleetConfig,
-    FleetReport, LoadConfig, MemberConfig, StagedCrash, TimedRequest, WatchConfig, WorkloadKind,
+    FleetReport, LoadConfig, MemberConfig, MemberStats, StagedCrash, TimedRequest, WatchConfig,
+    WorkloadKind,
 };
-use autarky_flightrec::{verify_replay, Schedule, SchedulePolicy, ScheduleWorkload};
+use autarky_flightrec::{
+    render_divergence, rollback_attack_run, verify_replay, verify_restore_replay, ReplayVerdict,
+    RollbackScenario, Schedule, SchedulePolicy, ScheduleWorkload,
+};
 use autarky_leakage::{run_audit_filtered, AuditConfig, Gate};
-use autarky_os_sim::{FaultPlan, FlightEvent};
+use autarky_os_sim::flight::{causal_root_of_attack, render_timeline};
+use autarky_os_sim::{FaultPlan, FlightEvent, FlightRecord, Observation};
 use autarky_runtime::{PagingMechanism, RuntimeConfig};
 
-use crate::cell::{CellKind, CellOutcome, CellSpec, GateOutcome};
+use crate::cell::{Artifacts, CellKind, CellOutcome, CellSpec, GateOutcome};
 
-/// Execute one cell against its subsystem.
-pub fn execute_cell(spec: &CellSpec) -> CellOutcome {
-    match spec.kind {
+/// Execute one cell against its subsystem: its outcome plus the
+/// artifact files it leaves behind.
+pub fn execute_cell(spec: &CellSpec) -> (CellOutcome, Artifacts) {
+    let mut artifacts = Artifacts::new();
+    let outcome = match spec.kind {
         CellKind::Bench => run_bench(spec),
         CellKind::Leakage => run_leakage(spec),
-        CellKind::Replay => run_replay(spec),
-        CellKind::Fleet => run_fleet(spec),
-        CellKind::Profile => run_profile(spec),
+        CellKind::Replay => run_replay(spec, &mut artifacts),
+        CellKind::Snapshot => run_snapshot(spec, &mut artifacts),
+        CellKind::Fleet => run_fleet(spec, &mut artifacts),
+        CellKind::Profile => run_profile(spec, &mut artifacts),
         CellKind::Figure => run_figure(spec),
-        CellKind::Watch => run_watch(spec),
-    }
+        CellKind::Watch => run_watch(spec, &mut artifacts),
+    };
+    (outcome, artifacts)
 }
+
+/// Events of the flight log shown in a forensics timeline.
+const TIMELINE_EVENTS: usize = 50;
 
 // ---------------------------------------------------------------- bench
 
@@ -174,7 +197,7 @@ fn run_leakage(spec: &CellSpec) -> CellOutcome {
 const REPLAY_TRANSIENT_RATE: f64 = 0.0625;
 const REPLAY_HOSTILE_RATE: f64 = 0.03;
 
-fn run_replay(spec: &CellSpec) -> CellOutcome {
+fn run_replay(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let (Some(policy), Some(plan_name), Some(seed)) = (&spec.policy, &spec.fault_plan, spec.seed)
     else {
         return CellOutcome::fail("replay cell missing policy/fault_plan/seed axis");
@@ -202,7 +225,21 @@ fn run_replay(spec: &CellSpec) -> CellOutcome {
         seed,
         fault_plan,
     };
-    let verdict = verify_replay(&schedule);
+    determinism_outcome(
+        "Replay determinism failure",
+        &verify_replay(&schedule),
+        artifacts,
+    )
+}
+
+/// Gate a record-vs-rerun verdict (replay and restore determinism share
+/// it). A failing verdict leaves `forensics.md`: the schedule, the
+/// causal divergence report, and the recording's timeline.
+fn determinism_outcome(
+    title: &str,
+    verdict: &ReplayVerdict,
+    artifacts: &mut Artifacts,
+) -> CellOutcome {
     let metrics = vec![
         ("events".to_owned(), verdict.record.records.len() as f64),
         (
@@ -215,17 +252,6 @@ fn run_replay(spec: &CellSpec) -> CellOutcome {
             f64::from(u8::from(verdict.record.outcome == "ok")),
         ),
     ];
-    if verdict.deterministic() {
-        return CellOutcome {
-            gate: GateOutcome::Pass,
-            metrics,
-            reason: format!(
-                "deterministic ({} events, outcome {})",
-                verdict.record.records.len(),
-                verdict.record.outcome
-            ),
-        };
-    }
     let mut why = Vec::new();
     if !verdict.log_identical {
         why.push("log diverged".to_owned());
@@ -245,11 +271,100 @@ fn run_replay(spec: &CellSpec) -> CellOutcome {
     if let Some(div) = &verdict.divergence {
         why.push(format!("first divergence at log line {}", div.index + 1));
     }
-    CellOutcome {
-        gate: GateOutcome::Fail,
-        metrics,
-        reason: format!("replay not deterministic: {}", why.join("; ")),
+    let mut failures = Vec::new();
+    if !why.is_empty() {
+        failures.push(format!("not deterministic: {}", why.join("; ")));
+        let schedule = &verdict.schedule;
+        let mut report = format!(
+            "# {title}: {}/{}\n\nSchedule:\n\n```\n{}```\n\n",
+            schedule.policy.name(),
+            schedule.workload.name(),
+            schedule.to_text()
+        );
+        if let Some(div) = &verdict.divergence {
+            report.push_str(&render_divergence(
+                div,
+                &verdict.record.log_text,
+                &verdict.replay.log_text,
+            ));
+            report.push('\n');
+        }
+        report.push_str(&render_timeline(&verdict.record.records, TIMELINE_EVENTS));
+        artifacts.push(("forensics.md".to_owned(), report));
     }
+    CellOutcome::gated(
+        metrics,
+        failures,
+        format!(
+            "deterministic ({} events, outcome {})",
+            verdict.record.records.len(),
+            verdict.record.outcome
+        ),
+    )
+}
+
+// ------------------------------------------------------------- snapshot
+
+fn run_snapshot(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
+    let Some(plan) = spec.fault_plan.as_deref() else {
+        return CellOutcome::fail("snapshot cell missing fault_plan");
+    };
+    if plan == "quiet" {
+        // Restore determinism: uninterrupted run vs snapshot → host
+        // crash → failover restore must be architecturally identical.
+        let Some(schedule) = Schedule::restore_matrix().into_iter().find(|s| {
+            Some(s.policy.name()) == spec.policy.as_deref() && s.workload.name() == spec.workload
+        }) else {
+            return CellOutcome::fail(format!(
+                "{}/{} is not in the restore matrix",
+                spec.policy.as_deref().unwrap_or("-"),
+                spec.workload
+            ));
+        };
+        return determinism_outcome(
+            "Restore determinism failure",
+            &verify_restore_replay(&schedule),
+            artifacts,
+        );
+    }
+    let Some(scenario) = RollbackScenario::ALL.into_iter().find(|s| s.name() == plan) else {
+        return CellOutcome::fail(format!("unknown snapshot fault plan {plan:?}"));
+    };
+    let Some(seed) = spec.seed else {
+        return CellOutcome::fail("snapshot rollback cell missing seed");
+    };
+    let run = rollback_attack_run(seed, scenario);
+    let flag = |b: bool| f64::from(u8::from(b));
+    let metrics = vec![
+        ("refused".to_owned(), flag(run.restore_failed)),
+        ("attack_recorded".to_owned(), flag(run.attack_recorded)),
+        ("root_attributed".to_owned(), flag(run.root_names_injection)),
+        ("events".to_owned(), run.records.len() as f64),
+    ];
+    let mut failures = Vec::new();
+    if !run.restore_failed {
+        failures.push(format!("restore accepted the {plan} blob"));
+    }
+    if !run.attack_recorded {
+        failures.push("no AttackDetected verdict recorded".to_owned());
+    }
+    if !run.root_names_injection {
+        failures.push("forensics did not attribute the verdict to the staged injection".to_owned());
+    }
+    if !failures.is_empty() {
+        let mut report = format!(
+            "# Rollback attack not detected: seed {seed}, scenario {plan}\n\n\
+             refused: {}, verdict recorded: {}, root attributed: {}, error: `{}`\n\n",
+            run.restore_failed, run.attack_recorded, run.root_names_injection, run.error
+        );
+        report.push_str(&render_timeline(&run.records, TIMELINE_EVENTS));
+        artifacts.push(("forensics.md".to_owned(), report));
+    }
+    CellOutcome::gated(
+        metrics,
+        failures,
+        format!("{plan} blob refused, recorded, attributed ({})", run.error),
+    )
 }
 
 // ---------------------------------------------------------------- fleet
@@ -262,8 +377,10 @@ const FLEET_SPELL_DICT_WORDS: usize = 600;
 const FLEET_SPELL_WORDS_PER_REQ: usize = 12;
 /// Near-uniform key skew: working set stays larger than the budget.
 const FLEET_KV_THETA: f64 = 0.2;
+/// Recovery deadline for a failed-over member, in cycles.
+const FLEET_RESTART_BUDGET_CYCLES: u64 = 500_000_000;
 
-fn run_fleet(spec: &CellSpec) -> CellOutcome {
+fn run_fleet(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let (Some(shape), Some(plan_name), Some(enclave_size), Some(_seed)) = (
         &spec.traffic_shape,
         &spec.fault_plan,
@@ -341,7 +458,7 @@ fn run_fleet(spec: &CellSpec) -> CellOutcome {
         members,
         queue_cap: 256,
         watchdog_cycles: 50_000_000,
-        restart_budget_cycles: 500_000_000,
+        restart_budget_cycles: FLEET_RESTART_BUDGET_CYCLES,
         restart_cost_cycles: 5_000_000,
         max_retries: 3,
         retry_backoff_cycles: 100_000,
@@ -388,6 +505,21 @@ fn run_fleet(spec: &CellSpec) -> CellOutcome {
         Err(e) => return CellOutcome::fail(format!("fleet run failed: {e}")),
     };
     let report = FleetReport::from_stats(&stats, fleet.now());
+    let records = fleet.flight_log();
+    let causal_root = causal_root_of_attack(&records);
+
+    let mut forensics = render_timeline(&records, 60);
+    forensics.push('\n');
+    match causal_root {
+        Some((verdict, injection)) => forensics.push_str(&format!(
+            "causal root of staged attack:\n  verdict:   {}\n  caused by: {}\n",
+            verdict.event.describe(),
+            injection.event.describe()
+        )),
+        None => forensics.push_str("causal root of staged attack: none found\n"),
+    }
+    artifacts.push(("fleet-latency-report.md".to_owned(), report.render()));
+    artifacts.push(("fleet-forensics.txt".to_owned(), forensics));
 
     let offered: u64 = report.members.iter().map(|m| m.offered).sum();
     let served: u64 = report.members.iter().map(|m| m.served).sum();
@@ -421,28 +553,44 @@ fn run_fleet(spec: &CellSpec) -> CellOutcome {
         failures.push("silent request drop (offered != served + rejected)".to_owned());
     }
     if plan_name == "staged-evict" {
+        let victim = &stats[0];
         if !report.all_byte_identical() {
             failures.push("a restore was not byte-identical".to_owned());
         }
-        if report.members.first().map_or(0, |m| m.restarts) == 0 {
+        if victim.restarts == 0 {
             failures.push("victim was never failed over".to_owned());
         }
-    }
-    if failures.is_empty() {
-        CellOutcome {
-            gate: GateOutcome::Pass,
-            metrics,
-            reason: format!(
-                "accounted: {served} served + {rejected} rejected of {offered}, {restarts} restarts"
-            ),
+        if victim.evicted {
+            failures.push("victim was evicted instead of recovered".to_owned());
         }
-    } else {
-        CellOutcome {
-            gate: GateOutcome::Fail,
-            metrics,
-            reason: failures.join("; "),
+        failures.extend(bystander_restarts(&stats));
+        if victim.max_recovery_cycles > FLEET_RESTART_BUDGET_CYCLES {
+            failures.push(format!(
+                "recovery exceeded the restart budget ({} > {FLEET_RESTART_BUDGET_CYCLES} cycles)",
+                victim.max_recovery_cycles
+            ));
+        }
+        if causal_root.is_none() {
+            failures.push("forensics could not name the attack's causal root".to_owned());
         }
     }
+    CellOutcome::gated(
+        metrics,
+        failures,
+        format!(
+            "accounted: {served} served + {rejected} rejected of {offered}, {restarts} restarts"
+        ),
+    )
+}
+
+/// The staged-crash gates' isolation check: only the victim (member 0)
+/// may restart.
+fn bystander_restarts(stats: &[MemberStats]) -> Vec<String> {
+    stats[1..]
+        .iter()
+        .filter(|s| s.restarts != 0)
+        .map(|s| format!("{} restarted despite not being targeted", s.name))
+        .collect()
 }
 
 // ---------------------------------------------------------------- watch
@@ -460,6 +608,12 @@ const WATCH_START_CYCLES: u64 = 1_000;
 /// Storm shape: delays are the limp (each stormed request overruns the
 /// 2M-cycle watchdog budget), spurious evicts are the probe.
 const WATCH_STORM_DELAY_CYCLES: u64 = 1_500_000;
+/// The storm's injector seed, fixed rather than derived from the cell:
+/// with it every shipped member mix keeps the probe below the
+/// resident-fault tripwire, in the unwatched baseline run too.
+const WATCH_STORM_SEED: u64 = 424242;
+/// Strikes before the watchdog fails a member over.
+const WATCH_WATCHDOG_STRIKES: u32 = 3;
 
 fn watch_bursty(seed: u64, requests: usize) -> LoadConfig {
     LoadConfig {
@@ -511,14 +665,26 @@ fn watch_tower_config() -> WatchConfig {
 }
 
 struct WatchRun {
-    stats: Vec<autarky_fleet::MemberStats>,
+    stats: Vec<MemberStats>,
     report: FleetReport,
     alert_log: String,
     trace: String,
-    attacks: usize,
+    records: Vec<FlightRecord>,
 }
 
-fn watch_scenario(spec: &CellSpec) -> Result<(FleetConfig, Vec<Vec<TimedRequest>>), String> {
+impl WatchRun {
+    fn attacks(&self) -> usize {
+        self.records
+            .iter()
+            .filter(|r| matches!(r.event, FlightEvent::AttackDetected { .. }))
+            .count()
+    }
+}
+
+fn watch_scenario(
+    spec: &CellSpec,
+    watch: Option<WatchConfig>,
+) -> Result<(FleetConfig, Vec<Vec<TimedRequest>>), String> {
     let requests = spec.params.requests;
     let plan_seed = spec.derived_seed();
     let victim = MemberConfig {
@@ -600,7 +766,7 @@ fn watch_scenario(spec: &CellSpec) -> Result<(FleetConfig, Vec<Vec<TimedRequest>
                 delay: 0.75,
                 delay_cycles: WATCH_STORM_DELAY_CYCLES,
                 max_injections: None,
-                ..FaultPlan::quiescent(plan_seed)
+                ..FaultPlan::quiescent(WATCH_STORM_SEED)
             },
         }),
         other => return Err(format!("unknown watch fault plan {other:?}")),
@@ -614,20 +780,20 @@ fn watch_scenario(spec: &CellSpec) -> Result<(FleetConfig, Vec<Vec<TimedRequest>
         restart_cost_cycles: 5_000_000,
         max_retries: 3,
         retry_backoff_cycles: 100_000,
-        max_watchdog_strikes: 3,
+        max_watchdog_strikes: WATCH_WATCHDOG_STRIKES,
         max_restarts: 3,
         snapshot_every: 32,
         epc_reserve_frames: 32,
         shrink_floor_pages: 16,
         flight_capacity: 1 << 18,
         staged_crash,
-        watch: Some(watch_tower_config()),
+        watch,
     };
     Ok((cfg, traffic))
 }
 
-fn watch_run_once(spec: &CellSpec) -> Result<WatchRun, String> {
-    let (cfg, traffic) = watch_scenario(spec)?;
+fn watch_run_once(spec: &CellSpec, watch: Option<WatchConfig>) -> Result<WatchRun, String> {
+    let (cfg, traffic) = watch_scenario(spec, watch)?;
     let mut fleet = Fleet::new(cfg).map_err(|e| format!("watch fleet boot failed: {e}"))?;
     let stats = fleet
         .run(traffic)
@@ -637,43 +803,46 @@ fn watch_run_once(spec: &CellSpec) -> Result<WatchRun, String> {
     let members: Vec<_> = stats.iter().map(|s| (s.eid, s.name.clone())).collect();
     let alert_log = render_alert_log(fleet.watch_alerts(), &member_names);
     let records = fleet.flight_log();
-    let attacks = records
-        .iter()
-        .filter(|r| matches!(r.event, FlightEvent::AttackDetected { .. }))
-        .count();
     let trace = export_trace(&records, &members);
     Ok(WatchRun {
         stats,
         report,
         alert_log,
         trace,
-        attacks,
+        records,
     })
 }
 
-fn run_watch(spec: &CellSpec) -> CellOutcome {
-    if spec.fault_plan.is_none() || spec.seed.is_none() {
+fn run_watch(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
+    let (Some(plan), Some(_seed)) = (spec.fault_plan.as_deref(), spec.seed) else {
         return CellOutcome::fail("watch cell missing fault_plan/seed");
-    }
+    };
     // Watched twice: the alert log and merged Perfetto trace must come
     // back byte-identical, or the observability layer itself perturbs
-    // the run.
-    let run = match watch_run_once(spec) {
-        Ok(run) => run,
-        Err(e) => return CellOutcome::fail(e),
-    };
-    let rerun = match watch_run_once(spec) {
-        Ok(run) => run,
+    // the run. A storm also runs unwatched once: the watchdog-driven
+    // failover the alert has to beat.
+    let runs = (|| {
+        let run = watch_run_once(spec, Some(watch_tower_config()))?;
+        let rerun = watch_run_once(spec, Some(watch_tower_config()))?;
+        let unwatched = match plan {
+            "storm" => Some(watch_run_once(spec, None)?),
+            _ => None,
+        };
+        Ok::<_, String>((run, rerun, unwatched))
+    })();
+    let (run, rerun, unwatched) = match runs {
+        Ok(runs) => runs,
         Err(e) => return CellOutcome::fail(e),
     };
 
+    let victim = &run.stats[0];
     let alerts: u64 = run.stats.iter().map(|s| s.watch_alerts).sum();
-    let first_alert = run.stats[0].first_alert_cycles;
-    let first_failover = run.stats[0].first_failover_cycles;
+    let first_alert = victim.first_alert_cycles;
+    let first_failover = victim.first_failover_cycles;
     let offered: u64 = run.report.members.iter().map(|m| m.offered).sum();
     let served: u64 = run.report.members.iter().map(|m| m.served).sum();
     let restarts: u32 = run.report.members.iter().map(|m| m.restarts).sum();
-    let metrics = vec![
+    let mut metrics = vec![
         ("alerts".to_owned(), alerts as f64),
         ("first_alert_cycles".to_owned(), first_alert as f64),
         ("first_failover_cycles".to_owned(), first_failover as f64),
@@ -682,6 +851,32 @@ fn run_watch(spec: &CellSpec) -> CellOutcome {
         ("served".to_owned(), served as f64),
         ("run_cycles".to_owned(), run.report.run_cycles as f64),
     ];
+
+    let mut report_md = run.report.render();
+    if let Some(unwatched) = &unwatched {
+        let baseline = &unwatched.stats[0];
+        report_md.push_str("\n## Alert vs. watchdog timing\n\n");
+        report_md.push_str(&format!(
+            "- watched: first alert at cycle {first_alert}, failover at cycle {first_failover}\n"
+        ));
+        metrics.push((
+            "watchdog_failover_cycles".to_owned(),
+            baseline.first_failover_cycles as f64,
+        ));
+        report_md.push_str(&format!(
+            "- unwatched baseline: watchdog-driven failover at cycle {} after {} strikes\n",
+            baseline.first_failover_cycles, baseline.watchdog_strikes
+        ));
+        if first_alert > 0 && baseline.first_failover_cycles > first_alert {
+            report_md.push_str(&format!(
+                "- the alert led the watchdog by {} cycles\n",
+                baseline.first_failover_cycles - first_alert
+            ));
+        }
+    }
+    artifacts.push(("watch-alerts.log".to_owned(), run.alert_log.clone()));
+    artifacts.push(("merged-trace.json".to_owned(), run.trace.clone()));
+    artifacts.push(("watch-report.md".to_owned(), report_md));
 
     let mut failures = Vec::new();
     if !run.report.all_accounted() {
@@ -693,8 +888,8 @@ fn run_watch(spec: &CellSpec) -> CellOutcome {
     if run.trace != rerun.trace {
         failures.push("merged trace differs across reruns".to_owned());
     }
-    match spec.fault_plan.as_deref() {
-        Some("quiet") => {
+    match &unwatched {
+        None => {
             if alerts > spec.params.max_false_alerts {
                 failures.push(format!(
                     "false positives: {alerts} alerts on quiescent traffic \
@@ -706,11 +901,11 @@ fn run_watch(spec: &CellSpec) -> CellOutcome {
                 failures.push(format!("{restarts} restarts on quiescent traffic"));
             }
         }
-        Some("storm") => {
-            if run.stats[0].watch_alerts < spec.params.min_alerts {
+        Some(unwatched) => {
+            if victim.watch_alerts < spec.params.min_alerts {
                 failures.push(format!(
                     "victim raised {} alerts, expected at least {}",
-                    run.stats[0].watch_alerts, spec.params.min_alerts
+                    victim.watch_alerts, spec.params.min_alerts
                 ));
             }
             if first_alert == 0 || (first_failover > 0 && first_alert > first_failover) {
@@ -719,44 +914,82 @@ fn run_watch(spec: &CellSpec) -> CellOutcome {
                      (cycle {first_failover})"
                 ));
             }
-            if run.report.members.first().map_or(0, |m| m.restarts) == 0 {
+            if victim.restarts == 0 {
                 failures.push("victim was never failed over".to_owned());
             }
-            if run.attacks > 0 {
-                failures.push(format!(
-                    "{} AttackDetected verdicts: the probe tripped the \
-                     resident-fault tripwire instead of the watchtower",
-                    run.attacks
-                ));
+            if victim.evicted {
+                failures.push("victim was evicted instead of recovered".to_owned());
             }
+            failures.extend(bystander_restarts(&run.stats));
             if !run.report.all_byte_identical() {
                 failures.push("a restore was not byte-identical".to_owned());
             }
+            if !unwatched.report.all_accounted() {
+                failures.push("unwatched run silently dropped a request".to_owned());
+            }
+            // The race is watchdog vs. watchtower: the storm must stay
+            // below the runtime's own resident-fault tripwire in both.
+            for (label, r) in [("watched", &run), ("unwatched", unwatched)] {
+                let attacks = r.attacks();
+                if attacks > 0 {
+                    failures.push(format!(
+                        "{label} run tripped AttackDetected {attacks} time(s): the probe \
+                         tripped the resident-fault tripwire instead of the watchtower"
+                    ));
+                }
+            }
+            let baseline = &unwatched.stats[0];
+            let watchdog_failover = baseline.first_failover_cycles;
+            if watchdog_failover == 0 {
+                failures.push("unwatched baseline never failed over".to_owned());
+            } else if baseline.watchdog_strikes < u64::from(WATCH_WATCHDOG_STRIKES) {
+                failures.push(format!(
+                    "unwatched failover was not watchdog-driven (only {} strikes)",
+                    baseline.watchdog_strikes
+                ));
+            } else if first_alert == 0 || first_alert >= watchdog_failover {
+                failures.push(format!(
+                    "alert (cycle {first_alert}) did not beat the watchdog failover \
+                     (cycle {watchdog_failover})"
+                ));
+            }
+            match causal_root_of_attack(&run.records) {
+                Some((verdict, root)) => {
+                    if !matches!(verdict.event, FlightEvent::WatchAlert { .. }) {
+                        failures.push(format!(
+                            "forensics verdict is not the watch alert: {}",
+                            verdict.event.describe()
+                        ));
+                    }
+                    if !matches!(
+                        root.event,
+                        FlightEvent::Kernel(Observation::FaultInjected { .. })
+                    ) {
+                        failures.push(format!(
+                            "causal root is not an injected fault: {}",
+                            root.event.describe()
+                        ));
+                    }
+                }
+                None => {
+                    failures.push("forensics could not name the alert's causal root".to_owned())
+                }
+            }
         }
-        _ => failures.push("watch cell missing fault_plan".to_owned()),
     }
-
-    if failures.is_empty() {
-        CellOutcome {
-            gate: GateOutcome::Pass,
-            metrics,
-            reason: format!(
-                "{alerts} alerts, first at cycle {first_alert} vs failover at \
-                 {first_failover}; artifacts byte-identical"
-            ),
-        }
-    } else {
-        CellOutcome {
-            gate: GateOutcome::Fail,
-            metrics,
-            reason: failures.join("; "),
-        }
-    }
+    CellOutcome::gated(
+        metrics,
+        failures,
+        format!(
+            "{alerts} alerts, first at cycle {first_alert} vs failover at \
+             {first_failover}; artifacts byte-identical"
+        ),
+    )
 }
 
 // -------------------------------------------------------------- profile
 
-fn run_profile(spec: &CellSpec) -> CellOutcome {
+fn run_profile(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let Some(policy) = &spec.policy else {
         return CellOutcome::fail("profile cell without a policy axis");
     };
@@ -772,6 +1005,10 @@ fn run_profile(spec: &CellSpec) -> CellOutcome {
     // Simulated-cycle metrics only: the wall-clock account in
     // `got.wall` is host time and must never reach the journal.
     let p = &got.profile;
+    let stem = format!("profile-{}-{policy}", spec.workload);
+    artifacts.push((format!("{stem}.folded"), p.folded()));
+    artifacts.push((format!("{stem}.svg"), autarky_profile::flamegraph(p)));
+    artifacts.push((format!("{stem}.json"), p.to_json()));
     let mut metrics = vec![
         ("ops".to_owned(), p.ops as f64),
         ("total_cycles".to_owned(), p.total_cycles as f64),
@@ -824,24 +1061,13 @@ fn run_profile(spec: &CellSpec) -> CellOutcome {
             },
         }
     }
-    if failures.is_empty() {
-        CellOutcome {
-            gate: GateOutcome::Pass,
-            metrics,
-            reason: format!(
-                "{:.2}% of {} cycles attributed across {} faults{hot_line}",
-                p.attributed_pct(),
-                p.total_cycles,
-                p.faults
-            ),
-        }
-    } else {
-        CellOutcome {
-            gate: GateOutcome::Fail,
-            metrics,
-            reason: failures.join("; "),
-        }
-    }
+    let pass_reason = format!(
+        "{:.2}% of {} cycles attributed across {} faults{hot_line}",
+        p.attributed_pct(),
+        p.total_cycles,
+        p.faults
+    );
+    CellOutcome::gated(metrics, failures, pass_reason)
 }
 
 // --------------------------------------------------------------- figure
@@ -882,28 +1108,24 @@ fn run_figure(spec: &CellSpec) -> CellOutcome {
     // The breakdown partitions the measured total by construction; the
     // gate is that the figure is non-degenerate — both operations
     // actually cost cycles (a zero side means the loop measured nothing).
-    if fault.total() > 0 && evict.total() > 0 {
-        CellOutcome {
-            gate: GateOutcome::Pass,
-            metrics,
-            reason: format!(
-                "{}: fault {} / evict {} cycles per page",
-                fault.mech,
-                fault.total(),
-                evict.total()
-            ),
-        }
-    } else {
-        CellOutcome {
-            gate: GateOutcome::Fail,
-            metrics,
-            reason: format!(
-                "degenerate breakdown: fault {} / evict {} cycles per page",
-                fault.total(),
-                evict.total()
-            ),
-        }
+    let mut failures = Vec::new();
+    if fault.total() == 0 || evict.total() == 0 {
+        failures.push(format!(
+            "degenerate breakdown: fault {} / evict {} cycles per page",
+            fault.total(),
+            evict.total()
+        ));
     }
+    CellOutcome::gated(
+        metrics,
+        failures,
+        format!(
+            "{}: fault {} / evict {} cycles per page",
+            fault.mech,
+            fault.total(),
+            evict.total()
+        ),
+    )
 }
 
 fn arrivals_for(shape: &str) -> Arrivals {
@@ -918,11 +1140,11 @@ fn arrivals_for(shape: &str) -> Arrivals {
         "poisson" => Arrivals::Poisson {
             mean_gap_cycles: 200_000,
         },
-        // Matches the fleet smoke scenario: tight bursts, long idles.
+        // The watch scenario's grid: tight bursts, long idles.
         _ => Arrivals::Bursty {
-            burst_gap_cycles: 20_000,
-            burst_len: 25,
-            idle_gap_cycles: 30_000_000,
+            burst_gap_cycles: WATCH_BURST_GAP_CYCLES,
+            burst_len: WATCH_BURST_LEN as u32,
+            idle_gap_cycles: WATCH_IDLE_GAP_CYCLES,
         },
     }
 }
@@ -932,31 +1154,51 @@ mod tests {
     use super::*;
     use crate::cell::SuiteParams;
 
+    fn cell(
+        kind: CellKind,
+        policy: Option<&str>,
+        workload: &str,
+        fault_plan: Option<&str>,
+        seed: Option<u64>,
+        params: SuiteParams,
+    ) -> CellSpec {
+        CellSpec::new(
+            kind,
+            policy.map(Into::into),
+            workload.into(),
+            None,
+            fault_plan.map(Into::into),
+            None,
+            seed,
+            params,
+        )
+    }
+
+    fn artifact_names(artifacts: &Artifacts) -> Vec<&str> {
+        artifacts.iter().map(|(name, _)| name.as_str()).collect()
+    }
+
     #[test]
     fn bench_cell_without_baseline_is_informational() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Bench,
             None,
-            "spell".into(),
-            None,
-            None,
+            "spell",
             None,
             None,
             SuiteParams::default(),
         );
-        let out = execute_cell(&spec);
+        let (out, _) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Info);
         assert!(out.metrics.iter().any(|(k, _)| k == "cycles_per_op"));
     }
 
     #[test]
     fn bench_cell_fails_on_unreadable_baseline() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Bench,
             None,
-            "spell".into(),
-            None,
-            None,
+            "spell",
             None,
             None,
             SuiteParams {
@@ -964,41 +1206,116 @@ mod tests {
                 ..SuiteParams::default()
             },
         );
-        let out = execute_cell(&spec);
+        let (out, _) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Fail);
         assert!(out.reason.contains("unreadable"));
     }
 
     #[test]
     fn replay_quiet_cell_is_deterministic() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Replay,
-            Some("clusters".into()),
-            "spell".into(),
-            None,
-            Some("quiet".into()),
-            None,
+            Some("clusters"),
+            "spell",
+            Some("quiet"),
             Some(1),
             SuiteParams::default(),
         );
-        let out = execute_cell(&spec);
+        let (out, artifacts) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
         assert!(out.reason.contains("deterministic"));
+        assert!(
+            artifacts.is_empty(),
+            "forensics are written on failure only"
+        );
+    }
+
+    #[test]
+    fn snapshot_quiet_cell_is_restore_deterministic() {
+        let spec = cell(
+            CellKind::Snapshot,
+            Some("clusters"),
+            "spell",
+            Some("quiet"),
+            None,
+            SuiteParams::default(),
+        );
+        let (out, artifacts) = execute_cell(&spec);
+        assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
+        assert!(out.reason.contains("deterministic"));
+        assert!(artifacts.is_empty());
+    }
+
+    #[test]
+    fn snapshot_rollback_cell_passes_for_every_scenario() {
+        for scenario in RollbackScenario::ALL {
+            let spec = cell(
+                CellKind::Snapshot,
+                None,
+                "spell",
+                Some(scenario.name()),
+                Some(3),
+                SuiteParams::default(),
+            );
+            let (out, artifacts) = execute_cell(&spec);
+            assert_eq!(
+                out.gate,
+                GateOutcome::Pass,
+                "{}: {}",
+                scenario.name(),
+                out.reason
+            );
+            for key in ["refused", "attack_recorded", "root_attributed"] {
+                assert!(
+                    out.metrics.contains(&(key.to_owned(), 1.0)),
+                    "{}: {key} not set in {:?}",
+                    scenario.name(),
+                    out.metrics
+                );
+            }
+            assert!(artifacts.is_empty());
+        }
+    }
+
+    #[test]
+    fn snapshot_cell_with_unknown_scenario_fails_cleanly() {
+        let spec = cell(
+            CellKind::Snapshot,
+            None,
+            "spell",
+            Some("replay-forever"),
+            Some(1),
+            SuiteParams::default(),
+        );
+        let (out, artifacts) = execute_cell(&spec);
+        assert_eq!(out.gate, GateOutcome::Fail);
+        assert!(out.reason.contains("replay-forever"), "{}", out.reason);
+        assert!(out.metrics.is_empty() && artifacts.is_empty());
+        // Likewise a restore pair outside the restore matrix.
+        let spec = cell(
+            CellKind::Snapshot,
+            Some("clusters"),
+            "font",
+            Some("quiet"),
+            None,
+            SuiteParams::default(),
+        );
+        let (out, _) = execute_cell(&spec);
+        assert_eq!(out.gate, GateOutcome::Fail);
+        assert!(out.reason.contains("restore matrix"), "{}", out.reason);
     }
 
     #[test]
     fn leakage_cell_reports_mi() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Leakage,
-            Some("baseline".into()),
-            "jpeg".into(),
-            None,
-            None,
+            Some("baseline"),
+            "jpeg",
             None,
             None,
             SuiteParams::default(),
         );
-        let out = execute_cell(&spec);
+        let (out, _) = execute_cell(&spec);
         // The unprotected baseline must leak, so this cell gates Pass.
         assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
         assert!(out.metrics.iter().any(|(k, _)| k == "mi_bits"));
@@ -1006,17 +1323,15 @@ mod tests {
 
     #[test]
     fn profile_cell_gates_on_residual_and_reports_hot_path() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Profile,
-            Some("clusters".into()),
-            "spell".into(),
-            None,
-            None,
+            Some("clusters"),
+            "spell",
             None,
             None,
             SuiteParams::default(),
         );
-        let out = execute_cell(&spec);
+        let (out, artifacts) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
         for key in [
             "attributed_pct",
@@ -1035,16 +1350,22 @@ mod tests {
             "wall-clock leaked into metrics: {:?}",
             out.metrics
         );
+        assert_eq!(
+            artifact_names(&artifacts),
+            [
+                "profile-spell-clusters.folded",
+                "profile-spell-clusters.svg",
+                "profile-spell-clusters.json"
+            ]
+        );
     }
 
     #[test]
     fn profile_cell_fails_on_impossible_residual_gate() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Profile,
-            Some("clusters".into()),
-            "paging".into(),
-            None,
-            None,
+            Some("clusters"),
+            "paging",
             None,
             None,
             SuiteParams {
@@ -1052,24 +1373,22 @@ mod tests {
                 ..SuiteParams::default()
             },
         );
-        let out = execute_cell(&spec);
+        let (out, _) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Fail);
         assert!(out.reason.contains("residual"), "reason: {}", out.reason);
     }
 
     #[test]
     fn figure_cell_reports_the_fig5_breakdown() {
-        let spec = CellSpec::new(
+        let spec = cell(
             CellKind::Figure,
-            Some("sgx1".into()),
-            "fig5".into(),
-            None,
-            None,
+            Some("sgx1"),
+            "fig5",
             None,
             None,
             SuiteParams::default(),
         );
-        let out = execute_cell(&spec);
+        let (out, _) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
         let get = |key: &str| {
             out.metrics
@@ -1104,8 +1423,12 @@ mod tests {
                 ..SuiteParams::default()
             },
         );
-        let out = execute_cell(&spec);
+        let (out, artifacts) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
         assert!(out.metrics.iter().any(|(k, _)| k == "p99_worst_cycles"));
+        assert_eq!(
+            artifact_names(&artifacts),
+            ["fleet-latency-report.md", "fleet-forensics.txt"]
+        );
     }
 }

@@ -15,12 +15,15 @@
 //!   completion through [`journal`] so an interrupted campaign resumes
 //!   without re-running finished cells;
 //! * [`kinds`] maps each cell onto its subsystem (bench / leakage /
-//!   replay / fleet) as a library call;
+//!   replay / snapshot / fleet / watch / profile / figure) as a library
+//!   call, returning its artifacts (reports, forensics, traces,
+//!   flamegraphs) for the journal to write into `cells/<id>/`;
 //! * [`report`] renders one JSON + markdown report whose bytes are
 //!   identical whether or not the run was interrupted.
 //!
 //! The `campaign` binary wires these together behind `--config`,
-//! `--out`, `--jobs`, `--dry-run`, and `--fresh`.
+//! `--out`, `--jobs`, `--dry-run`, and `--fresh`. It is the only gate
+//! driver: every CI gate is one config under `examples/campaigns/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +37,7 @@ pub mod report;
 pub mod runner;
 pub mod toml;
 
-pub use cell::{CellKind, CellOutcome, CellSpec, GateOutcome, SuiteParams};
+pub use cell::{Artifacts, CellKind, CellOutcome, CellSpec, GateOutcome, SuiteParams};
 pub use config::{CampaignConfig, ConfigError};
 pub use journal::Journal;
 pub use kinds::execute_cell;

@@ -9,6 +9,10 @@
 //! across an interrupt/resume boundary (the resume property tests pin
 //! both).
 //!
+//! A finished cell's artifacts are written into `cells/<id>/` beside
+//! the journal before its line is appended, so a journaled cell always
+//! has its artifacts on disk and a resumed cell never rewrites them.
+//!
 //! A panicking cell is caught and converted into a failing outcome
 //! rather than tearing down the campaign: one broken experiment must
 //! not cost the other cores their finished work.
@@ -17,7 +21,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::cell::{CellOutcome, CellSpec};
+use crate::cell::{Artifacts, CellOutcome, CellSpec};
 use crate::journal::Journal;
 
 /// One cell's result within a finished campaign.
@@ -34,11 +38,13 @@ pub struct CellRun {
 /// Execute `cells` with up to `jobs` worker threads, skipping cells the
 /// journal already holds. Results come back in `cells` order regardless
 /// of completion order. `quiet` suppresses the per-cell progress lines.
+/// A cell whose artifacts or journal line cannot be written fails, so
+/// a passing campaign never lacks evidence.
 pub fn run_cells(
     cells: &[CellSpec],
     jobs: usize,
     journal: &mut Journal,
-    exec: &(dyn Fn(&CellSpec) -> CellOutcome + Sync),
+    exec: &(dyn Fn(&CellSpec) -> (CellOutcome, Artifacts) + Sync),
     quiet: bool,
 ) -> Vec<CellRun> {
     // Resolve resumed cells up front; queue the rest.
@@ -76,7 +82,7 @@ pub fn run_cells(
                         return;
                     };
                     let spec = &cells[index];
-                    let outcome = execute_guarded(spec, exec);
+                    let (mut outcome, artifacts) = execute_guarded(spec, exec);
                     let mut guard = match shared.lock() {
                         Ok(guard) => guard,
                         // A worker panicked between lock and unlock; the
@@ -84,8 +90,8 @@ pub fn run_cells(
                         Err(poisoned) => poisoned.into_inner(),
                     };
                     let (journal, results) = &mut *guard;
-                    if let Err(e) = journal.record(&spec.id, &outcome) {
-                        eprintln!("campaign: journal append failed for {}: {e}", spec.id);
+                    if let Err(e) = journal.record(&spec.id, &outcome, &artifacts) {
+                        outcome = CellOutcome::fail(format!("journal write failed: {e}"));
                     }
                     if !quiet {
                         eprintln!("campaign: [run] {spec} -> {}", outcome.gate.name());
@@ -109,17 +115,20 @@ pub fn run_cells(
 /// Run one cell, converting a panic into a failing outcome.
 fn execute_guarded(
     spec: &CellSpec,
-    exec: &(dyn Fn(&CellSpec) -> CellOutcome + Sync),
-) -> CellOutcome {
+    exec: &(dyn Fn(&CellSpec) -> (CellOutcome, Artifacts) + Sync),
+) -> (CellOutcome, Artifacts) {
     match std::panic::catch_unwind(AssertUnwindSafe(|| exec(spec))) {
-        Ok(outcome) => outcome,
+        Ok(done) => done,
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("opaque panic payload");
-            CellOutcome::fail(format!("cell panicked: {msg}"))
+            (
+                CellOutcome::fail(format!("cell panicked: {msg}")),
+                Artifacts::new(),
+            )
         }
     }
 }
@@ -142,6 +151,10 @@ mod tests {
         )
     }
 
+    fn pass(reason: &str) -> CellOutcome {
+        CellOutcome::gated(vec![], vec![], reason.to_owned())
+    }
+
     #[test]
     fn pool_runs_everything_and_preserves_order() {
         let cells: Vec<CellSpec> = ["paging", "spell", "kvstore", "font"]
@@ -153,11 +166,7 @@ mod tests {
             &cells,
             3,
             &mut journal,
-            &|c| CellOutcome {
-                gate: GateOutcome::Pass,
-                metrics: vec![],
-                reason: format!("ran {}", c.workload),
-            },
+            &|c| (pass(&format!("ran {}", c.workload)), Artifacts::new()),
             true,
         );
         assert_eq!(runs.len(), 4);
@@ -181,6 +190,7 @@ mod tests {
                     metrics: vec![],
                     reason: "from journal".into(),
                 },
+                &[],
             )
             .expect("ephemeral record");
         let executed = Mutex::new(Vec::new());
@@ -190,11 +200,7 @@ mod tests {
             &mut journal,
             &|c| {
                 executed.lock().expect("lock").push(c.workload.clone());
-                CellOutcome {
-                    gate: GateOutcome::Pass,
-                    metrics: vec![],
-                    reason: "fresh".into(),
-                }
+                (pass("fresh"), Artifacts::new())
             },
             true,
         );
@@ -220,11 +226,7 @@ mod tests {
                 if c.workload == "paging" {
                     panic!("synthetic cell failure");
                 }
-                CellOutcome {
-                    gate: GateOutcome::Pass,
-                    metrics: vec![],
-                    reason: "ok".into(),
-                }
+                (pass("ok"), Artifacts::new())
             },
             true,
         );

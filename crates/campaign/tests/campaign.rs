@@ -8,21 +8,22 @@
 //! 2. **Resume** — a campaign killed mid-run (journal cut to an
 //!    arbitrary prefix, tail line torn mid-write) re-runs only the
 //!    missing cells and produces a report byte-identical to the
-//!    uninterrupted run, at any `--jobs` level.
+//!    uninterrupted run, at any `--jobs` level; the same holds for the
+//!    artifacts cells leave under `cells/<id>/`.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use autarky_campaign::{
-    execute_cell, run_cells, CampaignConfig, CampaignReport, CellOutcome, CellSpec, GateOutcome,
-    Journal,
+    execute_cell, run_cells, Artifacts, CampaignConfig, CampaignReport, CellKind, CellOutcome,
+    CellSpec, GateOutcome, Journal,
 };
 
 /// A deterministic fake executor: outcome derived from the spec alone,
 /// so reports are comparable across runs without real subsystem cost.
-fn fake_execute(spec: &CellSpec) -> CellOutcome {
-    CellOutcome {
+fn fake_execute(spec: &CellSpec) -> (CellOutcome, Artifacts) {
+    let outcome = CellOutcome {
         gate: if spec.seed == Some(13) {
             GateOutcome::Fail
         } else {
@@ -30,7 +31,8 @@ fn fake_execute(spec: &CellSpec) -> CellOutcome {
         },
         metrics: vec![("derived_seed".to_owned(), spec.derived_seed() as f64)],
         reason: format!("fake outcome for {}", spec.coords()),
-    }
+    };
+    (outcome, Artifacts::new())
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -210,6 +212,12 @@ fault_plan = "quiet"
 seed = 1
 
 [[suite]]
+kind = "snapshot"
+policy = "clusters"
+workload = "spell"
+fault_plan = "quiet"
+
+[[suite]]
 kind = "fleet"
 workload = "kvstore"
 traffic_shape = "steady"
@@ -238,18 +246,18 @@ seed = 1
     )
     .expect("parses");
     let cells = config.expand();
-    assert_eq!(cells.len(), 7);
+    assert_eq!(cells.len(), CellKind::ALL.len());
     let mut journal = Journal::ephemeral();
     let runs = run_cells(&cells, 2, &mut journal, &execute_cell, true);
     let report = CampaignReport {
         name: config.name.clone(),
         runs,
     };
-    // Bench has no baseline configured → info; the other six gate pass.
+    // Bench has no baseline configured → info; every other kind passes.
     assert!(report.pass(), "markdown:\n{}", report.to_markdown());
     assert_eq!(report.failed(), 0);
     assert_eq!(report.info(), 1);
-    assert_eq!(report.passed(), 6);
+    assert_eq!(report.passed(), CellKind::ALL.len() - 1);
     let json = report.to_json();
     assert!(json.contains("\"campaign\": \"it-real\""));
     assert!(json.contains("\"pass\": true"));
@@ -296,4 +304,130 @@ policy = "sgx1"
         "profile metrics depend on jobs level"
     );
     assert!(reports[0].contains("hot_path_cycles_per_fault"));
+}
+
+#[test]
+fn shipped_configs_parse_and_smoke_covers_every_kind() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
+    let mut configs = 0;
+    for entry in std::fs::read_dir(&dir).expect("examples/campaigns readable") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("config readable");
+        let config =
+            CampaignConfig::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        configs += 1;
+        if config.name == "smoke" {
+            let cells = config.expand();
+            for kind in CellKind::ALL {
+                assert!(
+                    cells.iter().any(|c| c.kind == kind),
+                    "smoke.toml has no {} cell",
+                    kind.name()
+                );
+            }
+        }
+    }
+    assert!(configs >= 2, "no configs found in {}", dir.display());
+}
+
+/// Cells that leave artifacts on every run: a fleet cell (latency
+/// report + forensics) and a profile cell (folded stacks, SVG, JSON).
+const ARTIFACT_CELLS: &str = r#"
+[campaign]
+name = "it-artifacts"
+
+[[suite]]
+kind = "fleet"
+workload = "kvstore"
+traffic_shape = "steady"
+fault_plan = "quiet"
+enclave_size = 192
+requests = 30
+seed = 1
+
+[[suite]]
+kind = "profile"
+policy = "clusters"
+workload = "spell"
+"#;
+
+/// Every file under `out/cells/`, as sorted `(cell/file, bytes)` pairs.
+fn artifact_tree(out: &Path) -> Vec<(String, Vec<u8>)> {
+    let cells = out.join("cells");
+    let mut files = Vec::new();
+    for cell in std::fs::read_dir(&cells).expect("cells dir") {
+        for file in std::fs::read_dir(cell.expect("cell entry").path()).expect("cell dir") {
+            let path = file.expect("file entry").path();
+            let rel = path.strip_prefix(&cells).expect("under cells/");
+            files.push((
+                rel.display().to_string(),
+                std::fs::read(&path).expect("artifact readable"),
+            ));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Run `cells` into a fresh `out/` with a persistent journal.
+fn run_into(out: &Path, cells: &[CellSpec], jobs: usize) -> Vec<autarky_campaign::CellRun> {
+    let mut journal = Journal::open(&out.join("journal.log")).expect("journal opens");
+    run_cells(cells, jobs, &mut journal, &execute_cell, true)
+}
+
+#[test]
+fn cell_artifacts_are_byte_identical_across_jobs_levels() {
+    let cells = CampaignConfig::from_toml(ARTIFACT_CELLS)
+        .expect("parses")
+        .expand();
+    let trees: Vec<_> = [1usize, 2]
+        .into_iter()
+        .map(|jobs| {
+            let out = temp_dir(&format!("artifacts-j{jobs}"));
+            run_into(&out, &cells, jobs);
+            let tree = artifact_tree(&out);
+            let _ = std::fs::remove_dir_all(&out);
+            tree
+        })
+        .collect();
+    let names: Vec<&str> = trees[0].iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names.len(), 5, "fleet 2 + profile 3 artifacts: {names:?}");
+    assert!(names
+        .iter()
+        .all(|n| cells.iter().any(|c| n.starts_with(&c.id))));
+    assert!(
+        trees[0] == trees[1],
+        "artifacts differ between --jobs 1 and 2"
+    );
+}
+
+#[test]
+fn resumed_cells_leave_existing_artifacts_untouched() {
+    let cells = CampaignConfig::from_toml(ARTIFACT_CELLS)
+        .expect("parses")
+        .expand();
+    let fleet: Vec<CellSpec> = cells
+        .into_iter()
+        .filter(|c| c.kind == CellKind::Fleet)
+        .collect();
+    let out = temp_dir("artifacts-resume");
+    run_into(&out, &fleet, 1);
+    let before = artifact_tree(&out);
+    assert_eq!(before.len(), 2);
+    // Mark one artifact: a resumed cell must not rewrite it.
+    let marked = out.join("cells").join(&before[0].0);
+    std::fs::write(&marked, "marker").expect("mark artifact");
+
+    let runs = run_into(&out, &fleet, 2);
+    assert!(
+        runs.iter().all(|r| r.resumed),
+        "every cell came from the journal"
+    );
+    let after = artifact_tree(&out);
+    assert_eq!(
+        after[0].1, b"marker",
+        "resume rewrote a journaled cell's artifact"
+    );
+    assert_eq!(after[1..], before[1..], "resume changed an artifact");
+    let _ = std::fs::remove_dir_all(&out);
 }

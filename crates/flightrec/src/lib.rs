@@ -19,9 +19,12 @@
 //!   sides so the report names the *causal* split, not just the textual
 //!   one.
 //!
-//! The `replay-check` binary is the CI determinism gate (one short run
-//! per paging policy, replayed and compared); the `forensics` binary
-//! renders a recorded log as a markdown post-mortem timeline.
+//! [`restore`] stages the rollback-family attacks against sealed
+//! checkpoint/restore. CI drives all of it as campaign cells:
+//! [`verify_replay`] behind `replay` cells,
+//! [`verify_restore_replay`] and [`rollback_attack_run`] behind
+//! `snapshot` cells; a failing cell writes its post-mortem timeline as
+//! a `forensics.md` artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,8 +6,8 @@
 //! snapshot it, crash the host, then offer the failover host a bad blob
 //! — and reports whether the restore path (a) refused, (b) recorded an
 //! `AttackDetected` verdict in the flight ring, and (c) let forensics
-//! resolve that verdict back to the staged injection. The CI
-//! `rollback-attack` gate requires all three across many seeds.
+//! resolve that verdict back to the staged injection. The `snapshot`
+//! campaign cells require all three across many seeds.
 
 use autarky_os_sim::flight::causal_root_of_attack;
 use autarky_os_sim::{FlightEvent, FlightRecord, InjectedFault, Observation, Os};

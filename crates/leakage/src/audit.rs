@@ -928,123 +928,6 @@ fn run_fleet_cell(workload: Workload, secret: u32, seed: u64) -> (Trace, RunStat
     (trace, stats)
 }
 
-// ----------------------------------------------------------------------
-// Report rendering (hand-rolled JSON/markdown; no external deps in the
-// offline build).
-// ----------------------------------------------------------------------
-
-impl AuditReport {
-    /// Serialize the report as JSON (stable key order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        out.push_str(&format!("  \"pass\": {},\n", self.pass));
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"policy\": \"{}\",\n", cell.policy));
-            out.push_str(&format!("      \"workload\": \"{}\",\n", cell.workload));
-            out.push_str(&format!(
-                "      \"gate\": \"{}\",\n",
-                match cell.gate {
-                    Gate::Pass => "pass",
-                    Gate::Fail => "fail",
-                    Gate::Info => "info",
-                }
-            ));
-            out.push_str(&format!(
-                "      \"reason\": \"{}\",\n",
-                cell.reason.replace('"', "'")
-            ));
-            let d = &cell.dist;
-            out.push_str(&format!(
-                "      \"mi_bits\": {},\n      \"accuracy\": {},\n      \
-                 \"mean_cross_tv\": {},\n      \"mean_within_tv\": {},\n      \
-                 \"mean_cross_edit\": {},\n      \"mean_symbols\": [{}, {}]",
-                json_f64(d.mi_bits),
-                json_f64(d.accuracy),
-                json_f64(d.mean_cross_tv),
-                json_f64(d.mean_within_tv),
-                json_f64(d.mean_cross_edit),
-                json_f64(d.mean_symbols[0]),
-                json_f64(d.mean_symbols[1]),
-            ));
-            if let Some(rate) = &cell.rate {
-                out.push_str(&format!(
-                    ",\n      \"rate\": {{\"faults\": {}, \"progress\": {}, \
-                     \"allowed\": {}, \"measured_bits_per_progress\": {}, \
-                     \"budget_bits_per_progress\": {}}}",
-                    rate.faults,
-                    rate.progress,
-                    json_f64(rate.allowed),
-                    json_f64(rate.measured_bits_per_progress),
-                    json_f64(rate.budget_bits_per_progress),
-                ));
-            }
-            out.push_str("\n    }");
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Render the report as a markdown table plus gate lines.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from("# Leakage audit\n\n");
-        out.push_str(&format!(
-            "Seeds per class: {} — overall: **{}**\n\n",
-            self.seeds,
-            if self.pass { "PASS" } else { "FAIL" }
-        ));
-        out.push_str(
-            "| policy | workload | MI (bits/run) | accuracy | cross-TV | within-TV | \
-             cross-edit | symbols (s0/s1) | gate |\n",
-        );
-        out.push_str("|---|---|---|---|---|---|---|---|---|\n");
-        for cell in &self.cells {
-            let d = &cell.dist;
-            out.push_str(&format!(
-                "| {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.0}/{:.0} | {} |\n",
-                cell.policy,
-                cell.workload,
-                d.mi_bits,
-                d.accuracy,
-                d.mean_cross_tv,
-                d.mean_within_tv,
-                d.mean_cross_edit,
-                d.mean_symbols[0],
-                d.mean_symbols[1],
-                match cell.gate {
-                    Gate::Pass => "pass",
-                    Gate::Fail => "**FAIL**",
-                    Gate::Info => "info",
-                },
-            ));
-        }
-        out.push('\n');
-        for cell in &self.cells {
-            out.push_str(&format!(
-                "- `{}/{}`: {}\n",
-                cell.policy, cell.workload, cell.reason
-            ));
-        }
-        out
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        // JSON has no Infinity; encode as a large sentinel.
-        "1e308".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1137,34 +1020,5 @@ mod tests {
                 cell.dist.mi_bits
             );
         }
-    }
-
-    #[test]
-    fn report_renders_json_and_markdown() {
-        let report = AuditReport {
-            seeds: 2,
-            cells: vec![CellResult {
-                policy: "baseline",
-                workload: "jpeg",
-                dist: Distinguishability {
-                    mean_within_tv: 0.0,
-                    mean_cross_tv: 0.5,
-                    accuracy: 1.0,
-                    mi_bits: 1.0,
-                    mean_cross_edit: 0.7,
-                    mean_symbols: [100.0, 100.0],
-                },
-                rate: None,
-                gate: Gate::Pass,
-                reason: "sanity".to_owned(),
-            }],
-            pass: true,
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"policy\": \"baseline\""));
-        assert!(json.contains("\"pass\": true"));
-        let md = report.to_markdown();
-        assert!(md.contains("| baseline | jpeg |"));
-        assert!(md.contains("PASS"));
     }
 }

@@ -21,12 +21,11 @@
 //! * [`audit`] — the audit harness: K=2 secret classes × N seeds per
 //!   (workload × policy) cell, sweeping the unprotected baseline against
 //!   rate-limited, clustered, and cached-ORAM self-paging, with
-//!   JSON/markdown reports and pass/fail thresholds (baseline must be
-//!   distinguishable, ORAM must not be, the rate limit must hold its ε
-//!   budget).
+//!   pass/fail thresholds (baseline must be distinguishable, ORAM must
+//!   not be, the rate limit must hold its ε budget).
 //!
-//! The `leakage-report` binary runs the audit and exits non-zero when a
-//! gate fails; CI runs it on every push.
+//! CI runs the full matrix as `leakage` campaign cells, one per
+//! (policy × workload) audit cell (`examples/campaigns/leakage.toml`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

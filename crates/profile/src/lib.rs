@@ -11,13 +11,15 @@
 //! Outputs are deterministic byte-for-byte: collapsed-stack folded
 //! text, a self-contained SVG flamegraph, and a line-oriented JSON
 //! profile with a differential mode (`profile-diff a.json b.json`).
+//! `profile` campaign cells write all three as artifacts and gate the
+//! residual and the hot path.
 //!
 //! The profiler is strictly **host-side** tooling: it reads only
 //! simulator state the host already owns (the simulated clock, the OS
 //! flight recorder, the runtime telemetry it instruments) and never
 //! widens the enclave's sealed export surface. Host wall-clock numbers
-//! exist only in [`collect::Collected::wall`] and CLI stdout — never in
-//! the byte-compared artifacts.
+//! exist only in [`collect::Collected::wall`] — never in the
+//! byte-compared artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
