@@ -12,7 +12,8 @@
 //! `DIR/report.md`.
 //!
 //! `--bench-history PATH` appends one JSONL line per invocation —
-//! this campaign's bench cycles/op keyed by workload — to `PATH`, and
+//! this campaign's `clusters`-policy bench cycles/op keyed by workload —
+//! to `PATH`, and
 //! renders the accumulated trajectory as a "Cycles/op trend" section
 //! in `report.md`. Without the flag nothing is appended and the report
 //! bytes are a pure function of the cell outcomes (the resume

@@ -15,7 +15,8 @@ use std::fmt;
 /// subsystem as a library call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
-    /// Telemetry perf suite workload with a cycles/op baseline gate.
+    /// Perf scenario run under the cycle-attribution profiler: cycles/op,
+    /// residual, and hot-path gates against one baseline.
     Bench,
     /// Leakage-audit cell with its bits/run gate.
     Leakage,
@@ -27,8 +28,6 @@ pub enum CellKind {
     /// Fleet load-gen run with accounting/failover gates and latency
     /// percentiles.
     Fleet,
-    /// Cycle-attribution profile with residual and hot-path gates.
-    Profile,
     /// Paper-figure reproduction (currently fig5's latency breakdown).
     Figure,
     /// Watchtower fleet run (watched twice for artifact byte-identity)
@@ -38,13 +37,12 @@ pub enum CellKind {
 
 impl CellKind {
     /// Every kind, in report order.
-    pub const ALL: [CellKind; 8] = [
+    pub const ALL: [CellKind; 7] = [
         CellKind::Bench,
         CellKind::Leakage,
         CellKind::Replay,
         CellKind::Snapshot,
         CellKind::Fleet,
-        CellKind::Profile,
         CellKind::Figure,
         CellKind::Watch,
     ];
@@ -57,7 +55,6 @@ impl CellKind {
             CellKind::Replay => "replay",
             CellKind::Snapshot => "snapshot",
             CellKind::Fleet => "fleet",
-            CellKind::Profile => "profile",
             CellKind::Figure => "figure",
             CellKind::Watch => "watch",
         }
@@ -73,12 +70,13 @@ impl CellKind {
 /// ignored — and excluded from the content address — for other kinds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteParams {
-    /// Bench: perf-suite scale factor.
+    /// Bench, figure: scale factor (multiplies operation counts).
     pub scale: u32,
-    /// Bench: baseline JSON path the regression gate reads (relative to
-    /// the invocation directory); `None` makes bench cells ungated.
+    /// Bench: baseline JSON path the regression gates read (relative to
+    /// the invocation directory); `None` leaves only the residual gate.
     pub baseline: Option<String>,
-    /// Bench: max tolerated cycles/op growth vs the baseline, percent.
+    /// Bench: max tolerated growth vs the baseline, percent, of both
+    /// cycles/op and (where baselined) hot-path cycles/fault.
     pub max_growth_pct: f64,
     /// Leakage: seeds per secret class (≥ 2).
     pub samples: usize,
@@ -92,7 +90,7 @@ pub struct SuiteParams {
     pub requests: usize,
     /// Fleet: EPC frames shared by the members.
     pub epc_frames: usize,
-    /// Profile: max unattributed-cycle share, percent.
+    /// Bench: max unattributed-cycle share, percent.
     pub residual_max_pct: f64,
     /// Watch: minimum alerts a staged storm cell must fire.
     pub min_alerts: u64,
@@ -131,7 +129,8 @@ pub struct CellSpec {
     pub id: String,
     /// Experiment kind.
     pub kind: CellKind,
-    /// Protection policy (leakage, replay, restore-determinism snapshot).
+    /// Protection policy (bench, leakage, replay, restore-determinism
+    /// snapshot) or paging mechanism (figure).
     pub policy: Option<String>,
     /// Workload (all kinds).
     pub workload: String,
@@ -185,15 +184,6 @@ impl CellSpec {
     pub fn canon(&self) -> String {
         let mut out = format!("campaign-cell-v1 kind={}", self.kind.name());
         match self.kind {
-            CellKind::Bench => {
-                out.push_str(&format!(
-                    " workload={} scale={} baseline={} max_growth_pct={}",
-                    self.workload,
-                    self.params.scale,
-                    self.params.baseline.as_deref().unwrap_or("-"),
-                    self.params.max_growth_pct,
-                ));
-            }
             CellKind::Leakage => {
                 out.push_str(&format!(
                     " policy={} workload={} samples={} baseline_min_mi={} oram_max_mi={}",
@@ -240,7 +230,7 @@ impl CellSpec {
                     self.params.epc_frames,
                 ));
             }
-            CellKind::Profile => {
+            CellKind::Bench => {
                 out.push_str(&format!(
                     " policy={} workload={} scale={} residual_max_pct={} baseline={} \
                      max_growth_pct={}",
@@ -545,7 +535,8 @@ mod tests {
         let a = spec(CellKind::Bench);
         let mut b = spec(CellKind::Bench);
         b.seed = Some(999);
-        b.policy = Some("cached-oram".into());
+        b.fault_plan = Some("hostile".into());
+        b.enclave_size = Some(64);
         let b = CellSpec::new(
             b.kind,
             b.policy,
@@ -556,7 +547,10 @@ mod tests {
             b.seed,
             b.params,
         );
-        assert_eq!(a.id, b.id, "bench consumes only workload + gate params");
+        assert_eq!(
+            a.id, b.id,
+            "bench consumes only policy, workload + gate params"
+        );
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! * `[matrix]` — the shared axis vocabulary: `policy`, `workload`,
 //!   `enclave_size`, `fault_plan`, `traffic_shape`, `seed`;
 //! * `[[suite]]` — one experiment kind each (`bench`, `leakage`,
-//!   `replay`, `snapshot`, `fleet`, `profile`, `figure`, `watch`),
+//!   `replay`, `snapshot`, `fleet`, `figure`, `watch`),
 //!   inheriting the matrix axes unless overridden, plus the kind's gate
 //!   parameters.
 //!
 //! Each kind consumes only the axes that can change its outcome (a
-//! bench cell has no policy; a leakage cell folds the seed axis into
+//! bench cell has no seed; a leakage cell folds the seed axis into
 //! its own per-class sampling), and expansion is the cartesian product
 //! of the consumed axes. Axis values are validated against the wrapped
 //! subsystem's vocabulary at load time — a typo is a config error, not
@@ -153,8 +153,9 @@ impl Suite {
     pub fn cell_count(&self) -> usize {
         let a = &self.axes;
         match self.kind {
-            CellKind::Bench => a.workload.len(),
-            CellKind::Leakage => a.policy.len() * a.workload.len(),
+            CellKind::Bench | CellKind::Leakage | CellKind::Figure => {
+                a.policy.len() * a.workload.len()
+            }
             CellKind::Replay => {
                 a.policy.len() * a.workload.len() * a.fault_plan.len() * a.seed.len()
             }
@@ -173,7 +174,6 @@ impl Suite {
                     * a.enclave_size.len()
                     * a.seed.len()
             }
-            CellKind::Profile | CellKind::Figure => a.policy.len() * a.workload.len(),
             CellKind::Watch => a.workload.len() * a.fault_plan.len() * a.seed.len(),
         }
     }
@@ -184,21 +184,7 @@ impl Suite {
         let a = &self.axes;
         let mut cells = Vec::with_capacity(self.cell_count());
         match self.kind {
-            CellKind::Bench => {
-                for workload in &a.workload {
-                    cells.push(CellSpec::new(
-                        self.kind,
-                        None,
-                        workload.clone(),
-                        None,
-                        None,
-                        None,
-                        None,
-                        self.params.clone(),
-                    ));
-                }
-            }
-            CellKind::Leakage => {
+            CellKind::Bench | CellKind::Leakage | CellKind::Figure => {
                 for policy in &a.policy {
                     for workload in &a.workload {
                         cells.push(CellSpec::new(
@@ -285,22 +271,6 @@ impl Suite {
                     }
                 }
             }
-            CellKind::Profile | CellKind::Figure => {
-                for policy in &a.policy {
-                    for workload in &a.workload {
-                        cells.push(CellSpec::new(
-                            self.kind,
-                            Some(policy.clone()),
-                            workload.clone(),
-                            None,
-                            None,
-                            None,
-                            None,
-                            self.params.clone(),
-                        ));
-                    }
-                }
-            }
             CellKind::Watch => {
                 for workload in &a.workload {
                     for fault_plan in &a.fault_plan {
@@ -337,16 +307,6 @@ impl Suite {
             Ok(())
         };
         match self.kind {
-            CellKind::Bench => {
-                check(
-                    "workload",
-                    &self.axes.workload,
-                    &autarky_bench::perf::WORKLOAD_NAMES,
-                )?;
-                if self.params.scale == 0 {
-                    return Err(ConfigError("bench suite: scale must be ≥ 1".into()));
-                }
-            }
             CellKind::Leakage => {
                 check(
                     "policy",
@@ -418,7 +378,7 @@ impl Suite {
                     }
                 }
             }
-            CellKind::Profile => {
+            CellKind::Bench => {
                 check(
                     "policy",
                     &self.axes.policy,
@@ -430,11 +390,11 @@ impl Suite {
                     &autarky_profile::PROFILE_WORKLOADS,
                 )?;
                 if self.params.scale == 0 {
-                    return Err(ConfigError("profile suite: scale must be ≥ 1".into()));
+                    return Err(ConfigError("bench suite: scale must be ≥ 1".into()));
                 }
                 if !self.params.residual_max_pct.is_finite() || self.params.residual_max_pct < 0.0 {
                     return Err(ConfigError(
-                        "profile suite: residual_max_pct must be a non-negative number".into(),
+                        "bench suite: residual_max_pct must be a non-negative number".into(),
                     ));
                 }
             }
@@ -642,8 +602,9 @@ kind = "replay"
 
 [[suite]]
 kind = "bench"
+policy = "clusters"
 workload = ["font", "paging"]
-baseline = "baselines/bench-v1.json"
+baseline = "baselines/bench-v2.json"
 
 [[suite]]
 kind = "leakage"
@@ -658,7 +619,7 @@ samples = 2
         assert_eq!(config.suites.len(), 3);
         // replay: 2 policies × 2 workloads × 2 plans × 2 seeds.
         assert_eq!(config.suites[0].cell_count(), 16);
-        // bench: 2 workloads.
+        // bench: 1 policy × 2 workloads.
         assert_eq!(config.suites[1].cell_count(), 2);
         // leakage: 1 policy × 1 workload.
         assert_eq!(config.suites[2].cell_count(), 1);
@@ -695,6 +656,10 @@ workload = ["font", "paging"]
             (
                 "[[suite]]\nkind = \"bench\"\nworkload = [\"jpeg\"]",
                 "workload",
+            ),
+            (
+                "[[suite]]\nkind = \"bench\"\npolicy = [\"cached-oram\"]",
+                "policy",
             ),
             (
                 "[[suite]]\nkind = \"fleet\"\ntraffic_shape = [\"ddos\"]",

@@ -15,9 +15,9 @@
 //!   completion through [`journal`] so an interrupted campaign resumes
 //!   without re-running finished cells;
 //! * [`kinds`] maps each cell onto its subsystem (bench / leakage /
-//!   replay / snapshot / fleet / watch / profile / figure) as a library
-//!   call, returning its artifacts (reports, forensics, traces,
-//!   flamegraphs) for the journal to write into `cells/<id>/`;
+//!   replay / snapshot / fleet / watch / figure) as a library call,
+//!   returning its artifacts (reports, forensics, traces, flamegraphs)
+//!   for the journal to write into `cells/<id>/`;
 //! * [`report`] renders one JSON + markdown report whose bytes are
 //!   identical whether or not the run was interrupted.
 //!

@@ -7,7 +7,7 @@
 //! byte-identical to an uninterrupted run (the resume property test
 //! pins this).
 
-use crate::cell::{json_f64, GateOutcome};
+use crate::cell::{json_f64, CellKind, GateOutcome};
 use crate::runner::CellRun;
 
 /// A finished campaign, ready to render.
@@ -171,8 +171,10 @@ impl CampaignReport {
     }
 
     /// One bench-trajectory line for `baselines/BENCH_HISTORY.jsonl`:
-    /// the cycles/op of every bench cell in this campaign, keyed by
-    /// workload. `None` when the campaign ran no bench cells, so
+    /// the cycles/op of every `clusters`-policy bench cell in this
+    /// campaign, keyed by the bare workload name so the trend stays one
+    /// series per workload whatever other policies the campaign also
+    /// profiles. `None` when the campaign ran no such cells, so
     /// non-perf campaigns never pollute the trajectory. Deliberately
     /// timestamp-free — the file's line order *is* the trajectory, and
     /// a wall-clock stamp would break the report's determinism
@@ -180,10 +182,13 @@ impl CampaignReport {
     pub fn bench_history_line(&self) -> Option<String> {
         let mut entries: Vec<(String, f64)> = Vec::new();
         for run in &self.runs {
-            if run.spec.kind != crate::cell::CellKind::Bench {
+            let spec = &run.spec;
+            if spec.kind != CellKind::Bench
+                || spec.policy.as_deref().unwrap_or("clusters") != "clusters"
+            {
                 continue;
             }
-            if entries.iter().any(|(w, _)| *w == run.spec.workload) {
+            if entries.iter().any(|(w, _)| *w == spec.workload) {
                 continue;
             }
             if let Some((_, v)) = run
@@ -192,7 +197,7 @@ impl CampaignReport {
                 .iter()
                 .find(|(k, _)| k == "cycles_per_op")
             {
-                entries.push((run.spec.workload.clone(), *v));
+                entries.push((spec.workload.clone(), *v));
             }
         }
         if entries.is_empty() {
@@ -333,7 +338,7 @@ fn opt_u64(value: Option<u64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellKind, CellOutcome, CellSpec, SuiteParams};
+    use crate::cell::{CellOutcome, CellSpec, SuiteParams};
 
     fn run(gate: GateOutcome, reason: &str) -> CellRun {
         CellRun {
@@ -400,10 +405,14 @@ mod tests {
     }
 
     fn bench_run(workload: &str, cycles_per_op: f64) -> CellRun {
+        policy_bench_run(None, workload, cycles_per_op)
+    }
+
+    fn policy_bench_run(policy: Option<&str>, workload: &str, cycles_per_op: f64) -> CellRun {
         CellRun {
             spec: CellSpec::new(
                 CellKind::Bench,
-                None,
+                policy.map(Into::into),
                 workload.into(),
                 None,
                 None,
@@ -448,6 +457,24 @@ mod tests {
             runs: vec![run(GateOutcome::Pass, "ok")],
         };
         assert!(no_bench.bench_history_line().is_none());
+    }
+
+    #[test]
+    fn history_line_logs_the_clusters_policy_only() {
+        // Spell profiled under two policies, the other one first: the
+        // trajectory must carry the clusters number, keyed by workload.
+        let report = CampaignReport {
+            name: "bench-smoke".into(),
+            runs: vec![
+                policy_bench_run(Some("single"), "spell", 999.0),
+                policy_bench_run(Some("clusters"), "spell", 1234.5),
+                policy_bench_run(Some("elided"), "font", 7.0),
+            ],
+        };
+        assert_eq!(
+            report.bench_history_line().expect("has a clusters cell"),
+            "{\"campaign\": \"bench-smoke\", \"bench\": {\"spell\": 1234.5}}"
+        );
     }
 
     #[test]

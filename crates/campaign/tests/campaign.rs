@@ -72,8 +72,8 @@ fault_plan = ["quiet"]
 enclave_size = [128, 192]
 
 [[suite]]
-kind = "profile"
-policy = ["clusters", "elided"]
+kind = "bench"
+policy = ["single", "elided"]
 workload = ["paging", "spell"]
 
 [[suite]]
@@ -82,8 +82,9 @@ workload = ["fig5"]
 policy = ["sgx1", "sgx2"]
 "#;
 
-/// Consumed-axis products: bench 4 (seed unconsumed), leakage 3×2,
-/// replay 2×2×2×3, fleet 2×2×1×2×3, profile 2×2, figure 1×2.
+/// Consumed-axis products: bench 1×4 (default clusters policy, seed
+/// unconsumed) and 2×2, leakage 3×2, replay 2×2×2×3, fleet 2×2×1×2×3,
+/// figure 1×2.
 const SWEEP_CELLS: usize = 4 + 6 + 24 + 24 + 4 + 2;
 
 #[test]
@@ -227,11 +228,6 @@ requests = 30
 seed = 1
 
 [[suite]]
-kind = "profile"
-policy = "clusters"
-workload = "spell"
-
-[[suite]]
 kind = "figure"
 workload = "fig5"
 policy = "sgx1"
@@ -253,7 +249,8 @@ seed = 1
         name: config.name.clone(),
         runs,
     };
-    // Bench has no baseline configured → info; every other kind passes.
+    // Bench has no baseline configured → info (its residual gate
+    // held); every other kind passes.
     assert!(report.pass(), "markdown:\n{}", report.to_markdown());
     assert_eq!(report.failed(), 0);
     assert_eq!(report.info(), 1);
@@ -266,15 +263,16 @@ seed = 1
 #[test]
 fn real_profile_and_figure_cells_are_parallelism_invariant() {
     // Unlike the fake-executor sweep above, this runs the *real*
-    // profiler: the collected profile (and thus every journaled metric)
-    // must be bit-identical no matter how cells are scheduled.
+    // profiler behind bench cells: the collected profile (and thus
+    // every journaled metric) must be bit-identical no matter how cells
+    // are scheduled.
     let config = CampaignConfig::from_toml(
         r#"
 [campaign]
 name = "it-profile-jobs"
 
 [[suite]]
-kind = "profile"
+kind = "bench"
 policy = ["clusters", "single"]
 workload = "spell"
 
@@ -331,7 +329,7 @@ fn shipped_configs_parse_and_smoke_covers_every_kind() {
 }
 
 /// Cells that leave artifacts on every run: a fleet cell (latency
-/// report + forensics) and a profile cell (folded stacks, SVG, JSON).
+/// report + forensics) and a bench cell (folded stacks, SVG, JSON).
 const ARTIFACT_CELLS: &str = r#"
 [campaign]
 name = "it-artifacts"
@@ -346,7 +344,7 @@ requests = 30
 seed = 1
 
 [[suite]]
-kind = "profile"
+kind = "bench"
 policy = "clusters"
 workload = "spell"
 "#;
@@ -391,7 +389,7 @@ fn cell_artifacts_are_byte_identical_across_jobs_levels() {
         })
         .collect();
     let names: Vec<&str> = trees[0].iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names.len(), 5, "fleet 2 + profile 3 artifacts: {names:?}");
+    assert_eq!(names.len(), 5, "fleet 2 + bench 3 artifacts: {names:?}");
     assert!(names
         .iter()
         .all(|n| cells.iter().any(|c| n.starts_with(&c.id))));

@@ -2,6 +2,13 @@
 //! journal, span ring, and flight recorder armed, and attribute every
 //! simulated cycle of the measured phase.
 //!
+//! These are the only builders of the perf scenarios — the Fig. 5 fault
+//! round trip, Table 2's Hunspell, Fig. 8's cached-ORAM GETs, and pinned
+//! FreeType. A `bench` campaign cell's cycles/op is a view of the
+//! profile: the armed run's total minus the flight recorder's own
+//! `recorder` tag, which equals an unarmed run's cycles exactly (see
+//! [`Observe::Unarmed`] and the observer-effect test).
+//!
 //! Collection is *harvest-batched*: every few operations the three
 //! streams are drained and joined ([`crate::attr`]), then re-armed.
 //! Harvest windows are independent — every correlation chain and
@@ -9,32 +16,29 @@
 //! buffer sizes without losing attribution at the seams.
 //!
 //! The workload setup phase (allocation, dictionary/store loading) runs
-//! *before* arming: the profile covers exactly the measured phase, the
-//! same phase `bench::perf` times. Host wall-clock is measured around
-//! the whole collection but kept out of [`CycleProfile`] — it rides
-//! alongside in [`Collected`], so deterministic artifacts stay
-//! byte-stable while the CLI can still report simulator ops/sec.
+//! *before* arming: the profile covers exactly the measured phase.
 
 use autarky::prelude::*;
+use autarky::workloads::font::FontRenderer;
 use autarky::workloads::kvstore::{ItemClustering, KvStore};
 use autarky::workloads::spell::{synth_wordlist, Dictionary};
 use autarky::{Profile, SystemBuilder};
 use autarky_bench::fig5::BATCH;
-use autarky_bench::harness::{WallAccount, WallTimer};
 use autarky_sgx_sim::CostTag;
 use autarky_telemetry::{SpanKind, SpanRecord};
 
 use crate::attr::Attributor;
 use crate::profile::{ClusterRow, CycleProfile, CLUSTER_ROWS};
 
-/// Workloads the profiler knows how to drive (the fault-free pinned
-/// font workload is deliberately absent — it has no paging hot path).
-pub const PROFILE_WORKLOADS: [&str; 3] = ["paging", "spell", "kvstore"];
+/// The perf scenarios, in suite order (the campaign `bench` kind's
+/// workload vocabulary).
+pub const PROFILE_WORKLOADS: [&str; 4] = ["paging", "spell", "kvstore", "font"];
 
 /// Paging-policy variants, the profile diff axis:
 /// `clusters` = the perf-suite defaults, `single` = degraded to
 /// single-page fetching (smaller clusters / colder cache), `elided` =
-/// defaults plus AEX elision.
+/// defaults plus AEX elision. The pinned font scenario has no cluster or
+/// cache to shrink, so `single` runs it as `clusters` does.
 pub const PROFILE_POLICIES: [&str; 3] = ["clusters", "single", "elided"];
 
 /// Operations per harvest window.
@@ -55,28 +59,31 @@ pub struct CollectSpec {
     pub scale: u32,
 }
 
-/// A collected profile plus its host-side wall-clock account. Only
-/// `profile` is deterministic; `wall` is real host time and must never
-/// enter byte-compared artifacts.
-#[derive(Debug, Clone)]
-pub struct Collected {
-    /// The deterministic cycle-attribution profile.
-    pub profile: CycleProfile,
-    /// Host wall-clock accounting for the collection run.
-    pub wall: WallAccount,
+/// How a collection run observes its measured phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Observe {
+    /// Journal, span ring, and flight recorder armed (what [`collect`]
+    /// does).
+    Armed,
+    /// Armed, but `fault_handler` span records are discarded before
+    /// attribution, simulating lost instrumentation — the residual-gate
+    /// tests use it to prove orphaned cycles are detected rather than
+    /// silently re-attributed.
+    DropFaultSpans,
+    /// Nothing armed: the profile carries the clock delta and tag totals
+    /// but no tree. The observer-effect test compares it against an
+    /// armed run.
+    Unarmed,
 }
 
 /// Run one profile cell.
-pub fn collect(spec: &CollectSpec) -> Result<Collected, String> {
-    collect_impl(spec, false)
+pub fn collect(spec: &CollectSpec) -> Result<CycleProfile, String> {
+    collect_impl(spec, Observe::Armed)
 }
 
-/// Collection seam: `drop_fault_spans` discards `fault_handler` span
-/// records before attribution, simulating lost instrumentation — the
-/// residual-gate tests use it to prove orphaned cycles are detected
-/// rather than silently re-attributed. Not for production callers; use
-/// [`collect`].
-pub fn collect_impl(spec: &CollectSpec, drop_fault_spans: bool) -> Result<Collected, String> {
+/// Collection seam: [`collect`] with an explicit [`Observe`] mode. Not
+/// for production callers.
+pub fn collect_impl(spec: &CollectSpec, observe: Observe) -> Result<CycleProfile, String> {
     if !PROFILE_POLICIES.contains(&spec.policy.as_str()) {
         return Err(format!(
             "unknown policy {:?} (valid: {})",
@@ -85,11 +92,11 @@ pub fn collect_impl(spec: &CollectSpec, drop_fault_spans: bool) -> Result<Collec
         ));
     }
     let scale = spec.scale.max(1);
-    let timer = WallTimer::new();
-    let (ops, profile) = match spec.workload.as_str() {
-        "paging" => collect_paging(&spec.policy, scale, drop_fault_spans)?,
-        "spell" => collect_spell(&spec.policy, scale, drop_fault_spans)?,
-        "kvstore" => collect_kvstore(&spec.policy, scale, drop_fault_spans)?,
+    let (ops, mut profile) = match spec.workload.as_str() {
+        "paging" => collect_paging(&spec.policy, scale, observe)?,
+        "spell" => collect_spell(&spec.policy, scale, observe)?,
+        "kvstore" => collect_kvstore(&spec.policy, scale, observe)?,
+        "font" => collect_font(&spec.policy, scale, observe)?,
         other => {
             return Err(format!(
                 "unknown workload {other:?} (valid: {})",
@@ -97,19 +104,17 @@ pub fn collect_impl(spec: &CollectSpec, drop_fault_spans: bool) -> Result<Collec
             ))
         }
     };
-    let mut profile = profile;
     profile.workload = spec.workload.clone();
     profile.policy = spec.policy.clone();
     profile.scale = scale;
     profile.ops = ops;
-    let wall = timer.finish(ops, profile.total_cycles);
-    Ok(Collected { profile, wall })
+    Ok(profile)
 }
 
 /// Armed-collection state across one measured phase.
 struct Session {
     attr: Attributor,
-    drop_fault_spans: bool,
+    observe: Observe,
     t0: u64,
     tags0: [u64; autarky_sgx_sim::COST_TAGS],
     span_dropped0: u64,
@@ -118,16 +123,18 @@ struct Session {
 }
 
 impl Session {
-    /// Arm all three streams. Call after workload setup, immediately
-    /// before the measured phase.
-    fn arm(world: &mut World, drop_fault_spans: bool) -> Session {
+    /// Arm all three streams (unless `observe` is [`Observe::Unarmed`]).
+    /// Call after workload setup, immediately before the measured phase.
+    fn arm(world: &mut World, observe: Observe) -> Session {
         world.rt.telemetry.clear_ring();
         let span_dropped0 = world.rt.telemetry.ring().dropped();
-        world.os.machine.clock.arm_charge_journal(JOURNAL_CAP);
-        world.os.arm_flight_recorder(FLIGHT_CAP);
+        if observe != Observe::Unarmed {
+            world.os.machine.clock.arm_charge_journal(JOURNAL_CAP);
+            world.os.arm_flight_recorder(FLIGHT_CAP);
+        }
         Session {
             attr: Attributor::new(),
-            drop_fault_spans,
+            observe,
             t0: world.os.machine.clock.now(),
             tags0: world.os.machine.clock.tag_totals(),
             span_dropped0,
@@ -140,8 +147,11 @@ impl Session {
     /// final harvest. The flight recorder is drained *before* the charge
     /// journal so its sync-time recorder charges stay journaled.
     fn harvest(&mut self, world: &mut World, rearm: bool) {
+        if self.observe == Observe::Unarmed {
+            return;
+        }
         let mut spans: Vec<SpanRecord> = world.rt.telemetry.ring().records().to_vec();
-        if self.drop_fault_spans {
+        if self.observe == Observe::DropFaultSpans {
             spans.retain(|s| s.kind != SpanKind::FaultHandler);
         }
         world.rt.telemetry.clear_ring();
@@ -224,12 +234,12 @@ fn build_err(workload: &str, e: impl std::fmt::Debug) -> String {
     format!("{workload}: build failed: {e:?}")
 }
 
-/// Fig-5-shaped paging cell: batch evictions, per-page fault refetches.
-/// Mirrors `bench::perf::measure_paging`.
+/// Fig-5-shaped paging cell: batch evictions, per-page fault refetches
+/// (cycles per fault round trip).
 fn collect_paging(
     policy: &str,
     scale: u32,
-    drop_fault_spans: bool,
+    observe: Observe,
 ) -> Result<(u64, CycleProfile), String> {
     let iters = 20 * scale as u64;
     let (mut world, mut heap) = SystemBuilder::new(
@@ -251,7 +261,7 @@ fn collect_paging(
     let first = Vpn(ptr.0 >> 12);
     let pages: Vec<Vpn> = (0..BATCH).map(|i| Vpn(first.0 + i)).collect();
 
-    let mut session = Session::arm(&mut world, drop_fault_spans);
+    let mut session = Session::arm(&mut world, observe);
     for iter in 0..iters {
         world
             .rt
@@ -269,13 +279,14 @@ fn collect_paging(
     Ok((iters * BATCH, session.finish(&mut world)))
 }
 
-/// Table-2-shaped spell cell: dictionary lookups under a paging budget.
-/// Mirrors `bench::perf::measure_spell`; the `single` policy degrades
-/// cluster prefetching to one page per fault.
+/// Table-2-shaped spell cell: dictionary lookups under a paging budget
+/// (cycles per checked word). The dictionary overflows the budget, so
+/// lookups actually page; the `single` policy degrades cluster
+/// prefetching to one page per fault.
 fn collect_spell(
     policy: &str,
     scale: u32,
-    drop_fault_spans: bool,
+    observe: Observe,
 ) -> Result<(u64, CycleProfile), String> {
     const DICT_WORDS: usize = 1500;
     let queries = 120 * scale as u64;
@@ -292,7 +303,7 @@ fn collect_spell(
         .map_err(|e| format!("spell: dict: {e:?}"))?;
     let words = synth_wordlist("en", DICT_WORDS);
 
-    let mut session = Session::arm(&mut world, drop_fault_spans);
+    let mut session = Session::arm(&mut world, observe);
     for i in 0..queries {
         let word = &words[(i as usize * 7) % words.len()];
         dictionary
@@ -305,13 +316,12 @@ fn collect_spell(
     Ok((queries, session.finish(&mut world)))
 }
 
-/// Fig-8-shaped kvstore cell: GETs on the cached-ORAM backend. Mirrors
-/// `bench::perf::measure_kvstore`; the `single` policy shrinks the ORAM
-/// position cache.
+/// Fig-8-shaped kvstore cell: GETs on the cached-ORAM backend (cycles
+/// per GET); the `single` policy shrinks the ORAM position cache.
 fn collect_kvstore(
     policy: &str,
     scale: u32,
-    drop_fault_spans: bool,
+    observe: Observe,
 ) -> Result<(u64, CycleProfile), String> {
     const ITEMS: u64 = 128;
     const VALUE_SIZE: usize = 512;
@@ -341,7 +351,7 @@ fn collect_kvstore(
         .load(&mut world, &mut heap, ITEMS)
         .map_err(|e| format!("kvstore: load: {e:?}"))?;
 
-    let mut session = Session::arm(&mut world, drop_fault_spans);
+    let mut session = Session::arm(&mut world, observe);
     for i in 0..gets {
         let key = (i * 7) % ITEMS;
         store
@@ -355,37 +365,54 @@ fn collect_kvstore(
     Ok((gets, session.finish(&mut world)))
 }
 
+/// FreeType-shaped glyph rendering with everything pinned: the
+/// zero-fault reference point (cycles per glyph).
+fn collect_font(policy: &str, scale: u32, observe: Observe) -> Result<(u64, CycleProfile), String> {
+    let glyphs = 400 * scale as u64;
+    let (mut world, mut heap) = SystemBuilder::new("profile-font", Profile::PinAll)
+        .epc_pages(4096)
+        .heap_pages(256)
+        .code_pages(24)
+        .elide_aex(policy == "elided")
+        .build()
+        .map_err(|e| build_err("font", e))?;
+    let mut font =
+        FontRenderer::new(&mut world, &mut heap, 64).map_err(|e| format!("font: new: {e:?}"))?;
+    let text: String = (0..glyphs)
+        .map(|k| (b'a' + (k % 26) as u8) as char)
+        .collect();
+
+    let session = Session::arm(&mut world, observe);
+    font.render_text(&mut world, &mut heap, &text)
+        .map_err(|e| format!("font: render: {e:?}"))?;
+    Ok((glyphs, session.finish(&mut world)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn spec(workload: &str, policy: &str) -> CollectSpec {
+        CollectSpec {
+            workload: workload.into(),
+            policy: policy.into(),
+            scale: 1,
+        }
+    }
+
     #[test]
     fn unknown_axes_are_rejected() {
-        let bad_policy = CollectSpec {
-            workload: "paging".into(),
-            policy: "nope".into(),
-            scale: 1,
-        };
-        assert!(collect(&bad_policy).unwrap_err().contains("unknown policy"));
-        let bad_workload = CollectSpec {
-            workload: "font".into(),
-            policy: "clusters".into(),
-            scale: 1,
-        };
-        assert!(collect(&bad_workload)
+        assert!(collect(&spec("paging", "nope"))
+            .unwrap_err()
+            .contains("unknown policy"));
+        assert!(collect(&spec("jpeg", "clusters"))
             .unwrap_err()
             .contains("unknown workload"));
     }
 
     #[test]
     fn paging_profile_accounts_for_nearly_all_cycles() {
-        let spec = CollectSpec {
-            workload: "paging".into(),
-            policy: "clusters".into(),
-            scale: 1,
-        };
-        let got = collect(&spec).expect("collect");
-        let p = &got.profile;
+        let p = collect(&spec("paging", "clusters")).expect("collect");
         assert_eq!(p.name(), "clusters/paging");
         assert_eq!(p.ops, 20 * BATCH);
         assert!(p.faults > 0, "the paging cell must fault");
@@ -409,15 +436,27 @@ mod tests {
     }
 
     #[test]
-    fn wall_account_covers_the_run() {
-        let spec = CollectSpec {
-            workload: "paging".into(),
-            policy: "clusters".into(),
-            scale: 1,
-        };
-        let got = collect(&spec).expect("collect");
-        assert_eq!(got.wall.ops, got.profile.ops);
-        assert_eq!(got.wall.sim_cycles, got.profile.total_cycles);
-        assert!(got.wall.wall_nanos > 0);
+    fn observer_effect_is_exactly_the_recorder_tag() {
+        // Arming the profiler may cost simulated cycles only through the
+        // flight recorder's own `recorder` tag: subtracting it from an
+        // armed run must give the unarmed run's cycles bit for bit, which
+        // is what makes the bench cells' cycles/op a view of the profile.
+        for workload in PROFILE_WORKLOADS {
+            for policy in PROFILE_POLICIES {
+                let armed = collect(&spec(workload, policy)).expect("armed");
+                let unarmed =
+                    collect_impl(&spec(workload, policy), Observe::Unarmed).expect("unarmed");
+                assert_eq!(unarmed.observer_cycles(), 0, "{workload}/{policy}");
+                assert_eq!(
+                    armed.workload_cycles(),
+                    unarmed.total_cycles,
+                    "{workload}/{policy}: armed {} - recorder {} != unarmed {}",
+                    armed.total_cycles,
+                    armed.observer_cycles(),
+                    unarmed.total_cycles
+                );
+                assert_eq!(armed.cycles_per_op(), unarmed.cycles_per_op());
+            }
+        }
     }
 }

@@ -11,15 +11,15 @@
 //! Outputs are deterministic byte-for-byte: collapsed-stack folded
 //! text, a self-contained SVG flamegraph, and a line-oriented JSON
 //! profile with a differential mode (`profile-diff a.json b.json`).
-//! `profile` campaign cells write all three as artifacts and gate the
-//! residual and the hot path.
+//! [`collect`] is the only runner of the perf scenarios: `bench`
+//! campaign cells write all three outputs as artifacts, read cycles/op
+//! off the profile, and gate it together with the residual and the hot
+//! path against one baseline file ([`baseline_value`]).
 //!
 //! The profiler is strictly **host-side** tooling: it reads only
 //! simulator state the host already owns (the simulated clock, the OS
 //! flight recorder, the runtime telemetry it instruments) and never
-//! widens the enclave's sealed export surface. Host wall-clock numbers
-//! exist only in [`collect::Collected::wall`] — never in the
-//! byte-compared artifacts.
+//! widens the enclave's sealed export surface. It reads no host clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +32,8 @@ pub mod flame;
 pub mod profile;
 pub mod tree;
 
-pub use collect::{collect, CollectSpec, Collected, PROFILE_POLICIES, PROFILE_WORKLOADS};
+pub use collect::{collect, CollectSpec, Observe, PROFILE_POLICIES, PROFILE_WORKLOADS};
 pub use diff::ProfileDiff;
 pub use flame::{diff_flamegraph, flamegraph};
-pub use profile::{baseline_hot_path, ClusterRow, CycleProfile};
+pub use profile::{baseline_value, ClusterRow, CycleProfile};
 pub use tree::ProfileNode;

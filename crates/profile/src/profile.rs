@@ -4,9 +4,9 @@
 //!
 //! The JSON is hand-rolled and line-oriented (the offline build has no
 //! serde): [`CycleProfile::to_json`] writes one key per line and
-//! [`CycleProfile::from_json`] reads exactly that format back — the
-//! same convention the bench baseline parser uses, so committed
-//! profile baselines are greppable and diff-friendly.
+//! [`CycleProfile::from_json`] reads exactly that format back, and
+//! [`baseline_value`] reads single keys out of it, so the committed
+//! bench baseline is a greppable, diff-friendly digest of profile lines.
 
 use autarky_telemetry::LatencySummary;
 
@@ -26,9 +26,9 @@ pub struct ClusterRow {
 
 /// A complete cycle-attribution profile of one measured phase.
 ///
-/// Everything here is a pure function of the simulated execution —
-/// host wall-clock numbers deliberately live *outside* this type (see
-/// `collect::Collected`), so folded/JSON/SVG artifacts are byte-stable.
+/// Everything here is a pure function of the simulated execution — no
+/// host wall-clock number enters it — so folded/JSON/SVG artifacts are
+/// byte-stable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleProfile {
     /// Workload name (also the root frame of every stack).
@@ -104,6 +104,29 @@ impl CycleProfile {
             .unwrap_or(0)
     }
 
+    /// Cycles the flight recorder charged for its own event capture:
+    /// the profiler's observer effect.
+    pub fn observer_cycles(&self) -> u64 {
+        self.tag("recorder")
+    }
+
+    /// Phase cycles minus the observer effect — exactly what the same
+    /// phase takes with nothing armed.
+    pub fn workload_cycles(&self) -> u64 {
+        self.total_cycles.saturating_sub(self.observer_cycles())
+    }
+
+    /// Unobserved cycles per operation — the number the bench gate
+    /// watches.
+    pub fn cycles_per_op(&self) -> f64 {
+        per_op(self.workload_cycles(), self.ops)
+    }
+
+    /// Observer-effect cycles per operation.
+    pub fn observer_cycles_per_op(&self) -> f64 {
+        per_op(self.observer_cycles(), self.ops)
+    }
+
     /// Cycles under the `fault_round_trip` chain frame — the hot path
     /// the baseline gate watches.
     pub fn hot_path_cycles(&self) -> u64 {
@@ -115,10 +138,7 @@ impl CycleProfile {
 
     /// Hot-path cycles per fault round trip (0.0 for fault-free runs).
     pub fn hot_path_cycles_per_fault(&self) -> f64 {
-        if self.faults == 0 {
-            return 0.0;
-        }
-        self.hot_path_cycles() as f64 / self.faults as f64
+        per_op(self.hot_path_cycles(), self.faults)
     }
 
     /// `policy/workload` — the name baselines key on.
@@ -150,6 +170,14 @@ impl CycleProfile {
         out.push_str(&format!("  \"scale\": {},\n", self.scale));
         out.push_str(&format!("  \"ops\": {},\n", self.ops));
         out.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
+        out.push_str(&format!(
+            "  \"workload_cycles\": {},\n",
+            self.workload_cycles()
+        ));
+        out.push_str(&format!(
+            "  \"cycles_per_op\": {:.3},\n",
+            self.cycles_per_op()
+        ));
         out.push_str(&format!(
             "  \"attributed_cycles\": {},\n",
             self.attributed_cycles()
@@ -413,21 +441,30 @@ impl CycleProfile {
     }
 }
 
-/// Look up one profile's committed hot-path cycles/fault in a baseline
-/// file: `(name, hot_path_cycles_per_fault)` pairs in the same
-/// line-oriented format [`CycleProfile::to_json`] writes, so a baseline
-/// can be a concatenation of profile JSONs or a hand-trimmed digest.
-pub fn baseline_hot_path(baseline_json: &str, name: &str) -> Option<f64> {
-    let mut current: Option<String> = None;
+/// `cycles / count`, 0.0 for an empty count.
+fn per_op(cycles: u64, ops: u64) -> f64 {
+    if ops == 0 {
+        return 0.0;
+    }
+    cycles as f64 / ops as f64
+}
+
+/// Look up `key` of the entry named `name` (`policy/workload`) in a
+/// baseline file. Line-oriented, in the format [`CycleProfile::to_json`]
+/// writes: a `"name"` line opens an entry and later `"key": number`
+/// lines belong to it, so a baseline can be a concatenation of profile
+/// JSONs or a hand-trimmed digest of their lines.
+pub fn baseline_value(baseline_json: &str, name: &str, key: &str) -> Option<f64> {
+    let prefix = format!("\"{key}\": ");
+    let mut current: Option<&str> = None;
     for line in baseline_json.lines() {
         let t = line.trim().trim_end_matches(',');
         if let Some(rest) = t.strip_prefix("\"name\": \"") {
-            current = rest.strip_suffix('"').map(str::to_owned);
-        } else if let Some(rest) = t.strip_prefix("\"hot_path_cycles_per_fault\": ") {
-            if current.as_deref() == Some(name) {
+            current = rest.strip_suffix('"');
+        } else if let Some(rest) = t.strip_prefix(&prefix) {
+            if current == Some(name) {
                 return rest.parse().ok();
             }
-            current = None;
         }
     }
     None
@@ -461,7 +498,11 @@ mod tests {
                 p999: 2600,
                 mean: 2450.5,
             },
-            tags: vec![("preemption".into(), 4200), ("runtime".into(), 700)],
+            tags: vec![
+                ("preemption".into(), 4200),
+                ("runtime".into(), 700),
+                ("recorder".into(), 40),
+            ],
             clusters: vec![ClusterRow {
                 page: 16,
                 faults: 2,
@@ -483,6 +524,10 @@ mod tests {
         assert!((p.hot_path_cycles_per_fault() - 2450.0).abs() < 1e-9);
         assert_eq!(p.tag("preemption"), 4200);
         assert_eq!(p.tag("missing"), 0);
+        assert_eq!(p.observer_cycles(), 40);
+        assert_eq!(p.workload_cycles(), 4960);
+        assert!((p.cycles_per_op() - 4960.0 / 120.0).abs() < 1e-9);
+        assert!((p.observer_cycles_per_op() - 40.0 / 120.0).abs() < 1e-9);
         assert_eq!(p.name(), "clusters/spell");
     }
 
@@ -512,8 +557,35 @@ mod tests {
     #[test]
     fn baseline_lookup_matches_by_name() {
         let json = sample().to_json();
-        let hot = baseline_hot_path(&json, "clusters/spell").expect("found");
-        assert!((hot - 2450.0).abs() < 1e-6);
-        assert!(baseline_hot_path(&json, "elided/spell").is_none());
+        let hot = baseline_value(&json, "clusters/spell", "hot_path_cycles_per_fault");
+        assert!((hot.expect("found") - 2450.0).abs() < 1e-6);
+        assert!(baseline_value(&json, "elided/spell", "hot_path_cycles_per_fault").is_none());
+        // A profile JSON carries the bench gate's cycles/op line too, so
+        // a cell artifact is a valid baseline entry as written.
+        let per_op = baseline_value(&json, "clusters/spell", "cycles_per_op").expect("found");
+        assert!((per_op - sample().cycles_per_op()).abs() < 1e-3);
+
+        // A digest with several entries: keys resolve per entry, and an
+        // entry without the key (no hot path) is absent, not borrowed
+        // from its neighbour.
+        let digest = "{\n  \"entries\": [\n    {\n      \"name\": \"clusters/paging\",\n      \
+                      \"cycles_per_op\": 100.500,\n      \"hot_path_cycles_per_fault\": 80.000\n    },\n    \
+                      {\n      \"name\": \"clusters/font\",\n      \"cycles_per_op\": 20.000\n    }\n  ]\n}\n";
+        assert_eq!(
+            baseline_value(digest, "clusters/paging", "cycles_per_op"),
+            Some(100.5)
+        );
+        assert_eq!(
+            baseline_value(digest, "clusters/font", "cycles_per_op"),
+            Some(20.0)
+        );
+        assert_eq!(
+            baseline_value(digest, "clusters/font", "hot_path_cycles_per_fault"),
+            None
+        );
+        assert_eq!(
+            baseline_value(digest, "clusters/spell", "cycles_per_op"),
+            None
+        );
     }
 }

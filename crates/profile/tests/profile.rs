@@ -6,7 +6,7 @@ use autarky::prelude::PagingMechanism;
 use autarky_bench::fig5;
 use autarky_profile::collect::collect_impl;
 use autarky_profile::{
-    collect, diff_flamegraph, flamegraph, CollectSpec, CycleProfile, ProfileDiff,
+    collect, diff_flamegraph, flamegraph, CollectSpec, CycleProfile, Observe, ProfileDiff,
 };
 
 fn spec(workload: &str, policy: &str) -> CollectSpec {
@@ -18,7 +18,7 @@ fn spec(workload: &str, policy: &str) -> CollectSpec {
 }
 
 fn profile_of(workload: &str, policy: &str) -> CycleProfile {
-    collect(&spec(workload, policy)).expect("collect").profile
+    collect(&spec(workload, policy)).expect("collect")
 }
 
 #[test]
@@ -73,12 +73,9 @@ fn spell_profile_attributes_nearly_everything_and_is_byte_stable() {
 
 #[test]
 fn residual_gate_trips_when_instrumentation_is_lost() {
-    let healthy = collect_impl(&spec("spell", "clusters"), false)
-        .expect("collect")
-        .profile;
-    let maimed = collect_impl(&spec("spell", "clusters"), true)
-        .expect("collect")
-        .profile;
+    let healthy = collect_impl(&spec("spell", "clusters"), Observe::Armed).expect("collect");
+    let maimed =
+        collect_impl(&spec("spell", "clusters"), Observe::DropFaultSpans).expect("collect");
 
     assert!(
         maimed.orphan_cycles > healthy.orphan_cycles,
@@ -165,16 +162,15 @@ fn paging_profile_cross_checks_against_fig5_breakdown() {
 fn every_workload_and_policy_collects_cleanly() {
     for workload in autarky_profile::PROFILE_WORKLOADS {
         for policy in autarky_profile::PROFILE_POLICIES {
-            let got = collect(&spec(workload, policy))
+            let p = collect(&spec(workload, policy))
                 .unwrap_or_else(|e| panic!("{workload}/{policy}: {e}"));
-            let p = got.profile;
             assert!(p.total_cycles > 0, "{workload}/{policy}: empty phase");
             assert!(
                 p.attributed_pct() >= 90.0,
                 "{workload}/{policy}: attributed only {:.2}%",
                 p.attributed_pct()
             );
-            assert_eq!(got.wall.sim_cycles, p.total_cycles);
+            assert_eq!(p.journal_dropped + p.span_dropped + p.flight_dropped, 0);
         }
     }
 }
