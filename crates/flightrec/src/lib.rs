@@ -10,8 +10,8 @@
 //!   run, serialized in the hand-rolled `os-sim::wire` grammar so a
 //!   failed CI run can be re-driven locally from a few text lines;
 //! * [`replay`] — the replay engine: re-run a schedule from scratch and
-//!   assert the flight log and the telemetry snapshot are *bit-identical*
-//!   to the recording. The recorder's own observer effect (cycles charged
+//!   assert the flight log and the export plaintext (telemetry snapshot
+//!   plus the runtime's counters) are *bit-identical* to the recording. The recorder's own observer effect (cycles charged
 //!   per record) is part of the replayed state, so a run that records is
 //!   compared against a replay that records — never against a silent run;
 //! * [`diff`] — the trace-diff: the first line where two flight logs

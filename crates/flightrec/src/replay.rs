@@ -40,7 +40,8 @@ pub struct RunArtifacts {
     pub records: Vec<FlightRecord>,
     /// The same log, wire-encoded (the comparison surface).
     pub log_text: String,
-    /// The fixed-size telemetry aggregate snapshot.
+    /// The fixed-size export plaintext: telemetry aggregates plus the
+    /// runtime's counters ([`autarky_runtime::Runtime::export_plaintext`]).
     pub telemetry_snapshot: Vec<u8>,
     /// `"ok"`, or the runtime error display when the run terminated.
     pub outcome: String,
@@ -55,7 +56,7 @@ pub struct ReplayVerdict {
     pub schedule: Schedule,
     /// Whether the wire-encoded flight logs were byte-identical.
     pub log_identical: bool,
-    /// Whether the telemetry snapshots were byte-identical.
+    /// Whether the export plaintexts were byte-identical.
     pub telemetry_identical: bool,
     /// Whether both runs ended the same way.
     pub outcome_identical: bool,
@@ -122,7 +123,7 @@ fn record_run_inner(schedule: &Schedule, capacity: usize, restore_midway: bool) 
     let log_text = encode_flight_log(&records);
     RunArtifacts {
         log_text,
-        telemetry_snapshot: world.rt.telemetry.snapshot_bytes(),
+        telemetry_snapshot: world.rt.export_plaintext(),
         outcome,
         dropped: recorder.dropped(),
         records,

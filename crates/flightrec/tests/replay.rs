@@ -1,7 +1,7 @@
 //! Acceptance tests for deterministic record/replay: for every paging
 //! policy in the CI matrix, recording and replaying the same (seed,
 //! fault plan, workload) coordinates must yield bit-identical flight
-//! logs and telemetry snapshots, with every runtime decision in the
+//! logs and export plaintexts, with every runtime decision in the
 //! tail resolved to its provoking observation.
 
 use autarky_flightrec::{record_run, verify_replay, Schedule};
@@ -17,7 +17,7 @@ fn replay_is_bit_identical_for_every_policy() {
         assert!(verdict.log_identical, "{label}: flight logs diverged");
         assert!(
             verdict.telemetry_identical,
-            "{label}: telemetry snapshots diverged"
+            "{label}: export plaintexts diverged"
         );
         assert!(verdict.outcome_identical, "{label}: outcomes diverged");
         assert_eq!(verdict.record.outcome, "ok", "{label}");

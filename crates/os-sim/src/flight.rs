@@ -35,6 +35,7 @@ use std::collections::VecDeque;
 
 use autarky_sgx_sim::machine::TransitionKind;
 use autarky_sgx_sim::{CostTag, EnclaveId, Vpn};
+use autarky_telemetry::SpanRecord;
 
 use crate::kernel::Observation;
 
@@ -152,17 +153,11 @@ pub enum FlightEvent {
         /// Free-text reason (health verdict, budget numbers, ...).
         why: String,
     },
-    /// A telemetry span closed (span↔event linkage: the span kind plus
-    /// its exact cycle bracket, so a timeline row maps onto the telemetry
-    /// aggregate that timed it).
-    SpanClose {
-        /// Span-kind name (`SpanKind::name()`), e.g. `fault_handler`.
-        kind: String,
-        /// Simulated-cycle timestamp at span entry.
-        start_cycles: u64,
-        /// Simulated-cycle timestamp at span exit.
-        end_cycles: u64,
-    },
+    /// A telemetry span closed: its kind and exact cycle bracket. This
+    /// is the only record of individual spans (the telemetry keeps only
+    /// per-kind aggregates), so timelines, traces, and the profiler all
+    /// read spans from here.
+    SpanClose(SpanRecord),
     /// An online detector in the watchtower fired. Like [`Supervisor`],
     /// this is an *untrusted host-side* event — the watchtower observes
     /// only adversary-visible signals (fault counters, latencies, EPC
@@ -271,14 +266,13 @@ impl FlightEvent {
             FlightEvent::Supervisor { eid, action, why } => {
                 format!("supervisor: {action} eid={} ({why})", eid.0)
             }
-            FlightEvent::SpanClose {
-                kind,
-                start_cycles,
-                end_cycles,
-            } => format!(
-                "span {kind} closed ({} cycles)",
-                end_cycles.saturating_sub(*start_cycles)
-            ),
+            FlightEvent::SpanClose(span) => {
+                format!(
+                    "span {} closed ({} cycles)",
+                    span.kind.name(),
+                    span.duration()
+                )
+            }
             FlightEvent::WatchAlert {
                 eid,
                 detector,
@@ -356,10 +350,9 @@ pub struct FlightRecord {
 
 /// Bounded, overwrite-oldest event ring plus the correlation-chain state.
 ///
-/// Unlike the telemetry span ring (which keeps the *first* records so
-/// fixed-size exports stay deterministic), a flight recorder exists for
-/// post-mortems: the *latest* events before a crash or verdict matter,
-/// so on overflow the oldest record is dropped and counted.
+/// A flight recorder exists for post-mortems: the *latest* events before
+/// a crash or verdict matter, so on overflow the oldest record is dropped
+/// and counted.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     records: VecDeque<FlightRecord>,

@@ -52,6 +52,7 @@
 
 use autarky_sgx_sim::machine::TransitionKind;
 use autarky_sgx_sim::{AccessKind, EnclaveId, Va, Vpn};
+use autarky_telemetry::{SpanKind, SpanRecord};
 
 use crate::fault::{FaultKind, FaultPlan, InjectedFault};
 use crate::flight::{FlightEvent, FlightRecord};
@@ -472,11 +473,12 @@ pub fn encode_flight_event(event: &FlightEvent) -> String {
         FlightEvent::Supervisor { eid, action, why } => {
             format!("sup {} {action} {why}", eid.0)
         }
-        FlightEvent::SpanClose {
-            kind,
-            start_cycles,
-            end_cycles,
-        } => format!("span {kind} {start_cycles} {end_cycles}"),
+        FlightEvent::SpanClose(span) => format!(
+            "span {} {} {}",
+            span.kind.name(),
+            span.start_cycles,
+            span.end_cycles
+        ),
         FlightEvent::WatchAlert {
             eid,
             detector,
@@ -555,11 +557,14 @@ fn decode_flight_event_fields(fields: &[&str], line: &str) -> Result<FlightEvent
             action: (*action).to_owned(),
             why: rest_of_line(why, line)?,
         }),
-        ("span", [kind, start, end]) => Ok(FlightEvent::SpanClose {
-            kind: (*kind).to_owned(),
+        ("span", [kind, start, end]) => Ok(FlightEvent::SpanClose(SpanRecord {
+            kind: SpanKind::from_name(kind).ok_or_else(|| WireError {
+                what: "span kind",
+                line: line.to_owned(),
+            })?,
             start_cycles: parse_u64(start, line)?,
             end_cycles: parse_u64(end, line)?,
-        }),
+        })),
         ("walert", [eid, detector, window, score, page, why @ ..]) => Ok(FlightEvent::WatchAlert {
             eid: parse_eid(eid, line)?,
             detector: (*detector).to_owned(),
@@ -882,13 +887,11 @@ mod tests {
                 .to_owned(),
                 why: random_why(rng),
             },
-            14 => FlightEvent::SpanClose {
-                kind: ["fault_handler", "ay_fetch_pages", "seal", "retry_backoff"]
-                    [rng.gen_range_usize(0..4)]
-                .to_owned(),
+            14 => FlightEvent::SpanClose(SpanRecord {
+                kind: SpanKind::ALL[rng.gen_range_usize(0..SpanKind::ALL.len())],
                 start_cycles: rng.next_u64() >> 16,
                 end_cycles: rng.next_u64() >> 16,
-            },
+            }),
             _ => FlightEvent::WatchAlert {
                 eid: EnclaveId(rng.next_u32() >> 8),
                 detector: ["fault_cusum", "entropy_cusum", "slo_burn", "epc_skew"]
@@ -959,6 +962,7 @@ mod tests {
             "ev 1 2 3 attack 4",
             "ev x 2 3 rlkill",
             "ev 1 2 3 span fault_handler 10",
+            "ev 1 2 3 span bogus 4 5",
             "ev 1 2 3 snapcap",
             "ev 1 2 3 snaprest one",
             "ev 1 2 3 k inj 1 stalesnap",

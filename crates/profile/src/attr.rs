@@ -1,5 +1,6 @@
-//! The causal join: one harvest window's charge journal, span records,
-//! and flight-recorder correlation chains merged into call paths.
+//! The causal join: one harvest window's charge journal and flight
+//! records — correlation chains plus the `SpanClose` span records —
+//! merged into call paths.
 //!
 //! Attribution rules, in order:
 //!
@@ -11,9 +12,9 @@
 //!    charges (`preemption`, `handler_invocation`, `os_kernel`) that
 //!    land *between* chains attach to the next chain — an AEX or EENTER
 //!    belongs to the round trip it sets up.
-//! 3. The charge's *span frames* are the telemetry spans containing
-//!    `at` (`start < at <= end`), outermost first. Spans measure the
-//!    same simulated clock the ledger charges, so containment is exact.
+//! 3. The charge's *span frames* are the spans containing `at`
+//!    (`start < at <= end`), outermost first. Spans measure the same
+//!    simulated clock the ledger charges, so containment is exact.
 //! 4. The leaf frame is the cost tag itself.
 //!
 //! A charge inside a chain with **no** covering span whose tag is
@@ -25,7 +26,7 @@ use std::collections::BTreeMap;
 
 use autarky_os_sim::{FlightEvent, FlightRecord, CORR_NONE};
 use autarky_sgx_sim::{ChargeRecord, CostTag};
-use autarky_telemetry::{Histogram, SpanRecord};
+use autarky_telemetry::{Histogram, SpanKind, SpanRecord};
 
 use crate::tree::ProfileNode;
 
@@ -89,9 +90,10 @@ impl Attributor {
         }
     }
 
-    /// Attribute one harvest window. Windows are independent: every
-    /// chain and span closes between operations, so per-window joins
-    /// lose nothing at the seams.
+    /// Attribute one harvest window. `spans` are the window's
+    /// `SpanClose` records, taken out of `flights` by the caller.
+    /// Windows are independent: every chain and span closes between
+    /// operations, so per-window joins lose nothing at the seams.
     pub(crate) fn ingest(
         &mut self,
         spans: &[SpanRecord],
@@ -214,10 +216,10 @@ fn build_chains(flights: &[FlightRecord]) -> Vec<Chain> {
             }
             FlightEvent::DecisionForward { .. } => acc.fetch = true,
             FlightEvent::DecisionEvict { .. } => acc.evict = true,
-            FlightEvent::SpanClose { kind, .. } => match kind.as_str() {
-                "ay_evict_pages" => acc.evict = true,
-                "ay_fetch_pages" => acc.fetch = true,
-                "heap_alloc" => acc.heap = true,
+            FlightEvent::SpanClose(span) => match span.kind {
+                SpanKind::AyEvictPages => acc.evict = true,
+                SpanKind::AyFetchPages => acc.fetch = true,
+                SpanKind::HeapAlloc => acc.heap = true,
                 _ => {}
             },
             _ => {}
@@ -251,7 +253,6 @@ fn build_chains(flights: &[FlightRecord]) -> Vec<Chain> {
 mod tests {
     use super::*;
     use autarky_sgx_sim::{EnclaveId, Vpn};
-    use autarky_telemetry::SpanKind;
 
     fn span(kind: SpanKind, start: u64, end: u64) -> SpanRecord {
         SpanRecord {
@@ -392,11 +393,7 @@ mod tests {
                 1,
                 50,
                 2,
-                FlightEvent::SpanClose {
-                    kind: "heap_alloc".into(),
-                    start_cycles: 40,
-                    end_cycles: 50,
-                },
+                FlightEvent::SpanClose(span(SpanKind::HeapAlloc, 40, 50)),
             ),
         ];
         let chains = build_chains(&flights);

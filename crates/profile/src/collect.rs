@@ -1,6 +1,6 @@
 //! Profile collection: run a policy × workload cell with the charge
-//! journal, span ring, and flight recorder armed, and attribute every
-//! simulated cycle of the measured phase.
+//! journal and flight recorder armed, and attribute every simulated
+//! cycle of the measured phase.
 //!
 //! These are the only builders of the perf scenarios — the Fig. 5 fault
 //! round trip, Table 2's Hunspell, Fig. 8's cached-ORAM GETs, and pinned
@@ -9,11 +9,12 @@
 //! `recorder` tag, which equals an unarmed run's cycles exactly (see
 //! [`Observe::Unarmed`] and the observer-effect test).
 //!
-//! Collection is *harvest-batched*: every few operations the three
-//! streams are drained and joined ([`crate::attr`]), then re-armed.
-//! Harvest windows are independent — every correlation chain and
-//! telemetry span closes between operations — so batching bounds
-//! buffer sizes without losing attribution at the seams.
+//! Collection is *harvest-batched*: every few operations the two
+//! streams are drained and joined ([`crate::attr`]), then re-armed. A
+//! window's spans are its flight `SpanClose` records. Harvest windows
+//! are independent — every correlation chain and span closes between
+//! operations — so batching bounds buffer sizes without losing
+//! attribution at the seams.
 //!
 //! The workload setup phase (allocation, dictionary/store loading) runs
 //! *before* arming: the profile covers exactly the measured phase.
@@ -24,6 +25,7 @@ use autarky::workloads::kvstore::{ItemClustering, KvStore};
 use autarky::workloads::spell::{synth_wordlist, Dictionary};
 use autarky::{Profile, SystemBuilder};
 use autarky_bench::fig5::BATCH;
+use autarky_os_sim::FlightEvent;
 use autarky_sgx_sim::CostTag;
 use autarky_telemetry::{SpanKind, SpanRecord};
 
@@ -62,13 +64,13 @@ pub struct CollectSpec {
 /// How a collection run observes its measured phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observe {
-    /// Journal, span ring, and flight recorder armed (what [`collect`]
-    /// does).
+    /// Journal and flight recorder armed (what [`collect`] does).
     Armed,
-    /// Armed, but `fault_handler` span records are discarded before
-    /// attribution, simulating lost instrumentation — the residual-gate
-    /// tests use it to prove orphaned cycles are detected rather than
-    /// silently re-attributed.
+    /// Armed, but `fault_handler` spans are left out of the span list
+    /// before attribution (chains still see every flight record),
+    /// simulating lost instrumentation — the residual-gate tests use it
+    /// to prove orphaned cycles are detected rather than silently
+    /// re-attributed.
     DropFaultSpans,
     /// Nothing armed: the profile carries the clock delta and tag totals
     /// but no tree. The observer-effect test compares it against an
@@ -117,17 +119,14 @@ struct Session {
     observe: Observe,
     t0: u64,
     tags0: [u64; autarky_sgx_sim::COST_TAGS],
-    span_dropped0: u64,
     journal_dropped: u64,
     flight_dropped: u64,
 }
 
 impl Session {
-    /// Arm all three streams (unless `observe` is [`Observe::Unarmed`]).
+    /// Arm both streams (unless `observe` is [`Observe::Unarmed`]).
     /// Call after workload setup, immediately before the measured phase.
     fn arm(world: &mut World, observe: Observe) -> Session {
-        world.rt.telemetry.clear_ring();
-        let span_dropped0 = world.rt.telemetry.ring().dropped();
         if observe != Observe::Unarmed {
             world.os.machine.clock.arm_charge_journal(JOURNAL_CAP);
             world.os.arm_flight_recorder(FLIGHT_CAP);
@@ -137,7 +136,6 @@ impl Session {
             observe,
             t0: world.os.machine.clock.now(),
             tags0: world.os.machine.clock.tag_totals(),
-            span_dropped0,
             journal_dropped: 0,
             flight_dropped: 0,
         }
@@ -150,12 +148,6 @@ impl Session {
         if self.observe == Observe::Unarmed {
             return;
         }
-        let mut spans: Vec<SpanRecord> = world.rt.telemetry.ring().records().to_vec();
-        if self.observe == Observe::DropFaultSpans {
-            spans.retain(|s| s.kind != SpanKind::FaultHandler);
-        }
-        world.rt.telemetry.clear_ring();
-
         let flights = match world.os.disarm_flight_recorder() {
             Some(rec) => {
                 self.flight_dropped += rec.dropped();
@@ -174,6 +166,14 @@ impl Session {
             world.os.machine.clock.arm_charge_journal(JOURNAL_CAP);
             world.os.arm_flight_recorder(FLIGHT_CAP);
         }
+        let spans: Vec<SpanRecord> = flights
+            .iter()
+            .filter_map(|r| match r.event {
+                FlightEvent::SpanClose(span) => Some(span),
+                _ => None,
+            })
+            .filter(|s| self.observe != Observe::DropFaultSpans || s.kind != SpanKind::FaultHandler)
+            .collect();
         self.attr.ingest(&spans, &flights, &charges);
     }
 
@@ -192,8 +192,6 @@ impl Session {
                 (delta > 0).then(|| (tag.name().to_owned(), delta))
             })
             .collect();
-        let span_dropped = world.rt.telemetry.ring().dropped() - self.span_dropped0;
-
         let unjournaled = total_cycles.saturating_sub(self.attr.journaled_cycles);
         let residual_cycles = unjournaled + self.attr.orphan_cycles;
 
@@ -219,7 +217,6 @@ impl Session {
             residual_cycles,
             orphan_cycles: self.attr.orphan_cycles,
             journal_dropped: self.journal_dropped,
-            span_dropped,
             flight_dropped: self.flight_dropped,
             faults: self.attr.faults,
             fault_latency: self.attr.fault_hist.summary(),
@@ -418,7 +415,6 @@ mod tests {
         assert!(p.faults > 0, "the paging cell must fault");
         assert!(p.total_cycles > 0);
         assert_eq!(p.journal_dropped, 0, "journal sized for the window");
-        assert_eq!(p.span_dropped, 0, "span ring sized for the window");
         assert_eq!(p.flight_dropped, 0, "flight ring sized for the window");
         assert!(
             p.attributed_pct() >= 95.0,

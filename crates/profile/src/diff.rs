@@ -111,7 +111,6 @@ mod tests {
             residual_cycles: 0,
             orphan_cycles: 0,
             journal_dropped: 0,
-            span_dropped: 0,
             flight_dropped: 0,
             faults: 1,
             fault_latency: LatencySummary {

@@ -1,9 +1,10 @@
 //! Causal cycle-attribution profiler for the Autarky simulator.
 //!
-//! Joins three existing observability streams — the tagged cost ledger
-//! in `sgx-sim` (via its charge journal), the telemetry span ring, and
-//! the flight recorder's correlation chains — into one hierarchical
-//! attribution: every simulated cycle of a measured phase lands on a
+//! Joins two existing observability streams — the tagged cost ledger
+//! in `sgx-sim` (via its charge journal) and the flight recorder, whose
+//! correlation chains and `SpanClose` records give the causal episodes
+//! and the spans — into one hierarchical attribution: every simulated
+//! cycle of a measured phase lands on a
 //! `workload → chain → span… → tag` path, with per-fault latency
 //! histograms, per-page-cluster breakdowns, and a gated unattributed
 //! residual.
@@ -17,9 +18,9 @@
 //! path against one baseline file ([`baseline_value`]).
 //!
 //! The profiler is strictly **host-side** tooling: it reads only
-//! simulator state the host already owns (the simulated clock, the OS
-//! flight recorder, the runtime telemetry it instruments) and never
-//! widens the enclave's sealed export surface. It reads no host clock.
+//! simulator state the host already owns (the simulated clock and the OS
+//! flight recorder) and never widens the enclave's sealed export
+//! surface. It reads no host clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

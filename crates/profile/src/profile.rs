@@ -49,8 +49,6 @@ pub struct CycleProfile {
     pub orphan_cycles: u64,
     /// Charge-journal records lost to overflow.
     pub journal_dropped: u64,
-    /// Span-ring records lost to overflow during the phase.
-    pub span_dropped: u64,
     /// Flight-recorder records lost to overflow during the phase.
     pub flight_dropped: u64,
     /// Fault round trips observed.
@@ -195,7 +193,6 @@ impl CycleProfile {
             "  \"journal_dropped\": {},\n",
             self.journal_dropped
         ));
-        out.push_str(&format!("  \"span_dropped\": {},\n", self.span_dropped));
         out.push_str(&format!("  \"flight_dropped\": {},\n", self.flight_dropped));
         out.push_str(&format!("  \"faults\": {},\n", self.faults));
         out.push_str(&format!(
@@ -267,7 +264,6 @@ impl CycleProfile {
         let mut residual_cycles = None;
         let mut orphan_cycles = 0u64;
         let mut journal_dropped = 0u64;
-        let mut span_dropped = 0u64;
         let mut flight_dropped = 0u64;
         let mut faults = None;
         let mut p50 = 0u64;
@@ -327,8 +323,6 @@ impl CycleProfile {
                         orphan_cycles = v;
                     } else if let Some(v) = u64_field(t, "journal_dropped") {
                         journal_dropped = v;
-                    } else if let Some(v) = u64_field(t, "span_dropped") {
-                        span_dropped = v;
                     } else if let Some(v) = u64_field(t, "flight_dropped") {
                         flight_dropped = v;
                     } else if let Some(v) = u64_field(t, "faults") {
@@ -424,7 +418,6 @@ impl CycleProfile {
             residual_cycles: residual_cycles?,
             orphan_cycles,
             journal_dropped,
-            span_dropped,
             flight_dropped,
             faults,
             fault_latency: LatencySummary {
@@ -488,7 +481,6 @@ mod tests {
             residual_cycles: 10,
             orphan_cycles: 4,
             journal_dropped: 0,
-            span_dropped: 0,
             flight_dropped: 0,
             faults: 2,
             fault_latency: LatencySummary {

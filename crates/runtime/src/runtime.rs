@@ -26,36 +26,18 @@ use autarky_os_sim::{FaultDisposition, FlightEvent, Os, OsError};
 use autarky_sgx_sim::{
     AccessError, CostTag, EnclaveId, FaultCause, Perms, SgxError, Va, Vpn, PAGE_SIZE,
 };
-use autarky_telemetry::{SpanGuard, SpanKind, Telemetry};
+use autarky_telemetry::{SpanGuard, SpanKind, SpanRecord, Telemetry};
 
 use crate::cluster::{ClusterCapture, ClusterId, ClusterMap};
 use crate::error::RtError;
 use crate::paging::{blob_key, sw_open, sw_seal};
 use crate::ratelimit::{RateLimit, RateLimiter};
 
-/// Counter names in the runtime telemetry schema (registration order is
-/// snapshot encoding order).
-pub const RT_COUNTERS: &[&str] = &[
-    "faults_handled",
-    "forwarded",
-    "pages_fetched",
-    "pages_evicted",
-    "retries",
-    "misbehavior",
-    "degradations",
-    "attack_detected",
-    "rate_limit_kills",
-    "epochs_exported",
-];
-
 /// Gauge names in the runtime telemetry schema.
 pub const RT_GAUGES: &[&str] = &["resident_pages", "stash_occupancy"];
 
 /// Histogram names in the runtime telemetry schema.
 pub const RT_HISTS: &[&str] = &["fetch_batch_pages", "evict_batch_pages", "retry_attempt"];
-
-/// Span records retained in-enclave before the drop counter kicks in.
-pub const RT_SPAN_RING: usize = 4096;
 
 /// Which mechanism moves page contents in and out of EPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,7 +153,8 @@ enum PageState {
     Evicted,
 }
 
-/// Runtime event counters.
+/// Runtime event counters: the runtime's only record of its counts
+/// (telemetry registers no runtime counters).
 #[derive(Debug, Default, Clone)]
 pub struct RtStats {
     /// Faults observed by the trusted handler.
@@ -193,6 +176,41 @@ pub struct RtStats {
     pub misbehavior: u64,
     /// Times the runtime shrank its own budget under sustained pressure.
     pub degradations: u64,
+}
+
+impl RtStats {
+    /// Append every counter, little-endian, in declaration order.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        for v in [
+            self.faults_handled,
+            self.forwarded,
+            self.pages_fetched,
+            self.pages_evicted,
+            self.pages_allocated,
+            self.allocs,
+            self.retries,
+            self.misbehavior,
+            self.degradations,
+        ] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Decode exactly what [`RtStats::encode_into`] wrote.
+    fn decode(mut input: &[u8]) -> Option<RtStats> {
+        let stats = RtStats {
+            faults_handled: take_u64(&mut input)?,
+            forwarded: take_u64(&mut input)?,
+            pages_fetched: take_u64(&mut input)?,
+            pages_evicted: take_u64(&mut input)?,
+            pages_allocated: take_u64(&mut input)?,
+            allocs: take_u64(&mut input)?,
+            retries: take_u64(&mut input)?,
+            misbehavior: take_u64(&mut input)?,
+            degradations: take_u64(&mut input)?,
+        };
+        input.is_empty().then_some(stats)
+    }
 }
 
 /// A read-only snapshot of the paging policy a runtime enforces, exposed
@@ -248,15 +266,13 @@ pub struct Runtime {
     heap: Heap,
     /// Event counters.
     pub stats: RtStats,
-    /// Enclave-side telemetry: tracing spans, paging metrics, and the
-    /// sealed epoch-export state. Raw records never leave the enclave;
-    /// [`Runtime::export_epoch`] seals the aggregate snapshot.
+    /// Enclave-side telemetry: span aggregates, paging gauges and
+    /// histograms, and the export epoch. [`Runtime::export_epoch`] seals
+    /// it together with [`RtStats`].
     pub telemetry: Telemetry,
     /// AEAD key for sealed telemetry exports (domain-separated from the
     /// page sealing key).
     export_key: [u8; 32],
-    /// Lifetime anomaly count toward `harden.misbehavior_budget`.
-    misbehavior: u32,
     terminated: bool,
 }
 
@@ -297,9 +313,8 @@ impl Runtime {
                 allocated_until: image.heap_start().0,
             },
             stats: RtStats::default(),
-            telemetry: Telemetry::new(RT_SPAN_RING, RT_COUNTERS, RT_GAUGES, RT_HISTS),
+            telemetry: Telemetry::new(&[], RT_GAUGES, RT_HISTS),
             export_key: derive_export_key(eid),
-            misbehavior: 0,
             config,
             terminated: false,
         };
@@ -548,7 +563,6 @@ impl Runtime {
 
     fn handle_fault_inner(&mut self, os: &mut Os) -> Result<(), RtError> {
         self.stats.faults_handled += 1;
-        self.telemetry.incr("faults_handled");
         os.machine
             .clock
             .charge_tagged(CostTag::Runtime, os.machine.costs.runtime_handler);
@@ -605,7 +619,6 @@ impl Runtime {
                     self.note_misbehavior(os, vpn, "forwarded fetch silently dropped")?;
                 }
                 self.stats.forwarded += 1;
-                self.telemetry.incr("forwarded");
                 Ok(())
             }
             Some(PageState::Resident) => {
@@ -651,17 +664,18 @@ impl Runtime {
         admitted
     }
 
-    /// Close a telemetry span, mirroring the closure into the flight log
-    /// (when armed) so a timeline row can be linked back to the telemetry
-    /// aggregate that timed the same interval.
-    fn span_close(&mut self, os: &mut Os, guard: SpanGuard) {
+    /// Close a span opened on [`Runtime::telemetry`]: fold it into the
+    /// per-kind aggregate and, when the flight recorder is armed, record
+    /// it there as a [`FlightEvent::SpanClose`] — the only record of the
+    /// individual span. Allocates nothing.
+    pub fn span_close(&mut self, os: &mut Os, guard: SpanGuard) {
         let now = os.machine.clock.now();
         if os.flight_armed() {
-            os.flight_record(FlightEvent::SpanClose {
-                kind: guard.kind().name().to_owned(),
+            os.flight_record(FlightEvent::SpanClose(SpanRecord {
+                kind: guard.kind(),
                 start_cycles: guard.start_cycles(),
                 end_cycles: now,
-            });
+            }));
         }
         self.telemetry.exit(guard, now);
     }
@@ -674,7 +688,6 @@ impl Runtime {
             });
         }
         self.terminated = true;
-        self.telemetry.incr("attack_detected");
         os.machine.terminate(self.eid)?;
         Err(RtError::AttackDetected { vpn, why })
     }
@@ -684,7 +697,6 @@ impl Runtime {
             os.flight_record(FlightEvent::RateLimitKill);
         }
         self.terminated = true;
-        self.telemetry.incr("rate_limit_kills");
         os.machine.terminate(self.eid)?;
         Err(RtError::RateLimitExceeded)
     }
@@ -763,7 +775,6 @@ impl Runtime {
         }
         result?;
         self.stats.pages_evicted += pages.len() as u64;
-        self.telemetry.add("pages_evicted", pages.len() as u64);
         self.telemetry
             .gauge_set("resident_pages", self.resident_count as u64);
         Ok(())
@@ -794,7 +805,6 @@ impl Runtime {
         }
         result?;
         self.stats.pages_fetched += pages.len() as u64;
-        self.telemetry.add("pages_fetched", pages.len() as u64);
         self.telemetry
             .gauge_set("resident_pages", self.resident_count as u64);
         Ok(())
@@ -831,7 +841,6 @@ impl Runtime {
                 {
                     let _ = e;
                     attempts += 1;
-                    self.stats.retries += 1;
                     self.charge_backoff(os, attempts);
                 }
                 Err(OsError::BadRequest(_)) if attempts < self.config.harden.max_retries => {
@@ -989,7 +998,6 @@ impl Runtime {
                     if attempt < self.config.harden.max_retries =>
                 {
                     attempt += 1;
-                    self.stats.retries += 1;
                     self.charge_backoff(os, attempt);
                     if allow_degrade && matches!(e, OsError::NoMemory) && attempt >= 2 {
                         self.degrade(os)?;
@@ -1000,10 +1008,11 @@ impl Runtime {
         }
     }
 
-    /// Charge the exponential retry backoff to the simulated clock,
-    /// recorded under a `retry_backoff` span (the one place retries are
-    /// mirrored into telemetry — both retry loops route through here).
+    /// Count one retry and charge its exponential backoff to the
+    /// simulated clock under a `retry_backoff` span (both retry loops
+    /// route through here).
     fn charge_backoff(&mut self, os: &mut Os, attempt: u32) {
+        self.stats.retries += 1;
         let guard = self
             .telemetry
             .enter(SpanKind::RetryBackoff, os.machine.clock.now());
@@ -1019,7 +1028,6 @@ impl Runtime {
                 backoff_cycles: self.config.harden.backoff_base_cycles << shift,
             });
         }
-        self.telemetry.incr("retries");
         self.telemetry.hist_record("retry_attempt", attempt as u64);
     }
 
@@ -1044,7 +1052,6 @@ impl Runtime {
             return Ok(());
         }
         self.stats.degradations += 1;
-        self.telemetry.incr("degradations");
         if os.flight_armed() {
             os.flight_record(FlightEvent::Degrade {
                 from: current as u64,
@@ -1064,18 +1071,17 @@ impl Runtime {
         vpn: Vpn,
         why: &'static str,
     ) -> Result<(), RtError> {
-        self.misbehavior += 1;
         self.stats.misbehavior += 1;
-        self.telemetry.incr("misbehavior");
+        let budget = u64::from(self.config.harden.misbehavior_budget);
         if os.flight_armed() {
             os.flight_record(FlightEvent::Misbehavior {
                 vpn,
-                used: u64::from(self.misbehavior),
-                budget: u64::from(self.config.harden.misbehavior_budget),
+                used: self.stats.misbehavior,
+                budget,
                 why: why.to_owned(),
             });
         }
-        if self.misbehavior > self.config.harden.misbehavior_budget {
+        if self.stats.misbehavior > budget {
             return self.attack(os, vpn, why);
         }
         Ok(())
@@ -1312,14 +1318,26 @@ impl Runtime {
     // Sealed telemetry export (epoch-granular, leak-audited).
     // ----------------------------------------------------------------
 
-    /// Close the current telemetry epoch and publish its sealed aggregate
-    /// snapshot to untrusted memory.
+    /// The plaintext of every sealed export: the telemetry snapshot
+    /// followed by [`RtStats`], one record per runtime fact. Its length
+    /// depends only on the telemetry schema. A checkpoint embeds the same
+    /// bytes, and record/replay compares them across runs.
+    pub fn export_plaintext(&self) -> Vec<u8> {
+        let mut out = self.telemetry.snapshot_bytes();
+        self.stats.encode_into(&mut out);
+        out
+    }
+
+    /// Close the current telemetry epoch and publish its sealed
+    /// [`Runtime::export_plaintext`] to untrusted memory. A terminated
+    /// enclave runs no code, so it exports nothing and returns
+    /// [`RtError::Terminated`].
     ///
     /// The export path is designed to be indistinguishable across secrets
     /// (the leakage audit's `telemetry` case enforces this):
     ///
-    /// * the plaintext is the canonical *fixed-size* aggregate snapshot —
-    ///   raw span records never leave the enclave;
+    /// * the plaintext is *fixed-size* aggregates — individual span
+    ///   records never leave the enclave;
     /// * it is sealed with AEAD under a key domain-separated from the
     ///   page sealing key, binding the epoch number as nonce/AAD;
     /// * the untrusted-store key depends only on public values (enclave
@@ -1329,17 +1347,20 @@ impl Runtime {
     /// happened at an epoch boundary the application fixes at
     /// deterministic points in its own progress.
     pub fn export_epoch(&mut self, os: &mut Os) -> Result<(), RtError> {
+        if self.terminated {
+            return Err(RtError::Terminated);
+        }
         let epoch = self.telemetry.epoch();
-        let snapshot = self.telemetry.end_epoch();
+        let plaintext = self.export_plaintext();
+        self.telemetry.end_epoch();
         let guard = self.telemetry.enter(SpanKind::Seal, os.machine.clock.now());
         os.machine.clock.charge_tagged(
             CostTag::Crypto,
-            os.machine.costs.sw_crypto_per_byte * snapshot.len() as u64,
+            os.machine.costs.sw_crypto_per_byte * plaintext.len() as u64,
         );
-        let blob = seal_snapshot(&self.export_key, epoch, &snapshot);
+        let blob = seal_snapshot(&self.export_key, epoch, &plaintext);
         self.span_close(os, guard);
         os.sys_untrusted_write(telemetry_export_key(self.eid.0, epoch), blob);
-        self.telemetry.incr("epochs_exported");
         Ok(())
     }
 
@@ -1359,23 +1380,24 @@ impl Runtime {
     /// little-endian blob for checkpointing.
     ///
     /// Everything rides along: configuration, page tracking and FIFO
-    /// order, the rate limiter's fault/progress history, the misbehaviour
-    /// count, anti-replay version mirrors, the heap allocator, cluster
-    /// registry, statistics, and the full telemetry state. Carrying the
-    /// *hardening* state is deliberate — a restore that reset retry
-    /// counters, misbehaviour debits, or the leakage budget would let the
-    /// OS launder an attack by snapshotting before each probe. Hash-map
-    /// sections are emitted sorted, so identical runtimes always produce
-    /// identical blobs. The blob contains key-equivalent secrets (the
-    /// telemetry ring) and must only leave the enclave sealed.
+    /// order, the rate limiter's fault/progress history, anti-replay
+    /// version mirrors, the heap allocator, the cluster registry, and —
+    /// last — the [`Runtime::export_plaintext`], which carries the
+    /// statistics (misbehaviour count included) and the telemetry state.
+    /// Carrying the *hardening* state is deliberate — a restore that
+    /// reset retry counters, misbehaviour debits, or the leakage budget
+    /// would let the OS launder an attack by snapshotting before each
+    /// probe. Hash-map sections are emitted sorted, so identical runtimes
+    /// always produce identical blobs. The blob holds secret-dependent
+    /// state (which pages are resident, in what order) and must only
+    /// leave the enclave sealed.
     pub fn capture_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"AYRT");
-        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&CAPTURE_VERSION.to_le_bytes());
         out.extend_from_slice(&self.eid.0.to_le_bytes());
         out.extend_from_slice(&(self.tcs as u64).to_le_bytes());
         out.push(u8::from(self.self_paging));
-        out.extend_from_slice(&self.misbehavior.to_le_bytes());
         out.push(u8::from(self.terminated));
         out.push(match self.config.mode {
             PolicyMode::PinAll => 0,
@@ -1449,19 +1471,6 @@ impl Runtime {
                 out.extend_from_slice(&va.0.to_le_bytes());
             }
         }
-        for v in [
-            self.stats.faults_handled,
-            self.stats.forwarded,
-            self.stats.pages_fetched,
-            self.stats.pages_evicted,
-            self.stats.pages_allocated,
-            self.stats.allocs,
-            self.stats.retries,
-            self.stats.misbehavior,
-            self.stats.degradations,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
         let clusters = self.clusters.capture();
         out.extend_from_slice(&(clusters.clusters.len() as u64).to_le_bytes());
         for (id, pages) in &clusters.clusters {
@@ -1480,9 +1489,9 @@ impl Runtime {
             }
             None => out.push(0),
         }
-        let telemetry = self.telemetry.state_bytes();
-        out.extend_from_slice(&(telemetry.len() as u64).to_le_bytes());
-        out.extend_from_slice(&telemetry);
+        let export = self.export_plaintext();
+        out.extend_from_slice(&(export.len() as u64).to_le_bytes());
+        out.extend_from_slice(&export);
         out
     }
 
@@ -1499,13 +1508,12 @@ impl Runtime {
             return None;
         }
         input = &input[4..];
-        if take_u32(&mut input)? != 1 {
+        if take_u32(&mut input)? != CAPTURE_VERSION {
             return None;
         }
         let eid = EnclaveId(take_u32(&mut input)?);
         let tcs = take_u64(&mut input)? as usize;
         let self_paging = take_u8(&mut input)? != 0;
-        let misbehavior = take_u32(&mut input)?;
         let terminated = take_u8(&mut input)? != 0;
         let mode = match take_u8(&mut input)? {
             0 => PolicyMode::PinAll,
@@ -1586,17 +1594,6 @@ impl Runtime {
             }
             free_lists.insert(size, list);
         }
-        let stats = RtStats {
-            faults_handled: take_u64(&mut input)?,
-            forwarded: take_u64(&mut input)?,
-            pages_fetched: take_u64(&mut input)?,
-            pages_evicted: take_u64(&mut input)?,
-            pages_allocated: take_u64(&mut input)?,
-            allocs: take_u64(&mut input)?,
-            retries: take_u64(&mut input)?,
-            misbehavior: take_u64(&mut input)?,
-            degradations: take_u64(&mut input)?,
-        };
         let n = take_u64(&mut input)? as usize;
         let mut cluster_list = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -1621,12 +1618,14 @@ impl Runtime {
             auto_size,
             auto_current,
         });
-        let telemetry_len = take_u64(&mut input)? as usize;
-        if input.len() != telemetry_len {
+        let export_len = take_u64(&mut input)? as usize;
+        if input.len() != export_len {
             return None;
         }
-        let mut telemetry = Telemetry::new(RT_SPAN_RING, RT_COUNTERS, RT_GAUGES, RT_HISTS);
-        telemetry.restore_state(input).ok()?;
+        let mut telemetry = Telemetry::new(&[], RT_GAUGES, RT_HISTS);
+        let (snapshot, stats) = input.split_at_checked(telemetry.snapshot_len())?;
+        telemetry.restore_state(snapshot).ok()?;
+        let stats = RtStats::decode(stats)?;
         Some(Runtime {
             eid,
             tcs,
@@ -1659,11 +1658,13 @@ impl Runtime {
             stats,
             telemetry,
             export_key: derive_export_key(eid),
-            misbehavior,
             terminated,
         })
     }
 }
+
+/// Format version of [`Runtime::capture_bytes`].
+const CAPTURE_VERSION: u32 = 2;
 
 fn derive_sealing_key(eid: EnclaveId) -> [u8; 32] {
     // Stand-in for EGETKEY: a per-enclave sealing key.

@@ -3,7 +3,9 @@
 //! and both paging mechanisms.
 
 use autarky_os_sim::{EnclaveImage, Os};
-use autarky_runtime::{PagingMechanism, PolicyMode, RateLimit, RtError, Runtime, RuntimeConfig};
+use autarky_runtime::{
+    telemetry_export_key, PagingMechanism, PolicyMode, RateLimit, RtError, Runtime, RuntimeConfig,
+};
 use autarky_sgx_sim::machine::MachineConfig;
 use autarky_sgx_sim::{EnclaveId, Vpn, PAGE_SIZE};
 
@@ -184,11 +186,17 @@ fn fault_tracer_attack_detected_and_enclave_terminated() {
     } else {
         panic!("tracer still armed");
     }
-    // Terminated enclaves refuse further work.
+    // Terminated enclaves refuse further work, exports included: no
+    // sealed telemetry blob reaches the untrusted store.
     assert!(matches!(
         rt.read(&mut os, target.base(), &mut [0u8; 1]),
         Err(RtError::Terminated)
     ));
+    assert!(matches!(rt.export_epoch(&mut os), Err(RtError::Terminated)));
+    assert!(os
+        .backing
+        .get_blob(telemetry_export_key(eid.0, 0))
+        .is_none());
 }
 
 #[test]

@@ -166,14 +166,16 @@ impl From<RtError> for SnapError {
 /// serialised hardening state.
 ///
 /// This is the plaintext form; it contains page contents and the
-/// telemetry ring, so it must never leave the trust boundary unsealed.
+/// runtime's secret-dependent residency state, so it must never leave
+/// the trust boundary unsealed.
 /// Use [`seal_checkpoint`] before handing it to the OS.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Resident pages, EPCM metadata, page tables, TLB, and clocks.
     pub machine: EnclaveCapture,
-    /// The runtime's `capture_bytes` blob: policy config, retry and
-    /// misbehavior counters, version mirrors, heap, telemetry.
+    /// The runtime's `capture_bytes` blob: policy config, page tracking,
+    /// version mirrors, heap, and the export plaintext (`RtStats`, retry
+    /// and misbehavior counts included, plus the telemetry snapshot).
     pub runtime: Vec<u8>,
 }
 

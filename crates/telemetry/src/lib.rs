@@ -3,19 +3,20 @@
 //! Observability inside an enclave is security-sensitive: any signal the
 //! enclave emits about its own paging behaviour can itself become a
 //! controlled channel (cf. the Heisenberg defense and the pigeonhole
-//! attacks). This crate therefore splits telemetry into two halves:
+//! attacks). This crate therefore keeps only *aggregates*:
 //!
-//! * **In-enclave, full fidelity** — a zero-alloc, fixed-capacity
-//!   [`SpanRing`] of individual [`SpanRecord`]s plus per-kind aggregates,
-//!   counters, gauges, and log-linear [`Histogram`]s. All timing is in
-//!   *simulated cycles* supplied by the caller (the `sgx-sim` clock), so
-//!   records are deterministic and host wall time never leaks in.
-//! * **Exported, aggregate only** — [`Telemetry::snapshot_bytes`] encodes
-//!   the aggregates (never the raw span ring) into a canonical,
-//!   **fixed-size** little-endian blob. Because the size and layout
-//!   depend only on the registered schema — not on what the enclave did —
-//!   a sealed snapshot exported once per epoch is indistinguishable
-//!   across secrets by construction. The leakage audit verifies this.
+//! * **In-enclave** — per-kind span aggregates, counters, gauges, and
+//!   log-linear [`Histogram`]s. All timing is in *simulated cycles*
+//!   supplied by the caller (the `sgx-sim` clock), so records are
+//!   deterministic and host wall time never leaks in. Individual span
+//!   closures are not kept here: the runtime records each one as a
+//!   `SpanClose` event in the flight recorder, when that is armed.
+//! * **Exported** — [`Telemetry::snapshot_bytes`] encodes the aggregates
+//!   into a canonical, **fixed-size** little-endian blob. Because the
+//!   size and layout depend only on the registered schema — not on what
+//!   the enclave did — a sealed snapshot exported once per epoch is
+//!   indistinguishable across secrets by construction. The leakage audit
+//!   verifies this.
 //!
 //! The crate is dependency-free so that even the pure `oram` crate can
 //! build its statistics on top of it.
@@ -27,10 +28,9 @@ pub mod metrics;
 pub mod span;
 
 pub use metrics::{CounterSet, GaugeSet, HistSet, Histogram, LatencySummary, HIST_BUCKETS};
-pub use span::{SpanGuard, SpanKind, SpanRecord, SpanRing, SPAN_KINDS};
+pub use span::{SpanGuard, SpanKind, SpanRecord, SPAN_KINDS};
 
-/// Per-span-kind running aggregate (what the export path sees; the raw
-/// ring never leaves the enclave).
+/// Per-span-kind running aggregate (what the export path sees).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanAgg {
     /// Completed spans of this kind.
@@ -41,14 +41,13 @@ pub struct SpanAgg {
     pub hist: Histogram,
 }
 
-/// The enclave's telemetry instance: span ring + aggregates + metrics.
+/// The enclave's telemetry instance: span aggregates + metrics.
 ///
 /// The metric *schema* (counter/gauge/histogram names) is fixed at
 /// construction so the snapshot encoding has a static layout; recording
 /// against an unregistered name panics (a schema bug, not a data bug).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
-    ring: SpanRing,
     spans: [SpanAgg; SPAN_KINDS],
     counters: CounterSet,
     gauges: GaugeSet,
@@ -57,16 +56,9 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Build a telemetry instance with the given span-ring capacity and
-    /// metric schema.
-    pub fn new(
-        ring_capacity: usize,
-        counters: &[&'static str],
-        gauges: &[&'static str],
-        hists: &[&'static str],
-    ) -> Self {
+    /// Build a telemetry instance with the given metric schema.
+    pub fn new(counters: &[&'static str], gauges: &[&'static str], hists: &[&'static str]) -> Self {
         Self {
-            ring: SpanRing::new(ring_capacity),
             spans: core::array::from_fn(|_| SpanAgg::default()),
             counters: CounterSet::new(counters),
             gauges: GaugeSet::new(gauges),
@@ -92,7 +84,6 @@ impl Telemetry {
             start_cycles,
             end_cycles,
         };
-        self.ring.push(record);
         let agg = &mut self.spans[kind as usize];
         agg.count += 1;
         agg.total_cycles += record.duration();
@@ -102,20 +93,6 @@ impl Telemetry {
     /// Aggregate for one span kind.
     pub fn span_agg(&self, kind: SpanKind) -> &SpanAgg {
         &self.spans[kind as usize]
-    }
-
-    /// The raw span ring (in-enclave debugging only; never exported).
-    pub fn ring(&self) -> &SpanRing {
-        &self.ring
-    }
-
-    /// Empty the span ring, keeping its drop counter (the counter is a
-    /// lifetime total, mirrored in every snapshot). Host-side profilers
-    /// call this between a warm-up phase and the measured phase so the
-    /// fixed-capacity ring holds only the spans of the window under
-    /// attribution; aggregates and metrics are left untouched.
-    pub fn clear_ring(&mut self) {
-        self.ring.clear();
     }
 
     /// Increment a registered counter.
@@ -163,30 +140,28 @@ impl Telemetry {
         self.epoch
     }
 
-    /// Close the current epoch: returns the canonical snapshot of the
-    /// aggregates and advances the epoch counter. Aggregates are
-    /// *cumulative* (they are not reset), so every export has the same
-    /// fixed size and consecutive exports differ only in content.
-    pub fn end_epoch(&mut self) -> Vec<u8> {
-        let snapshot = self.snapshot_bytes();
+    /// Close the current epoch by advancing the epoch counter. Aggregates
+    /// are *cumulative* (they are not reset), so every export has the
+    /// same fixed size and consecutive exports differ only in content.
+    pub fn end_epoch(&mut self) {
         self.epoch += 1;
-        snapshot
     }
 
-    /// Canonical little-endian encoding of the aggregate state.
+    /// Canonical little-endian encoding of the whole telemetry state: the
+    /// telemetry half of every sealed export, and the form a checkpoint
+    /// carries ([`Telemetry::restore_state`] reads it back).
     ///
     /// The layout (and therefore the byte length) depends only on the
-    /// registered schema: magic, version, epoch, span-drop counter, the
-    /// per-kind span aggregates (count, total, full latency histogram), then
-    /// counters, gauges, and named histograms in registration order.
-    /// Identical runs produce byte-identical snapshots; runs on different
-    /// secrets produce same-sized snapshots.
+    /// registered schema: magic, version, epoch, the per-kind span
+    /// aggregates (count, total, full latency histogram), then counters,
+    /// gauges, and named histograms in registration order. Identical runs
+    /// produce byte-identical snapshots; runs on different secrets produce
+    /// same-sized snapshots.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.snapshot_len());
-        out.extend_from_slice(b"AYTL");
-        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.ring.dropped().to_le_bytes());
         for agg in &self.spans {
             out.extend_from_slice(&agg.count.to_le_bytes());
             out.extend_from_slice(&agg.total_cycles.to_le_bytes());
@@ -202,90 +177,34 @@ impl Telemetry {
     pub fn snapshot_len(&self) -> usize {
         4 + 4
             + 8
-            + 8
             + SPAN_KINDS * (8 + 8 + Histogram::ENCODED_LEN)
             + self.counters.encoded_len()
             + self.gauges.encoded_len()
             + self.hists.encoded_len()
     }
 
-    /// Full-fidelity state export for checkpoint/restore.
+    /// Restore the full state from [`Telemetry::snapshot_bytes`] output,
+    /// so a restored enclave continues with telemetry byte-identical to
+    /// an uninterrupted run.
     ///
-    /// Unlike [`Telemetry::snapshot_bytes`] (the aggregate-only *export*
-    /// path that deliberately omits the raw span ring), this encodes
-    /// everything — epoch, the ring with its individual records and drop
-    /// counter, the span aggregates, and all metrics — so a restored
-    /// enclave continues with telemetry byte-identical to an
-    /// uninterrupted run. The blob stays inside the sealed snapshot; it
-    /// is never exported to the OS in the clear.
-    pub fn state_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"AYTS");
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.ring.capacity() as u64).to_le_bytes());
-        out.extend_from_slice(&self.ring.dropped().to_le_bytes());
-        out.extend_from_slice(&(self.ring.len() as u64).to_le_bytes());
-        for record in self.ring.records() {
-            out.push(record.kind as u8);
-            out.extend_from_slice(&record.start_cycles.to_le_bytes());
-            out.extend_from_slice(&record.end_cycles.to_le_bytes());
-        }
-        for agg in &self.spans {
-            out.extend_from_slice(&agg.count.to_le_bytes());
-            out.extend_from_slice(&agg.total_cycles.to_le_bytes());
-            agg.hist.encode_into(&mut out);
-        }
-        self.counters.encode_into(&mut out);
-        self.gauges.encode_into(&mut out);
-        self.hists.encode_into(&mut out);
-        out
-    }
-
-    /// Restore the full state from [`Telemetry::state_bytes`] output.
-    ///
-    /// `self` must have been constructed with the same schema (ring
-    /// capacity and metric names) as the instance that produced the
-    /// blob. On error, `self` is left unchanged — the decode completes
-    /// into temporaries before anything is committed.
+    /// `self` must have been constructed with the same metric schema as
+    /// the instance that produced the blob. On error, `self` is left
+    /// unchanged — the decode completes into temporaries before anything
+    /// is committed.
     pub fn restore_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
         let mut input = blob;
         if input.len() < 8 {
             return Err(StateError::Malformed);
         }
-        if &input[..4] != b"AYTS" {
+        if &input[..4] != SNAPSHOT_MAGIC {
             return Err(StateError::BadMagic);
         }
         input = &input[4..];
         let version = metrics::take_u32(&mut input).ok_or(StateError::Malformed)?;
-        if version != 1 {
+        if version != SNAPSHOT_VERSION {
             return Err(StateError::BadVersion(version));
         }
         let epoch = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-        let capacity = metrics::take_u64(&mut input).ok_or(StateError::Malformed)? as usize;
-        if capacity != self.ring.capacity() {
-            return Err(StateError::SchemaMismatch);
-        }
-        let dropped = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-        let len = metrics::take_u64(&mut input).ok_or(StateError::Malformed)? as usize;
-        if len > capacity {
-            return Err(StateError::Malformed);
-        }
-        let mut records = Vec::with_capacity(len);
-        for _ in 0..len {
-            let (&kind, rest) = input.split_first().ok_or(StateError::Malformed)?;
-            input = rest;
-            let kind = SpanKind::from_u8(kind).ok_or(StateError::Malformed)?;
-            let start_cycles = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-            let end_cycles = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-            records.push(SpanRecord {
-                kind,
-                start_cycles,
-                end_cycles,
-            });
-        }
-        let ring =
-            SpanRing::restore_parts(capacity, records, dropped).ok_or(StateError::Malformed)?;
         let mut spans: [SpanAgg; SPAN_KINDS] = core::array::from_fn(|_| SpanAgg::default());
         for agg in &mut spans {
             agg.count = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
@@ -316,7 +235,6 @@ impl Telemetry {
             return Err(StateError::Malformed);
         }
         self.epoch = epoch;
-        self.ring = ring;
         self.spans = spans;
         self.counters = counters;
         self.gauges = gauges;
@@ -325,16 +243,22 @@ impl Telemetry {
     }
 }
 
+/// Leading magic of [`Telemetry::snapshot_bytes`].
+const SNAPSHOT_MAGIC: &[u8; 4] = b"AYTL";
+
+/// Format version of [`Telemetry::snapshot_bytes`].
+const SNAPSHOT_VERSION: u32 = 2;
+
 /// Errors from [`Telemetry::restore_state`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateError {
-    /// Blob does not start with the `AYTS` magic.
+    /// Blob does not start with the `AYTL` magic.
     BadMagic,
     /// Unknown state-format version.
     BadVersion(u32),
     /// Blob truncated or structurally malformed.
     Malformed,
-    /// Blob was produced under a different metric schema or ring size.
+    /// Blob was produced under a different metric schema.
     SchemaMismatch,
 }
 
@@ -361,7 +285,7 @@ mod tests {
     use super::*;
 
     fn schema() -> Telemetry {
-        Telemetry::new(8, &["faults", "retries"], &["stash"], &["batch"])
+        Telemetry::new(&["faults", "retries"], &["stash"], &["batch"])
     }
 
     #[test]
@@ -418,9 +342,10 @@ mod tests {
     fn end_epoch_advances_counter() {
         let mut t = schema();
         assert_eq!(t.epoch(), 0);
-        let s0 = t.end_epoch();
+        let s0 = t.snapshot_bytes();
+        t.end_epoch();
         assert_eq!(t.epoch(), 1);
-        let s1 = t.end_epoch();
+        let s1 = t.snapshot_bytes();
         assert_eq!(s0.len(), s1.len());
         assert_ne!(s0, s1, "epoch counter is part of the snapshot");
     }
@@ -436,10 +361,10 @@ mod tests {
         t.hist_record("batch", 42);
         t.end_epoch();
 
-        let blob = t.state_bytes();
+        let blob = t.snapshot_bytes();
         let mut restored = schema();
         restored.restore_state(&blob).expect("restore");
-        assert_eq!(restored, t, "full state including ring and epoch");
+        assert_eq!(restored, t, "full state including the epoch");
 
         // The restored instance continues identically.
         for x in [&mut t, &mut restored] {
@@ -447,41 +372,16 @@ mod tests {
             x.incr("faults");
         }
         assert_eq!(restored.snapshot_bytes(), t.snapshot_bytes());
-        assert_eq!(restored.state_bytes(), t.state_bytes());
-    }
-
-    #[test]
-    fn state_restore_preserves_ring_overflow() {
-        // A saturated ring (capacity 8) round-trips exactly: retained
-        // prefix, drop counter, and post-restore drop behaviour.
-        let mut t = schema();
-        for i in 0..20 {
-            t.span(SpanKind::FaultHandler, i * 10, i * 10 + 5);
-        }
-        assert_eq!(t.ring().len(), 8);
-        assert_eq!(t.ring().dropped(), 12);
-
-        let mut restored = schema();
-        restored.restore_state(&t.state_bytes()).expect("restore");
-        assert_eq!(restored.ring().records(), t.ring().records());
-        assert_eq!(restored.ring().dropped(), 12);
-        restored.span(SpanKind::Seal, 999, 1000);
-        assert_eq!(restored.ring().dropped(), 13, "still saturated");
     }
 
     #[test]
     fn state_restore_rejects_bad_blobs() {
         let t = schema();
-        let blob = t.state_bytes();
+        let blob = t.snapshot_bytes();
 
-        let mut other_schema = Telemetry::new(8, &["faults"], &["stash"], &["batch"]);
+        let mut other_schema = Telemetry::new(&["faults"], &["stash"], &["batch"]);
         assert_eq!(
             other_schema.restore_state(&blob),
-            Err(StateError::SchemaMismatch)
-        );
-        let mut other_ring = Telemetry::new(4, &["faults", "retries"], &["stash"], &["batch"]);
-        assert_eq!(
-            other_ring.restore_state(&blob),
             Err(StateError::SchemaMismatch)
         );
 
@@ -493,6 +393,12 @@ mod tests {
         let mut bad_magic = blob.clone();
         bad_magic[0] ^= 0xFF;
         assert_eq!(fresh.restore_state(&bad_magic), Err(StateError::BadMagic));
+        let mut old_version = blob.clone();
+        old_version[4] = 1;
+        assert_eq!(
+            fresh.restore_state(&old_version),
+            Err(StateError::BadVersion(1))
+        );
         assert_eq!(fresh, schema(), "failed restores leave state untouched");
     }
 }

@@ -1,5 +1,5 @@
-//! Tracing spans: a static registry of instrumented operations and a
-//! zero-alloc, fixed-capacity record ring.
+//! Tracing spans: a static registry of instrumented operations and the
+//! allocation-free record of one completed span.
 //!
 //! Span timing is in *simulated cycles* — callers pass timestamps read
 //! from the `sgx-sim` cost clock, so spans measure exactly what the cost
@@ -50,12 +50,6 @@ impl SpanKind {
         SpanKind::HeapAlloc,
     ];
 
-    /// Kind for a stable discriminant (wire/state decode); `None` if out
-    /// of range.
-    pub fn from_u8(discriminant: u8) -> Option<SpanKind> {
-        Self::ALL.get(discriminant as usize).copied()
-    }
-
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -70,9 +64,16 @@ impl SpanKind {
             SpanKind::HeapAlloc => "heap_alloc",
         }
     }
+
+    /// Kind for a stable display name (wire decode); `None` for a name
+    /// no kind has.
+    pub fn from_name(name: &str) -> Option<SpanKind> {
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
 }
 
-/// One completed span.
+/// One completed span: `Copy` and fixed-size, so recording it allocates
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Which operation this span covers.
@@ -118,98 +119,9 @@ impl SpanGuard {
     }
 }
 
-/// Fixed-capacity span buffer: all storage is allocated up front and new
-/// records are **dropped, not overwritten**, once the buffer is full,
-/// with a counter recording how many were lost.
-///
-/// Dropping new records (instead of the classic overwrite-oldest ring)
-/// keeps the retained prefix deterministic — the same run always keeps
-/// the same records — which the byte-identical snapshot tests rely on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRing {
-    records: Vec<SpanRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SpanRing {
-    /// Preallocate a ring holding up to `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            records: Vec::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Append a record, or count it as dropped if the ring is full.
-    pub fn push(&mut self, record: SpanRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// Retained records, in arrival order.
-    pub fn records(&self) -> &[SpanRecord] {
-        &self.records
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Maximum number of retained records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records lost to overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Clear retained records (the drop counter is preserved — it is part
-    /// of the exported aggregate state).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
-    /// Rebuild a ring from captured parts (checkpoint restore). Fails if
-    /// more records than `capacity` are supplied.
-    pub fn restore_parts(
-        capacity: usize,
-        records: Vec<SpanRecord>,
-        dropped: u64,
-    ) -> Option<SpanRing> {
-        if records.len() > capacity {
-            return None;
-        }
-        let mut ring = SpanRing::new(capacity);
-        ring.records.extend(records);
-        ring.dropped = dropped;
-        Some(ring)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(kind: SpanKind, start: u64) -> SpanRecord {
-        SpanRecord {
-            kind,
-            start_cycles: start,
-            end_cycles: start + 10,
-        }
-    }
 
     #[test]
     fn names_are_unique_and_ordered() {
@@ -219,40 +131,10 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             SpanKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), SPAN_KINDS);
-    }
-
-    #[test]
-    fn ring_drops_new_records_when_full() {
-        let mut ring = SpanRing::new(3);
-        for i in 0..10 {
-            ring.push(rec(SpanKind::FaultHandler, i * 100));
+        for kind in SpanKind::ALL {
+            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 7);
-        // The retained prefix is the *first* three records (deterministic).
-        assert_eq!(ring.records()[0].start_cycles, 0);
-        assert_eq!(ring.records()[2].start_cycles, 200);
-    }
-
-    #[test]
-    fn ring_never_reallocates() {
-        let mut ring = SpanRing::new(4);
-        let cap_before = ring.records.capacity();
-        for i in 0..100 {
-            ring.push(rec(SpanKind::Seal, i));
-        }
-        assert_eq!(ring.records.capacity(), cap_before);
-    }
-
-    #[test]
-    fn clear_preserves_drop_counter() {
-        let mut ring = SpanRing::new(1);
-        ring.push(rec(SpanKind::Open, 0));
-        ring.push(rec(SpanKind::Open, 1));
-        assert_eq!(ring.dropped(), 1);
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
+        assert_eq!(SpanKind::from_name("bogus"), None);
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl Watchtower {
             window_index: 0,
             members: Vec::new(),
             epc_frames: Vec::new(),
-            telemetry: Telemetry::new(16, &WATCH_COUNTERS, &WATCH_GAUGES, &WATCH_HISTS),
+            telemetry: Telemetry::new(&WATCH_COUNTERS, &WATCH_GAUGES, &WATCH_HISTS),
             ring_dropped_seen: 0,
             window_tainted: false,
             pending: Vec::new(),

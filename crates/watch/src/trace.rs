@@ -152,16 +152,12 @@ pub fn export_trace(records: &[FlightRecord], members: &[(EnclaveId, String)]) -
     for r in records {
         let pid = pid_of(r);
         match &r.event {
-            FlightEvent::SpanClose {
-                kind,
-                start_cycles,
-                end_cycles,
-            } => {
+            FlightEvent::SpanClose(span) => {
                 lines.push(format!(
                     "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"span\",\"args\":{{\"seq\":{},\"corr\":{}}}}}",
-                    start_cycles,
-                    end_cycles.saturating_sub(*start_cycles).max(1),
-                    esc(kind),
+                    span.start_cycles,
+                    span.duration().max(1),
+                    span.kind.name(),
                     r.seq,
                     r.corr
                 ));
@@ -326,6 +322,7 @@ mod tests {
     use super::*;
     use autarky_os_sim::flight::FlightRecorder;
     use autarky_sgx_sim::{AccessKind, Va, Vpn};
+    use autarky_telemetry::{SpanKind, SpanRecord};
 
     fn sample_records() -> Vec<FlightRecord> {
         let mut rec = FlightRecorder::new(64);
@@ -340,11 +337,11 @@ mod tests {
         );
         rec.record(
             150,
-            FlightEvent::SpanClose {
-                kind: "fault_handler".to_owned(),
+            FlightEvent::SpanClose(SpanRecord {
+                kind: SpanKind::FaultHandler,
                 start_cycles: 100,
                 end_cycles: 150,
-            },
+            }),
         );
         rec.end_chain();
         rec.record(

@@ -334,7 +334,7 @@ impl EncHeap {
 
     /// Close an `oram_access` span and sample the stash-occupancy gauge.
     fn exit_oram(world: &mut World, span: autarky_telemetry::SpanGuard, stash: u64) {
-        world.rt.telemetry.exit(span, world.os.machine.clock.now());
+        world.rt.span_close(&mut world.os, span);
         world.rt.telemetry.gauge_set("stash_occupancy", stash);
     }
 

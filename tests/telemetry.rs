@@ -1,12 +1,16 @@
-//! Telemetry integration properties: metric snapshots are deterministic
-//! functions of (seed, policy), and the sealed export channel round-trips
-//! while rejecting tampering.
+//! Telemetry integration properties: export plaintexts are deterministic
+//! functions of (seed, policy), the sealed export channel round-trips
+//! while rejecting tampering, and ORAM spans reach the flight log.
 
+use autarky::os::FlightEvent;
 use autarky::prelude::*;
 use autarky::rt::telemetry_export_key;
+use autarky::telemetry::SpanKind;
+use autarky::workloads::kvstore::{ItemClustering, KvStore};
 use autarky::{Profile, SystemBuilder};
 
-/// Drive a paging-heavy workload and return the final metrics snapshot.
+/// Drive a paging-heavy workload and return the final export plaintext
+/// (telemetry snapshot plus runtime counters).
 fn drive(name: &str, profile: Profile, budget: usize, seed: u64) -> Vec<u8> {
     let (mut world, mut heap) = SystemBuilder::new(name, profile)
         .epc_pages(2048)
@@ -23,7 +27,7 @@ fn drive(name: &str, profile: Profile, budget: usize, seed: u64) -> Vec<u8> {
                 .expect("write");
         }
     }
-    world.rt.telemetry.snapshot_bytes()
+    world.rt.export_plaintext()
 }
 
 #[test]
@@ -52,7 +56,7 @@ fn snapshots_are_deterministic_across_paging_policies() {
         let b = drive(name, profile, budget, 0xFEED);
         assert_eq!(
             a, b,
-            "{name}: same seed + policy => byte-identical snapshot"
+            "{name}: same seed + policy => byte-identical export plaintext"
         );
         assert_eq!(&a[..4], b"AYTL", "{name}: snapshot magic");
         snapshots.push(a);
@@ -121,5 +125,45 @@ fn exported_epochs_round_trip_and_reject_tampering() {
     assert!(
         world.rt.open_exported_epoch(&mut world.os, 0).is_some(),
         "other epochs are unaffected"
+    );
+}
+
+#[test]
+fn oram_spans_reach_the_flight_log() {
+    let (mut world, mut heap) = SystemBuilder::new(
+        "tl-oram",
+        Profile::CachedOram {
+            capacity_pages: 512,
+            cache_pages: 24,
+        },
+    )
+    .epc_pages(4096)
+    .heap_pages(1024)
+    .build()
+    .expect("system");
+    let mut store =
+        KvStore::new(&mut world, &mut heap, 64, 512, ItemClustering::None).expect("store");
+    store.load(&mut world, &mut heap, 64).expect("load");
+
+    let counted_before = world.rt.telemetry.span_agg(SpanKind::OramAccess).count;
+    world.os.arm_flight_recorder(1 << 16);
+    for key in 0..32 {
+        store
+            .get(&mut world, &mut heap, key)
+            .expect("get")
+            .expect("present");
+    }
+    let counted = world.rt.telemetry.span_agg(SpanKind::OramAccess).count - counted_before;
+    let recorded = world
+        .os
+        .flight_snapshot()
+        .iter()
+        .filter(|r| matches!(r.event, FlightEvent::SpanClose(s) if s.kind == SpanKind::OramAccess))
+        .count() as u64;
+    assert!(counted > 0, "GETs on a cached-ORAM store access the ORAM");
+    assert_eq!(world.os.flight_dropped(), 0);
+    assert_eq!(
+        recorded, counted,
+        "one oram_access flight record per aggregated span"
     );
 }
