@@ -21,6 +21,8 @@
 
 use std::fmt;
 
+use autarky_flightrec::{SchedulePolicy, Victim};
+
 use crate::cell::{CellKind, CellSpec, SuiteParams};
 use crate::toml::{self, Table};
 
@@ -148,41 +150,11 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// How many cells this suite expands to (the product of the axes
-    /// its kind consumes).
-    pub fn cell_count(&self) -> usize {
-        let a = &self.axes;
-        match self.kind {
-            CellKind::Bench | CellKind::Leakage | CellKind::Figure => {
-                a.policy.len() * a.workload.len()
-            }
-            CellKind::Replay => {
-                a.policy.len() * a.workload.len() * a.fault_plan.len() * a.seed.len()
-            }
-            CellKind::Snapshot => a
-                .fault_plan
-                .iter()
-                .map(|plan| match plan.as_str() {
-                    "quiet" => a.policy.len() * a.workload.len(),
-                    _ => a.seed.len(),
-                })
-                .sum(),
-            CellKind::Fleet => {
-                a.workload.len()
-                    * a.traffic_shape.len()
-                    * a.fault_plan.len()
-                    * a.enclave_size.len()
-                    * a.seed.len()
-            }
-            CellKind::Watch => a.workload.len() * a.fault_plan.len() * a.seed.len(),
-        }
-    }
-
     /// Expand this suite into cell specs (product order: the axis
     /// nesting above, outermost first).
     pub fn expand(&self) -> Vec<CellSpec> {
         let a = &self.axes;
-        let mut cells = Vec::with_capacity(self.cell_count());
+        let mut cells = Vec::new();
         match self.kind {
             CellKind::Bench | CellKind::Leakage | CellKind::Figure => {
                 for policy in &a.policy {
@@ -306,6 +278,8 @@ impl Suite {
             }
             Ok(())
         };
+        // Both security gates drive the same victims.
+        let victims = Victim::ALL.map(Victim::name);
         match self.kind {
             CellKind::Leakage => {
                 check(
@@ -313,11 +287,7 @@ impl Suite {
                     &self.axes.policy,
                     &autarky_leakage::policy_names(),
                 )?;
-                check(
-                    "workload",
-                    &self.axes.workload,
-                    &autarky_leakage::workload_names(),
-                )?;
+                check("workload", &self.axes.workload, &victims)?;
                 if self.params.samples < 2 {
                     return Err(ConfigError(
                         "leakage suite: samples must be ≥ 2 (per secret class)".into(),
@@ -325,22 +295,12 @@ impl Suite {
                 }
             }
             CellKind::Replay => {
-                for p in &self.axes.policy {
-                    if autarky_flightrec::SchedulePolicy::from_name(p).is_none() {
-                        return Err(ConfigError(format!(
-                            "replay suite: unknown policy {p:?} (valid: clusters, rate-limit, \
-                             cached-oram)"
-                        )));
-                    }
-                }
-                for w in &self.axes.workload {
-                    if autarky_flightrec::ScheduleWorkload::from_name(w).is_none() {
-                        return Err(ConfigError(format!(
-                            "replay suite: unknown workload {w:?} (valid: jpeg, font, spell, \
-                             kvstore)"
-                        )));
-                    }
-                }
+                check(
+                    "policy",
+                    &self.axes.policy,
+                    &SchedulePolicy::ALL.map(SchedulePolicy::name),
+                )?;
+                check("workload", &self.axes.workload, &victims)?;
                 check("fault_plan", &self.axes.fault_plan, &REPLAY_FAULT_PLANS)?;
             }
             CellKind::Snapshot => {
@@ -618,11 +578,11 @@ samples = 2
         let config = CampaignConfig::from_toml(SMOKE).expect("parses");
         assert_eq!(config.suites.len(), 3);
         // replay: 2 policies × 2 workloads × 2 plans × 2 seeds.
-        assert_eq!(config.suites[0].cell_count(), 16);
+        assert_eq!(config.suites[0].expand().len(), 16);
         // bench: 1 policy × 2 workloads.
-        assert_eq!(config.suites[1].cell_count(), 2);
+        assert_eq!(config.suites[1].expand().len(), 2);
         // leakage: 1 policy × 1 workload.
-        assert_eq!(config.suites[2].cell_count(), 1);
+        assert_eq!(config.suites[2].expand().len(), 1);
         let cells = config.expand();
         assert_eq!(cells.len(), 16 + 2 + 1);
     }
@@ -715,7 +675,7 @@ seed = [1, 2, 3]
         .expect("parses");
         // 2 × 2 restore pairs, then 2 attacks × 3 seeds: an attack
         // ignores the policy and workload axes.
-        assert_eq!(config.suites[0].cell_count(), 4 + 6);
+        assert_eq!(config.suites[0].expand().len(), 4 + 6);
         let cells = config.expand();
         assert_eq!(cells.len(), 4 + 6);
         assert!(cells[4..].iter().all(|c| c.policy.is_none()));

@@ -41,7 +41,7 @@ use autarky_fleet::{
 };
 use autarky_flightrec::{
     render_divergence, rollback_attack_run, verify_replay, verify_restore_replay, ReplayVerdict,
-    RollbackScenario, Schedule, SchedulePolicy, ScheduleWorkload,
+    RollbackScenario, Schedule, SchedulePolicy, Victim,
 };
 use autarky_leakage::{run_audit_filtered, AuditConfig, Gate};
 use autarky_os_sim::flight::{causal_root_of_attack, render_timeline};
@@ -237,7 +237,7 @@ fn run_replay(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let Some(policy) = SchedulePolicy::from_name(policy) else {
         return CellOutcome::fail(format!("unknown replay policy {policy:?}"));
     };
-    let Some(workload) = ScheduleWorkload::from_name(&spec.workload) else {
+    let Some(workload) = Victim::from_name(&spec.workload) else {
         return CellOutcome::fail(format!("unknown replay workload {:?}", spec.workload));
     };
     // The plan RNG seed is derived from the cell's content address, so
@@ -376,6 +376,8 @@ fn run_snapshot(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let mut failures = Vec::new();
     if !run.restore_failed {
         failures.push(format!("restore accepted the {plan} blob"));
+    } else if !run.refused_as_expected {
+        failures.push(format!("the {plan} blob was refused by the wrong check"));
     }
     if !run.attack_recorded {
         failures.push("no AttackDetected verdict recorded".to_owned());

@@ -949,12 +949,6 @@ impl Fleet {
         &self.alert_history
     }
 
-    /// The watchtower (for its telemetry and window accounting), when
-    /// one is configured.
-    pub fn watchtower(&self) -> Option<&Watchtower> {
-        self.tower.as_ref()
-    }
-
     /// Member display names in boot order (trace/alert-log labels).
     pub fn member_names(&self) -> Vec<String> {
         self.members.iter().map(|m| m.stats.name.clone()).collect()

@@ -19,8 +19,11 @@
 //!   sides so the report names the *causal* split, not just the textual
 //!   one.
 //!
-//! [`restore`] stages the rollback-family attacks against sealed
-//! checkpoint/restore. CI drives all of it as campaign cells:
+//! [`victim`] is the program a schedule runs: the four secret-pair
+//! victims, their world builder, and the failover cycle. The leakage
+//! audit drives the same module, so its bits/run and the determinism
+//! checked here describe one program. [`restore`] stages the
+//! rollback-family attacks against sealed checkpoint/restore. CI drives all of it as campaign cells:
 //! [`verify_replay`] behind `replay` cells,
 //! [`verify_restore_replay`] and [`rollback_attack_run`] behind
 //! `snapshot` cells; a failing cell writes its post-mortem timeline as
@@ -33,11 +36,13 @@ pub mod diff;
 pub mod replay;
 pub mod restore;
 pub mod schedule;
+pub mod victim;
 
 pub use diff::{first_divergence, render_divergence, Divergence};
 pub use replay::{
-    crash_and_restore, record_run, record_run_with_capacity, record_run_with_restore,
-    verify_replay, verify_restore_replay, ReplayVerdict, RunArtifacts, RECORDER_CAPACITY,
+    record_run, record_run_with_capacity, record_run_with_restore, verify_replay,
+    verify_restore_replay, ReplayVerdict, RunArtifacts, RECORDER_CAPACITY,
 };
 pub use restore::{rollback_attack_run, RollbackOutcome, RollbackScenario};
-pub use schedule::{Schedule, SchedulePolicy, ScheduleWorkload};
+pub use schedule::{Schedule, SchedulePolicy};
+pub use victim::{build_world, crash_and_restore, Victim};

@@ -10,27 +10,23 @@
 //! recorder the same way; a recorded run is never compared against a
 //! silent one.
 
-use autarky::{Profile, SystemBuilder};
 use autarky_os_sim::flight::decisions_resolved;
 use autarky_os_sim::wire::encode_flight_log;
-use autarky_os_sim::{FlightRecord, Os};
+use autarky_os_sim::FlightRecord;
 use autarky_runtime::RtError;
-use autarky_sgx_sim::machine::MachineConfig;
-use autarky_sgx_sim::MonotonicCounter;
-use autarky_workloads::{font, jpeg, kvstore, spell, EncHeap, World};
+use autarky_workloads::{EncHeap, World};
 
 use crate::diff::{first_divergence, Divergence};
-use crate::schedule::{Schedule, SchedulePolicy, ScheduleWorkload};
+use crate::schedule::{Schedule, SchedulePolicy};
+use crate::victim::{build_world, crash_and_restore};
 
 /// Flight-ring capacity for recorded runs: comfortably larger than any
 /// CI schedule produces, so recordings never wrap (a wrapped recording
 /// still replays identically, but the post-mortem would lose its head).
 pub const RECORDER_CAPACITY: usize = 1 << 16;
 
-/// Self-paging resident budget. Deliberately tighter than the leakage
-/// audit's 48: the determinism gate wants the full decision surface in
-/// the log (faults, cluster fetches, evictions, rate-limit admissions),
-/// so the working set must not fit.
+/// Self-paging resident budget of a scheduled run. It does not make
+/// every victim page; [`build_world`] records which runs do.
 const BUDGET_PAGES: usize = 32;
 
 /// Everything one recorded run produces.
@@ -83,7 +79,7 @@ impl ReplayVerdict {
 }
 
 /// Record one run of `schedule`: build the world, arm the recorder, run
-/// the workload (arming the fault plan after setup), and capture the
+/// the victim (arming the fault plan after setup), and capture the
 /// artifacts.
 pub fn record_run(schedule: &Schedule) -> RunArtifacts {
     record_run_inner(schedule, RECORDER_CAPACITY, false)
@@ -97,9 +93,9 @@ pub fn record_run_with_capacity(schedule: &Schedule, capacity: usize) -> RunArti
     record_run_inner(schedule, capacity, false)
 }
 
-/// Record one run of `schedule`, interrupting the secret phase at its
-/// midpoint with a sealed snapshot, a host crash, and a restore onto a
-/// freshly booted machine. The tentpole determinism claim: the returned
+/// Record one run of `schedule`, interrupting the secret phase at the
+/// victim's failover point with a sealed snapshot, a host crash, and a
+/// restore onto a freshly booted machine. The determinism claim: the returned
 /// artifacts are byte-identical to an uninterrupted [`record_run`],
 /// because a successful snapshot/restore cycle records nothing and
 /// charges no cycles — the machine was simply off.
@@ -108,10 +104,9 @@ pub fn record_run_with_restore(schedule: &Schedule) -> RunArtifacts {
 }
 
 fn record_run_inner(schedule: &Schedule, capacity: usize, restore_midway: bool) -> RunArtifacts {
-    let (mut world, mut heap) = build_world(schedule);
+    let (mut world, mut heap) = schedule_world(schedule);
     world.os.arm_flight_recorder(capacity);
-    let mut hook: Option<MidHook> = restore_midway.then_some(crash_and_restore as MidHook);
-    let outcome = match run_workload_hooked(schedule, &mut world, &mut heap, &mut hook) {
+    let outcome = match run_schedule(schedule, &mut world, &mut heap, restore_midway) {
         Ok(()) => "ok".to_owned(),
         Err(e) => format!("err: {e}"),
     };
@@ -128,32 +123,6 @@ fn record_run_inner(schedule: &Schedule, capacity: usize, restore_midway: bool) 
         dropped: recorder.dropped(),
         records,
     }
-}
-
-/// A mid-workload interruption: called once, at the midpoint of the
-/// secret phase, between operations (so correlation chains are closed
-/// and machine transitions drained).
-type MidHook = fn(&mut World);
-
-/// Snapshot the enclave, crash the host, boot a failover host that
-/// adopts the enclave's untrusted OS-side state (backing store, fault
-/// injector, flight recorder), and restore from the sealed blob.
-///
-/// Panics on any failure: in the replay harness the snapshot cycle is
-/// the happy path, and a failure here is a harness or codec bug, not a
-/// simulated attack.
-pub fn crash_and_restore(world: &mut World) {
-    let mut counter = MonotonicCounter::new(world.os.machine.platform_key(), world.eid);
-    let blob =
-        autarky_snapshot::snapshot(&world.os, &world.rt, &mut counter).expect("mid-run snapshot");
-    // `build_world` uses the default machine geometry; the failover host
-    // must match it (a failover to different hardware is out of scope).
-    let mut host = Os::new(MachineConfig::default());
-    host.adopt_untrusted_state(&mut world.os, world.eid)
-        .expect("failover host adopts OS-side state");
-    world.os = host;
-    world.rt = autarky_snapshot::restore(&mut world.os, &mut counter, &blob)
-        .expect("restore on failover host");
 }
 
 /// Run `schedule` twice from scratch and compare the artifacts.
@@ -186,126 +155,41 @@ fn compare_runs(schedule: &Schedule, record: RunArtifacts, replay: RunArtifacts)
     }
 }
 
-/// Build the world for a schedule, mirroring the leakage audit's
-/// geometry so runs page under pressure.
-pub(crate) fn build_world(schedule: &Schedule) -> (World, EncHeap) {
-    let (profile, budget) = match schedule.policy {
-        SchedulePolicy::Clusters => (
-            Profile::Clusters {
-                pages_per_cluster: 10,
-            },
-            BUDGET_PAGES,
-        ),
-        SchedulePolicy::RateLimit => (
-            Profile::RateLimited {
-                max_faults_per_progress: 64.0,
-                burst: 4096,
-            },
-            BUDGET_PAGES,
-        ),
-        SchedulePolicy::CachedOram => (
-            Profile::CachedOram {
-                capacity_pages: 512,
-                cache_pages: 24,
-            },
-            0,
-        ),
-    };
-    let (world, heap) = SystemBuilder::new("flightrec", profile)
-        .epc_pages(4096)
-        .heap_pages(1024)
-        .code_pages(24)
-        .budget_pages(budget)
-        .seed(0xF11_6000 + schedule.seed * 7919)
-        .build()
-        .expect("flightrec world builds");
-    (world, heap)
+/// Build the world a schedule runs in.
+pub(crate) fn schedule_world(schedule: &Schedule) -> (World, EncHeap) {
+    build_world(
+        Some(schedule.policy),
+        BUDGET_PAGES,
+        0xF11_6000 + schedule.seed * 7919,
+    )
 }
 
-/// Arm the schedule's fault plan (after setup, so the secret phase runs
-/// under fire) and drive the workload. When `hook` is set, fire it once
-/// at the midpoint of the secret phase (for [`record_run_with_restore`]);
-/// the hook point is between operations, where no correlation chain is
-/// open and the machine's transition log has drained.
-fn run_workload_hooked(
+/// Drive the schedule's victim: after setup, page the enclave out and
+/// arm the fault plan so the secret phase runs under fire; export
+/// telemetry on the victim's period; when `restore_midway`, run one
+/// failover cycle at the victim's failover point.
+fn run_schedule(
     schedule: &Schedule,
     world: &mut World,
     heap: &mut EncHeap,
-    hook: &mut Option<MidHook>,
+    restore_midway: bool,
 ) -> Result<(), RtError> {
-    match schedule.workload {
-        ScheduleWorkload::Jpeg => {
-            const SIDE: usize = 32;
-            let (img_a, img_b) = jpeg::secret_pair(SIDE);
-            let image = if schedule.secret == 0 { img_a } else { img_b };
-            let compressed = jpeg::encode(SIDE, SIDE, &image);
-            let mut decoder = jpeg::Decoder::new(world, heap, SIDE, SIDE).expect("decoder");
+    let victim = schedule.workload;
+    let phase = victim
+        .setup(world, heap, schedule.secret)
+        .expect("victim setup");
+    phase.run(world, heap, |world, _, done| {
+        if done == 0 {
             begin_secret_phase(schedule, world)?;
-            // The decode is one opaque operation; interrupt before it.
-            fire_hook(hook, world);
-            decoder.decode(world, heap, &compressed)?;
         }
-        ScheduleWorkload::Font => {
-            const LEN: usize = 16;
-            let (text_a, text_b) = font::secret_pair(LEN);
-            let text = if schedule.secret == 0 { text_a } else { text_b };
-            let mut renderer = font::FontRenderer::new(world, heap, LEN).expect("renderer");
-            begin_secret_phase(schedule, world)?;
-            fire_hook(hook, world);
-            renderer.render_text(world, heap, &text)?;
+        if victim.exports_at(done) {
+            world.rt.export_epoch(&mut world.os)?;
         }
-        ScheduleWorkload::Spell => {
-            const DICT_WORDS: usize = 300;
-            const QUERY_WORDS: usize = 24;
-            let dictionary = spell::Dictionary::load(world, heap, "en", DICT_WORDS).expect("dict");
-            let (text_a, text_b) = spell::secret_pair("en", DICT_WORDS, QUERY_WORDS);
-            let text = if schedule.secret == 0 { text_a } else { text_b };
-            begin_secret_phase(schedule, world)?;
-            for (i, word) in text.iter().enumerate() {
-                if i == QUERY_WORDS / 2 {
-                    fire_hook(hook, world);
-                }
-                dictionary.check(world, heap, word)?;
-                if (i + 1) % 8 == 0 {
-                    world.rt.export_epoch(&mut world.os)?;
-                }
-            }
+        if restore_midway && done == victim.failover_point() {
+            crash_and_restore(world);
         }
-        ScheduleWorkload::Kvstore => {
-            const ITEMS: u64 = 128;
-            const VALUE_SIZE: usize = 512;
-            const GETS: usize = 48;
-            let mut store = kvstore::KvStore::new(
-                world,
-                heap,
-                ITEMS,
-                VALUE_SIZE,
-                kvstore::ItemClustering::None,
-            )
-            .expect("store");
-            store.load(world, heap, ITEMS).expect("load");
-            let (keys_a, keys_b) = kvstore::secret_pair(ITEMS, GETS);
-            let keys = if schedule.secret == 0 { keys_a } else { keys_b };
-            begin_secret_phase(schedule, world)?;
-            for (i, &key) in keys.iter().enumerate() {
-                if i == GETS / 2 {
-                    fire_hook(hook, world);
-                }
-                store.get(world, heap, key)?;
-                if (i + 1) % 16 == 0 {
-                    world.rt.export_epoch(&mut world.os)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Fire the mid-run hook at most once.
-fn fire_hook(hook: &mut Option<MidHook>, world: &mut World) {
-    if let Some(h) = hook.take() {
-        h(world);
-    }
+        Ok(())
+    })
 }
 
 /// Transition from setup to the secret-dependent phase: page the

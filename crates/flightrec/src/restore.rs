@@ -13,11 +13,11 @@ use autarky_os_sim::flight::causal_root_of_attack;
 use autarky_os_sim::{FlightEvent, FlightRecord, InjectedFault, Observation, Os};
 use autarky_sgx_sim::machine::MachineConfig;
 use autarky_sgx_sim::MonotonicCounter;
-use autarky_snapshot::{restore, snapshot};
-use autarky_workloads::spell;
+use autarky_snapshot::{restore, snapshot, SnapError};
 
-use crate::replay::build_world;
-use crate::schedule::{Schedule, SchedulePolicy, ScheduleWorkload};
+use crate::replay::schedule_world;
+use crate::schedule::{Schedule, SchedulePolicy};
+use crate::victim::Victim;
 
 /// The rollback-family attack being staged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +50,19 @@ impl RollbackScenario {
             RollbackScenario::CounterRollback => "counter-rollback",
         }
     }
+
+    /// Whether `err` comes from the check this attack targets: a
+    /// superseded or already-restored blob fails freshness, a truncated
+    /// one the seal, and a rolled-back counter its own MAC.
+    pub fn expects(self, err: &SnapError) -> bool {
+        match self {
+            RollbackScenario::Stale | RollbackScenario::Fork => {
+                matches!(err, SnapError::Stale { .. })
+            }
+            RollbackScenario::Truncate => matches!(err, SnapError::SealBroken),
+            RollbackScenario::CounterRollback => matches!(err, SnapError::Sgx(_)),
+        }
+    }
 }
 
 /// What one staged attack produced.
@@ -61,6 +74,9 @@ pub struct RollbackOutcome {
     pub seed: u64,
     /// The restore call refused the blob.
     pub restore_failed: bool,
+    /// The refusal came from the check the scenario targets
+    /// ([`RollbackScenario::expects`]), not an earlier one.
+    pub refused_as_expected: bool,
     /// An `AttackDetected` verdict landed in the flight ring.
     pub attack_recorded: bool,
     /// `causal_root_of_attack` resolved the verdict to the staged
@@ -73,39 +89,41 @@ pub struct RollbackOutcome {
 }
 
 impl RollbackOutcome {
-    /// The gate's pass condition: refused, recorded, and attributed.
+    /// The gate's pass condition: refused by the expected check,
+    /// recorded, and attributed.
     pub fn detected(&self) -> bool {
-        self.restore_failed && self.attack_recorded && self.root_names_injection
+        self.restore_failed
+            && self.refused_as_expected
+            && self.attack_recorded
+            && self.root_names_injection
     }
 }
 
-/// Stage one rollback attack end to end on a spell-checker world.
+/// Stage one rollback attack end to end on the spell victim of the
+/// clusters schedule at `seed`, snapshotting at its failover point.
 ///
 /// The happy-path half (workload, snapshot, failover adoption) must
 /// succeed — failures there panic, because they are harness bugs. Only
 /// the final hostile restore is allowed to fail, and its outcome is
 /// what the caller grades.
 pub fn rollback_attack_run(seed: u64, scenario: RollbackScenario) -> RollbackOutcome {
-    const DICT_WORDS: usize = 100;
-    let schedule = Schedule::quiet(SchedulePolicy::Clusters, ScheduleWorkload::Spell, 0, seed);
-    let (mut world, mut heap) = build_world(&schedule);
-    let dictionary =
-        spell::Dictionary::load(&mut world, &mut heap, "en", DICT_WORDS).expect("dictionary");
-    let (text, _) = spell::secret_pair("en", DICT_WORDS, 8);
-    for word in &text[..4] {
-        dictionary
-            .check(&mut world, &mut heap, word)
-            .expect("check");
-    }
+    let victim = Victim::Spell;
+    let schedule = Schedule::quiet(SchedulePolicy::Clusters, victim, 0, seed);
+    let (mut world, mut heap) = schedule_world(&schedule);
     let eid = world.eid;
     let mut counter = MonotonicCounter::new(world.os.machine.platform_key(), eid);
-    let first = snapshot(&world.os, &world.rt, &mut counter).expect("snapshot v1");
-    // More work: state the stale blob is missing.
-    for word in &text[4..] {
-        dictionary
-            .check(&mut world, &mut heap, word)
-            .expect("check");
-    }
+    let phase = victim.setup(&mut world, &mut heap, 0).expect("spell setup");
+    // The words after the snapshot are state the v1 blob is missing.
+    let mut first = None;
+    phase
+        .run(&mut world, &mut heap, |world, _, done| {
+            if done == victim.failover_point() {
+                first = Some(snapshot(&world.os, &world.rt, &mut counter).expect("snapshot v1"));
+            }
+            Ok(())
+        })
+        .expect("spell phase");
+    let first = first.expect("the phase reaches its failover point");
 
     let (blob, injected) = match scenario {
         RollbackScenario::Stale => {
@@ -124,10 +142,12 @@ pub fn rollback_attack_run(seed: u64, scenario: RollbackScenario) -> RollbackOut
             (first, InjectedFault::ForkedSnapshot { counter: 1 })
         }
         RollbackScenario::Truncate => {
-            let len = first.len() - 7;
-            let _fresh = snapshot(&world.os, &world.rt, &mut counter).expect("snapshot v2");
+            // Truncate the current blob, so the fresh counter passes and
+            // the seal is what refuses it.
+            let fresh = snapshot(&world.os, &world.rt, &mut counter).expect("snapshot v2");
+            let len = fresh.len() - 7;
             (
-                first[..len].to_vec(),
+                fresh[..len].to_vec(),
                 InjectedFault::TruncatedSnapshot { len },
             )
         }
@@ -146,9 +166,9 @@ pub fn rollback_attack_run(seed: u64, scenario: RollbackScenario) -> RollbackOut
     host.arm_flight_recorder(512);
     host.record_snapshot_attack(eid, injected);
     let result = restore(&mut host, &mut counter, &blob);
-    let (restore_failed, error) = match &result {
-        Ok(_) => (false, "ok".to_owned()),
-        Err(e) => (true, e.to_string()),
+    let (restore_failed, refused_as_expected, error) = match &result {
+        Ok(_) => (false, false, "ok".to_owned()),
+        Err(e) => (true, scenario.expects(e), e.to_string()),
     };
     let records = host.flight_snapshot();
     let attack_recorded = records
@@ -167,6 +187,7 @@ pub fn rollback_attack_run(seed: u64, scenario: RollbackScenario) -> RollbackOut
         scenario,
         seed,
         restore_failed,
+        refused_as_expected,
         attack_recorded,
         root_names_injection,
         error,

@@ -16,6 +16,8 @@
 use autarky_os_sim::wire::{decode_fault_plan, encode_fault_plan, WireError};
 use autarky_os_sim::FaultPlan;
 
+use crate::victim::Victim;
+
 /// The paging policies the determinism gate covers (the three protected
 /// configurations with distinct decision surfaces: cluster choice,
 /// rate-limit admission, ORAM access).
@@ -53,52 +55,14 @@ impl SchedulePolicy {
     }
 }
 
-/// The workloads a schedule can drive (the leakage audit's victims).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleWorkload {
-    /// JPEG decode (libjpeg flatness victim).
-    Jpeg,
-    /// Glyph rendering (FreeType victim).
-    Font,
-    /// Dictionary lookups (Hunspell victim).
-    Spell,
-    /// Key-value store gets (Figure 8 store).
-    Kvstore,
-}
-
-impl ScheduleWorkload {
-    /// Every workload a schedule can name.
-    pub const ALL: [ScheduleWorkload; 4] = [
-        ScheduleWorkload::Jpeg,
-        ScheduleWorkload::Font,
-        ScheduleWorkload::Spell,
-        ScheduleWorkload::Kvstore,
-    ];
-
-    /// Stable wire tag.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScheduleWorkload::Jpeg => "jpeg",
-            ScheduleWorkload::Font => "font",
-            ScheduleWorkload::Spell => "spell",
-            ScheduleWorkload::Kvstore => "kvstore",
-        }
-    }
-
-    /// Resolve a wire tag back to a workload.
-    pub fn from_name(tag: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|w| w.name() == tag)
-    }
-}
-
 /// A recorded schedule: replaying it reproduces the flight log bit for
 /// bit (see [`crate::replay::verify_replay`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Paging policy under test.
     pub policy: SchedulePolicy,
-    /// Workload to drive.
-    pub workload: ScheduleWorkload,
+    /// Victim to drive.
+    pub workload: Victim,
     /// Secret class (selects one side of the workload's secret pair).
     pub secret: u32,
     /// Build seed (ORAM randomness; also offsets the world seed).
@@ -110,12 +74,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// A quiescent (no injected faults) schedule.
-    pub fn quiet(
-        policy: SchedulePolicy,
-        workload: ScheduleWorkload,
-        secret: u32,
-        seed: u64,
-    ) -> Self {
+    pub fn quiet(policy: SchedulePolicy, workload: Victim, secret: u32, seed: u64) -> Self {
         Self {
             policy,
             workload,
@@ -129,9 +88,9 @@ impl Schedule {
     /// on the workload that exercises that policy's decision surface.
     pub fn ci_matrix() -> Vec<Schedule> {
         vec![
-            Schedule::quiet(SchedulePolicy::Clusters, ScheduleWorkload::Spell, 0, 1),
-            Schedule::quiet(SchedulePolicy::RateLimit, ScheduleWorkload::Font, 0, 1),
-            Schedule::quiet(SchedulePolicy::CachedOram, ScheduleWorkload::Kvstore, 0, 1),
+            Schedule::quiet(SchedulePolicy::Clusters, Victim::Spell, 0, 1),
+            Schedule::quiet(SchedulePolicy::RateLimit, Victim::Font, 0, 1),
+            Schedule::quiet(SchedulePolicy::CachedOram, Victim::Kvstore, 0, 1),
         ]
     }
 
@@ -142,7 +101,7 @@ impl Schedule {
     pub fn restore_matrix() -> Vec<Schedule> {
         let mut out = Vec::new();
         for policy in SchedulePolicy::ALL {
-            for workload in [ScheduleWorkload::Spell, ScheduleWorkload::Kvstore] {
+            for workload in [Victim::Spell, Victim::Kvstore] {
                 out.push(Schedule::quiet(policy, workload, 0, 1));
             }
         }
@@ -216,7 +175,7 @@ fn parse_run_line(rest: &str, line: &str) -> Result<Schedule, WireError> {
                 policy = Some(SchedulePolicy::from_name(value).ok_or(bad("policy tag"))?);
             }
             "workload" => {
-                workload = Some(ScheduleWorkload::from_name(value).ok_or(bad("workload tag"))?);
+                workload = Some(Victim::from_name(value).ok_or(bad("workload tag"))?);
             }
             "secret" => secret = Some(value.parse().map_err(|_| bad("secret"))?),
             "seed" => seed = Some(value.parse().map_err(|_| bad("seed"))?),
@@ -255,7 +214,7 @@ mod tests {
                 spurious_evict: 1.0,
                 ..FaultPlan::transient_only(9, 0.125)
             }),
-            ..Schedule::quiet(SchedulePolicy::Clusters, ScheduleWorkload::Kvstore, 1, 7)
+            ..Schedule::quiet(SchedulePolicy::Clusters, Victim::Kvstore, 1, 7)
         };
         let text = schedule.to_text();
         assert_eq!(Schedule::from_text(&text).expect("parses"), schedule);

@@ -6,7 +6,7 @@
 
 use autarky_flightrec::{
     record_run, record_run_with_capacity, rollback_attack_run, verify_restore_replay,
-    RollbackScenario, Schedule, SchedulePolicy, ScheduleWorkload,
+    RollbackScenario, Schedule, SchedulePolicy, Victim,
 };
 
 #[test]
@@ -14,8 +14,8 @@ fn mid_run_restore_is_artifact_invisible() {
     // The bin covers the full matrix; here one self-paging cell and the
     // ORAM cell keep the suite fast while exercising both paging shapes.
     for schedule in [
-        Schedule::quiet(SchedulePolicy::Clusters, ScheduleWorkload::Spell, 0, 1),
-        Schedule::quiet(SchedulePolicy::CachedOram, ScheduleWorkload::Kvstore, 0, 1),
+        Schedule::quiet(SchedulePolicy::Clusters, Victim::Spell, 0, 1),
+        Schedule::quiet(SchedulePolicy::CachedOram, Victim::Kvstore, 0, 1),
     ] {
         let label = format!("{}/{}", schedule.policy.name(), schedule.workload.name());
         let verdict = verify_restore_replay(&schedule);
@@ -43,6 +43,12 @@ fn every_rollback_scenario_is_detected_and_attributed() {
             scenario.name()
         );
         assert!(
+            outcome.refused_as_expected,
+            "{}: refused by the wrong check ({})",
+            scenario.name(),
+            outcome.error
+        );
+        assert!(
             outcome.attack_recorded,
             "{}: no AttackDetected verdict in the flight ring",
             scenario.name()
@@ -58,7 +64,7 @@ fn every_rollback_scenario_is_detected_and_attributed() {
 
 #[test]
 fn saturated_ring_drops_oldest_deterministically() {
-    let schedule = Schedule::quiet(SchedulePolicy::RateLimit, ScheduleWorkload::Kvstore, 0, 1);
+    let schedule = Schedule::quiet(SchedulePolicy::RateLimit, Victim::Kvstore, 0, 1);
     let full = record_run(&schedule);
     assert_eq!(full.dropped, 0, "reference run must not wrap");
 

@@ -32,12 +32,11 @@
 //!   (MI ≤ threshold), i.e. whether self-paging budgets actually
 //!   isolate tenants from each other's access patterns.
 
-use autarky::{Profile, SystemBuilder};
-use autarky_os_sim::{EnclaveImage, Observation, Os};
+use autarky_flightrec::{build_world, crash_and_restore, SchedulePolicy, Victim};
+use autarky_os_sim::{EnclaveImage, Observation};
 use autarky_runtime::{is_telemetry_export_key, RateLimit, RuntimeConfig};
-use autarky_sgx_sim::machine::MachineConfig;
-use autarky_sgx_sim::{EnclaveId, MonotonicCounter};
-use autarky_workloads::{font, jpeg, kvstore, spell, EncHeap, EnclaveHandle, World};
+use autarky_sgx_sim::EnclaveId;
+use autarky_workloads::{kvstore, EncHeap, World};
 
 use crate::capture::Capture;
 use crate::metrics::{distinguishability, Distinguishability};
@@ -108,32 +107,19 @@ impl Policy {
             Policy::Fleet => "fleet",
         }
     }
-}
 
-/// The audited workloads (the paper's Table 2 attack victims plus the
-/// Figure 8 store).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Workload {
-    Jpeg,
-    Font,
-    Spell,
-    Kvstore,
-}
-
-impl Workload {
-    const ALL: [Workload; 4] = [
-        Workload::Jpeg,
-        Workload::Font,
-        Workload::Spell,
-        Workload::Kvstore,
-    ];
-
-    fn name(self) -> &'static str {
+    /// The paging protection the cell's victim runs under (`None`:
+    /// vanilla SGX). The telemetry, restore and fleet cells run
+    /// ordinary self-paging; what they audit is the traffic layered on
+    /// top (exports, snapshot transport, the neighbor's paging).
+    fn protection(self) -> Option<SchedulePolicy> {
         match self {
-            Workload::Jpeg => "jpeg",
-            Workload::Font => "font",
-            Workload::Spell => "spell",
-            Workload::Kvstore => "kvstore",
+            Policy::Baseline => None,
+            Policy::RateLimit => Some(SchedulePolicy::RateLimit),
+            Policy::CachedOram => Some(SchedulePolicy::CachedOram),
+            Policy::Clusters | Policy::Telemetry | Policy::Restore | Policy::Fleet => {
+                Some(SchedulePolicy::Clusters)
+            }
         }
     }
 }
@@ -209,11 +195,6 @@ pub fn policy_names() -> [&'static str; 7] {
     Policy::ALL.map(Policy::name)
 }
 
-/// Stable workload labels of the audit matrix, in report order.
-pub fn workload_names() -> [&'static str; 4] {
-    Workload::ALL.map(Workload::name)
-}
-
 /// Run the full audit matrix.
 pub fn run_audit(config: &AuditConfig) -> AuditReport {
     run_audit_filtered(config, &[])
@@ -225,7 +206,7 @@ pub fn run_audit_filtered(config: &AuditConfig, only: &[String]) -> AuditReport 
     assert!(config.seeds >= 2, "need ≥2 seeds per class");
     let mut cells = Vec::new();
     for policy in Policy::ALL {
-        for workload in Workload::ALL {
+        for workload in Victim::ALL {
             let label = format!("{}/{}", policy.name(), workload.name());
             if only.is_empty() || only.iter().any(|o| o == &label) {
                 cells.push(audit_cell(config, policy, workload));
@@ -240,7 +221,7 @@ pub fn run_audit_filtered(config: &AuditConfig, only: &[String]) -> AuditReport 
     }
 }
 
-fn audit_cell(config: &AuditConfig, policy: Policy, workload: Workload) -> CellResult {
+fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellResult {
     let mut classes: [Vec<Vec<u64>>; 2] = [Vec::new(), Vec::new()];
     let mut worst_rate: Option<RateGate> = None;
     for secret in 0..2u32 {
@@ -447,125 +428,81 @@ fn rate_gate(stats: &RunStats, limit: RateLimit) -> RateGate {
 // Per-run execution.
 // ----------------------------------------------------------------------
 
-/// Self-paging resident budget: small enough that every audited workload
-/// pages under pressure (so the residual channel actually carries
-/// traffic), large enough that no single operation starves.
+/// Self-paging resident budget of an audited world. It does not make
+/// every victim page; [`build_world`] records which runs do.
 const BUDGET_PAGES: usize = 48;
 
 /// Build the world for one audited run. Only the ORAM profile consumes
 /// the seed (position-map randomness); deterministic profiles produce
 /// identical traces across seeds, which the analysis handles (zero
 /// within-class variance).
-fn build_world(policy: Policy, seed: u64) -> (World, EncHeap) {
-    let (profile, budget) = match policy {
-        Policy::Baseline => (Profile::Unprotected, 0),
-        Policy::RateLimit => (
-            Profile::RateLimited {
-                max_faults_per_progress: 64.0,
-                burst: 4096,
-            },
-            BUDGET_PAGES,
-        ),
-        Policy::Clusters => (
-            Profile::Clusters {
-                pages_per_cluster: 10,
-            },
-            BUDGET_PAGES,
-        ),
-        Policy::CachedOram => (
-            Profile::CachedOram {
-                capacity_pages: 512,
-                cache_pages: 24,
-            },
-            0,
-        ),
-        // The telemetry and restore cells run ordinary self-paging; what
-        // they audit is the traffic layered on top (exports, snapshot
-        // transport).
-        Policy::Telemetry | Policy::Restore => (
-            Profile::Clusters {
-                pages_per_cluster: 10,
-            },
-            BUDGET_PAGES,
-        ),
-        // The fleet cell's observed neighbor: ordinary self-paging whose
-        // fixed working set (sized in `run_fleet_cell`) exceeds this
-        // budget, so the neighbor pages continuously — an empty neighbor
-        // trace would make the isolation gate vacuous.
-        Policy::Fleet => (
-            Profile::Clusters {
-                pages_per_cluster: 10,
-            },
-            BUDGET_PAGES,
-        ),
-    };
-    let (world, heap) = SystemBuilder::new("leakage-audit", profile)
-        .epc_pages(4096)
-        .heap_pages(1024)
-        .code_pages(24)
-        .budget_pages(budget)
-        .seed(0xA0D1_7000 + seed * 7919)
-        .build()
-        .expect("audit world builds");
-    (world, heap)
+fn audit_world(policy: Policy, seed: u64) -> (World, EncHeap) {
+    build_world(policy.protection(), BUDGET_PAGES, 0xA0D1_7000 + seed * 7919)
 }
 
-/// Arm the legacy fault-tracing attacker for the baseline runs: unmap
-/// the given pages so every first touch (and every page transition)
-/// faults with an unmasked address. Targets are armed at full density —
-/// the tracer resolves accesses that straddle two adjacent armed pages
-/// itself (see `Os::arm_fault_tracer`), so data and code ranges alike
-/// need no stride games.
-fn arm_baseline(world: &mut World, pages: impl Iterator<Item = autarky_sgx_sim::Vpn>) {
-    world
-        .os
-        .arm_fault_tracer(world.eid, pages)
-        .expect("tracer arms");
-}
-
-/// Snapshot the enclave, crash the host, and restore on a failover host
-/// mid-phase (the audit analogue of the flight recorder's crash hook).
-/// Returns the adversary's view of the cycle: one [`UntrustedAccess`]
-/// event per page-sized chunk of the sealed blob the OS transported.
-/// The happy path must succeed — a failure here is a harness bug, not a
-/// leakage finding.
+/// The adversary's view of one failover cycle: one [`UntrustedAccess`]
+/// event per page-sized chunk of the `len`-byte sealed blob the OS
+/// transported.
 ///
 /// [`UntrustedAccess`]: autarky_os_sim::Observation::UntrustedAccess
-fn crash_and_restore(world: &mut World) -> Vec<autarky_os_sim::Observation> {
-    let mut counter = MonotonicCounter::new(world.os.machine.platform_key(), world.eid);
-    let blob =
-        autarky_snapshot::snapshot(&world.os, &world.rt, &mut counter).expect("mid-audit snapshot");
-    let mut host = Os::new(MachineConfig::default());
-    host.adopt_untrusted_state(&mut world.os, world.eid)
-        .expect("failover host adopts OS-side state");
-    world.os = host;
-    world.rt =
-        autarky_snapshot::restore(&mut world.os, &mut counter, &blob).expect("failover restore");
-    (0..autarky_snapshot::transport_chunks(blob.len()))
-        .map(|chunk| autarky_os_sim::Observation::UntrustedAccess {
+fn transport_observations(len: usize) -> Vec<Observation> {
+    (0..autarky_snapshot::transport_chunks(len))
+        .map(|chunk| Observation::UntrustedAccess {
             key: autarky_snapshot::snapshot_transport_key(chunk),
             write: true,
         })
         .collect()
 }
 
-fn run_one(policy: Policy, workload: Workload, secret: u32, seed: u64) -> (Trace, RunStats) {
+fn run_one(policy: Policy, victim: Victim, secret: u32, seed: u64) -> (Trace, RunStats) {
     if policy == Policy::Fleet {
-        return run_fleet_cell(workload, secret, seed);
+        return run_fleet_cell(victim, secret, seed);
     }
-    let (mut world, mut heap) = build_world(policy, seed);
-    let mut events = match workload {
-        Workload::Jpeg => run_jpeg(policy, secret, &mut world, &mut heap),
-        Workload::Font => run_font(policy, secret, &mut world, &mut heap),
-        Workload::Spell => run_spell(policy, secret, &mut world, &mut heap),
-        Workload::Kvstore => run_kvstore(policy, secret, &mut world, &mut heap),
-    };
+    let (mut world, mut heap) = audit_world(policy, seed);
+    let phase = victim
+        .setup(&mut world, &mut heap, secret)
+        .expect("victim setup");
+    let ops = phase.ops();
+    let targets = phase.targets.clone();
+    let mut capture = None;
+    let mut transport = Vec::new();
+    phase
+        .run(&mut world, &mut heap, |world, heap, done| {
+            if done == 0 {
+                if policy == Policy::Baseline {
+                    // The legacy fault-tracing attacker: every first touch
+                    // of a target (and every page transition) faults with
+                    // an unmasked address. Targets are armed at full
+                    // density — the tracer resolves accesses that
+                    // straddle two adjacent armed pages itself (see
+                    // `Os::arm_fault_tracer`).
+                    world
+                        .os
+                        .arm_fault_tracer(world.eid, targets.iter().copied())
+                        .expect("tracer arms");
+                }
+                capture = Some(Capture::begin(&world.os, heap));
+            }
+            // The one-op victims export once, after their operation.
+            if policy == Policy::Telemetry && (victim.exports_at(done) || done == ops) {
+                world.rt.export_epoch(&mut world.os)?;
+            }
+            // The checkpoint's resident set reflects the secret-dependent
+            // operations processed so far.
+            if policy == Policy::Restore && done == victim.failover_point() {
+                transport = transport_observations(crash_and_restore(world));
+            }
+            Ok(())
+        })
+        .expect("secret phase");
+    let mut events = capture.expect("phase ran").finish(&world.os, &heap);
+    events.extend(transport);
     if policy == Policy::Telemetry {
         // The telemetry cell isolates the export channel: paging traffic
         // is already audited by the other cells, so the adversary view
         // here is exactly the sealed-snapshot writes.
         events.retain(|ev| {
-            matches!(ev, autarky_os_sim::Observation::UntrustedAccess { key, .. }
+            matches!(ev, Observation::UntrustedAccess { key, .. }
                 if is_telemetry_export_key(*key))
         });
     }
@@ -573,7 +510,7 @@ fn run_one(policy: Policy, workload: Workload, secret: u32, seed: u64) -> (Trace
         // Likewise the restore cell isolates the snapshot transport:
         // the paging traffic around it is the clusters cell's job.
         events.retain(|ev| {
-            matches!(ev, autarky_os_sim::Observation::UntrustedAccess { key, .. }
+            matches!(ev, Observation::UntrustedAccess { key, .. }
                 if autarky_snapshot::is_snapshot_transport_key(*key))
         });
     }
@@ -585,143 +522,8 @@ fn run_one(policy: Policy, workload: Workload, secret: u32, seed: u64) -> (Trace
         rate_limit: meta.rate_limit,
         terminated: world.rt.is_terminated(),
     };
-    let trace = Trace::new(policy.name(), workload.name(), secret, seed, events);
+    let trace = Trace::new(policy.name(), victim.name(), secret, seed, events);
     (trace, stats)
-}
-
-fn run_jpeg(
-    policy: Policy,
-    secret: u32,
-    world: &mut World,
-    heap: &mut EncHeap,
-) -> Vec<autarky_os_sim::Observation> {
-    const SIDE: usize = 32;
-    let (img_a, img_b) = jpeg::secret_pair(SIDE);
-    let image = if secret == 0 { img_a } else { img_b };
-    let compressed = jpeg::encode(SIDE, SIDE, &image);
-    let mut decoder = jpeg::Decoder::new(world, heap, SIDE, SIDE).expect("decoder");
-    if policy == Policy::Baseline {
-        // Code fetches touch one page per exec, so adjacent targets are
-        // safe here.
-        let pages: Vec<_> = world.image.code_range().collect();
-        arm_baseline(world, pages.into_iter());
-    }
-    let capture = Capture::begin(&world.os, heap);
-    decoder.decode(world, heap, &compressed).expect("decode");
-    if policy == Policy::Telemetry {
-        world.rt.export_epoch(&mut world.os).expect("export");
-    }
-    // Snapshot after the decode so the checkpoint holds the maximally
-    // secret-dependent resident set.
-    let transport = if policy == Policy::Restore {
-        crash_and_restore(world)
-    } else {
-        Vec::new()
-    };
-    let mut events = capture.finish(&world.os, heap);
-    events.extend(transport);
-    events
-}
-
-fn run_font(
-    policy: Policy,
-    secret: u32,
-    world: &mut World,
-    heap: &mut EncHeap,
-) -> Vec<autarky_os_sim::Observation> {
-    const LEN: usize = 16;
-    let (text_a, text_b) = font::secret_pair(LEN);
-    let text = if secret == 0 { text_a } else { text_b };
-    let mut renderer = font::FontRenderer::new(world, heap, LEN).expect("renderer");
-    if policy == Policy::Baseline {
-        let pages: Vec<_> = world.image.code_range().collect();
-        arm_baseline(world, pages.into_iter());
-    }
-    let capture = Capture::begin(&world.os, heap);
-    renderer.render_text(world, heap, &text).expect("render");
-    if policy == Policy::Telemetry {
-        world.rt.export_epoch(&mut world.os).expect("export");
-    }
-    let transport = if policy == Policy::Restore {
-        crash_and_restore(world)
-    } else {
-        Vec::new()
-    };
-    let mut events = capture.finish(&world.os, heap);
-    events.extend(transport);
-    events
-}
-
-fn run_spell(
-    policy: Policy,
-    secret: u32,
-    world: &mut World,
-    heap: &mut EncHeap,
-) -> Vec<autarky_os_sim::Observation> {
-    const DICT_WORDS: usize = 300;
-    const QUERY_WORDS: usize = 24;
-    let dictionary = spell::Dictionary::load(world, heap, "en", DICT_WORDS).expect("dict");
-    let (text_a, text_b) = spell::secret_pair("en", DICT_WORDS, QUERY_WORDS);
-    let text = if secret == 0 { text_a } else { text_b };
-    if policy == Policy::Baseline {
-        arm_baseline(world, dictionary.pages.iter().copied());
-    }
-    let capture = Capture::begin(&world.os, heap);
-    let mut transport = Vec::new();
-    for (i, word) in text.iter().enumerate() {
-        dictionary.check(world, heap, word).expect("check");
-        if policy == Policy::Telemetry && (i + 1) % 8 == 0 {
-            world.rt.export_epoch(&mut world.os).expect("export");
-        }
-        // Crash mid-phase: the checkpoint's resident set reflects the
-        // secret-dependent queries processed so far.
-        if policy == Policy::Restore && i + 1 == QUERY_WORDS / 2 {
-            transport = crash_and_restore(world);
-        }
-    }
-    let mut events = capture.finish(&world.os, heap);
-    events.extend(transport);
-    events
-}
-
-fn run_kvstore(
-    policy: Policy,
-    secret: u32,
-    world: &mut World,
-    heap: &mut EncHeap,
-) -> Vec<autarky_os_sim::Observation> {
-    const ITEMS: u64 = 128;
-    const VALUE_SIZE: usize = 512;
-    const GETS: usize = 48;
-    let mut store = kvstore::KvStore::new(
-        world,
-        heap,
-        ITEMS,
-        VALUE_SIZE,
-        kvstore::ItemClustering::None,
-    )
-    .expect("store");
-    store.load(world, heap, ITEMS).expect("load");
-    let (keys_a, keys_b) = kvstore::secret_pair(ITEMS, GETS);
-    let keys = if secret == 0 { keys_a } else { keys_b };
-    if policy == Policy::Baseline {
-        let pages: Vec<_> = world.image.heap_range().collect();
-        arm_baseline(world, pages.into_iter());
-    }
-    let capture = Capture::begin(&world.os, heap);
-    let mut transport = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        store.get(world, heap, key).expect("get").expect("present");
-        if policy == Policy::Telemetry && (i + 1) % 16 == 0 {
-            world.rt.export_epoch(&mut world.os).expect("export");
-        }
-        if policy == Policy::Restore && i + 1 == GETS / 2 {
-            transport = crash_and_restore(world);
-        }
-    }
-    let mut events = capture.finish(&world.os, heap);
-    events.extend(transport);
-    events
 }
 
 // ----------------------------------------------------------------------
@@ -729,9 +531,7 @@ fn run_kvstore(
 // ----------------------------------------------------------------------
 
 /// Fleet-cell sizing for the observed neighbor: 128 items at two per
-/// page is a 64-page value working set, deliberately wider than
-/// [`BUDGET_PAGES`] so the neighbor's public trace always carries
-/// paging traffic.
+/// page is a 64-page value working set, wider than [`BUDGET_PAGES`].
 const FLEET_NEIGHBOR_ITEMS: u64 = 128;
 const FLEET_NEIGHBOR_VALUE: usize = 2048;
 
@@ -752,41 +552,23 @@ fn observation_eid(ev: &Observation) -> Option<EnclaveId> {
     }
 }
 
-/// Serve four fixed public GETs on the neighbor tenant (the enclave the
-/// adversary watches), then hand the shared host back. The stride walk
-/// is deterministic and secret-independent, and wider than the paging
-/// budget, so every chunk pages.
-fn fleet_neighbor_chunk(
-    os: Os,
-    handle: EnclaveHandle,
-    heap: &mut EncHeap,
-    store: &mut kvstore::KvStore,
-    cursor: &mut u64,
-) -> (Os, EnclaveHandle) {
-    let mut world = World::join(os, handle);
-    for _ in 0..4 {
-        let key = cursor.wrapping_mul(29) % FLEET_NEIGHBOR_ITEMS;
-        *cursor += 1;
-        store
-            .get(&mut world, heap, key)
-            .expect("neighbor get")
-            .expect("neighbor key present");
-    }
-    world.split()
+/// Whether the neighbor serves a chunk after operation `done` of an
+/// `ops`-operation phase: four times across a multi-op phase, before
+/// and after a one-op phase.
+fn neighbor_turn(ops: usize, done: usize) -> bool {
+    ops == 1 || (done > 0 && done.is_multiple_of(ops / 4))
 }
 
-/// One run of the fleet cell: tenant B processes the cell workload's
-/// secret phase while neighbor A serves fixed public kvstore GETs,
-/// interleaved so both tenants page against the shared EPC at once.
-/// The trace keeps only events attributable to A — what an adversary
-/// colocated with the *neighbor* learns about B's secret.
-fn run_fleet_cell(workload: Workload, secret: u32, seed: u64) -> (Trace, RunStats) {
+/// One run of the fleet cell: tenant B processes the victim's secret
+/// phase while neighbor A serves fixed public kvstore GETs, interleaved
+/// so both tenants page against the shared EPC at once. The trace keeps
+/// only events attributable to A — what an adversary colocated with the
+/// *neighbor* learns about B's secret.
+fn run_fleet_cell(victim: Victim, secret: u32, seed: u64) -> (Trace, RunStats) {
     // Neighbor A (the observed tenant) comes up through the ordinary
-    // builder path; its profile and budget live in `build_world`.
-    let (world_a, mut heap_a) = build_world(Policy::Fleet, seed);
-    let eid_a = world_a.eid;
-    let (os, handle_a) = world_a.split();
-    let mut world = World::join(os, handle_a);
+    // builder path.
+    let (mut world, mut heap_a) = audit_world(Policy::Fleet, seed);
+    let eid_a = world.eid;
     let mut store_a = kvstore::KvStore::new(
         &mut world,
         &mut heap_a,
@@ -798,16 +580,16 @@ fn run_fleet_cell(workload: Workload, secret: u32, seed: u64) -> (Trace, RunStat
     store_a
         .load(&mut world, &mut heap_a, FLEET_NEIGHBOR_ITEMS)
         .expect("neighbor load");
-    let (mut os, handle_a) = world.split();
 
     // Tenant B (the secret tenant) attaches to the same host, sharing
-    // its EPC. Everything before the mark — including B's workload
-    // setup below, which is secret-independent — is public; the
-    // A-filtered capture only sees what A does afterwards anyway.
+    // its EPC, and takes the world over; A waits in `neighbor`.
+    // Everything before the mark — including B's victim setup, which is
+    // secret-independent — is public; the A-filtered capture only sees
+    // what A does afterwards anyway.
     let mut image = EnclaveImage::named("fleet-secret-tenant");
     image.heap_pages = 1024;
-    let handle_b = World::attach_to(
-        &mut os,
+    let mut neighbor = World::attach_to(
+        &mut world.os,
         image,
         RuntimeConfig {
             budget: BUDGET_PAGES,
@@ -815,116 +597,50 @@ fn run_fleet_cell(workload: Workload, secret: u32, seed: u64) -> (Trace, RunStat
         },
     )
     .expect("secret tenant attaches");
+    world.swap_enclave(&mut neighbor);
     let mut heap_b = EncHeap::direct();
     let mut cursor = 0u64;
-    let mark = os.observation_mark();
+    let mark = world.os.observation_mark();
 
-    let (os, handle_a, handle_b) = match workload {
-        Workload::Jpeg => {
-            const SIDE: usize = 32;
-            let (img0, img1) = jpeg::secret_pair(SIDE);
-            let px = if secret == 0 { img0 } else { img1 };
-            let compressed = jpeg::encode(SIDE, SIDE, &px);
-            let mut wb = World::join(os, handle_b);
-            let mut decoder =
-                jpeg::Decoder::new(&mut wb, &mut heap_b, SIDE, SIDE).expect("decoder");
-            let (os, hb) = wb.split();
-            let (os, ha) =
-                fleet_neighbor_chunk(os, handle_a, &mut heap_a, &mut store_a, &mut cursor);
-            let mut wb = World::join(os, hb);
-            decoder
-                .decode(&mut wb, &mut heap_b, &compressed)
-                .expect("decode");
-            let (os, hb) = wb.split();
-            let (os, ha) = fleet_neighbor_chunk(os, ha, &mut heap_a, &mut store_a, &mut cursor);
-            (os, ha, hb)
-        }
-        Workload::Font => {
-            const LEN: usize = 16;
-            let (t0, t1) = font::secret_pair(LEN);
-            let text = if secret == 0 { t0 } else { t1 };
-            let mut wb = World::join(os, handle_b);
-            let mut renderer =
-                font::FontRenderer::new(&mut wb, &mut heap_b, LEN).expect("renderer");
-            let (os, hb) = wb.split();
-            let (os, ha) =
-                fleet_neighbor_chunk(os, handle_a, &mut heap_a, &mut store_a, &mut cursor);
-            let mut wb = World::join(os, hb);
-            renderer
-                .render_text(&mut wb, &mut heap_b, &text)
-                .expect("render");
-            let (os, hb) = wb.split();
-            let (os, ha) = fleet_neighbor_chunk(os, ha, &mut heap_a, &mut store_a, &mut cursor);
-            (os, ha, hb)
-        }
-        Workload::Spell => {
-            const DICT_WORDS: usize = 300;
-            const QUERY_WORDS: usize = 24;
-            let mut wb = World::join(os, handle_b);
-            let dict =
-                spell::Dictionary::load(&mut wb, &mut heap_b, "en", DICT_WORDS).expect("dict");
-            let (t0, t1) = spell::secret_pair("en", DICT_WORDS, QUERY_WORDS);
-            let text = if secret == 0 { t0 } else { t1 };
-            let (mut os, mut hb) = wb.split();
-            let mut ha = handle_a;
-            for (i, word) in text.iter().enumerate() {
-                let mut wb = World::join(os, hb);
-                dict.check(&mut wb, &mut heap_b, word).expect("check");
-                (os, hb) = wb.split();
-                if (i + 1) % 6 == 0 {
-                    (os, ha) = fleet_neighbor_chunk(os, ha, &mut heap_a, &mut store_a, &mut cursor);
+    let phase = victim
+        .setup(&mut world, &mut heap_b, secret)
+        .expect("victim setup");
+    let ops = phase.ops();
+    phase
+        .run(&mut world, &mut heap_b, |world, _, done| {
+            if neighbor_turn(ops, done) {
+                // Four fixed public GETs on A. The stride walk is
+                // deterministic and secret-independent.
+                world.swap_enclave(&mut neighbor);
+                for _ in 0..4 {
+                    let key = cursor.wrapping_mul(29) % FLEET_NEIGHBOR_ITEMS;
+                    cursor += 1;
+                    store_a
+                        .get(world, &mut heap_a, key)?
+                        .expect("neighbor key present");
                 }
+                world.swap_enclave(&mut neighbor);
             }
-            (os, ha, hb)
-        }
-        Workload::Kvstore => {
-            const ITEMS: u64 = 128;
-            const VALUE_SIZE: usize = 512;
-            const GETS: usize = 48;
-            let mut wb = World::join(os, handle_b);
-            let mut store_b = kvstore::KvStore::new(
-                &mut wb,
-                &mut heap_b,
-                ITEMS,
-                VALUE_SIZE,
-                kvstore::ItemClustering::None,
-            )
-            .expect("secret store");
-            store_b.load(&mut wb, &mut heap_b, ITEMS).expect("load");
-            let (keys0, keys1) = kvstore::secret_pair(ITEMS, GETS);
-            let keys = if secret == 0 { keys0 } else { keys1 };
-            let (mut os, mut hb) = wb.split();
-            let mut ha = handle_a;
-            for (i, &key) in keys.iter().enumerate() {
-                let mut wb = World::join(os, hb);
-                store_b
-                    .get(&mut wb, &mut heap_b, key)
-                    .expect("get")
-                    .expect("present");
-                (os, hb) = wb.split();
-                if (i + 1) % 12 == 0 {
-                    (os, ha) = fleet_neighbor_chunk(os, ha, &mut heap_a, &mut store_a, &mut cursor);
-                }
-            }
-            (os, ha, hb)
-        }
-    };
+            Ok(())
+        })
+        .expect("secret phase");
 
-    let events: Vec<Observation> = os
+    let events: Vec<Observation> = world
+        .os
         .observations_since(mark)
         .iter()
         .filter(|ev| observation_eid(ev) == Some(eid_a))
         .cloned()
         .collect();
-    let meta = handle_a.rt.policy_meta();
+    let meta = neighbor.rt.policy_meta();
     let stats = RunStats {
-        faults: handle_a.rt.fault_count(),
-        progress: handle_a.rt.progress_total(),
+        faults: neighbor.rt.fault_count(),
+        progress: neighbor.rt.progress_total(),
         tracked_pages: meta.tracked_pages,
         rate_limit: meta.rate_limit,
-        terminated: handle_a.rt.is_terminated() || handle_b.rt.is_terminated(),
+        terminated: neighbor.rt.is_terminated() || world.rt.is_terminated(),
     };
-    let trace = Trace::new("fleet", workload.name(), secret, seed, events);
+    let trace = Trace::new("fleet", victim.name(), secret, seed, events);
     (trace, stats)
 }
 
@@ -935,7 +651,7 @@ mod tests {
     #[test]
     fn baseline_spell_is_distinguishable() {
         let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::Baseline, Workload::Spell);
+        let cell = audit_cell(&config, Policy::Baseline, Victim::Spell);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         assert!(cell.dist.mi_bits >= 0.9, "MI {:.3}", cell.dist.mi_bits);
         assert!(cell.dist.mean_cross_tv > 0.0);
@@ -944,7 +660,7 @@ mod tests {
     #[test]
     fn cached_oram_kvstore_is_indistinguishable() {
         let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::CachedOram, Workload::Kvstore);
+        let cell = audit_cell(&config, Policy::CachedOram, Victim::Kvstore);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         assert!(cell.dist.mi_bits <= 0.25, "MI {:.3}", cell.dist.mi_bits);
     }
@@ -952,7 +668,7 @@ mod tests {
     #[test]
     fn rate_limited_font_stays_under_budget() {
         let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::RateLimit, Workload::Font);
+        let cell = audit_cell(&config, Policy::RateLimit, Victim::Font);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         let rate = cell.rate.expect("rate evidence recorded");
         assert!((rate.faults as f64) <= rate.allowed);
@@ -961,7 +677,7 @@ mod tests {
     #[test]
     fn telemetry_export_is_indistinguishable() {
         let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::Telemetry, Workload::Spell);
+        let cell = audit_cell(&config, Policy::Telemetry, Victim::Spell);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         assert!(
             cell.dist.mean_symbols[0] > 0.0,
@@ -973,7 +689,7 @@ mod tests {
     #[test]
     fn restore_transport_is_indistinguishable() {
         let config = AuditConfig::default();
-        for workload in [Workload::Spell, Workload::Kvstore] {
+        for workload in [Victim::Spell, Victim::Kvstore] {
             let cell = audit_cell(&config, Policy::Restore, workload);
             assert_eq!(
                 cell.gate,
@@ -999,7 +715,7 @@ mod tests {
     #[test]
     fn fleet_neighbor_trace_is_secret_independent() {
         let config = AuditConfig::default();
-        for workload in [Workload::Kvstore, Workload::Spell] {
+        for workload in [Victim::Kvstore, Victim::Spell] {
             let cell = audit_cell(&config, Policy::Fleet, workload);
             assert_eq!(
                 cell.gate,

@@ -22,7 +22,9 @@
 //!   (workload × policy) cell, sweeping the unprotected baseline against
 //!   rate-limited, clustered, and cached-ORAM self-paging, with
 //!   pass/fail thresholds (baseline must be distinguishable, ORAM must
-//!   not be, the rate limit must hold its ε budget).
+//!   not be, the rate limit must hold its ε budget). The workloads are
+//!   `autarky_flightrec::victim`, the same programs the replay and
+//!   restore gates drive; the audit adds only its lenses and gates.
 //!
 //! CI runs the full matrix as `leakage` campaign cells, one per
 //! (policy × workload) audit cell (`examples/campaigns/leakage.toml`).
@@ -36,8 +38,8 @@ pub mod metrics;
 pub mod trace;
 
 pub use audit::{
-    policy_names, run_audit, run_audit_filtered, workload_names, AuditConfig, AuditReport,
-    CellResult, Gate, RateGate,
+    policy_names, run_audit, run_audit_filtered, AuditConfig, AuditReport, CellResult, Gate,
+    RateGate,
 };
 pub use capture::Capture;
 pub use metrics::{

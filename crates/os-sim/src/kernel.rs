@@ -651,15 +651,17 @@ impl Os {
                 return Ok(());
             }
             // Victim enclave: ourselves when over quota, else whoever has
-            // the most evictable pages.
+            // the most evictable pages. Ties go to the highest id, not to
+            // the map's iteration order, which differs between hosts.
             let victim_eid = if over_quota {
                 eid
             } else {
                 self.procs
                     .iter()
                     .filter(|(_, p)| !p.eviction.is_empty())
-                    .max_by_key(|(e, _)| self.machine.epc_frames_of(**e))
-                    .map(|(e, _)| *e)
+                    .map(|(e, _)| (self.machine.epc_frames_of(*e), *e))
+                    .max()
+                    .map(|(_, e)| e)
                     .ok_or(OsError::NoMemory)?
             };
             self.evict_one_os_managed(victim_eid)?;

@@ -122,6 +122,35 @@ fn quota_bounds_residency() {
 }
 
 #[test]
+fn full_epc_breaks_victim_ties_deterministically() {
+    // Two identical legacy enclaves exactly fill the EPC, then one of
+    // them allocates a page within its quota: the OS must evict from
+    // whichever enclave holds the most frames, and with both tied the
+    // choice must be the same on every host.
+    let img = small_image("tie", false);
+    let frames = {
+        let mut os = os_with_frames(256);
+        os.load_enclave(&img).expect("load");
+        256 - os.machine.epc_free_frames()
+    };
+    let requester_evicted: Vec<bool> = (0..32)
+        .map(|_| {
+            let mut os = os_with_frames(2 * frames);
+            let neighbor = os.load_enclave(&img).expect("load neighbor");
+            let requester = os.load_enclave(&img).expect("load requester");
+            assert_eq!(os.machine.epc_free_frames(), 0, "the EPC is exactly full");
+            os.ay_alloc_pages(requester, &[img.heap_start()])
+                .expect("alloc");
+            os.machine.epc_frames_of(neighbor) == frames
+        })
+        .collect();
+    assert!(
+        requester_evicted.iter().all(|&r| r == requester_evicted[0]),
+        "victim varies across hosts: {requester_evicted:?}"
+    );
+}
+
+#[test]
 fn fault_tracer_recovers_legacy_access_pattern() {
     let mut os = os_with_frames(256);
     let img = small_image("victim", false);

@@ -38,7 +38,5 @@ pub mod tower;
 pub mod trace;
 
 pub use detect::{burn_rate_milli, entropy_milli_bits, epc_skew_milli, Cusum, Ewma, MILLI};
-pub use tower::{
-    render_alert_log, Alert, WatchConfig, Watchtower, WATCH_COUNTERS, WATCH_GAUGES, WATCH_HISTS,
-};
+pub use tower::{render_alert_log, Alert, WatchConfig, Watchtower};
 pub use trace::{export_trace, parse_trace, TraceEvent};

@@ -24,33 +24,15 @@
 //! The watchtower watches the watchers, too: the flight ring drops its
 //! oldest record on overflow, and a consumer that falls behind would
 //! silently lose fault observations. The tower tracks the ring's drop
-//! counter as a first-class telemetry metric (`watch_ring_dropped`)
-//! and **taints** any window that lost data instead of evaluating
-//! detectors over a hole.
+//! counter ([`Watchtower::ring_dropped`]) and **taints** any window
+//! that lost data instead of evaluating detectors over a hole.
 
 use std::collections::BTreeMap;
 
 use autarky_os_sim::FlightEvent;
 use autarky_sgx_sim::{EnclaveId, Vpn};
-use autarky_telemetry::Telemetry;
 
 use crate::detect::{burn_rate_milli, entropy_milli_bits, epc_skew_milli, Cusum, Ewma};
-
-/// Counter names registered on the watchtower's telemetry surface.
-pub const WATCH_COUNTERS: [&str; 6] = [
-    "watch_windows",
-    "watch_alerts",
-    "watch_faults",
-    "watch_requests",
-    "watch_ring_dropped",
-    "watch_tainted_windows",
-];
-
-/// Gauge names registered on the watchtower's telemetry surface.
-pub const WATCH_GAUGES: [&str; 1] = ["watch_epc_skew_milli"];
-
-/// Histogram names registered on the watchtower's telemetry surface.
-pub const WATCH_HISTS: [&str; 1] = ["watch_window_faults"];
 
 /// Watchtower configuration. All thresholds are milli fixed-point
 /// (1000 = 1.0); a threshold of 0 disables that detector.
@@ -241,7 +223,6 @@ pub struct Watchtower {
     window_index: u64,
     members: Vec<MemberLens>,
     epc_frames: Vec<u64>,
-    telemetry: Telemetry,
     ring_dropped_seen: u64,
     window_tainted: bool,
     pending: Vec<Alert>,
@@ -257,7 +238,6 @@ impl Watchtower {
             window_index: 0,
             members: Vec::new(),
             epc_frames: Vec::new(),
-            telemetry: Telemetry::new(&WATCH_COUNTERS, &WATCH_GAUGES, &WATCH_HISTS),
             ring_dropped_seen: 0,
             window_tainted: false,
             pending: Vec::new(),
@@ -278,11 +258,6 @@ impl Watchtower {
         self.members.iter().map(|m| m.name.clone()).collect()
     }
 
-    /// The tower's own metric surface.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Windows closed so far.
     pub fn windows_closed(&self) -> u64 {
         self.window_index
@@ -301,7 +276,6 @@ impl Watchtower {
     /// A kernel fault observation for `eid`'s page `vpn` at `cycles`.
     pub fn observe_fault(&mut self, eid: EnclaveId, vpn: Vpn, cycles: u64) {
         self.roll_to(cycles);
-        self.telemetry.incr("watch_faults");
         if let Some(m) = self.members.iter_mut().find(|m| m.eid == eid) {
             m.faults = m.faults.saturating_add(1);
             *m.fault_pages.entry(vpn.0).or_insert(0) += 1;
@@ -313,7 +287,6 @@ impl Watchtower {
     /// finishing at `cycles`.
     pub fn observe_request(&mut self, member: usize, latency_cycles: u64, cycles: u64) {
         self.roll_to(cycles);
-        self.telemetry.incr("watch_requests");
         let budget = self.cfg.p99_budget_cycles;
         if let Some(m) = self.members.get_mut(member) {
             m.served = m.served.saturating_add(1);
@@ -332,13 +305,11 @@ impl Watchtower {
     }
 
     /// Report the flight ring's cumulative drop-oldest count. Any
-    /// increase is surfaced as telemetry and taints the current window:
-    /// detectors refuse to judge a window with a hole in its evidence.
+    /// increase taints the current window: detectors refuse to judge a
+    /// window with a hole in its evidence.
     pub fn note_ring_dropped(&mut self, total_dropped: u64) {
         if total_dropped > self.ring_dropped_seen {
-            let delta = total_dropped - self.ring_dropped_seen;
             self.ring_dropped_seen = total_dropped;
-            self.telemetry.add("watch_ring_dropped", delta);
             self.window_tainted = true;
         }
     }
@@ -379,14 +350,9 @@ impl Watchtower {
         let close_at = self.window_start.saturating_add(self.cfg.epoch_cycles);
         let window = self.window_index;
         let tainted = self.window_tainted;
-        self.telemetry.incr("watch_windows");
-        if tainted {
-            self.telemetry.incr("watch_tainted_windows");
-        }
 
         let mut fired: Vec<Alert> = Vec::new();
         for (index, m) in self.members.iter_mut().enumerate() {
-            self.telemetry.hist_record("watch_window_faults", m.faults);
             m.windows_seen += 1;
             let warm = m.windows_seen > self.cfg.warmup_windows;
             let in_cooldown = window < m.cooldown_until_window;
@@ -502,7 +468,6 @@ impl Watchtower {
             let total: u64 = self.epc_frames.iter().sum();
             if total >= self.cfg.epc_min_total_frames {
                 let (skew, idx) = epc_skew_milli(&self.epc_frames);
-                self.telemetry.gauge_set("watch_epc_skew_milli", skew);
                 if skew > self.cfg.epc_skew_threshold_milli {
                     if let Some(m) = self.members.get_mut(idx) {
                         if window >= m.cooldown_until_window {
@@ -533,7 +498,6 @@ impl Watchtower {
         }
 
         self.alert_total += fired.len() as u64;
-        self.telemetry.add("watch_alerts", fired.len() as u64);
         self.pending.extend(fired);
         self.window_tainted = false;
         self.window_start = close_at;
@@ -634,8 +598,7 @@ mod tests {
             upto += 1_000;
         }
         assert_eq!(t.alert_total(), 0, "holes in evidence suppress verdicts");
-        assert_eq!(t.telemetry().counter("watch_ring_dropped"), 20);
-        assert_eq!(t.telemetry().counter("watch_tainted_windows"), 4);
+        assert_eq!(t.ring_dropped(), 20);
     }
 
     #[test]

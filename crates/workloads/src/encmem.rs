@@ -43,9 +43,10 @@ pub struct World {
 ///
 /// A multi-enclave host holds one [`Os`] and N handles; to run workload
 /// code for member *i* it temporarily assembles a [`World`] view with
-/// [`World::join`] and takes it apart again with [`World::split`]. The
-/// moves are free (no copying of enclave state) and keep the single-
-/// enclave workload API unchanged.
+/// [`World::join`] and takes it apart again with [`World::split`], or
+/// swaps the handle into a view it already holds with
+/// [`World::swap_enclave`]. The moves are free (no copying of enclave
+/// state) and keep the single-enclave workload API unchanged.
 pub struct EnclaveHandle {
     /// The trusted runtime.
     pub rt: Runtime,
@@ -103,6 +104,15 @@ impl World {
                 image: self.image,
             },
         )
+    }
+
+    /// Swap the enclave this view drives with `handle`'s, keeping the
+    /// shared host in place: a second member runs its workload code on
+    /// the same host without taking the view apart.
+    pub fn swap_enclave(&mut self, handle: &mut EnclaveHandle) {
+        std::mem::swap(&mut self.rt, &mut handle.rt);
+        std::mem::swap(&mut self.eid, &mut handle.eid);
+        std::mem::swap(&mut self.image, &mut handle.image);
     }
 
     /// Cycles elapsed on the machine clock.
