@@ -169,7 +169,9 @@ only one tip for the future, sunscreen would be it.";
     fn roundtrip_various_lengths() {
         let key = [9u8; 32];
         let nonce = [7u8; 12];
-        for len in [1usize, 15, 16, 17, 63, 64, 65, 4096] {
+        // Up to a page and an ORAM bucket (16,416 B), the sizes the
+        // simulator seals.
+        for len in [1usize, 15, 16, 17, 63, 64, 65, 4096, 16_416] {
             let original: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
             let mut data = original.clone();
             let tag = seal(&key, &nonce, b"aad", &mut data);

@@ -9,15 +9,21 @@
 //! * [`hmac`] — RFC 2104 HMAC-SHA256, used for report MACs and key
 //!   derivation.
 //! * [`chacha20`] — RFC 7539 ChaCha20 stream cipher, the simulator's
-//!   stand-in for the AES-based memory-encryption engine.
-//! * [`poly1305`] — RFC 7539 Poly1305 one-time authenticator.
+//!   stand-in for the AES-based memory-encryption engine; bulk data runs
+//!   eight blocks side by side.
+//! * [`poly1305`] — RFC 7539 Poly1305 one-time authenticator on 44/44/42-bit
+//!   limbs, two blocks per step.
 //! * [`aead`] — ChaCha20-Poly1305 AEAD, used by `EWB`/`ELDU` page sealing
 //!   and by the ORAM block store. The associated data carries the page's
 //!   virtual address and anti-replay version counter, which is exactly the
 //!   integrity contract SGX's paging instructions provide.
 //!
 //! All implementations are pure safe Rust, deterministic, and validated
-//! against the relevant RFC/NIST test vectors in the unit tests.
+//! against the relevant RFC/NIST test vectors in the unit tests. Page
+//! sealing sets the simulator's host speed on the fault path, so the two
+//! bulk paths are written to be fast without intrinsics, target features
+//! or runtime dispatch (see their module docs); `tests/proptests.rs` pins
+//! each fast path to the one-block path the vectors check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

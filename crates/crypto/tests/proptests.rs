@@ -1,11 +1,14 @@
 //! Randomized property tests for the crypto primitives: streaming/one-shot
 //! agreement under arbitrary chunkings, AEAD round-trips and tamper
-//! rejection for arbitrary inputs.
+//! rejection for arbitrary inputs, and differential tests that pin each
+//! fast path (8-lane ChaCha20, two-block Poly1305) to the one-block path
+//! beside it, which the RFC vectors pin in turn.
 //!
 //! Inputs are drawn from the deterministic [`SimRng`] (seeded per test),
 //! so every run exercises the same cases and failures are reproducible.
 
-use autarky_crypto::{aead, hmac_sha256, sha256, ChaCha20, HmacSha256, Sha256};
+use autarky_crypto::poly1305::poly1305;
+use autarky_crypto::{aead, hmac_sha256, sha256, ChaCha20, HmacSha256, Poly1305, Sha256};
 use autarky_prng::SimRng;
 
 const CASES: usize = 64;
@@ -66,6 +69,60 @@ fn chacha20_is_an_involution() {
         ChaCha20::new(&key, &nonce, counter).apply_keystream(&mut buf);
         ChaCha20::new(&key, &nonce, counter).apply_keystream(&mut buf);
         assert_eq!(buf, data);
+    }
+}
+
+#[test]
+fn chacha20_lanes_match_the_one_block_path() {
+    // Every length up to a page and a bit, so each lane count and tail
+    // shows up; counters within 8 of u32::MAX make a lane wrap mid-chunk.
+    let mut rng = SimRng::seed_from_u64(0x5a06);
+    for len in 0..=4_200 {
+        let mut key = [0u8; 32];
+        let mut nonce = [0u8; 12];
+        rng.fill_bytes(&mut key);
+        rng.fill_bytes(&mut nonce);
+        let counter = u32::MAX - rng.gen_below(9) as u32;
+        let data = random_vec(&mut rng, len..len + 1);
+        let mut whole = data.clone();
+        ChaCha20::new(&key, &nonce, counter).apply_keystream(&mut whole);
+        let mut blocks = data;
+        let mut cipher = ChaCha20::new(&key, &nonce, counter);
+        for block in blocks.chunks_mut(64) {
+            cipher.apply_keystream(block);
+        }
+        assert_eq!(whole, blocks, "len {len}, counter {counter:#x}");
+    }
+}
+
+#[test]
+fn poly1305_two_block_steps_match_single_blocks() {
+    let mut rng = SimRng::seed_from_u64(0x5a07);
+    for case in 0..4 * CASES {
+        // Every fourth case is all 0xff: the largest clamped r and the
+        // largest blocks, the corner of the limb bounds.
+        let (key, data) = if case % 4 == 0 {
+            let len = rng.gen_range_usize(0..1_100);
+            ([0xffu8; 32], vec![0xffu8; len])
+        } else {
+            let mut key = [0u8; 32];
+            rng.fill_bytes(&mut key);
+            (key, random_vec(&mut rng, 0..1_100))
+        };
+        let oneshot = poly1305(&key, &data);
+        let mut single = Poly1305::new(&key);
+        for block in data.chunks(16) {
+            single.update(block);
+        }
+        assert_eq!(single.finalize(), oneshot, "16-byte updates, case {case}");
+        let mut chunked = Poly1305::new(&key);
+        let mut rest = data.as_slice();
+        while !rest.is_empty() {
+            let take = rng.gen_range_usize(0..rest.len().min(70) + 1);
+            chunked.update(&rest[..take]);
+            rest = &rest[take..];
+        }
+        assert_eq!(chunked.finalize(), oneshot, "random chunks, case {case}");
     }
 }
 

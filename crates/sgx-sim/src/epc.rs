@@ -6,6 +6,8 @@
 //! SGX consults after every page-table walk to verify that the untrusted
 //! OS's mapping is the one the enclave agreed to.
 
+use std::collections::BTreeMap;
+
 use crate::addr::{EnclaveId, Frame, Vpn, PAGE_SIZE};
 use crate::error::SgxError;
 
@@ -107,10 +109,21 @@ pub struct EpcmEntry {
 }
 
 /// The enclave page cache: frames plus their EPCM entries.
+///
+/// Each enclave's frame count is kept beside the EPCM, updated by
+/// [`Epc::alloc`] and [`Epc::free`], so [`Epc::frames_of`] is O(1) for the
+/// kernel's per-fetch quota check, the hypervisor and the fleet tick.
+///
+/// Invariant: an entry's `eid` never changes while its frame is allocated.
+/// Callers of [`Epc::entry_mut`] set `blocked`, `pending`, `modified`,
+/// `perms` or `page_type` and must leave `eid` alone; moving a page to
+/// another enclave is a `free` followed by an `alloc`.
 pub struct Epc {
     data: Vec<Option<PageData>>,
     epcm: Vec<Option<EpcmEntry>>,
     free: Vec<Frame>,
+    /// Allocated frames per enclave; enclaves with none have no entry.
+    counts: BTreeMap<EnclaveId, usize>,
 }
 
 impl Epc {
@@ -120,6 +133,7 @@ impl Epc {
             data: (0..frames).map(|_| None).collect(),
             epcm: vec![None; frames],
             free: (0..frames as u32).rev().map(Frame).collect(),
+            counts: BTreeMap::new(),
         }
     }
 
@@ -136,6 +150,7 @@ impl Epc {
     /// Allocate a frame, installing `entry` and zeroed contents.
     pub fn alloc(&mut self, entry: EpcmEntry) -> Result<Frame, SgxError> {
         let frame = self.free.pop().ok_or(SgxError::EpcFull)?;
+        *self.counts.entry(entry.eid).or_insert(0) += 1;
         self.data[frame.0 as usize] = Some(zeroed_page());
         self.epcm[frame.0 as usize] = Some(entry);
         Ok(frame)
@@ -144,12 +159,21 @@ impl Epc {
     /// Free a frame, scrubbing its contents.
     pub fn free(&mut self, frame: Frame) -> Result<(), SgxError> {
         let idx = frame.0 as usize;
-        if idx >= self.data.len() || self.epcm[idx].is_none() {
-            return Err(SgxError::InvalidFrame);
-        }
+        let entry = self
+            .epcm
+            .get_mut(idx)
+            .and_then(Option::take)
+            .ok_or(SgxError::InvalidFrame)?;
         self.data[idx] = None;
-        self.epcm[idx] = None;
         self.free.push(frame);
+        let count = self
+            .counts
+            .get_mut(&entry.eid)
+            .expect("an allocated frame is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.counts.remove(&entry.eid);
+        }
         Ok(())
     }
 
@@ -195,7 +219,7 @@ impl Epc {
 
     /// Count frames owned by `eid`.
     pub fn frames_of(&self, eid: EnclaveId) -> usize {
-        self.iter_valid().filter(|(_, e)| e.eid == eid).count()
+        self.counts.get(&eid).copied().unwrap_or(0)
     }
 }
 
@@ -267,6 +291,55 @@ mod tests {
         assert!(!Perms::R.allows(Write));
         assert!(Perms::RX.allows(Execute));
         assert!(!Perms::RW.allows(Execute));
+    }
+
+    #[test]
+    fn frames_of_tracks_a_seeded_alloc_free_sequence() {
+        // The EPCM scan `frames_of` used to be, kept as the reference.
+        fn scan(epc: &Epc, eid: EnclaveId) -> usize {
+            epc.iter_valid().filter(|(_, e)| e.eid == eid).count()
+        }
+        let eids = [EnclaveId(1), EnclaveId(2), EnclaveId(3)];
+        let check = |epc: &Epc, step: usize| {
+            for &eid in &eids {
+                assert_eq!(
+                    epc.frames_of(eid),
+                    scan(epc, eid),
+                    "{eid} after step {step}"
+                );
+            }
+        };
+        let mut rng = autarky_prng::SimRng::seed_from_u64(0xe9c);
+        let mut epc = Epc::new(16);
+        let mut live: Vec<Frame> = Vec::new();
+        let mut freed: Vec<Frame> = Vec::new();
+        for step in 0..2_000 {
+            match rng.gen_below(5) {
+                0 | 1 => {
+                    let eid = eids[rng.gen_range_usize(0..eids.len())].0;
+                    match epc.alloc(entry(eid, step as u64)) {
+                        Ok(frame) => live.push(frame),
+                        Err(e) => {
+                            assert_eq!(e, SgxError::EpcFull);
+                            assert_eq!(epc.free_frames(), 0);
+                        }
+                    }
+                }
+                2 | 3 if !live.is_empty() => {
+                    let frame = live.swap_remove(rng.gen_range_usize(0..live.len()));
+                    epc.free(frame).expect("live frame");
+                    freed.push(frame);
+                }
+                _ => {
+                    // A double free is refused; `check` shows the counts held.
+                    if let Some(&frame) = freed.iter().find(|f| !live.contains(f)) {
+                        assert_eq!(epc.free(frame), Err(SgxError::InvalidFrame));
+                    }
+                }
+            }
+            check(&epc, step);
+        }
+        assert_eq!(epc.free(Frame(16)), Err(SgxError::InvalidFrame));
     }
 
     #[test]
