@@ -11,15 +11,24 @@
 //! between lanes (lane `l` counts `c + l` mod 2^32, as the one-block path
 //! does). Each double round is one loop over the lanes whose body is the
 //! one-block double round. A row is contiguous across lanes, so LLVM's
-//! loop vectorizer keeps each word of four lanes in one register and runs
-//! the body as packed adds, xors and shifts with the SSE2 baseline every
-//! x86-64 target has. There are no intrinsics, no `unsafe`, no
-//! target-feature flags and no runtime dispatch: the speed comes from the
-//! data layout alone, so the code stays portable and the crate keeps
-//! `#![forbid(unsafe_code)]`. A 4 KiB page is eight 512-byte chunks; the
-//! one-block path covers a tail under 512 bytes and the 64-byte Poly1305
-//! key. The keystream is the RFC's byte for byte, whichever path produced
-//! it.
+//! loop vectorizer keeps each word of several lanes in one register and
+//! runs the body as packed adds, xors and shifts. There are no
+//! intrinsics: the speed comes from the data layout alone. A 4 KiB page
+//! is eight 512-byte chunks; the one-block path covers a tail under 512
+//! bytes and the 64-byte Poly1305 key.
+//!
+//! The lane kernel, `xor_lanes` over every full chunk, is one
+//! `#[inline(always)]` body compiled twice. The portable instance builds
+//! for every target; on x86-64 the SSE2 baseline holds four lanes of a row
+//! per register. The second instance, x86-64 only, is compiled with
+//! `#[target_feature(enable = "avx2")]`, where all eight lanes fit one
+//! register. `apply_keystream` picks one per call with
+//! `is_x86_feature_detected!("avx2")`. Both instances are the same source,
+//! so the keystream is the RFC's byte for byte whichever instance or path
+//! produced it. Calling a `target_feature` function is the crate's one
+//! `unsafe` block. Its only precondition is that the CPU has AVX2, which
+//! the detection just before the call checks; the crate denies
+//! `unsafe_code` everywhere else.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -71,6 +80,7 @@ impl ChaCha20 {
 
     /// XOR the next `LANES` keystream blocks into `chunk` and advance the
     /// counter past them.
+    #[inline(always)]
     fn xor_lanes(&mut self, chunk: &mut [u8; 64 * LANES]) {
         let mut init = [[0u32; LANES]; 16];
         for (row, &word) in init.iter_mut().zip(self.state.iter()) {
@@ -128,11 +138,48 @@ impl ChaCha20 {
 
     /// XOR the keystream into `data` in place (encrypts or decrypts).
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
+        let tail = self.xor_chunks_dispatch(data);
+        self.xor_blocks(tail);
+    }
+
+    /// Run the lane kernel instance this CPU supports over every full
+    /// chunk of `data` and return the tail left over.
+    fn xor_chunks_dispatch<'a>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the only precondition of `xor_chunks_avx2` is that the
+            // CPU supports AVX2, which the `if` above just checked.
+            #[allow(unsafe_code)]
+            return unsafe { self.xor_chunks_avx2(data) };
+        }
+        self.xor_chunks(data)
+    }
+
+    /// The lane kernel: XOR the keystream into every full `64 * LANES`-byte
+    /// chunk of `data` and return the tail left over. It is always inlined,
+    /// so it compiles for the features of the function it lands in: the
+    /// target's baseline where it is called directly (the portable
+    /// instance), AVX2 inside `xor_chunks_avx2`.
+    #[inline(always)]
+    fn xor_chunks<'a>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
         let mut chunks = data.chunks_exact_mut(64 * LANES);
         for chunk in &mut chunks {
             self.xor_lanes(chunk.try_into().expect("a full lane chunk"));
         }
-        for chunk in chunks.into_remainder().chunks_mut(64) {
+        chunks.into_remainder()
+    }
+
+    /// The lane kernel with AVX2: eight lanes of a row in one register.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn xor_chunks_avx2<'a>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
+        self.xor_chunks(data)
+    }
+
+    /// XOR the keystream into `data` one block at a time: the path for a
+    /// tail shorter than a lane chunk.
+    fn xor_blocks(&mut self, data: &mut [u8]) {
+        for chunk in data.chunks_mut(64) {
             let block = self.next_block();
             for (byte, k) in chunk.iter_mut().zip(block.iter()) {
                 *byte ^= k;
@@ -202,6 +249,43 @@ only one tip for the future, sunscreen would be it.";
         assert_ne!(data, orig);
         ChaCha20::new(&key, &nonce, 0).apply_keystream(&mut data);
         assert_eq!(data, orig);
+    }
+
+    #[test]
+    fn both_lane_kernel_instances_match_the_one_block_path() {
+        // The portable instance (`xor_chunks` inlined here, with the
+        // baseline features) and `apply_keystream`, which runs the AVX2
+        // instance on a CPU that has it (the portable one otherwise),
+        // against `xor_blocks`, the one-block `next_block` path the RFC
+        // vectors pin. Every length up to a page and a bit,
+        // so each lane count and tail shows up; counters within 8 of
+        // u32::MAX make a lane wrap mid-chunk.
+        let mut rng = autarky_prng::SimRng::seed_from_u64(0x5a08);
+        for len in 0..=4_200 {
+            let mut key = [0u8; 32];
+            let mut nonce = [0u8; 12];
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut key);
+            rng.fill_bytes(&mut nonce);
+            rng.fill_bytes(&mut data);
+            let counter = u32::MAX - rng.gen_below(9) as u32;
+            let mut expected = data.clone();
+            ChaCha20::new(&key, &nonce, counter).xor_blocks(&mut expected);
+            let mut portable = data.clone();
+            let mut cipher = ChaCha20::new(&key, &nonce, counter);
+            let tail = cipher.xor_chunks(&mut portable);
+            cipher.xor_blocks(tail);
+            assert_eq!(
+                portable, expected,
+                "portable, len {len}, counter {counter:#x}"
+            );
+            let mut dispatched = data;
+            ChaCha20::new(&key, &nonce, counter).apply_keystream(&mut dispatched);
+            assert_eq!(
+                dispatched, expected,
+                "dispatched, len {len}, counter {counter:#x}"
+            );
+        }
     }
 
     #[test]

@@ -18,14 +18,23 @@
 //!   virtual address and anti-replay version counter, which is exactly the
 //!   integrity contract SGX's paging instructions provide.
 //!
-//! All implementations are pure safe Rust, deterministic, and validated
-//! against the relevant RFC/NIST test vectors in the unit tests. Page
-//! sealing sets the simulator's host speed on the fault path, so the two
-//! bulk paths are written to be fast without intrinsics, target features
-//! or runtime dispatch (see their module docs); `tests/proptests.rs` pins
-//! each fast path to the one-block path the vectors check.
+//! All implementations are deterministic, written without intrinsics, and
+//! validated against the relevant RFC/NIST test vectors in the unit tests.
+//! Page sealing sets the simulator's host speed on the fault path, so the
+//! two bulk paths are written to be fast (see their module docs);
+//! `tests/proptests.rs` pins each fast path to the one-block path the
+//! vectors check. ChaCha20's lane kernel is compiled twice, portable and
+//! with AVX2, and picked per call by runtime CPU detection. Calling the
+//! AVX2 instance is the crate's one `unsafe` block, allowed at that call
+//! site only and documented there: its only precondition is the CPU check
+//! just before it. Everything else is safe Rust, and the lints below
+//! reject any further or undocumented `unsafe`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 #![warn(missing_docs)]
 
 pub mod aead;

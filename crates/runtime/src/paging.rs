@@ -54,6 +54,14 @@ pub fn sw_open(
     Some(page)
 }
 
+/// Whether `vpn` fits the 32 bits of it that the [`sw_seal`] nonce keeps
+/// (the version is kept whole). The runtime must not seal a page that
+/// does not: the AAD authenticates the full page number but does not feed
+/// the keystream, so the nonce would repeat another page's.
+pub(crate) fn sw_nonce_fits(vpn: Vpn) -> bool {
+    u32::try_from(vpn.0).is_ok()
+}
+
 fn sw_nonce(vpn: Vpn, version: u64) -> [u8; NONCE_LEN] {
     let mut nonce = [0u8; NONCE_LEN];
     nonce[..8].copy_from_slice(&version.to_le_bytes());

@@ -30,7 +30,7 @@ use autarky_telemetry::{SpanGuard, SpanKind, SpanRecord, Telemetry};
 
 use crate::cluster::{ClusterCapture, ClusterId, ClusterMap};
 use crate::error::RtError;
-use crate::paging::{blob_key, sw_open, sw_seal};
+use crate::paging::{blob_key, sw_nonce_fits, sw_open, sw_seal};
 use crate::ratelimit::{RateLimit, RateLimiter};
 
 /// Gauge names in the runtime telemetry schema.
@@ -893,13 +893,18 @@ impl Runtime {
     }
 
     /// SGXv2 software eviction: seal in-enclave, write the blob to
-    /// untrusted memory, trim the page.
+    /// untrusted memory, trim the page. A page whose number the nonce
+    /// cannot hold is refused before anything changes, so it stays
+    /// resident.
     fn sw_evict(&mut self, os: &mut Os, pages: &[Vpn]) -> Result<(), RtError> {
         for &vpn in pages {
             if !os.machine.is_resident(self.eid, vpn) {
                 // Already out (e.g. a hostile eviction beat us to it);
                 // the caller's tracking sync will record it as evicted.
                 continue;
+            }
+            if !sw_nonce_fits(vpn) {
+                return Err(RtError::Sgx(SgxError::NonceExhausted(vpn)));
             }
             // Remember the page's permissions so the refetch can
             // restore them (code pages must come back executable).

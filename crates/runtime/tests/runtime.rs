@@ -2,12 +2,12 @@
 //! hardware: self-paging correctness, attack detection, policy behaviour,
 //! and both paging mechanisms.
 
-use autarky_os_sim::{EnclaveImage, Os};
+use autarky_os_sim::{EnclaveImage, Os, OsError};
 use autarky_runtime::{
     telemetry_export_key, PagingMechanism, PolicyMode, RateLimit, RtError, Runtime, RuntimeConfig,
 };
 use autarky_sgx_sim::machine::MachineConfig;
-use autarky_sgx_sim::{EnclaveId, Vpn, PAGE_SIZE};
+use autarky_sgx_sim::{EnclaveId, SgxError, Va, Vpn, PAGE_SIZE};
 
 fn image(name: &str) -> EnclaveImage {
     let mut img = EnclaveImage::named(name);
@@ -107,6 +107,37 @@ fn sgx2_replay_detected() {
         .read(&mut os, page.base(), &mut buf)
         .expect_err("replay must fail");
     assert!(matches!(err, RtError::SealBroken(_)), "got {err}");
+}
+
+#[test]
+fn pages_beyond_the_nonce_are_refused_and_stay_resident() {
+    // Page numbers from 2^32 up would repeat a lower page's sealing
+    // nonce, so both eviction paths refuse them instead of sealing.
+    for mechanism in [PagingMechanism::Sgx1, PagingMechanism::Sgx2] {
+        let mut img = image("rt-high");
+        img.base = Va(1 << 44);
+        let mut os = Os::new(MachineConfig {
+            epc_frames: 512,
+            ..Default::default()
+        });
+        let eid = os.load_enclave(&img).expect("load");
+        let config = RuntimeConfig {
+            mechanism,
+            ..Default::default()
+        };
+        let mut rt = Runtime::attach(&mut os, eid, config).expect("attach");
+        let page = img.data_start();
+        let err = rt
+            .evict_pages(&mut os, &[page])
+            .expect_err("sealing must be refused");
+        let refused = match err {
+            RtError::Sgx(e) | RtError::Os(OsError::Sgx(e)) => e,
+            other => panic!("{mechanism:?}: got {other}"),
+        };
+        assert_eq!(refused, SgxError::NonceExhausted(page), "{mechanism:?}");
+        assert!(os.machine.is_resident(eid, page), "{mechanism:?}");
+        assert_eq!(rt.residency(page), Some(true), "{mechanism:?}");
+    }
 }
 
 #[test]

@@ -96,6 +96,10 @@ pub enum SgxError {
     SealBroken,
     /// Anti-replay version mismatch during `ELDU`.
     Replay(Vpn),
+    /// Sealing the page would reuse a nonce: its page number, or its
+    /// next eviction version, does not fit the 32 bits the nonce holds.
+    /// The page is left where it was.
+    NonceExhausted(Vpn),
     /// The enclave has been terminated (by its runtime, after detecting an
     /// attack) and can no longer be entered.
     Terminated,
@@ -136,6 +140,9 @@ impl core::fmt::Display for SgxError {
             SgxError::BadTcs(i) => write!(f, "bad TCS index {i}"),
             SgxError::SealBroken => write!(f, "sealed page failed authentication"),
             SgxError::Replay(vpn) => write!(f, "replay detected for page {vpn}"),
+            SgxError::NonceExhausted(vpn) => {
+                write!(f, "sealing page {vpn} would reuse a nonce")
+            }
             SgxError::Terminated => write!(f, "enclave is terminated"),
             SgxError::SsaOverflow => write!(f, "SSA stack overflow"),
             SgxError::CounterTampered => {

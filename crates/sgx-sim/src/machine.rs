@@ -26,7 +26,7 @@ use crate::enclave::{Attributes, Secs, SsaExInfo, SsaFrame, Tcs};
 use crate::epc::{Epc, EpcmEntry, PageType, Perms};
 use crate::error::{AccessKind, FaultCause, FaultEvent, SgxError};
 use crate::pagetable::{PageTable, Pte};
-use crate::seal::{open_page, seal_page, SealedPage};
+use crate::seal::{nonce_fits, open_page, seal_page, SealedPage};
 use crate::tlb::{Tlb, TlbEntry};
 
 /// Outcome of a memory access that did not complete.
@@ -640,7 +640,9 @@ impl Machine {
     }
 
     /// `EWB`: evict a blocked page, returning the sealed blob that the OS
-    /// stores in untrusted memory. Frees the EPC frame.
+    /// stores in untrusted memory. Frees the EPC frame. Refuses with
+    /// [`SgxError::NonceExhausted`], leaving the page resident, when the
+    /// page number or its next version does not fit the sealing nonce.
     pub fn ewb(&mut self, eid: EnclaveId, vpn: Vpn) -> Result<SealedPage, SgxError> {
         let frame = self.frame_of(eid, vpn)?;
         let entry = self.epc.entry(frame)?.clone();
@@ -651,11 +653,15 @@ impl Machine {
             .enclaves
             .get_mut(&eid)
             .ok_or(SgxError::NoSuchEnclave(eid))?;
-        let version = {
-            let v = state.next_version.entry(vpn).or_insert(0);
-            *v += 1;
-            *v
+        let next = state
+            .next_version
+            .get(&vpn)
+            .map_or(Some(1), |v| v.checked_add(1));
+        let version = match next {
+            Some(version) if nonce_fits(vpn, version) => version,
+            _ => return Err(SgxError::NonceExhausted(vpn)),
         };
+        state.next_version.insert(vpn, version);
         state.outstanding.insert(vpn, version);
         let contents = self.epc.page(frame)?;
         let sealed = seal_page(&self.platform_key, eid, vpn, version, entry.perms, contents);
@@ -1345,7 +1351,15 @@ mod tests {
     use crate::pagetable::Pte;
 
     fn build_enclave(machine: &mut Machine, self_paging: bool, pages: u64) -> EnclaveId {
-        let base = Va(0x100000);
+        build_enclave_at(machine, Va(0x100000), self_paging, pages)
+    }
+
+    fn build_enclave_at(
+        machine: &mut Machine,
+        base: Va,
+        self_paging: bool,
+        pages: u64,
+    ) -> EnclaveId {
         let eid = machine.ecreate(
             base,
             pages * PAGE_SIZE as u64,
@@ -1575,6 +1589,42 @@ mod tests {
             machine.ewb(eid, Vpn(0x101)),
             Err(SgxError::NotBlocked(Vpn(0x101)))
         ));
+    }
+
+    #[test]
+    fn ewb_refuses_a_page_number_beyond_the_nonce() {
+        // Page 2^32 would share page 0's nonce, and so its keystream.
+        let mut machine = Machine::new(MachineConfig::default());
+        let base = Va(1 << 44);
+        let eid = build_enclave_at(&mut machine, base, true, 2);
+        let vpn = base.vpn();
+        let free = machine.epc_free_frames();
+        machine.eblock(eid, vpn).expect("eblock");
+        machine.etrack(eid).expect("etrack");
+        let err = machine.ewb(eid, vpn).expect_err("EWB must refuse");
+        assert_eq!(err, SgxError::NonceExhausted(vpn));
+        assert!(machine.is_resident(eid, vpn), "the page stays in EPC");
+        assert_eq!(machine.epc_free_frames(), free);
+        assert_eq!(machine.stats().ewbs, 0);
+    }
+
+    #[test]
+    fn ewb_refuses_a_version_beyond_the_nonce() {
+        let mut machine = Machine::new(MachineConfig::default());
+        let eid = build_enclave(&mut machine, true, 4);
+        let vpn = Vpn(0x101);
+        let mut capture = machine.capture_enclave(eid).expect("capture");
+        capture.next_version = vec![(vpn, u64::from(u32::MAX))];
+        let mut fresh = Machine::new(MachineConfig::default());
+        fresh.restore_enclave(&capture).expect("restore");
+        fresh.eblock(eid, vpn).expect("eblock");
+        fresh.etrack(eid).expect("etrack");
+        let err = fresh.ewb(eid, vpn).expect_err("EWB must refuse");
+        assert_eq!(err, SgxError::NonceExhausted(vpn));
+        assert!(fresh.is_resident(eid, vpn), "the page stays in EPC");
+        let after = fresh.capture_enclave(eid).expect("capture");
+        assert_eq!(after.next_version, capture.next_version, "not bumped");
+        assert!(after.outstanding.is_empty());
     }
 
     #[test]

@@ -31,12 +31,20 @@ pub struct SealedPage {
     pub tag: [u8; TAG_LEN],
 }
 
+/// Whether `vpn` and `version` fit the 32 bits each that the nonce holds.
+/// [`seal_page`] must only see pairs that do: the AAD authenticates the
+/// full values but does not feed the keystream, so a truncated pair would
+/// reuse another page's or an earlier eviction's keystream.
+pub(crate) fn nonce_fits(vpn: Vpn, version: u64) -> bool {
+    u32::try_from(vpn.0).is_ok() && u32::try_from(version).is_ok()
+}
+
 fn nonce_for(eid: EnclaveId, vpn: Vpn, version: u64) -> [u8; NONCE_LEN] {
     let mut nonce = [0u8; NONCE_LEN];
     nonce[..4].copy_from_slice(&eid.0.to_le_bytes());
+    // `EWB` seals only pairs that pass `nonce_fits`, so the nonce is unique
+    // per (enclave, page, eviction) under the platform key.
     nonce[4..8].copy_from_slice(&(vpn.0 as u32).to_le_bytes());
-    // Low 32 bits of the version; combined with the AAD (full version) this
-    // keeps (key, nonce) pairs unique per eviction.
     nonce[8..12].copy_from_slice(&(version as u32).to_le_bytes());
     nonce
 }
