@@ -6,10 +6,16 @@
 //! associated data (virtual address, enclave id, and anti-replay version),
 //! matching the integrity guarantees of SGX's paging metadata (`PCMD` and
 //! the Version Array).
+//!
+//! [`seal`] and [`open`] each have one `#[inline(always)]` body generic
+//! over the ChaCha20 and Poly1305 lane counts, and each call picks the
+//! best CPU tier for it once: portable, AVX2 or AVX-512F (see the tiers
+//! module). Every tier computes the same bytes.
 
 use crate::chacha20::ChaCha20;
 use crate::constant_time::ct_eq;
 use crate::poly1305::Poly1305;
+use crate::tier::{Kernel, Tier};
 
 /// AEAD key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -47,21 +53,71 @@ fn poly_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
     out
 }
 
-fn compute_tag(
+/// The tag over `aad` and `ciphertext`, with `P` Poly1305 lanes.
+#[inline(always)]
+fn compute_tag<const P: usize>(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     ciphertext: &[u8],
 ) -> [u8; TAG_LEN] {
-    let otk = poly_key(key, nonce);
-    let mut mac = Poly1305::new(&otk);
-    mac.update(aad);
-    mac.update(&[0u8; 16][..(16 - aad.len() % 16) % 16]);
-    mac.update(ciphertext);
-    mac.update(&[0u8; 16][..(16 - ciphertext.len() % 16) % 16]);
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    let pad = |len: usize| &[0u8; 16][..(16 - len % 16) % 16];
+    let mut lens = [0u8; 16];
+    lens[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+    lens[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+    let mut mac = Poly1305::new(&poly_key(key, nonce));
+    // One loop, so each tier inlines the lane kernel once.
+    for part in [
+        aad,
+        pad(aad.len()),
+        ciphertext,
+        pad(ciphertext.len()),
+        &lens,
+    ] {
+        mac.update_lanes::<P>(part);
+    }
     mac.finalize()
+}
+
+/// [`seal`]'s arguments; its body is the [`Kernel`] impl.
+struct Seal<'a> {
+    key: &'a [u8; KEY_LEN],
+    nonce: &'a [u8; NONCE_LEN],
+    aad: &'a [u8],
+    data: &'a mut [u8],
+}
+
+impl Kernel for Seal<'_> {
+    type Out = [u8; TAG_LEN];
+
+    #[inline(always)]
+    fn run<const C: usize, const P: usize>(self) -> [u8; TAG_LEN] {
+        ChaCha20::new(self.key, self.nonce, 1).apply_keystream_lanes::<C>(self.data);
+        compute_tag::<P>(self.key, self.nonce, self.aad, self.data)
+    }
+}
+
+/// [`open`]'s arguments; its body is the [`Kernel`] impl.
+struct Open<'a> {
+    key: &'a [u8; KEY_LEN],
+    nonce: &'a [u8; NONCE_LEN],
+    aad: &'a [u8],
+    data: &'a mut [u8],
+    tag: &'a [u8; TAG_LEN],
+}
+
+impl Kernel for Open<'_> {
+    type Out = Result<(), AeadError>;
+
+    #[inline(always)]
+    fn run<const C: usize, const P: usize>(self) -> Result<(), AeadError> {
+        let expected = compute_tag::<P>(self.key, self.nonce, self.aad, self.data);
+        if !ct_eq(&expected, self.tag) {
+            return Err(AeadError::TagMismatch);
+        }
+        ChaCha20::new(self.key, self.nonce, 1).apply_keystream_lanes::<C>(self.data);
+        Ok(())
+    }
 }
 
 /// Encrypt `plaintext` in place and return the authentication tag.
@@ -73,8 +129,12 @@ pub fn seal(
     aad: &[u8],
     data: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    ChaCha20::new(key, nonce, 1).apply_keystream(data);
-    compute_tag(key, nonce, aad, data)
+    Tier::best().run(Seal {
+        key,
+        nonce,
+        aad,
+        data,
+    })
 }
 
 /// Verify `tag` and decrypt `data` in place.
@@ -88,12 +148,13 @@ pub fn open(
     data: &mut [u8],
     tag: &[u8; TAG_LEN],
 ) -> Result<(), AeadError> {
-    let expected = compute_tag(key, nonce, aad, data);
-    if !ct_eq(&expected, tag) {
-        return Err(AeadError::TagMismatch);
-    }
-    ChaCha20::new(key, nonce, 1).apply_keystream(data);
-    Ok(())
+    Tier::best().run(Open {
+        key,
+        nonce,
+        aad,
+        data,
+        tag,
+    })
 }
 
 #[cfg(test)]

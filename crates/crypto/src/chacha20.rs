@@ -5,39 +5,37 @@
 //! with a per-platform key and a nonce derived from the page's eviction
 //! version, so ciphertexts never repeat.
 //!
-//! [`ChaCha20::apply_keystream`] computes 8 consecutive blocks side by
-//! side. Their state is lane-major, `[[u32; 8]; 16]`: row `w` holds word
-//! `w` of all eight blocks, and only row 12, the block counter, differs
-//! between lanes (lane `l` counts `c + l` mod 2^32, as the one-block path
-//! does). Each double round is one loop over the lanes whose body is the
-//! one-block double round. A row is contiguous across lanes, so LLVM's
-//! loop vectorizer keeps each word of several lanes in one register and
-//! runs the body as packed adds, xors and shifts. There are no
-//! intrinsics: the speed comes from the data layout alone. A 4 KiB page
-//! is eight 512-byte chunks; the one-block path covers a tail under 512
-//! bytes and the 64-byte Poly1305 key.
+//! The lane kernel computes `L` consecutive blocks side by side. Their
+//! state is lane-major, `[[u32; L]; 16]`: row `w` holds word `w` of all
+//! `L` blocks, and only row 12, the block counter, differs between lanes
+//! (lane `l` counts `c + l` mod 2^32, as the one-block path does). Each
+//! double round is one loop over the lanes whose body is the one-block
+//! double round. A row is contiguous across lanes, so LLVM's loop
+//! vectorizer keeps each word of several lanes in one register and runs
+//! the body as packed adds, xors and shifts. There are no intrinsics: the
+//! speed comes from the data layout alone. The one-block path covers a
+//! tail under `64·L` bytes (under 512 bytes with 16 lanes, whose longer
+//! tails run on 8) and the 64-byte Poly1305 key.
 //!
-//! The lane kernel, `xor_lanes` over every full chunk, is one
-//! `#[inline(always)]` body compiled twice. The portable instance builds
-//! for every target; on x86-64 the SSE2 baseline holds four lanes of a row
-//! per register. The second instance, x86-64 only, is compiled with
-//! `#[target_feature(enable = "avx2")]`, where all eight lanes fit one
-//! register. `apply_keystream` picks one per call with
-//! `is_x86_feature_detected!("avx2")`. Both instances are the same source,
-//! so the keystream is the RFC's byte for byte whichever instance or path
-//! produced it. Calling a `target_feature` function is the crate's one
-//! `unsafe` block. Its only precondition is that the CPU has AVX2, which
-//! the detection just before the call checks; the crate denies
-//! `unsafe_code` everywhere else.
+//! The kernel, `xor_lanes` over every full chunk, is one
+//! `#[inline(always)]` body generic over `L`, so it compiles for the
+//! features of the function it lands in. [`ChaCha20::apply_keystream`] is
+//! the portable instance, 8 lanes on the target's baseline (on x86-64,
+//! SSE2 holds four lanes of a row per register). `aead::seal` and
+//! `aead::open` run it inside the crate's CPU tiers instead: 8 lanes with
+//! AVX2, one `ymm` per row, and 16 lanes with AVX-512F, one `zmm` per row
+//! with native `vprold` rotates. The tiers module holds the one dispatch
+//! site, `Tier::run`; its one `unsafe` call per non-portable tier is sound
+//! because the instance's only precondition, a CPU with the tier's
+//! features, is asserted with runtime detection just before it. Every
+//! instance is the same source, so the keystream is the RFC's byte for
+//! byte whichever instance or path produced it.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
 
 /// Nonce length in bytes.
 pub const NONCE_LEN: usize = 12;
-
-/// Blocks [`ChaCha20::apply_keystream`] computes side by side.
-const LANES: usize = 8;
 
 /// ChaCha20 cipher instance bound to a key and nonce.
 pub struct ChaCha20 {
@@ -78,13 +76,13 @@ impl ChaCha20 {
         out
     }
 
-    /// XOR the next `LANES` keystream blocks into `chunk` and advance the
+    /// XOR the next `L` keystream blocks into `blocks` and advance the
     /// counter past them.
     #[inline(always)]
-    fn xor_lanes(&mut self, chunk: &mut [u8; 64 * LANES]) {
-        let mut init = [[0u32; LANES]; 16];
+    fn xor_lanes<const L: usize>(&mut self, blocks: &mut [[u8; 64]; L]) {
+        let mut init = [[0u32; L]; 16];
         for (row, &word) in init.iter_mut().zip(self.state.iter()) {
-            *row = [word; LANES];
+            *row = [word; L];
         }
         for (l, counter) in init[12].iter_mut().enumerate() {
             *counter = counter.wrapping_add(l as u32);
@@ -92,7 +90,7 @@ impl ChaCha20 {
         let mut x = init;
         for _ in 0..10 {
             // The loop LLVM vectorizes (see the module docs).
-            for l in 0..LANES {
+            for l in 0..L {
                 let mut s: [u32; 16] = core::array::from_fn(|w| x[w][l]);
                 Self::double_round(&mut s);
                 for (row, word) in x.iter_mut().zip(s) {
@@ -100,14 +98,14 @@ impl ChaCha20 {
                 }
             }
         }
-        for (l, block) in chunk.chunks_exact_mut(64).enumerate() {
+        for (l, block) in blocks.iter_mut().enumerate() {
             for ((row, start), bytes) in x.iter().zip(init.iter()).zip(block.chunks_exact_mut(4)) {
                 let key = row[l].wrapping_add(start[l]);
                 let word = u32::from_le_bytes(bytes.try_into().expect("4 bytes")) ^ key;
                 bytes.copy_from_slice(&word.to_le_bytes());
             }
         }
-        self.state[12] = self.state[12].wrapping_add(LANES as u32);
+        self.state[12] = self.state[12].wrapping_add(L as u32);
     }
 
     #[inline(always)]
@@ -136,44 +134,39 @@ impl ChaCha20 {
         s[b] = (s[b] ^ s[c]).rotate_left(7);
     }
 
-    /// XOR the keystream into `data` in place (encrypts or decrypts).
+    /// XOR the keystream into `data` in place (encrypts or decrypts), on
+    /// the portable instance of the lane kernel.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        let tail = self.xor_chunks_dispatch(data);
+        self.apply_keystream_lanes::<8>(data);
+    }
+
+    /// XOR the keystream into `data` with the lane kernel on `L` lanes over
+    /// every full `64·L`-byte chunk and the one-block path over the tail.
+    /// Always inlined, so it compiles for the features of its caller's
+    /// tier.
+    #[inline(always)]
+    pub(crate) fn apply_keystream_lanes<const L: usize>(&mut self, data: &mut [u8]) {
+        let tail = self.xor_chunks::<L>(data);
+        // Past 8 lanes, a tail of 8 blocks or more still runs 8 side by
+        // side, so no length is slower than with 8 lanes.
+        let tail = if L > 8 {
+            self.xor_chunks::<8>(tail)
+        } else {
+            tail
+        };
         self.xor_blocks(tail);
     }
 
-    /// Run the lane kernel instance this CPU supports over every full
-    /// chunk of `data` and return the tail left over.
-    fn xor_chunks_dispatch<'a>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the only precondition of `xor_chunks_avx2` is that the
-            // CPU supports AVX2, which the `if` above just checked.
-            #[allow(unsafe_code)]
-            return unsafe { self.xor_chunks_avx2(data) };
-        }
-        self.xor_chunks(data)
-    }
-
-    /// The lane kernel: XOR the keystream into every full `64 * LANES`-byte
-    /// chunk of `data` and return the tail left over. It is always inlined,
-    /// so it compiles for the features of the function it lands in: the
-    /// target's baseline where it is called directly (the portable
-    /// instance), AVX2 inside `xor_chunks_avx2`.
+    /// XOR the keystream into every full `64·L`-byte chunk of `data` with
+    /// the lane kernel and return the tail left over.
     #[inline(always)]
-    fn xor_chunks<'a>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
-        let mut chunks = data.chunks_exact_mut(64 * LANES);
+    fn xor_chunks<'a, const L: usize>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
+        let mut chunks = data.chunks_exact_mut(64 * L);
         for chunk in &mut chunks {
-            self.xor_lanes(chunk.try_into().expect("a full lane chunk"));
+            let (blocks, _) = chunk.as_chunks_mut::<64>();
+            self.xor_lanes::<L>(blocks.try_into().expect("a chunk is L blocks"));
         }
         chunks.into_remainder()
-    }
-
-    /// The lane kernel with AVX2: eight lanes of a row in one register.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn xor_chunks_avx2<'a>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
-        self.xor_chunks(data)
     }
 
     /// XOR the keystream into `data` one block at a time: the path for a
@@ -198,6 +191,7 @@ impl ChaCha20 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::{Kernel, Tier};
 
     fn hex_to_bytes(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -251,40 +245,50 @@ only one tip for the future, sunscreen would be it.";
         assert_eq!(data, orig);
     }
 
+    /// `apply_keystream_lanes` on a tier's ChaCha20 lane count.
+    struct Xor<'a> {
+        cipher: ChaCha20,
+        data: &'a mut [u8],
+    }
+
+    impl Kernel for Xor<'_> {
+        type Out = ();
+
+        #[inline(always)]
+        fn run<const C: usize, const P: usize>(mut self) {
+            self.cipher.apply_keystream_lanes::<C>(self.data);
+        }
+    }
+
     #[test]
-    fn both_lane_kernel_instances_match_the_one_block_path() {
-        // The portable instance (`xor_chunks` inlined here, with the
-        // baseline features) and `apply_keystream`, which runs the AVX2
-        // instance on a CPU that has it (the portable one otherwise),
+    fn every_tier_matches_the_one_block_path() {
+        // Each tier this CPU has (portable 8 lanes, AVX2 8, AVX-512F 16)
         // against `xor_blocks`, the one-block `next_block` path the RFC
-        // vectors pin. Every length up to a page and a bit,
-        // so each lane count and tail shows up; counters within 8 of
-        // u32::MAX make a lane wrap mid-chunk.
+        // vectors pin. Every length up to a page and a bit, so each lane
+        // count and tail shows up, plus an ORAM bucket; counters within 16
+        // of u32::MAX make a lane wrap mid-chunk at 16 lanes too.
+        let tiers: Vec<Tier> = Tier::supported().collect();
+        println!("tiers run: {tiers:?}");
         let mut rng = autarky_prng::SimRng::seed_from_u64(0x5a08);
-        for len in 0..=4_200 {
+        for len in (0..=4_200).chain([16_416]) {
             let mut key = [0u8; 32];
             let mut nonce = [0u8; 12];
             let mut data = vec![0u8; len];
             rng.fill_bytes(&mut key);
             rng.fill_bytes(&mut nonce);
             rng.fill_bytes(&mut data);
-            let counter = u32::MAX - rng.gen_below(9) as u32;
+            let counter = u32::MAX - rng.gen_below(17) as u32;
             let mut expected = data.clone();
             ChaCha20::new(&key, &nonce, counter).xor_blocks(&mut expected);
-            let mut portable = data.clone();
-            let mut cipher = ChaCha20::new(&key, &nonce, counter);
-            let tail = cipher.xor_chunks(&mut portable);
-            cipher.xor_blocks(tail);
-            assert_eq!(
-                portable, expected,
-                "portable, len {len}, counter {counter:#x}"
-            );
-            let mut dispatched = data;
-            ChaCha20::new(&key, &nonce, counter).apply_keystream(&mut dispatched);
-            assert_eq!(
-                dispatched, expected,
-                "dispatched, len {len}, counter {counter:#x}"
-            );
+            for &tier in &tiers {
+                let mut out = data.clone();
+                let cipher = ChaCha20::new(&key, &nonce, counter);
+                tier.run(Xor {
+                    cipher,
+                    data: &mut out,
+                });
+                assert_eq!(out, expected, "{tier:?}, len {len}, counter {counter:#x}");
+            }
         }
     }
 

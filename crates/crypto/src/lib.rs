@@ -10,9 +10,9 @@
 //!   derivation.
 //! * [`chacha20`] — RFC 7539 ChaCha20 stream cipher, the simulator's
 //!   stand-in for the AES-based memory-encryption engine; bulk data runs
-//!   eight blocks side by side.
-//! * [`poly1305`] — RFC 7539 Poly1305 one-time authenticator on 44/44/42-bit
-//!   limbs, two blocks per step.
+//!   8 or 16 blocks side by side.
+//! * [`poly1305`] — RFC 7539 Poly1305 one-time authenticator on 26-bit
+//!   limbs; bulk data runs 4 or 8 blocks side by side.
 //! * [`aead`] — ChaCha20-Poly1305 AEAD, used by `EWB`/`ELDU` page sealing
 //!   and by the ORAM block store. The associated data carries the page's
 //!   virtual address and anti-replay version counter, which is exactly the
@@ -21,14 +21,21 @@
 //! All implementations are deterministic, written without intrinsics, and
 //! validated against the relevant RFC/NIST test vectors in the unit tests.
 //! Page sealing sets the simulator's host speed on the fault path, so the
-//! two bulk paths are written to be fast (see their module docs);
-//! `tests/proptests.rs` pins each fast path to the one-block path the
-//! vectors check. ChaCha20's lane kernel is compiled twice, portable and
-//! with AVX2, and picked per call by runtime CPU detection. Calling the
-//! AVX2 instance is the crate's one `unsafe` block, allowed at that call
-//! site only and documented there: its only precondition is the CPU check
-//! just before it. Everything else is safe Rust, and the lints below
-//! reject any further or undocumented `unsafe`.
+//! two bulk paths are lane kernels the compiler vectorizes (see their
+//! module docs), each one `#[inline(always)]` body generic over its lane
+//! count. The kernels are compiled in three CPU tiers: portable (8
+//! ChaCha20 lanes, 4 Poly1305 lanes), AVX2 (8 and 4) and AVX-512F (16 and
+//! 8). [`aead::seal`] and [`aead::open`] pick the best tier the CPU has
+//! once per call, through the crate's one dispatch site, `Tier::run` in
+//! the private `tier` module; the public [`ChaCha20`] and [`Poly1305`]
+//! types run the portable instance. Calling a `#[target_feature]` tier is
+//! the crate's only `unsafe`: one call per non-portable tier, each allowed
+//! at that call site only and sound because its one precondition, a CPU
+//! with the tier's features, is asserted with runtime detection just
+//! before it. Everything else is safe Rust, and the lints below reject any
+//! further or undocumented `unsafe`. The unit tests run every tier the
+//! host has against the one-block paths, and `tests/proptests.rs` pins the
+//! portable instances to them under random streaming.
 
 #![deny(unsafe_code)]
 #![deny(
@@ -43,6 +50,7 @@ pub mod constant_time;
 pub mod hmac;
 pub mod poly1305;
 pub mod sha256;
+mod tier;
 
 pub use aead::{open, seal, AeadError, KEY_LEN, NONCE_LEN, TAG_LEN};
 pub use chacha20::ChaCha20;

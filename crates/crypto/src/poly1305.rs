@@ -1,35 +1,59 @@
 //! RFC 7539 Poly1305 one-time authenticator.
 //!
-//! Arithmetic is modulo p = 2^130 - 5 on three limbs of 44, 44 and 42 bits
-//! (`h = h0 + h1·2^44 + h2·2^88`) held in `u64`, with `u64 × u64 → u128`
-//! products: the shape of poly1305-donna's 64-bit variant, 9 multiplies
-//! per block where five 26-bit limbs take 25. A product term that
-//! lands at 2^132 or above wraps round to the bottom as ×20 (2^130 ≡ 5,
-//! times the 2^2 left over from 44 + 88 − 130).
+//! Arithmetic is modulo p = 2^130 - 5 on five 26-bit limbs
+//! (`h = h0 + h1·2^26 + h2·2^52 + h3·2^78 + h4·2^104`) held in `u32`, with
+//! `u32 × u32 → u64` products: poly1305-donna's 32-bit shape. A product
+//! term that lands at 2^130 or above wraps round to the bottom as ×5
+//! (2^130 ≡ 5).
 //!
-//! [`Poly1305::update`] folds two blocks per step as
-//! `h = (h + m0)·r² + m1·r`, with `r²` computed once in [`Poly1305::new`];
-//! the `m1·r` products do not wait for `h`, so the two halves overlap in
-//! the pipeline and one carry chain serves both blocks. A lone block (the
-//! odd one out, or the padded tail) takes `h = (h + m)·r`.
+//! The lane kernel absorbs whole groups of `L` blocks on `L` lanes. Lane
+//! `l` takes blocks `l, l+L, l+2L, …` and each step computes
+//! `acc_l = (acc_l + m_l)·r^L`; the last group multiplies lane `l` by
+//! `r^(L−l)` instead, so every block ends up multiplied by the power of
+//! `r` the one-block step would have given it. The running `h` enters
+//! lane 0 with its first block, and the carried sum of the lanes is the
+//! new `h`. The state is lane-major, `[[u32; L]; 5]`, and the lane loop's
+//! body is the one-block step, so LLVM's loop vectorizer runs `L` lanes of
+//! a limb in one register and each product as one `vpmuludq` across them
+//! (the products are written `u32 as u64 * u32 as u64` for exactly that).
+//! The one-block step, `h = (h + m)·r` in the same limbs, covers the
+//! blocks left over, the padded tail, and is the reference the tests pin
+//! the lanes to.
 //!
-//! Limb bounds, which keep every sum inside its type:
+//! The kernel is one `#[inline(always)]` body generic over `L`, so it
+//! compiles for the features of the function it lands in.
+//! [`Poly1305::update`] is the portable instance, 4 lanes on the target's
+//! baseline. `aead::seal` and `aead::open` run it inside the crate's CPU
+//! tiers: 4 lanes with AVX2 and 8 with AVX-512F. The tiers module holds
+//! the one dispatch site, `Tier::run`; its one `unsafe` call per
+//! non-portable tier is sound because the instance's only precondition, a
+//! CPU with the tier's features, is asserted with runtime detection just
+//! before it.
 //!
-//! - clamped `r` has `r0, r1 < 2^44` and `r2 < 2^36`; `r²`, after the same
-//!   carry as `h`, has `r0 < 2^44`, `r1 < 2^44 + 2^13`, `r2 < 2^42`;
-//! - `h` after a carry has `h0 < 2^44`, `h1 < 2^44 + 2^13`, `h2 < 2^42`; a
-//!   block adds less than `2^44`, `2^44`, `2^41` (hibit included), so every
-//!   limb of `h + m` is below `2^45.01`, and every `20·r` limb below
-//!   `2^48.4`;
-//! - a column of the two-block step sums six products, each below
-//!   `2^45.01 · 2^48.4`, so it stays below `2^96`; the carry out of the top
-//!   limb, `d2 >> 42`, is below `2^54`, so `·5` fits in `u64`, and the
-//!   carry that lands back in `h1` is below `2^13`.
+//! Limb bounds, which keep every sum inside its type (`ε` below is at most
+//! `2^10`):
 //!
-//! The test profile keeps overflow checks, so a bound broken by a future
-//! edit panics in `cargo test` rather than corrupting a tag.
+//! - A product's five column sums go through the lazy carry in two
+//!   chains, `d0→d1 ‖ d3→d4`, then `d1→d2 ‖ d4→d0` (×5), then
+//!   `d2→d3 ‖ d0→d1`, then `d3→d4`. Its limbs come out with `h0, h2, h3`
+//!   below `2^26`, `h1 < 2^26 + 2^10` and `h4 < 2^26 + 2^8`, for any column
+//!   sums below `2^59`. `h`, every lane accumulator and every power `r^k`
+//!   (clamped `r` has every limb below `2^26`) is a carry's output.
+//! - A block adds limbs below `2^26` (the top one, hibit included, below
+//!   `2^25`), so every limb of `acc + m` is below `2^27 + ε` and fits a
+//!   `u32`.
+//! - Every `5·r^k` limb is below `5·(2^26 + ε) < 2^29`, so it fits a `u32`
+//!   too.
+//! - A column sums five products, each below `(2^27 + ε)·2^29`, so it stays
+//!   below `2^59`; a `u64` holds it, and the first carry out of it, below
+//!   `2^33`, times 5, is far from overflowing `d0`.
+//! - The sum of up to 8 lane accumulators is below `2^30` per limb, a
+//!   valid carry input.
 //!
-//! As in the rest of the crate there are no intrinsics and no `unsafe`.
+//! The test profile keeps overflow checks, and the unit tests run
+//! all-`0xff` keys and messages, the corner of these bounds, through every
+//! lane kernel instance the CPU has, so a bound broken by a future edit
+//! panics in `cargo test` rather than corrupting a tag.
 
 /// Key length in bytes (16-byte `r` + 16-byte `s`).
 pub const KEY_LEN: usize = 32;
@@ -37,58 +61,75 @@ pub const KEY_LEN: usize = 32;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-const MASK44: u64 = (1 << 44) - 1;
-const MASK42: u64 = (1 << 42) - 1;
-/// 2^128 in limb 2: the bit RFC 7539 appends to every full block.
-const HIBIT: u64 = 1 << 40;
+const MASK26: u32 = (1 << 26) - 1;
+/// 2^128 in limb 4: the bit RFC 7539 appends to every full block.
+const HIBIT: u32 = 1 << 24;
 
-/// An element mod 2^130 - 5 in 44/44/42-bit limbs, not fully reduced.
-type Limbs = [u64; 3];
+/// An element mod 2^130 - 5 in 26-bit limbs, lazily carried (bounds in the
+/// module docs).
+type Limbs = [u32; 5];
 
 /// Load a 16-byte block as limbs; `hibit` is [`HIBIT`] for a full block
 /// and 0 for the padded tail.
-fn load(block: &[u8], hibit: u64) -> Limbs {
-    let t0 = u64::from_le_bytes(block[0..8].try_into().expect("8"));
-    let t1 = u64::from_le_bytes(block[8..16].try_into().expect("8"));
+#[inline(always)]
+fn load(block: &[u8; 16], hibit: u32) -> Limbs {
+    let t = |i: usize| u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().expect("4"));
     [
-        t0 & MASK44,
-        ((t0 >> 44) | (t1 << 20)) & MASK44,
-        (t1 >> 24) | hibit,
+        t(0) & MASK26,
+        (t(0) >> 26 | t(1) << 6) & MASK26,
+        (t(1) >> 20 | t(2) << 12) & MASK26,
+        (t(2) >> 14 | t(3) << 18) & MASK26,
+        t(3) >> 8 | hibit,
     ]
 }
 
-/// `a·b` as three unreduced column sums (terms past 2^130 folded by ×20).
+/// `a·b`, lazily carried back to limbs (bounds in the module docs).
 #[inline(always)]
-fn mul(a: &Limbs, b: &Limbs) -> [u128; 3] {
-    let m = |x: u64, y: u64| x as u128 * y as u128;
-    let s1 = b[1] * 20;
-    let s2 = b[2] * 20;
-    [
-        m(a[0], b[0]) + m(a[1], s2) + m(a[2], s1),
-        m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], s2),
-        m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]),
-    ]
+fn mul(a: Limbs, b: Limbs) -> Limbs {
+    let m = |x: u32, y: u32| x as u64 * y as u64;
+    let [a0, a1, a2, a3, a4] = a;
+    let [b0, b1, b2, b3, b4] = b;
+    let [s1, s2, s3, s4] = [b1 * 5, b2 * 5, b3 * 5, b4 * 5];
+    carry([
+        m(a0, b0) + m(a1, s4) + m(a2, s3) + m(a3, s2) + m(a4, s1),
+        m(a0, b1) + m(a1, b0) + m(a2, s4) + m(a3, s3) + m(a4, s2),
+        m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, s4) + m(a4, s3),
+        m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, s4),
+        m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
+    ])
 }
 
-/// One carry pass over column sums back to limbs (bounds in the module
-/// docs).
+/// The two-chain lazy carry from column sums to limbs.
 #[inline(always)]
-fn carry(d: [u128; 3]) -> Limbs {
-    let [d0, mut d1, mut d2] = d;
-    let h0 = d0 as u64 & MASK44;
-    d1 += d0 >> 44;
-    let h1 = d1 as u64 & MASK44;
-    d2 += d1 >> 44;
-    let h2 = d2 as u64 & MASK42;
-    let h0 = h0 + (d2 >> 42) as u64 * 5;
-    [h0 & MASK44, h1 + (h0 >> 44), h2]
+fn carry(d: [u64; 5]) -> Limbs {
+    const M: u64 = MASK26 as u64;
+    let [mut d0, mut d1, mut d2, mut d3, mut d4] = d;
+    d1 += d0 >> 26;
+    d0 &= M;
+    d4 += d3 >> 26;
+    d3 &= M;
+    d2 += d1 >> 26;
+    d1 &= M;
+    d0 += (d4 >> 26) * 5;
+    d4 &= M;
+    d3 += d2 >> 26;
+    d2 &= M;
+    d1 += d0 >> 26;
+    d0 &= M;
+    d4 += d3 >> 26;
+    d3 &= M;
+    [d0, d1, d2, d3, d4].map(|limb| limb as u32)
+}
+
+/// `a + b`, limb by limb.
+#[inline(always)]
+fn add(a: Limbs, b: Limbs) -> Limbs {
+    core::array::from_fn(|i| a[i] + b[i])
 }
 
 /// Streaming Poly1305 context.
 pub struct Poly1305 {
     r: Limbs,
-    /// `r²`, for the two-block step.
-    rr: Limbs,
     h: Limbs,
     pad: u128,
     buf: [u8; 16],
@@ -100,42 +141,81 @@ impl Poly1305 {
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         // r is clamped per the RFC: clear the top 4 bits of bytes 3/7/11/15
         // and the bottom 2 bits of bytes 4/8/12.
-        let t0 = u64::from_le_bytes(key[0..8].try_into().expect("8"));
-        let t1 = u64::from_le_bytes(key[8..16].try_into().expect("8"));
-        let r = [
-            t0 & 0x0ffc_0fff_ffff,
-            ((t0 >> 44) | (t1 << 20)) & 0x0fff_ffc0_ffff,
-            (t1 >> 24) & 0x000f_ffff_fc0f,
-        ];
+        let r = u128::from_le_bytes(key[..16].try_into().expect("16"))
+            & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff;
         Self {
-            r,
-            rr: carry(mul(&r, &r)),
-            h: [0; 3],
+            r: core::array::from_fn(|i| (r >> (26 * i)) as u32 & MASK26),
+            h: [0; 5],
             pad: u128::from_le_bytes(key[16..32].try_into().expect("16")),
             buf: [0; 16],
             buf_len: 0,
         }
     }
 
-    /// `h = (h + m)·r` for one block.
-    fn block(&mut self, block: &[u8], hibit: u64) {
-        let m = load(block, hibit);
-        let h = [self.h[0] + m[0], self.h[1] + m[1], self.h[2] + m[2]];
-        self.h = carry(mul(&h, &self.r));
+    /// The one-block step, `h = (h + m)·r`.
+    fn block(&mut self, block: &[u8; 16], hibit: u32) {
+        self.h = mul(add(self.h, load(block, hibit)), self.r);
     }
 
-    /// `h = (h + m0)·r² + m1·r` for two full blocks.
-    fn blocks2(&mut self, pair: &[u8]) {
-        let m0 = load(&pair[..16], HIBIT);
-        let m1 = load(&pair[16..], HIBIT);
-        let h = [self.h[0] + m0[0], self.h[1] + m0[1], self.h[2] + m0[2]];
-        let a = mul(&h, &self.rr);
-        let b = mul(&m1, &self.r);
-        self.h = carry([a[0] + b[0], a[1] + b[1], a[2] + b[2]]);
+    /// The lane kernel: absorb `blocks`, a whole number of groups of `L`
+    /// full blocks, on `L` lanes (see the module docs).
+    #[inline(always)]
+    fn blocks_lanes<const L: usize>(&mut self, blocks: &[[u8; 16]]) {
+        // pow[k] = r^(k+1).
+        let mut pow = [self.r; L];
+        for k in 1..L {
+            pow[k] = mul(pow[k - 1], self.r);
+        }
+        // Lane-major multipliers: r^L for every lane, and r^(L−l) for lane
+        // `l` in the last group.
+        let step: [[u32; L]; 5] = core::array::from_fn(|i| [pow[L - 1][i]; L]);
+        let last: [[u32; L]; 5] =
+            core::array::from_fn(|i| core::array::from_fn(|l| pow[L - 1 - l][i]));
+        let mut acc = [[0u32; L]; 5];
+        for (row, limb) in acc.iter_mut().zip(self.h) {
+            row[0] = limb;
+        }
+        let (groups, _) = blocks.as_chunks::<L>();
+        let (last_group, groups) = groups.split_last().expect("at least one group");
+        for group in groups {
+            Self::lanes_step(&mut acc, group, &step);
+        }
+        Self::lanes_step(&mut acc, last_group, &last);
+        self.h = carry(acc.map(|row| row.iter().map(|&limb| limb as u64).sum()));
     }
 
-    /// Absorb message data.
+    /// `acc_l = (acc_l + m_l)·r_l` on every lane `l`.
+    #[inline(always)]
+    fn lanes_step<const L: usize>(
+        acc: &mut [[u32; L]; 5],
+        group: &[[u8; 16]; L],
+        r: &[[u32; L]; 5],
+    ) {
+        // A local copy of the group, so the lane loop below touches only
+        // locals: LLVM will not vectorize a loop this short if it needs a
+        // runtime check that the message and the accumulators do not
+        // overlap.
+        let group = *group;
+        // The loop LLVM vectorizes (see the module docs).
+        for (l, block) in group.iter().enumerate() {
+            let a = add(core::array::from_fn(|i| acc[i][l]), load(block, HIBIT));
+            let product = mul(a, core::array::from_fn(|i| r[i][l]));
+            for (row, limb) in acc.iter_mut().zip(product) {
+                row[l] = limb;
+            }
+        }
+    }
+
+    /// Absorb message data on the portable instance of the lane kernel.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        self.update_lanes::<4>(data)
+    }
+
+    /// Absorb message data: whole groups of `L` blocks on the lane kernel,
+    /// the rest on the one-block step. Always inlined, so it compiles for
+    /// the features of its caller's tier.
+    #[inline(always)]
+    pub(crate) fn update_lanes<const L: usize>(&mut self, data: &[u8]) -> &mut Self {
         let mut data = data;
         if self.buf_len > 0 {
             let take = (16 - self.buf_len).min(data.len());
@@ -148,18 +228,17 @@ impl Poly1305 {
                 self.buf_len = 0;
             }
         }
-        let mut pairs = data.chunks_exact(32);
-        for pair in &mut pairs {
-            self.blocks2(pair);
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (grouped, rest) = blocks.split_at(blocks.len() - blocks.len() % L);
+        if !grouped.is_empty() {
+            self.blocks_lanes::<L>(grouped);
         }
-        data = pairs.remainder();
-        if data.len() >= 16 {
-            self.block(&data[..16], HIBIT);
-            data = &data[16..];
+        for block in rest {
+            self.block(block, HIBIT);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
         self
     }
@@ -172,31 +251,34 @@ impl Poly1305 {
             block[self.buf_len] = 1;
             self.block(&block, 0);
         }
-        let [mut h0, mut h1, mut h2] = self.h;
+        let mut h = self.h;
 
         // Two full carry passes leave canonical limbs and h < 2^130.
         for _ in 0..2 {
-            h2 += h1 >> 44;
-            h1 &= MASK44;
-            h0 += (h2 >> 42) * 5;
-            h2 &= MASK42;
-            h1 += h0 >> 44;
-            h0 &= MASK44;
+            for i in 0..4 {
+                h[i + 1] += h[i] >> 26;
+                h[i] &= MASK26;
+            }
+            h[0] += (h[4] >> 26) * 5;
+            h[4] &= MASK26;
         }
 
-        // g = h + 5 - 2^130, i.e. h - p; its top limb is left unmasked so
-        // the 2^130 carry out of h + 5 survives the subtraction.
-        let g0 = h0 + 5;
-        let g1 = h1 + (g0 >> 44);
-        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
-        // Select g if it did not go negative (h ≥ p), else h.
-        let mask = (g2 >> 63).wrapping_sub(1);
-        h0 = (h0 & !mask) | (g0 & MASK44 & mask);
-        h1 = (h1 & !mask) | (g1 & MASK44 & mask);
-        h2 = (h2 & !mask) | (g2 & mask);
+        // g = h + 5 carried through; bit 26 of its top limb is the 2^130
+        // that h + 5 reaches exactly when h ≥ p, and then g mod 2^130 is
+        // h - p.
+        let mut g = h;
+        g[0] += 5;
+        for i in 0..4 {
+            g[i + 1] += g[i] >> 26;
+            g[i] &= MASK26;
+        }
+        // Select g if h ≥ p, else h.
+        let mask = 0u32.wrapping_sub(g[4] >> 26);
+        g[4] &= MASK26;
+        let h: Limbs = core::array::from_fn(|i| (h[i] & !mask) | (g[i] & mask));
 
         // h mod 2^128, plus the pad.
-        let h = h0 as u128 | (h1 as u128) << 44 | (h2 as u128) << 88;
+        let h = (0..5).fold(0u128, |acc, i| acc | (h[i] as u128) << (26 * i));
         h.wrapping_add(self.pad).to_le_bytes()
     }
 }
@@ -211,6 +293,7 @@ pub fn poly1305(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::{Kernel, Tier};
 
     fn hex_to_bytes(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -292,6 +375,78 @@ mod tests {
             mac.update(&data[..split]);
             mac.update(&data[split..]);
             assert_eq!(mac.finalize(), poly1305(&key, &data), "split {split}");
+        }
+    }
+
+    /// The tag with every full block through the one-block step.
+    fn one_block_tag(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
+        let mut mac = Poly1305::new(key);
+        let (blocks, tail) = data.as_chunks::<16>();
+        for block in blocks {
+            mac.block(block, HIBIT);
+        }
+        mac.buf[..tail.len()].copy_from_slice(tail);
+        mac.buf_len = tail.len();
+        mac.finalize()
+    }
+
+    /// `update_lanes` on a tier's Poly1305 lane count, once per part.
+    struct Update<'a> {
+        mac: Poly1305,
+        parts: [&'a [u8]; 2],
+    }
+
+    impl Kernel for Update<'_> {
+        type Out = Poly1305;
+
+        #[inline(always)]
+        fn run<const C: usize, const P: usize>(mut self) -> Poly1305 {
+            for part in self.parts {
+                self.mac.update_lanes::<P>(part);
+            }
+            self.mac
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_the_one_block_path() {
+        // Each tier this CPU has (portable 4 lanes, AVX2 4, AVX-512F 8)
+        // against the one-block step. Every length up to a page and a bit,
+        // so each group count and leftover shows up, plus an ORAM bucket.
+        // A prefix of 16 to 47 bytes, under 4 blocks so no tier's lanes
+        // take it, leaves a nonzero running `h` and mostly a partly filled
+        // buffer when the lanes start. Every other case is all 0xff (the
+        // largest clamped r and the largest blocks), the corner of the
+        // limb bounds, which the test profile's overflow checks guard.
+        let tiers: Vec<Tier> = Tier::supported().collect();
+        println!("tiers run: {tiers:?}");
+        let mut rng = autarky_prng::SimRng::seed_from_u64(0x5a09);
+        for len in (0..=4_200).chain([16_416]) {
+            for all_ff in [false, true] {
+                let (key, data) = if all_ff {
+                    ([0xffu8; 32], vec![0xffu8; len])
+                } else {
+                    let mut key = [0u8; 32];
+                    let mut data = vec![0u8; len];
+                    rng.fill_bytes(&mut key);
+                    rng.fill_bytes(&mut data);
+                    (key, data)
+                };
+                let expected = one_block_tag(&key, &data);
+                let (prefix, rest) = data.split_at(len.min(16 + rng.gen_below(32) as usize));
+                for &tier in &tiers {
+                    let mac = tier.run(Update {
+                        mac: Poly1305::new(&key),
+                        parts: [prefix, rest],
+                    });
+                    assert_eq!(
+                        mac.finalize(),
+                        expected,
+                        "{tier:?}, len {len}, prefix {}, all 0xff {all_ff}",
+                        prefix.len()
+                    );
+                }
+            }
         }
     }
 }
