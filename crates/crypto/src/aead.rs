@@ -8,14 +8,15 @@
 //! the Version Array).
 //!
 //! [`seal`] and [`open`] each have one `#[inline(always)]` body generic
-//! over the ChaCha20 and Poly1305 lane counts, and each call picks the
-//! best CPU tier for it once: portable, AVX2 or AVX-512F (see the tiers
-//! module). Every tier computes the same bytes.
+//! over the Poly1305 lane count and handed the AVX-512F ChaCha20 kernel
+//! when the tier has it, and each call picks the best CPU tier for it
+//! once: portable, AVX2 or AVX-512F (see the tiers module). Every tier
+//! computes the same bytes.
 
 use crate::chacha20::ChaCha20;
 use crate::constant_time::ct_eq;
 use crate::poly1305::Poly1305;
-use crate::tier::{Kernel, Tier};
+use crate::tier::{HasAvx512f, Kernel, Tier};
 
 /// AEAD key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -91,8 +92,8 @@ impl Kernel for Seal<'_> {
     type Out = [u8; TAG_LEN];
 
     #[inline(always)]
-    fn run<const C: usize, const P: usize>(self) -> [u8; TAG_LEN] {
-        ChaCha20::new(self.key, self.nonce, 1).apply_keystream_lanes::<C>(self.data);
+    fn run<const P: usize>(self, avx512f: Option<HasAvx512f>) -> [u8; TAG_LEN] {
+        ChaCha20::new(self.key, self.nonce, 1).apply_keystream_on(avx512f, self.data);
         compute_tag::<P>(self.key, self.nonce, self.aad, self.data)
     }
 }
@@ -110,12 +111,12 @@ impl Kernel for Open<'_> {
     type Out = Result<(), AeadError>;
 
     #[inline(always)]
-    fn run<const C: usize, const P: usize>(self) -> Result<(), AeadError> {
+    fn run<const P: usize>(self, avx512f: Option<HasAvx512f>) -> Result<(), AeadError> {
         let expected = compute_tag::<P>(self.key, self.nonce, self.aad, self.data);
         if !ct_eq(&expected, self.tag) {
             return Err(AeadError::TagMismatch);
         }
-        ChaCha20::new(self.key, self.nonce, 1).apply_keystream_lanes::<C>(self.data);
+        ChaCha20::new(self.key, self.nonce, 1).apply_keystream_on(avx512f, self.data);
         Ok(())
     }
 }

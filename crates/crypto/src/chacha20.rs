@@ -5,37 +5,52 @@
 //! with a per-platform key and a nonce derived from the page's eviction
 //! version, so ciphertexts never repeat.
 //!
-//! The lane kernel computes `L` consecutive blocks side by side. Their
-//! state is lane-major, `[[u32; L]; 16]`: row `w` holds word `w` of all
-//! `L` blocks, and only row 12, the block counter, differs between lanes
-//! (lane `l` counts `c + l` mod 2^32, as the one-block path does). Each
-//! double round is one loop over the lanes whose body is the one-block
-//! double round. A row is contiguous across lanes, so LLVM's loop
-//! vectorizer keeps each word of several lanes in one register and runs
-//! the body as packed adds, xors and shifts. There are no intrinsics: the
-//! speed comes from the data layout alone. The one-block path covers a
-//! tail under `64·L` bytes (under 512 bytes with 16 lanes, whose longer
-//! tails run on 8) and the 64-byte Poly1305 key.
+//! Bulk data runs on one of two kernels, each computing several
+//! consecutive blocks side by side; only row 12 of their state, the block
+//! counter, differs between blocks (block `l` counts `c + l` mod 2^32, as
+//! the one-block path does).
 //!
-//! The kernel, `xor_lanes` over every full chunk, is one
-//! `#[inline(always)]` body generic over `L`, so it compiles for the
-//! features of the function it lands in. [`ChaCha20::apply_keystream`] is
-//! the portable instance, 8 lanes on the target's baseline (on x86-64,
-//! SSE2 holds four lanes of a row per register). `aead::seal` and
-//! `aead::open` run it inside the crate's CPU tiers instead: 8 lanes with
-//! AVX2, one `ymm` per row, and 16 lanes with AVX-512F, one `zmm` per row
-//! with native `vprold` rotates. The tiers module holds the one dispatch
-//! site, `Tier::run`; its one `unsafe` call per non-portable tier is sound
-//! because the instance's only precondition, a CPU with the tier's
-//! features, is asserted with runtime detection just before it. Every
-//! instance is the same source, so the keystream is the RFC's byte for
-//! byte whichever instance or path produced it.
+//! - The 8-lane kernel, `xor_lanes`, has no intrinsics. Its state is
+//!   lane-major, `[[u32; 8]; 16]`: row `w` holds word `w` of all 8 blocks.
+//!   Each double round is one loop over the lanes whose body is the
+//!   one-block double round. A row is contiguous across lanes, so LLVM's
+//!   loop vectorizer keeps each word of several lanes in one register and
+//!   runs the body as packed adds, xors and shifts. It is
+//!   `#[inline(always)]`, so it compiles for the features of the function
+//!   it lands in: [`ChaCha20::apply_keystream`] is the portable instance
+//!   (on x86-64, SSE2 holds four lanes of a row per register), and the
+//!   AVX2 tier holds a row in one `ymm`.
+//! - The AVX-512F kernel (the private `avx512f` module) is written in
+//!   `std::arch` intrinsics: 16 blocks, one `zmm` per row, with native
+//!   `vprold` rotates, transposed in registers so that each block's
+//!   keystream XORs into the data with one 64-byte load and store. Left to
+//!   the loop vectorizer, that last step became gathers and scatters.
+//!
+//! `aead::seal` and `aead::open` run inside the crate's CPU tiers. The
+//! tiers module holds the one dispatch site, `Tier::run`; its one `unsafe`
+//! call per non-portable tier is sound because the instance's only
+//! precondition, a CPU with the tier's features, is asserted with runtime
+//! detection just before it. The AVX-512F tier hands its instance the
+//! proof of that check, which the call into the AVX-512F kernel needs.
+//! Every 16-block chunk runs there, a tail of 8 blocks or more on 8
+//! lanes, and the rest, with the 64-byte Poly1305 key, on the one-block
+//! path, whose code the RFC vectors pin. The tests pin both kernels to the
+//! one-block path, so the keystream is the RFC's byte for byte whichever
+//! kernel produced it.
+
+#[cfg(target_arch = "x86_64")]
+mod avx512f;
+
+use crate::tier::HasAvx512f;
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
 
 /// Nonce length in bytes.
 pub const NONCE_LEN: usize = 12;
+
+/// Blocks side by side in the 8-lane kernel.
+const LANES: usize = 8;
 
 /// ChaCha20 cipher instance bound to a key and nonce.
 pub struct ChaCha20 {
@@ -76,13 +91,13 @@ impl ChaCha20 {
         out
     }
 
-    /// XOR the next `L` keystream blocks into `blocks` and advance the
+    /// XOR the next 8 keystream blocks into `blocks` and advance the
     /// counter past them.
     #[inline(always)]
-    fn xor_lanes<const L: usize>(&mut self, blocks: &mut [[u8; 64]; L]) {
-        let mut init = [[0u32; L]; 16];
+    fn xor_lanes(&mut self, blocks: &mut [[u8; 64]; LANES]) {
+        let mut init = [[0u32; LANES]; 16];
         for (row, &word) in init.iter_mut().zip(self.state.iter()) {
-            *row = [word; L];
+            *row = [word; LANES];
         }
         for (l, counter) in init[12].iter_mut().enumerate() {
             *counter = counter.wrapping_add(l as u32);
@@ -90,7 +105,7 @@ impl ChaCha20 {
         let mut x = init;
         for _ in 0..10 {
             // The loop LLVM vectorizes (see the module docs).
-            for l in 0..L {
+            for l in 0..LANES {
                 let mut s: [u32; 16] = core::array::from_fn(|w| x[w][l]);
                 Self::double_round(&mut s);
                 for (row, word) in x.iter_mut().zip(s) {
@@ -105,7 +120,7 @@ impl ChaCha20 {
                 bytes.copy_from_slice(&word.to_le_bytes());
             }
         }
-        self.state[12] = self.state[12].wrapping_add(L as u32);
+        self.state[12] = self.state[12].wrapping_add(LANES as u32);
     }
 
     #[inline(always)]
@@ -135,38 +150,29 @@ impl ChaCha20 {
     }
 
     /// XOR the keystream into `data` in place (encrypts or decrypts), on
-    /// the portable instance of the lane kernel.
+    /// the portable instance of the 8-lane kernel.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        self.apply_keystream_lanes::<8>(data);
+        self.apply_keystream_on(None, data);
     }
 
-    /// XOR the keystream into `data` with the lane kernel on `L` lanes over
-    /// every full `64·L`-byte chunk and the one-block path over the tail.
-    /// Always inlined, so it compiles for the features of its caller's
-    /// tier.
+    /// XOR the keystream into `data`: every whole 16-block chunk on the
+    /// AVX-512F kernel when `avx512f` proves the CPU has it, then every
+    /// whole 8-block chunk on the 8-lane kernel, then the tail on the
+    /// one-block path. Always inlined, so the 8-lane kernel compiles for
+    /// the features of its caller's tier.
     #[inline(always)]
-    pub(crate) fn apply_keystream_lanes<const L: usize>(&mut self, data: &mut [u8]) {
-        let tail = self.xor_chunks::<L>(data);
-        // Past 8 lanes, a tail of 8 blocks or more still runs 8 side by
-        // side, so no length is slower than with 8 lanes.
-        let tail = if L > 8 {
-            self.xor_chunks::<8>(tail)
-        } else {
-            tail
+    pub(crate) fn apply_keystream_on(&mut self, avx512f: Option<HasAvx512f>, data: &mut [u8]) {
+        let data = match avx512f {
+            #[cfg(target_arch = "x86_64")]
+            Some(cpu) => avx512f::xor_chunks(cpu, &mut self.state, data),
+            _ => data,
         };
-        self.xor_blocks(tail);
-    }
-
-    /// XOR the keystream into every full `64·L`-byte chunk of `data` with
-    /// the lane kernel and return the tail left over.
-    #[inline(always)]
-    fn xor_chunks<'a, const L: usize>(&mut self, data: &'a mut [u8]) -> &'a mut [u8] {
-        let mut chunks = data.chunks_exact_mut(64 * L);
+        let mut chunks = data.chunks_exact_mut(64 * LANES);
         for chunk in &mut chunks {
             let (blocks, _) = chunk.as_chunks_mut::<64>();
-            self.xor_lanes::<L>(blocks.try_into().expect("a chunk is L blocks"));
+            self.xor_lanes(blocks.try_into().expect("a chunk is 8 blocks"));
         }
-        chunks.into_remainder()
+        self.xor_blocks(chunks.into_remainder());
     }
 
     /// XOR the keystream into `data` one block at a time: the path for a
@@ -245,7 +251,7 @@ only one tip for the future, sunscreen would be it.";
         assert_eq!(data, orig);
     }
 
-    /// `apply_keystream_lanes` on a tier's ChaCha20 lane count.
+    /// `apply_keystream_on` on a tier's ChaCha20 kernels.
     struct Xor<'a> {
         cipher: ChaCha20,
         data: &'a mut [u8],
@@ -255,18 +261,19 @@ only one tip for the future, sunscreen would be it.";
         type Out = ();
 
         #[inline(always)]
-        fn run<const C: usize, const P: usize>(mut self) {
-            self.cipher.apply_keystream_lanes::<C>(self.data);
+        fn run<const P: usize>(mut self, avx512f: Option<HasAvx512f>) {
+            self.cipher.apply_keystream_on(avx512f, self.data);
         }
     }
 
     #[test]
     fn every_tier_matches_the_one_block_path() {
-        // Each tier this CPU has (portable 8 lanes, AVX2 8, AVX-512F 16)
-        // against `xor_blocks`, the one-block `next_block` path the RFC
-        // vectors pin. Every length up to a page and a bit, so each lane
-        // count and tail shows up, plus an ORAM bucket; counters within 16
-        // of u32::MAX make a lane wrap mid-chunk at 16 lanes too.
+        // Each tier this CPU has (portable and AVX2 on 8 lanes, AVX-512F on
+        // its 16-block kernel and 8 lanes) against `xor_blocks`, the
+        // one-block `next_block` path the RFC vectors pin. Every length up
+        // to a page and a bit, so each kernel and tail shows up, plus an
+        // ORAM bucket; counters within 16 of u32::MAX make a lane wrap
+        // mid-chunk in the 16-block kernel too.
         let tiers: Vec<Tier> = Tier::supported().collect();
         println!("tiers run: {tiers:?}");
         let mut rng = autarky_prng::SimRng::seed_from_u64(0x5a08);

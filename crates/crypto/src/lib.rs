@@ -18,24 +18,34 @@
 //!   virtual address and anti-replay version counter, which is exactly the
 //!   integrity contract SGX's paging instructions provide.
 //!
-//! All implementations are deterministic, written without intrinsics, and
-//! validated against the relevant RFC/NIST test vectors in the unit tests.
-//! Page sealing sets the simulator's host speed on the fault path, so the
-//! two bulk paths are lane kernels the compiler vectorizes (see their
-//! module docs), each one `#[inline(always)]` body generic over its lane
-//! count. The kernels are compiled in three CPU tiers: portable (8
-//! ChaCha20 lanes, 4 Poly1305 lanes), AVX2 (8 and 4) and AVX-512F (16 and
-//! 8). [`aead::seal`] and [`aead::open`] pick the best tier the CPU has
-//! once per call, through the crate's one dispatch site, `Tier::run` in
-//! the private `tier` module; the public [`ChaCha20`] and [`Poly1305`]
-//! types run the portable instance. Calling a `#[target_feature]` tier is
-//! the crate's only `unsafe`: one call per non-portable tier, each allowed
-//! at that call site only and sound because its one precondition, a CPU
-//! with the tier's features, is asserted with runtime detection just
-//! before it. Everything else is safe Rust, and the lints below reject any
-//! further or undocumented `unsafe`. The unit tests run every tier the
-//! host has against the one-block paths, and `tests/proptests.rs` pins the
-//! portable instances to them under random streaming.
+//! All implementations are deterministic and validated against the
+//! relevant RFC/NIST test vectors in the unit tests. Page sealing sets the
+//! simulator's host speed on the fault path, so the bulk paths are lane
+//! kernels: Poly1305's and ChaCha20's 8-lane kernel are plain Rust the
+//! compiler vectorizes (see their module docs), each one
+//! `#[inline(always)]` body that compiles for the CPU tier it lands in.
+//! Intrinsics appear in one place, ChaCha20's AVX-512F kernel. Left to the
+//! vectorizer, 16 blocks in `zmm` rows turned the keystream XOR into
+//! gathers and scatters; written with `std::arch`, the kernel transposes
+//! the rows into blocks in registers instead. The tiers are portable (8
+//! ChaCha20 lanes, 4 Poly1305 lanes), AVX2 (8 and 4) and AVX-512F (the
+//! 16-block intrinsic kernel and 8). [`aead::seal`] and [`aead::open`]
+//! pick the best tier the CPU has once per call, through the crate's one
+//! dispatch site, `Tier::run` in the private `tier` module; the public
+//! [`ChaCha20`] and [`Poly1305`] types run the portable instance.
+//!
+//! The crate's `unsafe` is of three kinds, each allowed at its site only:
+//! the call into each non-portable tier in `Tier::run`, sound because its
+//! one precondition, a CPU with the tier's features, is asserted with
+//! runtime detection just before it; the call into the AVX-512F kernel,
+//! sound because it takes the proof of that check, which only `Tier::run`
+//! makes; and the kernel's unaligned 64-byte load and store, one helper
+//! each over a 64-byte array. Everything else is safe Rust, and the lints
+//! below reject any further or undocumented `unsafe`. The unit tests run
+//! every tier the host has against the one-block paths, and
+//! `tests/proptests.rs` pins the portable instances to them under random
+//! streaming and the whole AEAD, on the best tier, to its one-block
+//! construction.
 
 #![deny(unsafe_code)]
 #![deny(

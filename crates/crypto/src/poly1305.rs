@@ -293,7 +293,7 @@ pub fn poly1305(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::{Kernel, Tier};
+    use crate::tier::{HasAvx512f, Kernel, Tier};
 
     fn hex_to_bytes(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -400,7 +400,7 @@ mod tests {
         type Out = Poly1305;
 
         #[inline(always)]
-        fn run<const C: usize, const P: usize>(mut self) -> Poly1305 {
+        fn run<const P: usize>(mut self, _: Option<HasAvx512f>) -> Poly1305 {
             for part in self.parts {
                 self.mac.update_lanes::<P>(part);
             }

@@ -1,16 +1,22 @@
-//! CPU tiers: which compiled instance of the lane kernels runs.
+//! CPU tiers: which compiled instance of the crypto kernels runs.
 //!
-//! ChaCha20's and Poly1305's lane kernels are `#[inline(always)]` bodies
-//! generic over their lane counts, so each compiles for the features of
-//! the function it lands in. A [`Kernel`] is a computation built on them
+//! Poly1305's lane kernel and ChaCha20's 8-lane kernel are
+//! `#[inline(always)]` bodies, so each compiles for the features of the
+//! function it lands in. A [`Kernel`] is a computation built on them
 //! (`aead::seal`, `aead::open`, and the tests' single-primitive kernels),
 //! and each [`Tier`] is one instance of it:
 //!
-//! | tier | compiled for | ChaCha20 lanes | Poly1305 lanes |
-//! |---|---|---:|---:|
-//! | [`Tier::Portable`] | the target's baseline | 8 | 4 |
-//! | [`Tier::Avx2`] | x86-64 with AVX2 | 8 | 4 |
-//! | [`Tier::Avx512f`] | x86-64 with AVX-512F | 16 | 8 |
+//! | tier | compiled for | ChaCha20 | Poly1305 lanes |
+//! |---|---|---|---:|
+//! | [`Tier::Portable`] | the target's baseline | 8 lanes | 4 |
+//! | [`Tier::Avx2`] | x86-64 with AVX2 | 8 lanes | 4 |
+//! | [`Tier::Avx512f`] | x86-64 with AVX-512F | 16-block intrinsic kernel, then 8 lanes | 8 |
+//!
+//! The AVX-512F tier runs ChaCha20 over every whole 16-block chunk in
+//! `chacha20`'s intrinsic kernel, a `#[target_feature]` function of its
+//! own, and finishes the tail on the 8-lane kernel and the one-block path
+//! like the other tiers. Calling that kernel needs proof that the CPU has
+//! AVX-512F, a [`HasAvx512f`], which only [`Tier::run`] makes.
 //!
 //! [`Tier::run`] is the crate's one dispatch site. Calling a
 //! `#[target_feature]` function is `unsafe`, so it holds one `unsafe`
@@ -20,18 +26,26 @@
 //! `is_x86_feature_detected!`, before the call. A wrong tier therefore
 //! panics instead of running an instruction the CPU lacks.
 
-/// A computation generic over the two lane counts: `C` ChaCha20 blocks
-/// and `P` Poly1305 blocks side by side.
+/// A computation generic over the Poly1305 lane count `P`, with ChaCha20
+/// on the AVX-512F kernel when the tier passes a [`HasAvx512f`].
 pub(crate) trait Kernel {
     /// What the computation returns.
     type Out;
 
     /// The body. Implementations are `#[inline(always)]`, as is every lane
     /// kernel they call, so each tier's instance compiles for its features.
-    fn run<const C: usize, const P: usize>(self) -> Self::Out;
+    fn run<const P: usize>(self, avx512f: Option<HasAvx512f>) -> Self::Out;
 }
 
-/// One compiled instance of a [`Kernel`]: its lane counts and the CPU
+/// Proof that this CPU has AVX-512F. Its field is private, so only this
+/// module makes one, and only [`Tier::run`] does, after its CPU check:
+/// holding one is what makes calling an AVX-512F function sound. Off
+/// x86-64 nothing makes one.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct HasAvx512f(());
+
+/// One compiled instance of a [`Kernel`]: its kernels and the CPU
 /// features it is built for (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Tier {
@@ -39,7 +53,8 @@ pub(crate) enum Tier {
     Portable,
     /// x86-64 with AVX2: 8 ChaCha20 and 4 Poly1305 lanes.
     Avx2,
-    /// x86-64 with AVX-512F: 16 ChaCha20 and 8 Poly1305 lanes.
+    /// x86-64 with AVX-512F: the intrinsic ChaCha20 kernel and 8
+    /// Poly1305 lanes.
     Avx512f,
 }
 
@@ -89,12 +104,13 @@ impl Tier {
             }
             Tier::Avx512f => {
                 // SAFETY: `avx512f`'s only precondition is a CPU with
-                // AVX-512F, which the assert above checked.
+                // AVX-512F, which the assert above checked. That check is
+                // also what the `HasAvx512f` made here stands for.
                 #[allow(unsafe_code)]
-                return unsafe { avx512f(kernel) };
+                return unsafe { avx512f(kernel, HasAvx512f(())) };
             }
         }
-        kernel.run::<8, 4>()
+        kernel.run::<4>(None)
     }
 }
 
@@ -103,14 +119,13 @@ impl Tier {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn avx2<K: Kernel>(kernel: K) -> K::Out {
-    kernel.run::<8, 4>()
+    kernel.run::<4>(None)
 }
 
-/// The AVX-512F instance: sixteen ChaCha20 lanes of a row in one `zmm`
-/// (rotates are single `vprold`s), eight Poly1305 lanes' 64-bit products
-/// in another.
+/// The AVX-512F instance: ChaCha20 on the intrinsic kernel, which `cpu`
+/// unlocks, and eight Poly1305 lanes' 64-bit products in one `zmm`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn avx512f<K: Kernel>(kernel: K) -> K::Out {
-    kernel.run::<16, 8>()
+fn avx512f<K: Kernel>(kernel: K, cpu: HasAvx512f) -> K::Out {
+    kernel.run::<8>(Some(cpu))
 }

@@ -4,7 +4,9 @@
 //! lane kernel's portable instance (8-lane ChaCha20, 4-lane Poly1305) to
 //! the one-block path beside it, which the RFC vectors pin in turn. The
 //! unit tests in `chacha20.rs` and `poly1305.rs` do the same for every
-//! CPU tier's instance.
+//! CPU tier's instance, and `aead_matches_the_one_block_construction`
+//! pins `aead::seal` and `aead::open`, on the best tier this CPU has, to
+//! the AEAD built from the one-block paths.
 //!
 //! Inputs are drawn from the deterministic [`SimRng`] (seeded per test),
 //! so every run exercises the same cases and failures are reproducible.
@@ -162,6 +164,58 @@ fn aead_roundtrip_and_tamper() {
             let mut ct = buf.clone();
             assert!(aead::open(&key, &nonce, &bad_aad, &mut ct, &tag).is_err());
         }
+    }
+}
+
+/// RFC 7539 §2.8's ChaCha20-Poly1305 seal on the public API's one-block
+/// paths: the keystream 64 bytes at a time from counter 1, the Poly1305
+/// key from the first 32 bytes of counter 0's block, and the tag 16 bytes
+/// at a time over aad, pad, ciphertext, pad and the two lengths.
+fn one_block_seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], data: &mut [u8]) -> [u8; 16] {
+    let mut cipher = ChaCha20::new(key, nonce, 1);
+    for piece in data.chunks_mut(64) {
+        cipher.apply_keystream(piece);
+    }
+    let mut block0 = [0u8; 64];
+    ChaCha20::new(key, nonce, 0).keystream(&mut block0);
+    let mut mac = Poly1305::new(block0[..32].try_into().expect("32 bytes"));
+    let pad = |len: usize| vec![0u8; (16 - len % 16) % 16];
+    let mut input = aad.to_vec();
+    input.extend(pad(aad.len()));
+    input.extend_from_slice(data);
+    input.extend(pad(data.len()));
+    input.extend((aad.len() as u64).to_le_bytes());
+    input.extend((data.len() as u64).to_le_bytes());
+    for piece in input.chunks(16) {
+        mac.update(piece);
+    }
+    mac.finalize()
+}
+
+#[test]
+fn aead_matches_the_one_block_construction() {
+    // Every length up to a page and a bit, so each kernel and tail of the
+    // dispatched tier shows up, plus an ORAM bucket and a 128 KiB
+    // checkpoint. Unlike the round trip above, this catches a kernel that
+    // permutes or misnumbers blocks the same way in seal and open.
+    let mut rng = SimRng::seed_from_u64(0x5a0a);
+    for len in (0..=4_200).chain([16_416, 131_072]) {
+        let mut key = [0u8; 32];
+        let mut nonce = [0u8; 12];
+        rng.fill_bytes(&mut key);
+        rng.fill_bytes(&mut nonce);
+        let aad = random_vec(&mut rng, 0..65);
+        let plaintext = random_vec(&mut rng, len..len + 1);
+        let mut expected = plaintext.clone();
+        let expected_tag = one_block_seal(&key, &nonce, &aad, &mut expected);
+        let mut sealed = plaintext.clone();
+        let tag = aead::seal(&key, &nonce, &aad, &mut sealed);
+        assert!(sealed == expected, "seal's ciphertext, len {len}");
+        assert_eq!(tag, expected_tag, "seal's tag, len {len}");
+        let mut opened = expected;
+        aead::open(&key, &nonce, &aad, &mut opened, &expected_tag)
+            .unwrap_or_else(|_| panic!("open refused the reference, len {len}"));
+        assert!(opened == plaintext, "open's plaintext, len {len}");
     }
 }
 

@@ -111,7 +111,7 @@ pub struct EpcmEntry {
 /// The enclave page cache: frames plus their EPCM entries.
 ///
 /// Each enclave's frame count is kept beside the EPCM, updated by
-/// [`Epc::alloc`] and [`Epc::free`], so [`Epc::frames_of`] is O(1) for the
+/// [`Epc::alloc_with`] and [`Epc::free`], so [`Epc::frames_of`] is O(1) for the
 /// kernel's per-fetch quota check, the hypervisor and the fleet tick.
 ///
 /// Invariant: an entry's `eid` never changes while its frame is allocated.
@@ -149,22 +149,33 @@ impl Epc {
 
     /// Allocate a frame, installing `entry` and zeroed contents.
     pub fn alloc(&mut self, entry: EpcmEntry) -> Result<Frame, SgxError> {
+        self.alloc_with(entry, zeroed_page())
+    }
+
+    /// Allocate a frame, installing `entry` and `contents`, the buffer
+    /// itself rather than a copy (`ELDU` installs the page it decrypted).
+    pub fn alloc_with(&mut self, entry: EpcmEntry, contents: PageData) -> Result<Frame, SgxError> {
         let frame = self.free.pop().ok_or(SgxError::EpcFull)?;
         *self.counts.entry(entry.eid).or_insert(0) += 1;
-        self.data[frame.0 as usize] = Some(zeroed_page());
+        self.data[frame.0 as usize] = Some(contents);
         self.epcm[frame.0 as usize] = Some(entry);
         Ok(frame)
     }
 
-    /// Free a frame, scrubbing its contents.
-    pub fn free(&mut self, frame: Frame) -> Result<(), SgxError> {
+    /// Free a frame and hand back its page buffer; the EPC keeps nothing
+    /// of it, and the next allocation of the frame gets fresh contents.
+    /// `EWB` encrypts the returned buffer in place as the sealed blob's
+    /// ciphertext; other callers drop it.
+    pub fn free(&mut self, frame: Frame) -> Result<PageData, SgxError> {
         let idx = frame.0 as usize;
         let entry = self
             .epcm
             .get_mut(idx)
             .and_then(Option::take)
             .ok_or(SgxError::InvalidFrame)?;
-        self.data[idx] = None;
+        let contents = self.data[idx]
+            .take()
+            .expect("an allocated frame has contents");
         self.free.push(frame);
         let count = self
             .counts
@@ -174,7 +185,7 @@ impl Epc {
         if *count == 0 {
             self.counts.remove(&entry.eid);
         }
-        Ok(())
+        Ok(contents)
     }
 
     /// Borrow the EPCM entry for `frame`.

@@ -640,9 +640,11 @@ impl Machine {
     }
 
     /// `EWB`: evict a blocked page, returning the sealed blob that the OS
-    /// stores in untrusted memory. Frees the EPC frame. Refuses with
-    /// [`SgxError::NonceExhausted`], leaving the page resident, when the
-    /// page number or its next version does not fit the sealing nonce.
+    /// stores in untrusted memory. Frees the EPC frame, whose page buffer
+    /// is encrypted in place as the blob's ciphertext. Refuses with
+    /// [`SgxError::NonceExhausted`], leaving the page resident and its
+    /// bytes untouched, when the page number or its next version does not
+    /// fit the sealing nonce.
     pub fn ewb(&mut self, eid: EnclaveId, vpn: Vpn) -> Result<SealedPage, SgxError> {
         let frame = self.frame_of(eid, vpn)?;
         let entry = self.epc.entry(frame)?.clone();
@@ -663,9 +665,9 @@ impl Machine {
         };
         state.next_version.insert(vpn, version);
         state.outstanding.insert(vpn, version);
-        let contents = self.epc.page(frame)?;
+        // Every refusal is behind us, so the frame's buffer can go.
+        let contents = self.epc.free(frame)?;
         let sealed = seal_page(&self.platform_key, eid, vpn, version, entry.perms, contents);
-        self.epc.free(frame)?;
         self.frame_index.remove(&(eid, vpn));
         self.stats.ewbs += 1;
         self.clock
@@ -674,8 +676,9 @@ impl Machine {
     }
 
     /// `ELDU`: reload a sealed page into a fresh EPC frame, verifying
-    /// authenticity and anti-replay freshness. The OS must then remap the
-    /// page table entry.
+    /// authenticity and anti-replay freshness. The frame's contents are
+    /// the buffer the blob was decrypted into. A blob that fails either
+    /// check changes nothing. The OS must then remap the page table entry.
     pub fn eldu(&mut self, eid: EnclaveId, sealed: &SealedPage) -> Result<Frame, SgxError> {
         if sealed.eid != eid {
             return Err(SgxError::SealBroken);
@@ -689,17 +692,19 @@ impl Machine {
             }
         }
         let contents = open_page(&self.platform_key, sealed).map_err(|_| SgxError::SealBroken)?;
-        let frame = self.epc.alloc(EpcmEntry {
-            valid: true,
-            eid,
-            vpn: sealed.vpn,
-            page_type: PageType::Reg,
-            perms: sealed.perms,
-            blocked: false,
-            pending: false,
-            modified: false,
-        })?;
-        self.epc.page_mut(frame)?.copy_from_slice(&contents[..]);
+        let frame = self.epc.alloc_with(
+            EpcmEntry {
+                valid: true,
+                eid,
+                vpn: sealed.vpn,
+                page_type: PageType::Reg,
+                perms: sealed.perms,
+                blocked: false,
+                pending: false,
+                modified: false,
+            },
+            contents,
+        )?;
         self.frame_index.insert((eid, sealed.vpn), frame);
         let state = self.enclave_mut(eid)?;
         state.outstanding.remove(&sealed.vpn);
@@ -1591,6 +1596,18 @@ mod tests {
         ));
     }
 
+    /// A page of bytes that differ from their neighbours and from zero.
+    fn page_pattern() -> Vec<u8> {
+        (0..PAGE_SIZE).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// The bytes in the EPC frame backing `vpn`, read past the page table
+    /// (a blocked page faults on access).
+    fn frame_bytes(machine: &Machine, eid: EnclaveId, vpn: Vpn) -> Vec<u8> {
+        let frame = machine.frame_of(eid, vpn).expect("resident");
+        machine.epc.page(frame).expect("allocated frame").to_vec()
+    }
+
     #[test]
     fn ewb_refuses_a_page_number_beyond_the_nonce() {
         // Page 2^32 would share page 0's nonce, and so its keystream.
@@ -1598,12 +1615,16 @@ mod tests {
         let base = Va(1 << 44);
         let eid = build_enclave_at(&mut machine, base, true, 2);
         let vpn = base.vpn();
+        machine
+            .write_bytes(eid, 0, base, &page_pattern())
+            .expect("write");
         let free = machine.epc_free_frames();
         machine.eblock(eid, vpn).expect("eblock");
         machine.etrack(eid).expect("etrack");
         let err = machine.ewb(eid, vpn).expect_err("EWB must refuse");
         assert_eq!(err, SgxError::NonceExhausted(vpn));
         assert!(machine.is_resident(eid, vpn), "the page stays in EPC");
+        assert_eq!(frame_bytes(&machine, eid, vpn), page_pattern());
         assert_eq!(machine.epc_free_frames(), free);
         assert_eq!(machine.stats().ewbs, 0);
     }
@@ -1613,6 +1634,9 @@ mod tests {
         let mut machine = Machine::new(MachineConfig::default());
         let eid = build_enclave(&mut machine, true, 4);
         let vpn = Vpn(0x101);
+        machine
+            .write_bytes(eid, 0, vpn.base(), &page_pattern())
+            .expect("write");
         let mut capture = machine.capture_enclave(eid).expect("capture");
         capture.next_version = vec![(vpn, u64::from(u32::MAX))];
         let mut fresh = Machine::new(MachineConfig::default());
@@ -1622,9 +1646,44 @@ mod tests {
         let err = fresh.ewb(eid, vpn).expect_err("EWB must refuse");
         assert_eq!(err, SgxError::NonceExhausted(vpn));
         assert!(fresh.is_resident(eid, vpn), "the page stays in EPC");
+        assert_eq!(frame_bytes(&fresh, eid, vpn), page_pattern());
         let after = fresh.capture_enclave(eid).expect("capture");
         assert_eq!(after.next_version, capture.next_version, "not bumped");
         assert!(after.outstanding.is_empty());
+    }
+
+    #[test]
+    fn eldu_refuses_a_tampered_blob_and_changes_nothing() {
+        let mut machine = Machine::new(MachineConfig::default());
+        let eid = build_enclave(&mut machine, true, 4);
+        let vpn = Vpn(0x101);
+        machine
+            .write_bytes(eid, 0, vpn.base(), &page_pattern())
+            .expect("write");
+        machine.eblock(eid, vpn).expect("eblock");
+        machine.etrack(eid).expect("etrack");
+        let sealed = machine.ewb(eid, vpn).expect("ewb");
+        let free = machine.epc_free_frames();
+        let eldus = machine.stats().eldus;
+        let version = machine.outstanding_version(eid, vpn).expect("query");
+        assert_eq!(version, Some(sealed.version));
+        let mut bad_ciphertext = sealed.clone();
+        bad_ciphertext.ciphertext[1234] ^= 0x01;
+        let mut bad_tag = sealed.clone();
+        bad_tag.tag[7] ^= 0x80;
+        for (what, blob) in [("ciphertext", &bad_ciphertext), ("tag", &bad_tag)] {
+            assert_eq!(machine.eldu(eid, blob), Err(SgxError::SealBroken), "{what}");
+            assert!(!machine.is_resident(eid, vpn), "{what}");
+            assert_eq!(machine.epc_free_frames(), free, "{what}");
+            assert_eq!(machine.stats().eldus, eldus, "{what}");
+            let outstanding = machine.outstanding_version(eid, vpn).expect("query");
+            assert_eq!(outstanding, version, "{what}");
+        }
+        machine
+            .eldu(eid, &sealed)
+            .expect("the genuine blob still loads");
+        assert_eq!(frame_bytes(&machine, eid, vpn), page_pattern());
+        assert_eq!(machine.stats().eldus, eldus + 1);
     }
 
     #[test]

@@ -49,27 +49,30 @@ fn nonce_for(eid: EnclaveId, vpn: Vpn, version: u64) -> [u8; NONCE_LEN] {
     nonce
 }
 
-fn aad_for(eid: EnclaveId, vpn: Vpn, version: u64, perms: Perms) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(24);
-    aad.extend_from_slice(&eid.0.to_le_bytes());
-    aad.extend_from_slice(&vpn.0.to_le_bytes());
-    aad.extend_from_slice(&version.to_le_bytes());
-    aad.push(perms.r as u8);
-    aad.push(perms.w as u8);
-    aad.push(perms.x as u8);
+/// Bytes of associated data: enclave id, page number, version, and the
+/// three permission bits.
+const AAD_LEN: usize = 4 + 8 + 8 + 3;
+
+fn aad_for(eid: EnclaveId, vpn: Vpn, version: u64, perms: Perms) -> [u8; AAD_LEN] {
+    let mut aad = [0u8; AAD_LEN];
+    aad[..4].copy_from_slice(&eid.0.to_le_bytes());
+    aad[4..12].copy_from_slice(&vpn.0.to_le_bytes());
+    aad[12..20].copy_from_slice(&version.to_le_bytes());
+    aad[20..].copy_from_slice(&[perms.r as u8, perms.w as u8, perms.x as u8]);
     aad
 }
 
-/// Seal a page for eviction.
+/// Seal a page for eviction, encrypting `contents` in place: its buffer
+/// becomes the blob's ciphertext.
 pub fn seal_page(
     key: &[u8; 32],
     eid: EnclaveId,
     vpn: Vpn,
     version: u64,
     perms: Perms,
-    contents: &[u8; PAGE_SIZE],
+    contents: PageData,
 ) -> SealedPage {
-    let mut ciphertext = contents.to_vec();
+    let mut ciphertext = (contents as Box<[u8]>).into_vec();
     let nonce = nonce_for(eid, vpn, version);
     let aad = aad_for(eid, vpn, version, perms);
     let tag = aead::seal(key, &nonce, &aad, &mut ciphertext);
@@ -83,7 +86,8 @@ pub fn seal_page(
     }
 }
 
-/// Verify and decrypt a sealed page.
+/// Verify and decrypt a sealed page into a new page buffer, which `ELDU`
+/// installs as its frame's contents.
 pub fn open_page(key: &[u8; 32], sealed: &SealedPage) -> Result<PageData, AeadError> {
     if sealed.ciphertext.len() != PAGE_SIZE {
         return Err(AeadError::TagMismatch);
@@ -112,7 +116,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let page = page_with(0x7f);
-        let sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, &page);
+        let sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, page.clone());
         assert_ne!(&sealed.ciphertext[..], &page[..], "must be encrypted");
         let opened = open_page(&KEY, &sealed).expect("authentic");
         assert_eq!(&opened[..], &page[..]);
@@ -121,7 +125,7 @@ mod tests {
     #[test]
     fn tamper_detected() {
         let page = page_with(1);
-        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, &page);
+        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, page);
         sealed.ciphertext[100] ^= 0xff;
         assert!(open_page(&KEY, &sealed).is_err());
     }
@@ -130,7 +134,7 @@ mod tests {
     fn metadata_swap_detected() {
         // An attacker relocating a blob to a different page must fail.
         let page = page_with(1);
-        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, &page);
+        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, page);
         sealed.vpn = Vpn(6);
         assert!(open_page(&KEY, &sealed).is_err());
     }
@@ -138,7 +142,7 @@ mod tests {
     #[test]
     fn version_swap_detected() {
         let page = page_with(1);
-        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, &page);
+        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, page);
         sealed.version = 4;
         assert!(open_page(&KEY, &sealed).is_err());
     }
@@ -146,16 +150,35 @@ mod tests {
     #[test]
     fn perms_swap_detected() {
         let page = page_with(1);
-        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::R, &page);
+        let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::R, page);
         sealed.perms = Perms::RWX;
         assert!(open_page(&KEY, &sealed).is_err());
     }
 
     #[test]
+    fn sealed_blob_matches_a_known_answer() {
+        // Every field distinct and nonzero in the bytes the nonce and the
+        // AAD take, so this pins both layouts: any change to either moves
+        // the keystream or the tag.
+        let mut page = zeroed_page();
+        for (i, byte) in page.iter_mut().enumerate() {
+            *byte = (i * 7 + 3) as u8;
+        }
+        let (eid, vpn, version) = (EnclaveId(0x0a0b_0c0d), Vpn(0x8765_4321), 0x1234_5678);
+        let sealed = seal_page(&KEY, eid, vpn, version, Perms::RX, page);
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(&sealed.tag), "3c5fe2926dc68b91e6cb6e69dfa495c1");
+        assert_eq!(
+            hex(&autarky_crypto::sha256(&sealed.ciphertext)),
+            "d3b28b0334cdd789db62cfb55a8137ecb1f5f5e0c753ce2d668be07a2f45b344"
+        );
+    }
+
+    #[test]
     fn distinct_versions_distinct_ciphertexts() {
         let page = page_with(1);
-        let a = seal_page(&KEY, EnclaveId(1), Vpn(5), 1, Perms::RW, &page);
-        let b = seal_page(&KEY, EnclaveId(1), Vpn(5), 2, Perms::RW, &page);
+        let a = seal_page(&KEY, EnclaveId(1), Vpn(5), 1, Perms::RW, page.clone());
+        let b = seal_page(&KEY, EnclaveId(1), Vpn(5), 2, Perms::RW, page);
         assert_ne!(a.ciphertext, b.ciphertext);
     }
 }
