@@ -5,7 +5,7 @@
 //! subprocesses, no re-parsing of CLI output — so a campaign cell sees
 //! exactly what the subsystem's own tests see:
 //!
-//! * `bench` → [`autarky_profile::collect`] cycle-attribution profile of
+//! * `bench` → [`autarky_profile::collect`](fn@autarky_profile::collect) cycle-attribution profile of
 //!   one perf scenario under one paging policy, gated on the
 //!   unattributed residual and, against the baseline, on cycles/op (the
 //!   profile minus its observer effect) and hot-path cycles/fault;

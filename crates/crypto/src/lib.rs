@@ -4,7 +4,7 @@
 //! hardware; the simulator replaces them with well-known software
 //! constructions implemented from scratch in this crate:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256, used for enclave measurement
+//! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256, used for enclave measurement
 //!   (`EEXTEND`) and as the compression core for [`hmac`].
 //! * [`hmac`] — RFC 2104 HMAC-SHA256, used for report MACs and key
 //!   derivation.

@@ -12,7 +12,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::storage::BucketStorage;
 use crate::tree::{OramError, PathOram};
 
 struct Entry {
@@ -22,8 +21,8 @@ struct Entry {
 }
 
 /// An LRU cache of decrypted blocks in front of a [`PathOram`].
-pub struct CachedOram<S: BucketStorage> {
-    oram: PathOram<S>,
+pub struct CachedOram {
+    oram: PathOram,
     entries: HashMap<u64, Entry>,
     /// Recency queue with lazy invalidation: entries whose stamp is stale
     /// are skipped at eviction time.
@@ -32,9 +31,9 @@ pub struct CachedOram<S: BucketStorage> {
     next_stamp: u64,
 }
 
-impl<S: BucketStorage> CachedOram<S> {
+impl CachedOram {
     /// Wrap `oram` with a cache holding up to `capacity` blocks.
-    pub fn new(oram: PathOram<S>, capacity: usize) -> Self {
+    pub fn new(oram: PathOram, capacity: usize) -> Self {
         Self {
             oram,
             entries: HashMap::new(),
@@ -45,18 +44,8 @@ impl<S: BucketStorage> CachedOram<S> {
     }
 
     /// The wrapped ORAM (for stats and storage inspection).
-    pub fn oram(&self) -> &PathOram<S> {
+    pub fn oram(&self) -> &PathOram {
         &self.oram
-    }
-
-    /// Mutable access to the wrapped ORAM.
-    pub fn oram_mut(&mut self) -> &mut PathOram<S> {
-        &mut self.oram
-    }
-
-    /// Cache capacity in blocks.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Blocks currently cached.
@@ -99,19 +88,17 @@ impl<S: BucketStorage> CachedOram<S> {
 
     fn load(&mut self, id: u64) -> Result<(), OramError> {
         if self.entries.contains_key(&id) {
-            self.oram.stats.add("cache_hits", 1);
+            self.oram.stats.counts.cache_hits += 1;
             self.touch(id);
             return Ok(());
         }
-        self.oram.stats.add("cache_misses", 1);
+        self.oram.stats.counts.cache_misses += 1;
         if self.entries.len() >= self.capacity {
             self.evict_one()?;
         }
         let data = self.oram.read(id)?;
         // Fetching into the cache is an oblivious copy.
-        self.oram
-            .stats
-            .add("oblivious_scan_bytes", data.len() as u64);
+        self.oram.stats.counts.oblivious_scan_bytes += data.len() as u64;
         self.entries.insert(
             id,
             Entry {
@@ -161,22 +148,6 @@ impl<S: BucketStorage> CachedOram<S> {
         entry.dirty = true;
         Ok(())
     }
-
-    /// Write every dirty block back to the ORAM.
-    pub fn flush(&mut self) -> Result<(), OramError> {
-        let dirty: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in dirty {
-            let data = self.entries.get(&id).expect("listed").data.clone();
-            self.oram.write(id, &data)?;
-            self.entries.get_mut(&id).expect("listed").dirty = false;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +156,7 @@ mod tests {
     use crate::storage::MemStorage;
     use crate::tree::buckets_for;
 
-    fn cached(capacity_blocks: u64, cache: usize) -> CachedOram<MemStorage> {
+    fn cached(capacity_blocks: u64, cache: usize) -> CachedOram {
         let storage = MemStorage::new(buckets_for(capacity_blocks));
         let oram = PathOram::new(capacity_blocks, 8, 1, [2; 32], storage);
         CachedOram::new(oram, cache)
@@ -254,22 +225,6 @@ mod tests {
         let mut buf = [0u8; 4];
         c.read_at(9, 1, &mut buf).expect("read_at");
         assert_eq!(buf, [0xAA, 1, 2, 0xAA]);
-    }
-
-    #[test]
-    fn flush_persists_everything() {
-        let mut c = cached(64, 8);
-        for id in 0..8u64 {
-            c.write(id, &[id as u8; 8]).expect("write");
-        }
-        c.flush().expect("flush");
-        // Blow the cache away by reading 8 other blocks.
-        for id in 8..16u64 {
-            c.read(id).expect("read");
-        }
-        for id in 0..8u64 {
-            assert_eq!(c.read(id).expect("read"), vec![id as u8; 8]);
-        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! practical paging backend.
 //!
 //! * [`tree`] — the PathORAM protocol (Z=4 buckets, greedy write-back);
-//! * [`storage`] — the untrusted, encrypted bucket store abstraction;
+//! * [`storage`] — the untrusted, encrypted bucket store and its access
+//!   log (the adversary's view);
 //! * [`cache`] — the enclave-managed LRU block cache front-end;
-//! * [`stats`] — event counters converted to cycles by the runtime.
+//! * [`stats`] — event counts converted to cycles by the runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +25,6 @@ pub mod storage;
 pub mod tree;
 
 pub use cache::CachedOram;
-pub use stats::{OramStats, ORAM_COUNTERS};
-pub use storage::{BucketStorage, MemStorage};
+pub use stats::{OramCounts, OramStats};
+pub use storage::MemStorage;
 pub use tree::{buckets_for, OramError, PathOram, BUCKET_Z};

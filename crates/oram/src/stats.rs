@@ -1,58 +1,45 @@
-//! Cost accounting for ORAM operations, built on the telemetry layer.
+//! Cost accounting for ORAM operations.
 //!
 //! The ORAM crate is pure (no dependency on the machine simulator);
 //! instead of charging cycles directly it counts the events that cost
 //! something, and the runtime converts them to cycles with its cost
-//! model. The counters are an [`autarky_telemetry::CounterSet`] with a
-//! fixed schema plus a stash-occupancy [`Histogram`], so ORAM metrics
-//! share the canonical fixed-size encoding of the rest of the enclave's
-//! telemetry and can ride the same sealed epoch-export path.
+//! model. The counts are one `u64` field each, beside a stash-occupancy
+//! [`Histogram`]; nothing exports them, they feed the cycle charge and
+//! the benchmark's per-layer table.
 
-use autarky_telemetry::{CounterSet, Histogram};
+use autarky_telemetry::Histogram;
 
-/// Counter names in the ORAM metric schema (registration order is
-/// encoding order).
-pub const ORAM_COUNTERS: &[&str] = &[
-    "accesses",
-    "bucket_reads",
-    "bucket_writes",
-    "crypto_bytes",
-    "oblivious_scan_bytes",
-    "cache_hits",
-    "cache_misses",
-];
+/// Event counts of ORAM operations, one field per event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OramCounts {
+    /// Logical ORAM accesses performed.
+    pub accesses: u64,
+    /// Buckets read from untrusted storage.
+    pub bucket_reads: u64,
+    /// Buckets written to untrusted storage.
+    pub bucket_writes: u64,
+    /// Bytes moved through bucket encryption/decryption.
+    pub crypto_bytes: u64,
+    /// Bytes covered by oblivious (CMOV-style) scans of the stash and,
+    /// in uncached mode, the position map.
+    pub oblivious_scan_bytes: u64,
+    /// Cache hits (cached front-end only).
+    pub cache_hits: u64,
+    /// Cache misses (cached front-end only).
+    pub cache_misses: u64,
+}
 
 /// Counters accumulated by ORAM operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OramStats {
-    counters: CounterSet,
+    pub(crate) counts: OramCounts,
     stash: Histogram,
 }
 
-impl Default for OramStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl OramStats {
-    /// Fresh, zeroed counters over the [`ORAM_COUNTERS`] schema.
-    pub fn new() -> Self {
-        Self {
-            counters: CounterSet::new(ORAM_COUNTERS),
-            stash: Histogram::new(),
-        }
-    }
-
-    /// Add `n` to a registered counter (panics on unregistered names —
-    /// a schema bug, not a data bug).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        self.counters.add(name, n);
-    }
-
-    /// Read a registered counter by name.
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name)
+    /// Every event count, by value.
+    pub fn counts(&self) -> OramCounts {
+        self.counts
     }
 
     /// Sample the stash occupancy after an access.
@@ -67,52 +54,38 @@ impl OramStats {
 
     /// Logical ORAM accesses performed.
     pub fn accesses(&self) -> u64 {
-        self.counters.get("accesses")
+        self.counts.accesses
     }
 
     /// Buckets read from untrusted storage.
     pub fn bucket_reads(&self) -> u64 {
-        self.counters.get("bucket_reads")
+        self.counts.bucket_reads
     }
 
     /// Buckets written to untrusted storage.
     pub fn bucket_writes(&self) -> u64 {
-        self.counters.get("bucket_writes")
+        self.counts.bucket_writes
     }
 
     /// Bytes moved through bucket encryption/decryption.
     pub fn crypto_bytes(&self) -> u64 {
-        self.counters.get("crypto_bytes")
+        self.counts.crypto_bytes
     }
 
-    /// Bytes covered by oblivious (CMOV-style) scans of the stash and,
-    /// in uncached mode, the position map.
+    /// Bytes covered by oblivious scans (see
+    /// [`OramCounts::oblivious_scan_bytes`]).
     pub fn oblivious_scan_bytes(&self) -> u64 {
-        self.counters.get("oblivious_scan_bytes")
+        self.counts.oblivious_scan_bytes
     }
 
     /// Cache hits (cached front-end only).
     pub fn cache_hits(&self) -> u64 {
-        self.counters.get("cache_hits")
+        self.counts.cache_hits
     }
 
     /// Cache misses (cached front-end only).
     pub fn cache_misses(&self) -> u64 {
-        self.counters.get("cache_misses")
-    }
-
-    /// Merge another counter set into this one.
-    pub fn absorb(&mut self, other: &OramStats) {
-        self.counters.absorb(&other.counters);
-        self.stash.absorb(&other.stash);
-    }
-
-    /// Append the canonical fixed-size encoding (counters, then the stash
-    /// histogram) — used when embedding ORAM metrics in a telemetry
-    /// export.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.counters.encode_into(out);
-        self.stash.encode_into(out);
+        self.counts.cache_misses
     }
 }
 
@@ -121,50 +94,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_sums_fields() {
-        let mut a = OramStats::new();
-        a.add("accesses", 1);
-        a.add("bucket_reads", 2);
-        let mut b = OramStats::new();
-        b.add("accesses", 10);
-        b.add("bucket_reads", 20);
-        b.add("cache_hits", 5);
-        a.absorb(&b);
-        assert_eq!(a.accesses(), 11);
-        assert_eq!(a.bucket_reads(), 22);
-        assert_eq!(a.cache_hits(), 5);
-    }
-
-    #[test]
     fn stash_samples_are_histogrammed() {
-        let mut s = OramStats::new();
+        let mut s = OramStats::default();
         s.record_stash(3);
         s.record_stash(7);
         assert_eq!(s.stash_hist().count(), 2);
         assert_eq!(s.stash_hist().max(), 7);
-        let mut other = OramStats::new();
-        other.record_stash(40);
-        s.absorb(&other);
-        assert_eq!(s.stash_hist().count(), 3);
-        assert_eq!(s.stash_hist().max(), 40);
-    }
-
-    #[test]
-    fn encoding_is_fixed_size() {
-        let empty = {
-            let mut out = Vec::new();
-            OramStats::new().encode_into(&mut out);
-            out
-        };
-        let busy = {
-            let mut s = OramStats::new();
-            s.add("crypto_bytes", 123_456);
-            s.record_stash(12);
-            let mut out = Vec::new();
-            s.encode_into(&mut out);
-            out
-        };
-        assert_eq!(empty.len(), busy.len());
-        assert_ne!(empty, busy);
     }
 }

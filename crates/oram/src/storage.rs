@@ -7,21 +7,10 @@
 
 use autarky_crypto::aead::{self, NONCE_LEN, TAG_LEN};
 
-/// Abstract untrusted storage holding one ciphertext per tree bucket.
-///
-/// Implementations decide where the bytes live (host memory, the
-/// simulator's observable backing store, a file, ...). The ORAM only ever
-/// calls these two methods, so an implementation's access log *is* the
+/// Untrusted bucket storage: one ciphertext per tree bucket, in host
+/// memory, with an access log. The ORAM only ever calls
+/// [`MemStorage::read`] and [`MemStorage::write`], so the log *is* the
 /// adversary's view.
-pub trait BucketStorage {
-    /// Read the ciphertext of bucket `index` (empty if never written).
-    fn read(&mut self, index: usize) -> Vec<u8>;
-    /// Replace the ciphertext of bucket `index`.
-    fn write(&mut self, index: usize, ciphertext: Vec<u8>);
-}
-
-/// Plain in-memory storage with an access log, used by tests and as the
-/// default backing when no simulator is attached.
 #[derive(Default)]
 pub struct MemStorage {
     buckets: Vec<Vec<u8>>,
@@ -38,23 +27,23 @@ impl MemStorage {
         }
     }
 
+    /// Read the ciphertext of bucket `index` (empty if never written).
+    pub fn read(&mut self, index: usize) -> Vec<u8> {
+        self.log.push((index, false));
+        self.buckets[index].clone()
+    }
+
+    /// Replace the ciphertext of bucket `index`.
+    pub fn write(&mut self, index: usize, ciphertext: Vec<u8>) {
+        self.log.push((index, true));
+        self.buckets[index] = ciphertext;
+    }
+
     /// Flip one ciphertext bit (fault injection for integrity tests).
     pub fn corrupt(&mut self, index: usize, byte: usize) {
         if let Some(b) = self.buckets.get_mut(index).and_then(|v| v.get_mut(byte)) {
             *b ^= 1;
         }
-    }
-}
-
-impl BucketStorage for MemStorage {
-    fn read(&mut self, index: usize) -> Vec<u8> {
-        self.log.push((index, false));
-        self.buckets[index].clone()
-    }
-
-    fn write(&mut self, index: usize, ciphertext: Vec<u8>) {
-        self.log.push((index, true));
-        self.buckets[index] = ciphertext;
     }
 }
 

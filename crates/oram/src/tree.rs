@@ -22,7 +22,7 @@
 use autarky_prng::SimRng;
 
 use crate::stats::OramStats;
-use crate::storage::{BucketSealer, BucketStorage};
+use crate::storage::{BucketSealer, MemStorage};
 
 /// Blocks per bucket (the standard `Z = 4`).
 pub const BUCKET_Z: usize = 4;
@@ -64,9 +64,9 @@ impl core::fmt::Display for OramError {
 
 impl std::error::Error for OramError {}
 
-/// A PathORAM instance over `S`.
-pub struct PathOram<S: BucketStorage> {
-    storage: S,
+/// A PathORAM instance over untrusted [`MemStorage`].
+pub struct PathOram {
+    storage: MemStorage,
     sealer: BucketSealer,
     /// Tree height: leaves are at level `height`, root at level 0.
     height: u32,
@@ -95,13 +95,19 @@ fn height_for(capacity: u64) -> u32 {
     64 - (needed_leaves - 1).leading_zeros()
 }
 
-impl<S: BucketStorage> PathOram<S> {
+impl PathOram {
     /// Create an ORAM holding `capacity` blocks of `block_size` bytes.
     ///
     /// `seed` drives the (simulated) in-enclave randomness; `key` seals
     /// buckets. `storage` must hold at least [`buckets_for`]`(capacity)`
     /// buckets.
-    pub fn new(capacity: u64, block_size: usize, seed: u64, key: [u8; 32], storage: S) -> Self {
+    pub fn new(
+        capacity: u64,
+        block_size: usize,
+        seed: u64,
+        key: [u8; 32],
+        storage: MemStorage,
+    ) -> Self {
         let height = height_for(capacity);
         let num_leaves = 1u64 << height;
         let mut rng = SimRng::seed_from_u64(seed);
@@ -145,7 +151,7 @@ impl<S: BucketStorage> PathOram<S> {
     }
 
     /// Borrow the underlying storage (e.g. to inspect its access log).
-    pub fn storage(&self) -> &S {
+    pub fn storage(&self) -> &MemStorage {
         &self.storage
     }
 
@@ -175,7 +181,7 @@ impl<S: BucketStorage> PathOram<S> {
         if id >= self.capacity {
             return Err(OramError::BadBlock(id));
         }
-        self.stats.add("accesses", 1);
+        self.stats.counts.accesses += 1;
 
         // 1. Position-map lookup + remap. In uncached mode this is a
         // linear oblivious scan; in cached mode the map is pinned in
@@ -184,15 +190,14 @@ impl<S: BucketStorage> PathOram<S> {
         let new_leaf = self.rng.gen_range(0..self.num_leaves);
         self.position[id as usize] = new_leaf as u32;
         if self.uncached_metadata {
-            self.stats
-                .add("oblivious_scan_bytes", self.position.len() as u64 * 4);
+            self.stats.counts.oblivious_scan_bytes += self.position.len() as u64 * 4;
         }
 
         // 2. Read the whole path into the stash.
         for level in 0..=self.height {
             let bucket = self.bucket_index(leaf, level);
             let sealed = self.storage.read(bucket);
-            self.stats.add("bucket_reads", 1);
+            self.stats.counts.bucket_reads += 1;
             if sealed.is_empty() {
                 continue; // never-written bucket: all dummies
             }
@@ -200,7 +205,7 @@ impl<S: BucketStorage> PathOram<S> {
                 .sealer
                 .open(&sealed)
                 .ok_or(OramError::Tampered(bucket))?;
-            self.stats.add("crypto_bytes", plaintext.len() as u64);
+            self.stats.counts.crypto_bytes += plaintext.len() as u64;
             self.parse_bucket(&plaintext);
         }
 
@@ -209,10 +214,8 @@ impl<S: BucketStorage> PathOram<S> {
         // costs almost nothing. Pre-Autarky (uncached mode) the scan must
         // be oblivious over the full stash capacity, CoSMIX-style.
         if self.uncached_metadata {
-            self.stats.add(
-                "oblivious_scan_bytes",
-                (self.stash_capacity * (8 + self.block_size)) as u64,
-            );
+            self.stats.counts.oblivious_scan_bytes +=
+                (self.stash_capacity * (8 + self.block_size)) as u64;
         }
         let pos = self.stash.iter().position(|(bid, _)| *bid == id);
         let mut data = match pos {
@@ -252,10 +255,10 @@ impl<S: BucketStorage> PathOram<S> {
                 }
             }
             let plaintext = self.serialize_bucket(&chosen);
-            self.stats.add("crypto_bytes", plaintext.len() as u64);
+            self.stats.counts.crypto_bytes += plaintext.len() as u64;
             let sealed = self.sealer.seal(plaintext);
             self.storage.write(bucket, sealed);
-            self.stats.add("bucket_writes", 1);
+            self.stats.counts.bucket_writes += 1;
         }
         self.stats.record_stash(self.stash.len() as u64);
         Ok(data)
@@ -300,10 +303,9 @@ impl<S: BucketStorage> PathOram<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
     use std::collections::HashMap;
 
-    fn oram(capacity: u64, block_size: usize) -> PathOram<MemStorage> {
+    fn oram(capacity: u64, block_size: usize) -> PathOram {
         let storage = MemStorage::new(buckets_for(capacity));
         PathOram::new(capacity, block_size, 42, [3; 32], storage)
     }

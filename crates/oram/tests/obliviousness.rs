@@ -4,7 +4,7 @@
 
 use autarky_oram::{buckets_for, CachedOram, MemStorage, PathOram};
 
-fn oram(seed: u64) -> PathOram<MemStorage> {
+fn oram(seed: u64) -> PathOram {
     let storage = MemStorage::new(buckets_for(256));
     PathOram::new(256, 32, seed, [7; 32], storage)
 }

@@ -26,10 +26,10 @@ use crate::kernel::{Observation, Os};
 /// How the fault tracer induces its faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
-    /// Clear the present bit (Xu et al.'s original attack [76]).
+    /// Clear the present bit (Xu et al.'s original attack \[76\]).
     Unmap,
     /// Strip a permission instead — e.g. write-protect data pages or make
-    /// code pages non-executable (the AsyncShock-style variant [74]).
+    /// code pages non-executable (the AsyncShock-style variant \[74\]).
     /// Stealthier on real systems because the page stays mapped.
     StripPermission {
         /// Remove write permission.
@@ -39,7 +39,7 @@ pub enum TraceMode {
     },
 }
 
-/// Fault-tracing attack state (Xu et al. [76] and permission variants).
+/// Fault-tracing attack state (Xu et al. \[76\] and permission variants).
 #[derive(Debug, Clone)]
 pub struct FaultTracer {
     /// Victim enclave.
@@ -89,7 +89,7 @@ impl FaultTracer {
     }
 }
 
-/// Accessed/dirty-bit monitoring attack state (Wang et al. [72]).
+/// Accessed/dirty-bit monitoring attack state (Wang et al. \[72\]).
 #[derive(Debug, Clone)]
 pub struct AdMonitor {
     /// Victim enclave.

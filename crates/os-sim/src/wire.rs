@@ -6,7 +6,8 @@
 //! unavailable in the offline build, so this module hand-rolls a compact
 //! line-oriented text format with the same contract a serde round-trip
 //! would give: `decode(encode(x)) == x` for every value, checked by
-//! randomized round-trip tests over [`SimRng`]-generated values.
+//! randomized round-trip tests over values generated with
+//! [`SimRng`](autarky_prng::SimRng).
 //!
 //! Grammar (one event per line, fields space-separated):
 //!

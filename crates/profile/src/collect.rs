@@ -10,7 +10,7 @@
 //! [`Observe::Unarmed`] and the observer-effect test).
 //!
 //! Collection is *harvest-batched*: every few operations the two
-//! streams are drained and joined ([`crate::attr`]), then re-armed. A
+//! streams are drained and joined (the `attr` module), then re-armed. A
 //! window's spans are its flight `SpanClose` records. Harvest windows
 //! are independent — every correlation chain and span closes between
 //! operations — so batching bounds buffer sizes without losing

@@ -12,7 +12,7 @@
 //! Outputs are deterministic byte-for-byte: collapsed-stack folded
 //! text, a self-contained SVG flamegraph, and a line-oriented JSON
 //! profile with a differential mode (`profile-diff a.json b.json`).
-//! [`collect`] is the only runner of the perf scenarios: `bench`
+//! [`collect`](fn@collect) is the only runner of the perf scenarios: `bench`
 //! campaign cells write all three outputs as artifacts, read cycles/op
 //! off the profile, and gate it together with the residual and the hot
 //! path against one baseline file ([`baseline_value`]).

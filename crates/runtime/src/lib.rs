@@ -38,5 +38,5 @@ pub use error::RtError;
 pub use ratelimit::{RateLimit, RateLimiter};
 pub use runtime::{
     is_telemetry_export_key, telemetry_export_key, HardenConfig, PagingMechanism, PolicyMeta,
-    PolicyMode, RtStats, Runtime, RuntimeConfig, RT_GAUGES, RT_HISTS, TELEMETRY_EXPORT_KEY_BIT,
+    PolicyMode, RtStats, Runtime, RuntimeConfig, TELEMETRY_EXPORT_KEY_BIT,
 };

@@ -33,12 +33,6 @@ use crate::error::RtError;
 use crate::paging::{blob_key, sw_nonce_fits, sw_open, sw_seal};
 use crate::ratelimit::{RateLimit, RateLimiter};
 
-/// Gauge names in the runtime telemetry schema.
-pub const RT_GAUGES: &[&str] = &["resident_pages", "stash_occupancy"];
-
-/// Histogram names in the runtime telemetry schema.
-pub const RT_HISTS: &[&str] = &["fetch_batch_pages", "evict_batch_pages", "retry_attempt"];
-
 /// Which mechanism moves page contents in and out of EPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagingMechanism {
@@ -154,7 +148,7 @@ enum PageState {
 }
 
 /// Runtime event counters: the runtime's only record of its counts
-/// (telemetry registers no runtime counters).
+/// (telemetry keeps no counters).
 #[derive(Debug, Default, Clone)]
 pub struct RtStats {
     /// Faults observed by the trusted handler.
@@ -269,7 +263,10 @@ pub struct Runtime {
     /// Enclave-side telemetry: span aggregates, paging gauges and
     /// histograms, and the export epoch. [`Runtime::export_epoch`] seals
     /// it together with [`RtStats`].
-    pub telemetry: Telemetry,
+    ///
+    /// Boxed: a fleet moves each member's `Runtime` by value on every
+    /// request, and inline the telemetry would be most of its size.
+    pub telemetry: Box<Telemetry>,
     /// AEAD key for sealed telemetry exports (domain-separated from the
     /// page sealing key).
     export_key: [u8; 32],
@@ -313,7 +310,7 @@ impl Runtime {
                 allocated_until: image.heap_start().0,
             },
             stats: RtStats::default(),
-            telemetry: Telemetry::new(&[], RT_GAUGES, RT_HISTS),
+            telemetry: Box::default(),
             export_key: derive_export_key(eid),
             config,
             terminated: false,
@@ -605,7 +602,7 @@ impl Runtime {
                     let fetched =
                         self.with_retries(os, true, |os, eid| os.ay_fetch_pages(eid, &[vpn]));
                     self.span_close(os, guard);
-                    self.telemetry.hist_record("fetch_batch_pages", 1);
+                    self.telemetry.fetch_batch_pages.record(1);
                     fetched?;
                     if !self.config.harden.verify_fetches || os.machine.is_resident(self.eid, vpn) {
                         break;
@@ -767,8 +764,7 @@ impl Runtime {
             PagingMechanism::Sgx2 => self.sw_evict(os, pages),
         };
         self.span_close(os, guard);
-        self.telemetry
-            .hist_record("evict_batch_pages", pages.len() as u64);
+        self.telemetry.evict_batch_pages.record(pages.len() as u64);
         self.sync_tracking(os, pages);
         if began {
             os.flight_end_chain();
@@ -776,7 +772,8 @@ impl Runtime {
         result?;
         self.stats.pages_evicted += pages.len() as u64;
         self.telemetry
-            .gauge_set("resident_pages", self.resident_count as u64);
+            .resident_pages
+            .set(self.resident_count as u64);
         Ok(())
     }
 
@@ -797,8 +794,7 @@ impl Runtime {
             PagingMechanism::Sgx2 => self.sw_fetch(os, pages),
         };
         self.span_close(os, guard);
-        self.telemetry
-            .hist_record("fetch_batch_pages", pages.len() as u64);
+        self.telemetry.fetch_batch_pages.record(pages.len() as u64);
         self.sync_tracking(os, pages);
         if began {
             os.flight_end_chain();
@@ -806,7 +802,8 @@ impl Runtime {
         result?;
         self.stats.pages_fetched += pages.len() as u64;
         self.telemetry
-            .gauge_set("resident_pages", self.resident_count as u64);
+            .resident_pages
+            .set(self.resident_count as u64);
         Ok(())
     }
 
@@ -1033,7 +1030,7 @@ impl Runtime {
                 backoff_cycles: self.config.harden.backoff_base_cycles << shift,
             });
         }
-        self.telemetry.hist_record("retry_attempt", attempt as u64);
+        self.telemetry.retry_attempt.record(attempt as u64);
     }
 
     /// The degradation ladder: under sustained EPC pressure, shrink our
@@ -1244,9 +1241,10 @@ impl Runtime {
     /// tracking. This is the paper's Memcached-patch shape (§6): only
     /// *item* pages are registered for self-paging, while hot allocator
     /// metadata (the bucket array) stays OS-managed — it no longer
-    /// occupies self-paging budget, is never an eviction candidate for
-    /// [`Runtime::make_room`], and a fault on it takes the forwarding
-    /// path instead of being judged against the pin contract.
+    /// occupies self-paging budget, is never an eviction candidate when
+    /// the runtime makes room under its budget, and a fault on it takes
+    /// the forwarding path instead of being judged against the pin
+    /// contract.
     pub fn pin_os_managed(&mut self, os: &mut Os, pages: &[Vpn]) -> Result<(), RtError> {
         if pages.is_empty() {
             return Ok(());
@@ -1260,7 +1258,8 @@ impl Runtime {
             }
         }
         self.telemetry
-            .gauge_set("resident_pages", self.resident_count as u64);
+            .resident_pages
+            .set(self.resident_count as u64);
         Ok(())
     }
 
@@ -1325,8 +1324,8 @@ impl Runtime {
 
     /// The plaintext of every sealed export: the telemetry snapshot
     /// followed by [`RtStats`], one record per runtime fact. Its length
-    /// depends only on the telemetry schema. A checkpoint embeds the same
-    /// bytes, and record/replay compares them across runs.
+    /// is a constant, whatever the enclave did. A checkpoint embeds the
+    /// same bytes, and record/replay compares them across runs.
     pub fn export_plaintext(&self) -> Vec<u8> {
         let mut out = self.telemetry.snapshot_bytes();
         self.stats.encode_into(&mut out);
@@ -1552,7 +1551,7 @@ impl Runtime {
         let limiter_faults = take_u64(&mut input)?;
         let limiter_progress = take_u64(&mut input)?;
         let n = take_u64(&mut input)? as usize;
-        let mut tracked = HashMap::with_capacity(n);
+        let mut tracked = HashMap::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let vpn = Vpn(take_u64(&mut input)?);
             let state = match take_u8(&mut input)? {
@@ -1570,7 +1569,7 @@ impl Runtime {
         let resident_count = take_u64(&mut input)? as usize;
         let sw_versions = decode_vpn_u64_map(&mut input)?;
         let n = take_u64(&mut input)? as usize;
-        let mut sw_perms = HashMap::with_capacity(n);
+        let mut sw_perms = HashMap::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let vpn = Vpn(take_u64(&mut input)?);
             let bits = take_u8(&mut input)?;
@@ -1589,7 +1588,7 @@ impl Runtime {
         let bump = take_u64(&mut input)?;
         let allocated_until = take_u64(&mut input)?;
         let n = take_u64(&mut input)? as usize;
-        let mut free_lists = HashMap::with_capacity(n);
+        let mut free_lists = HashMap::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let size = take_u64(&mut input)? as usize;
             let m = take_u64(&mut input)? as usize;
@@ -1627,8 +1626,8 @@ impl Runtime {
         if input.len() != export_len {
             return None;
         }
-        let mut telemetry = Telemetry::new(&[], RT_GAUGES, RT_HISTS);
-        let (snapshot, stats) = input.split_at_checked(telemetry.snapshot_len())?;
+        let mut telemetry = Box::<Telemetry>::default();
+        let (snapshot, stats) = input.split_at_checked(Telemetry::SNAPSHOT_LEN)?;
         telemetry.restore_state(snapshot).ok()?;
         let stats = RtStats::decode(stats)?;
         Some(Runtime {

@@ -577,6 +577,58 @@ fn checkpoint_codec_round_trips_byte_identically() {
 }
 
 #[test]
+fn runtime_is_small_enough_to_move_per_request() {
+    // A fleet moves each member's runtime by value on every request; the
+    // telemetry (~24 KiB of histograms) lives behind a box so the move
+    // stays a few hundred bytes.
+    assert!(std::mem::size_of::<Runtime>() <= 1024);
+}
+
+#[test]
+fn checkpoint_codec_rejects_huge_counts() {
+    // No rate limit, so the tracked-page count sits at byte 84. SGXv2
+    // eviction fills the software-permission map and a freed allocation
+    // a free list, so the walk below crosses non-empty sections.
+    let (mut os, _eid, mut rt) = setup(RuntimeConfig {
+        mechanism: PagingMechanism::Sgx2,
+        budget: 24,
+        ..Default::default()
+    });
+    let page = image("rt-test").data_start();
+    rt.write(&mut os, page.base(), &[0x5A; 32]).expect("write");
+    rt.evict_pages(&mut os, &[page]).expect("evict");
+    let va = rt.malloc(&mut os, 64).expect("malloc");
+    rt.free(va, 64);
+    let blob = rt.capture_bytes();
+
+    let count_at =
+        |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().expect("8 bytes")) as usize;
+    // Section layout after the fixed header: tracked (vpn, state), FIFO
+    // vpns, resident count, software versions (vpn, version), software
+    // permissions (vpn, bits), hardware versions, four heap words, then
+    // the free lists.
+    let tracked = 84;
+    let fifo = tracked + 8 + 9 * count_at(tracked);
+    let sw_versions = fifo + 8 + 8 * count_at(fifo) + 8;
+    let sw_perms = sw_versions + 8 + 16 * count_at(sw_versions);
+    let hw_versions = sw_perms + 8 + 9 * count_at(sw_perms);
+    let free_lists = hw_versions + 8 + 16 * count_at(hw_versions) + 32;
+    assert!(count_at(sw_perms) > 0 && count_at(free_lists) > 0);
+    for (name, at) in [
+        ("tracked", tracked),
+        ("sw_perms", sw_perms),
+        ("free_lists", free_lists),
+    ] {
+        let mut huge = blob.clone();
+        huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(
+            Runtime::restore_from_bytes(&huge).is_none(),
+            "{name} count u64::MAX"
+        );
+    }
+}
+
+#[test]
 fn checkpoint_codec_rejects_malformed_blobs() {
     let (mut _os, _eid, rt) = setup(RuntimeConfig::default());
     let blob = rt.capture_bytes();

@@ -4,7 +4,7 @@
 //! decisions, which makes it checkpointable without trusting the OS: the
 //! runtime serialises its hardening state ([`Runtime::capture_bytes`]),
 //! the simulated hardware serialises resident pages, EPCM metadata and
-//! timing ([`Machine::capture_enclave`]), and this crate binds the two
+//! timing ([`Machine::capture_enclave`](autarky_sgx_sim::Machine::capture_enclave)), and this crate binds the two
 //! into a single sealed blob that only the platform that produced it can
 //! open — and only once.
 //!

@@ -5,18 +5,19 @@
 //! controlled channel (cf. the Heisenberg defense and the pigeonhole
 //! attacks). This crate therefore keeps only *aggregates*:
 //!
-//! * **In-enclave** — per-kind span aggregates, counters, gauges, and
-//!   log-linear [`Histogram`]s. All timing is in *simulated cycles*
-//!   supplied by the caller (the `sgx-sim` clock), so records are
-//!   deterministic and host wall time never leaks in. Individual span
-//!   closures are not kept here: the runtime records each one as a
-//!   `SpanClose` event in the flight recorder, when that is armed.
+//! * **In-enclave** — per-kind span aggregates plus one typed field per
+//!   runtime metric: two [`Gauge`]s and three log-linear [`Histogram`]s.
+//!   All timing is in *simulated cycles* supplied by the caller (the
+//!   `sgx-sim` clock), so records are deterministic and host wall time
+//!   never leaks in. Individual span closures are not kept here: the
+//!   runtime records each one as a `SpanClose` event in the flight
+//!   recorder, when that is armed.
 //! * **Exported** — [`Telemetry::snapshot_bytes`] encodes the aggregates
-//!   into a canonical, **fixed-size** little-endian blob. Because the
-//!   size and layout depend only on the registered schema — not on what
-//!   the enclave did — a sealed snapshot exported once per epoch is
-//!   indistinguishable across secrets by construction. The leakage audit
-//!   verifies this.
+//!   into a canonical, **fixed-size** little-endian blob of
+//!   [`Telemetry::SNAPSHOT_LEN`] bytes. Because the size and layout are
+//!   constants — not a function of what the enclave did — a sealed
+//!   snapshot exported once per epoch is indistinguishable across secrets
+//!   by construction. The leakage audit verifies this.
 //!
 //! The crate is dependency-free so that even the pure `oram` crate can
 //! build its statistics on top of it.
@@ -27,7 +28,7 @@
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{CounterSet, GaugeSet, HistSet, Histogram, LatencySummary, HIST_BUCKETS};
+pub use metrics::{Gauge, Histogram, LatencySummary, HIST_BUCKETS};
 pub use span::{SpanGuard, SpanKind, SpanRecord, SPAN_KINDS};
 
 /// Per-span-kind running aggregate (what the export path sees).
@@ -41,30 +42,50 @@ pub struct SpanAgg {
     pub hist: Histogram,
 }
 
-/// The enclave's telemetry instance: span aggregates + metrics.
-///
-/// The metric *schema* (counter/gauge/histogram names) is fixed at
-/// construction so the snapshot encoding has a static layout; recording
-/// against an unregistered name panics (a schema bug, not a data bug).
-#[derive(Debug, Clone, PartialEq)]
+/// The enclave's telemetry instance: span aggregates plus one field per
+/// metric the runtime exports. Recording a metric is an update of its
+/// field. The snapshot encodes the epoch, the span aggregates, then the
+/// metric fields in declaration order.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     spans: [SpanAgg; SPAN_KINDS],
-    counters: CounterSet,
-    gauges: GaugeSet,
-    hists: HistSet,
+    /// Resident enclave-managed pages, sampled after every fetch and
+    /// eviction.
+    pub resident_pages: Gauge,
+    /// ORAM stash occupancy, sampled after every ORAM-backed heap access.
+    pub stash_occupancy: Gauge,
+    /// Pages per fetch batch.
+    pub fetch_batch_pages: Histogram,
+    /// Pages per eviction batch.
+    pub evict_batch_pages: Histogram,
+    /// Attempt number of every retry of a failed driver call.
+    pub retry_attempt: Histogram,
     epoch: u64,
 }
 
+/// Section counts of the snapshot: no counters (the runtime keeps its
+/// counts in `RtStats`), the two gauges, the three histograms.
+const COUNTERS: u32 = 0;
+const GAUGES: u32 = 2;
+const HISTS: u32 = 3;
+
 impl Telemetry {
-    /// Build a telemetry instance with the given metric schema.
-    pub fn new(counters: &[&'static str], gauges: &[&'static str], hists: &[&'static str]) -> Self {
-        Self {
-            spans: core::array::from_fn(|_| SpanAgg::default()),
-            counters: CounterSet::new(counters),
-            gauges: GaugeSet::new(gauges),
-            hists: HistSet::new(hists),
-            epoch: 0,
-        }
+    /// Exact byte length of every [`Telemetry::snapshot_bytes`]: magic,
+    /// version, epoch, the span aggregates, then the counter, gauge and
+    /// histogram sections, each led by its `u32` count.
+    pub const SNAPSHOT_LEN: usize = 4
+        + 4
+        + 8
+        + SPAN_KINDS * (8 + 8 + Histogram::ENCODED_LEN)
+        + 4
+        + 4
+        + GAUGES as usize * Gauge::ENCODED_LEN
+        + 4
+        + HISTS as usize * Histogram::ENCODED_LEN;
+
+    /// An empty telemetry instance at epoch 0.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Open a span; `now_cycles` comes from the simulated clock.
@@ -95,46 +116,6 @@ impl Telemetry {
         &self.spans[kind as usize]
     }
 
-    /// Increment a registered counter.
-    pub fn incr(&mut self, name: &'static str) {
-        self.counters.add(name, 1);
-    }
-
-    /// Add to a registered counter.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        self.counters.add(name, n);
-    }
-
-    /// Read a registered counter.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name)
-    }
-
-    /// Sample a registered gauge.
-    pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        self.gauges.set(name, value);
-    }
-
-    /// Last sampled value of a registered gauge.
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.last(name)
-    }
-
-    /// High-water mark of a registered gauge.
-    pub fn gauge_max(&self, name: &str) -> u64 {
-        self.gauges.max(name)
-    }
-
-    /// Record a value into a registered named histogram.
-    pub fn hist_record(&mut self, name: &'static str, value: u64) {
-        self.hists.record(name, value);
-    }
-
-    /// A registered named histogram.
-    pub fn hist(&self, name: &str) -> &Histogram {
-        self.hists.get(name)
-    }
-
     /// Current epoch number (bumped by [`Telemetry::end_epoch`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -151,14 +132,13 @@ impl Telemetry {
     /// telemetry half of every sealed export, and the form a checkpoint
     /// carries ([`Telemetry::restore_state`] reads it back).
     ///
-    /// The layout (and therefore the byte length) depends only on the
-    /// registered schema: magic, version, epoch, the per-kind span
-    /// aggregates (count, total, full latency histogram), then counters,
-    /// gauges, and named histograms in registration order. Identical runs
-    /// produce byte-identical snapshots; runs on different secrets produce
-    /// same-sized snapshots.
+    /// The layout is fixed ([`Telemetry::SNAPSHOT_LEN`] bytes): magic,
+    /// version, epoch, the per-kind span aggregates (count, total, full
+    /// latency histogram), then the counter, gauge and histogram
+    /// sections in field order. Identical runs produce byte-identical
+    /// snapshots; runs on different secrets produce same-sized snapshots.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.snapshot_len());
+        let mut out = Vec::with_capacity(Self::SNAPSHOT_LEN);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
@@ -167,30 +147,23 @@ impl Telemetry {
             out.extend_from_slice(&agg.total_cycles.to_le_bytes());
             agg.hist.encode_into(&mut out);
         }
-        self.counters.encode_into(&mut out);
-        self.gauges.encode_into(&mut out);
-        self.hists.encode_into(&mut out);
+        out.extend_from_slice(&COUNTERS.to_le_bytes());
+        out.extend_from_slice(&GAUGES.to_le_bytes());
+        self.resident_pages.encode_into(&mut out);
+        self.stash_occupancy.encode_into(&mut out);
+        out.extend_from_slice(&HISTS.to_le_bytes());
+        self.fetch_batch_pages.encode_into(&mut out);
+        self.evict_batch_pages.encode_into(&mut out);
+        self.retry_attempt.encode_into(&mut out);
         out
-    }
-
-    /// Exact byte length of [`Telemetry::snapshot_bytes`] for this schema.
-    pub fn snapshot_len(&self) -> usize {
-        4 + 4
-            + 8
-            + SPAN_KINDS * (8 + 8 + Histogram::ENCODED_LEN)
-            + self.counters.encoded_len()
-            + self.gauges.encoded_len()
-            + self.hists.encoded_len()
     }
 
     /// Restore the full state from [`Telemetry::snapshot_bytes`] output,
     /// so a restored enclave continues with telemetry byte-identical to
     /// an uninterrupted run.
     ///
-    /// `self` must have been constructed with the same metric schema as
-    /// the instance that produced the blob. On error, `self` is left
-    /// unchanged — the decode completes into temporaries before anything
-    /// is committed.
+    /// On error, `self` is left unchanged — the decode completes into
+    /// temporaries before anything is committed.
     pub fn restore_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
         let mut input = blob;
         if input.len() < 8 {
@@ -204,42 +177,36 @@ impl Telemetry {
         if version != SNAPSHOT_VERSION {
             return Err(StateError::BadVersion(version));
         }
-        let epoch = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-        let mut spans: [SpanAgg; SPAN_KINDS] = core::array::from_fn(|_| SpanAgg::default());
-        for agg in &mut spans {
+        let mut next = Telemetry {
+            epoch: metrics::take_u64(&mut input).ok_or(StateError::Malformed)?,
+            ..Telemetry::new()
+        };
+        for agg in &mut next.spans {
             agg.count = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
             agg.total_cycles = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
             agg.hist = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
         }
-        // A short tail is truncation; a full-length section that still
-        // fails to decode means the blob was written under a different
-        // metric schema.
-        let metrics_len =
-            self.counters.encoded_len() + self.gauges.encoded_len() + self.hists.encoded_len();
-        if input.len() < metrics_len {
-            return Err(StateError::Malformed);
-        }
-        let mut counters = self.counters.clone();
-        counters
-            .restore_from(&mut input)
-            .ok_or(StateError::SchemaMismatch)?;
-        let mut gauges = self.gauges.clone();
-        gauges
-            .restore_from(&mut input)
-            .ok_or(StateError::SchemaMismatch)?;
-        let mut hists = self.hists.clone();
-        hists
-            .restore_from(&mut input)
-            .ok_or(StateError::SchemaMismatch)?;
+        take_count(&mut input, COUNTERS)?;
+        take_count(&mut input, GAUGES)?;
+        next.resident_pages = Gauge::decode_from(&mut input).ok_or(StateError::Malformed)?;
+        next.stash_occupancy = Gauge::decode_from(&mut input).ok_or(StateError::Malformed)?;
+        take_count(&mut input, HISTS)?;
+        next.fetch_batch_pages = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
+        next.evict_batch_pages = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
+        next.retry_attempt = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
         if !input.is_empty() {
             return Err(StateError::Malformed);
         }
-        self.epoch = epoch;
-        self.spans = spans;
-        self.counters = counters;
-        self.gauges = gauges;
-        self.hists = hists;
+        *self = next;
         Ok(())
+    }
+}
+
+/// Consume a section count, which must be `count`.
+fn take_count(input: &mut &[u8], count: u32) -> Result<(), StateError> {
+    match metrics::take_u32(input) {
+        Some(n) if n == count => Ok(()),
+        _ => Err(StateError::Malformed),
     }
 }
 
@@ -256,10 +223,9 @@ pub enum StateError {
     BadMagic,
     /// Unknown state-format version.
     BadVersion(u32),
-    /// Blob truncated or structurally malformed.
+    /// Blob truncated, of the wrong length, or with an unexpected
+    /// section count.
     Malformed,
-    /// Blob was produced under a different metric schema.
-    SchemaMismatch,
 }
 
 impl core::fmt::Display for StateError {
@@ -268,12 +234,6 @@ impl core::fmt::Display for StateError {
             StateError::BadMagic => write!(f, "telemetry state blob has bad magic"),
             StateError::BadVersion(v) => write!(f, "unknown telemetry state version {v}"),
             StateError::Malformed => write!(f, "telemetry state blob is malformed"),
-            StateError::SchemaMismatch => {
-                write!(
-                    f,
-                    "telemetry state blob does not match the registered schema"
-                )
-            }
         }
     }
 }
@@ -284,13 +244,13 @@ impl std::error::Error for StateError {}
 mod tests {
     use super::*;
 
-    fn schema() -> Telemetry {
-        Telemetry::new(&["faults", "retries"], &["stash"], &["batch"])
-    }
+    /// Offset of the counter section's count: after magic, version,
+    /// epoch and the span aggregates.
+    const COUNTERS_AT: usize = 16 + SPAN_KINDS * (16 + Histogram::ENCODED_LEN);
 
     #[test]
     fn span_aggregates_accumulate() {
-        let mut t = schema();
+        let mut t = Telemetry::new();
         let g = t.enter(SpanKind::FaultHandler, 100);
         t.exit(g, 150);
         t.span(SpanKind::FaultHandler, 200, 300);
@@ -303,44 +263,59 @@ mod tests {
 
     #[test]
     fn counters_gauges_hists() {
-        let mut t = schema();
-        t.incr("faults");
-        t.add("faults", 4);
-        t.gauge_set("stash", 7);
-        t.gauge_set("stash", 3);
-        t.hist_record("batch", 16);
-        assert_eq!(t.counter("faults"), 5);
-        assert_eq!(t.gauge("stash"), 3);
-        assert_eq!(t.gauge_max("stash"), 7);
-        assert_eq!(t.hist("batch").count(), 1);
+        let mut t = Telemetry::new();
+        t.stash_occupancy.set(7);
+        t.stash_occupancy.set(3);
+        t.evict_batch_pages.record(16);
+        assert_eq!(t.stash_occupancy.last(), 3);
+        assert_eq!(t.stash_occupancy.max(), 7);
+        assert_eq!(t.evict_batch_pages.count(), 1);
+        assert_eq!(t.resident_pages, Gauge::default());
+
+        // Sections in field order: no counters, two gauges, three
+        // histograms.
+        let snap = t.snapshot_bytes();
+        let word = |at: usize| u32::from_le_bytes(snap[at..at + 4].try_into().expect("4 bytes"));
+        let gauges_at = COUNTERS_AT + 4;
+        let hists_at = gauges_at + 4 + 2 * Gauge::ENCODED_LEN;
+        assert_eq!(
+            [word(COUNTERS_AT), word(gauges_at), word(hists_at)],
+            [0, 2, 3]
+        );
+        let stash_at = gauges_at + 4 + Gauge::ENCODED_LEN;
+        let stash = Gauge::decode_from(&mut &snap[stash_at..]).expect("gauge");
+        assert_eq!(stash, t.stash_occupancy);
+        let evict_at = hists_at + 4 + Histogram::ENCODED_LEN;
+        let evict = Histogram::decode_from(&mut &snap[evict_at..]).expect("histogram");
+        assert_eq!(evict, t.evict_batch_pages);
     }
 
     #[test]
     fn snapshot_is_fixed_size_and_deterministic() {
-        let mut a = schema();
-        let mut b = schema();
+        let mut a = Telemetry::new();
+        let mut b = Telemetry::new();
         for t in [&mut a, &mut b] {
             t.span(SpanKind::Seal, 0, 10);
-            t.add("retries", 2);
-            t.gauge_set("stash", 9);
-            t.hist_record("batch", 3);
+            t.retry_attempt.record(2);
+            t.stash_occupancy.set(9);
+            t.fetch_batch_pages.record(3);
         }
         assert_eq!(a.snapshot_bytes(), b.snapshot_bytes());
-        assert_eq!(a.snapshot_bytes().len(), a.snapshot_len());
+        assert_eq!(a.snapshot_bytes().len(), Telemetry::SNAPSHOT_LEN);
 
         // Different *content*, same size: that is the export contract.
-        let mut c = schema();
+        let mut c = Telemetry::new();
         for _ in 0..1000 {
             c.span(SpanKind::FaultHandler, 0, 12345);
-            c.add("faults", 17);
+            c.evict_batch_pages.record(17);
         }
-        assert_eq!(c.snapshot_bytes().len(), a.snapshot_len());
+        assert_eq!(c.snapshot_bytes().len(), Telemetry::SNAPSHOT_LEN);
         assert_ne!(c.snapshot_bytes(), a.snapshot_bytes());
     }
 
     #[test]
     fn end_epoch_advances_counter() {
-        let mut t = schema();
+        let mut t = Telemetry::new();
         assert_eq!(t.epoch(), 0);
         let s0 = t.snapshot_bytes();
         t.end_epoch();
@@ -352,44 +327,52 @@ mod tests {
 
     #[test]
     fn state_round_trip_is_exact() {
-        let mut t = schema();
+        let mut t = Telemetry::new();
         t.span(SpanKind::FaultHandler, 100, 150);
         t.span(SpanKind::Seal, 200, 260);
-        t.incr("faults");
-        t.add("retries", 3);
-        t.gauge_set("stash", 11);
-        t.hist_record("batch", 42);
+        t.resident_pages.set(24);
+        t.stash_occupancy.set(11);
+        t.fetch_batch_pages.record(42);
+        t.evict_batch_pages.record(8);
+        t.retry_attempt.record(3);
         t.end_epoch();
 
         let blob = t.snapshot_bytes();
-        let mut restored = schema();
+        let mut restored = Telemetry::new();
         restored.restore_state(&blob).expect("restore");
         assert_eq!(restored, t, "full state including the epoch");
 
         // The restored instance continues identically.
         for x in [&mut t, &mut restored] {
             x.span(SpanKind::Open, 300, 310);
-            x.incr("faults");
+            x.resident_pages.set(23);
         }
         assert_eq!(restored.snapshot_bytes(), t.snapshot_bytes());
     }
 
     #[test]
     fn state_restore_rejects_bad_blobs() {
-        let t = schema();
+        let mut t = Telemetry::new();
+        t.resident_pages.set(5);
         let blob = t.snapshot_bytes();
 
-        let mut other_schema = Telemetry::new(&["faults"], &["stash"], &["batch"]);
-        assert_eq!(
-            other_schema.restore_state(&blob),
-            Err(StateError::SchemaMismatch)
-        );
-
-        let mut fresh = schema();
+        let mut fresh = Telemetry::new();
+        // A section count other than 0 counters, 2 gauges, 3 histograms.
+        for at in [COUNTERS_AT, COUNTERS_AT + 4, COUNTERS_AT + 56] {
+            let mut other_count = blob.clone();
+            other_count[at] += 1;
+            assert_eq!(
+                fresh.restore_state(&other_count),
+                Err(StateError::Malformed)
+            );
+        }
         assert_eq!(
             fresh.restore_state(&blob[..blob.len() - 1]),
             Err(StateError::Malformed)
         );
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        assert_eq!(fresh.restore_state(&trailing), Err(StateError::Malformed));
         let mut bad_magic = blob.clone();
         bad_magic[0] ^= 0xFF;
         assert_eq!(fresh.restore_state(&bad_magic), Err(StateError::BadMagic));
@@ -399,6 +382,10 @@ mod tests {
             fresh.restore_state(&old_version),
             Err(StateError::BadVersion(1))
         );
-        assert_eq!(fresh, schema(), "failed restores leave state untouched");
+        assert_eq!(
+            fresh,
+            Telemetry::new(),
+            "failed restores leave state untouched"
+        );
     }
 }

@@ -1,10 +1,9 @@
-//! Metrics: counters, gauges, and log-linear histograms with a schema
-//! fixed at construction.
+//! Metric types: log-linear histograms and gauges, each a fixed-size
+//! value with a canonical little-endian encoding.
 //!
-//! Names are registered up front so the snapshot encoding has a static
-//! layout (registration order == encoding order); recording against an
-//! unregistered name panics, because that is a schema bug the tests
-//! should catch, not a runtime condition.
+//! A metric is a typed field of whatever records it (see
+//! [`crate::Telemetry`]), so recording is a field update and the
+//! encoding order is the declaration order.
 
 /// Log-linear histogram: one octave per power of two, four linear
 /// sub-buckets per octave (~25% relative resolution), fixed storage.
@@ -225,218 +224,52 @@ pub(crate) fn take_u32(input: &mut &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(bytes))
 }
 
-/// A fixed set of named `u64` counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSet {
-    names: Vec<&'static str>,
-    values: Vec<u64>,
+/// A sampled level: the last sample, its high-water mark and the number
+/// of samples taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Gauge {
+    last: u64,
+    max: u64,
+    samples: u64,
 }
 
-impl CounterSet {
-    /// Register the counter names (the schema).
-    pub fn new(names: &[&'static str]) -> Self {
-        Self {
-            names: names.to_vec(),
-            values: vec![0; names.len()],
-        }
+impl Gauge {
+    /// Encoded size: last, max and samples.
+    pub const ENCODED_LEN: usize = 3 * 8;
+
+    /// Take one sample.
+    pub fn set(&mut self, value: u64) {
+        self.last = value;
+        self.max = self.max.max(value);
+        self.samples += 1;
     }
 
-    fn index(&self, name: &str) -> usize {
-        self.names
-            .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| panic!("unregistered counter: {name}"))
+    /// Last sampled value.
+    pub fn last(&self) -> u64 {
+        self.last
     }
 
-    /// Add `n` to a counter.
-    pub fn add(&mut self, name: &str, n: u64) {
-        let i = self.index(name);
-        self.values[i] += n;
+    /// High-water mark.
+    pub fn max(&self) -> u64 {
+        self.max
     }
 
-    /// Read a counter.
-    pub fn get(&self, name: &str) -> u64 {
-        self.values[self.index(name)]
-    }
-
-    /// Registered names, in encoding order.
-    pub fn names(&self) -> &[&'static str] {
-        &self.names
-    }
-
-    /// Merge another set (schemas must match).
-    pub fn absorb(&mut self, other: &CounterSet) {
-        assert_eq!(self.names, other.names, "counter schema mismatch");
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Append values in registration order.
+    /// Append the canonical little-endian encoding.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
-        for v in &self.values {
+        for v in [self.last, self.max, self.samples] {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
 
-    /// Encoded size for this schema.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.values.len() * 8
-    }
-
-    /// Overwrite the values from a canonical encoding produced under the
-    /// same schema, consuming from `input`. Returns `None` on truncation
-    /// or if the encoded count differs from the registered schema.
-    pub fn restore_from(&mut self, input: &mut &[u8]) -> Option<()> {
-        let n = take_u32(input)? as usize;
-        if n != self.names.len() {
-            return None;
-        }
-        for v in &mut self.values {
-            *v = take_u64(input)?;
-        }
-        Some(())
-    }
-}
-
-/// A fixed set of named gauges (last value + high-water mark + sample
-/// count).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaugeSet {
-    names: Vec<&'static str>,
-    last: Vec<u64>,
-    max: Vec<u64>,
-    samples: Vec<u64>,
-}
-
-impl GaugeSet {
-    /// Register the gauge names (the schema).
-    pub fn new(names: &[&'static str]) -> Self {
-        Self {
-            names: names.to_vec(),
-            last: vec![0; names.len()],
-            max: vec![0; names.len()],
-            samples: vec![0; names.len()],
-        }
-    }
-
-    fn index(&self, name: &str) -> usize {
-        self.names
-            .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| panic!("unregistered gauge: {name}"))
-    }
-
-    /// Sample a gauge.
-    pub fn set(&mut self, name: &str, value: u64) {
-        let i = self.index(name);
-        self.last[i] = value;
-        self.max[i] = self.max[i].max(value);
-        self.samples[i] += 1;
-    }
-
-    /// Last sampled value.
-    pub fn last(&self, name: &str) -> u64 {
-        self.last[self.index(name)]
-    }
-
-    /// High-water mark.
-    pub fn max(&self, name: &str) -> u64 {
-        self.max[self.index(name)]
-    }
-
-    /// Append last/max/samples per gauge in registration order.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
-        for i in 0..self.names.len() {
-            out.extend_from_slice(&self.last[i].to_le_bytes());
-            out.extend_from_slice(&self.max[i].to_le_bytes());
-            out.extend_from_slice(&self.samples[i].to_le_bytes());
-        }
-    }
-
-    /// Encoded size for this schema.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.names.len() * 24
-    }
-
-    /// Overwrite the gauge state from a canonical encoding produced under
-    /// the same schema, consuming from `input`. Returns `None` on
-    /// truncation or schema-count mismatch.
-    pub fn restore_from(&mut self, input: &mut &[u8]) -> Option<()> {
-        let n = take_u32(input)? as usize;
-        if n != self.names.len() {
-            return None;
-        }
-        for i in 0..self.names.len() {
-            self.last[i] = take_u64(input)?;
-            self.max[i] = take_u64(input)?;
-            self.samples[i] = take_u64(input)?;
-        }
-        Some(())
-    }
-}
-
-/// A fixed set of named histograms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSet {
-    names: Vec<&'static str>,
-    hists: Vec<Histogram>,
-}
-
-impl HistSet {
-    /// Register the histogram names (the schema).
-    pub fn new(names: &[&'static str]) -> Self {
-        Self {
-            names: names.to_vec(),
-            hists: names.iter().map(|_| Histogram::new()).collect(),
-        }
-    }
-
-    fn index(&self, name: &str) -> usize {
-        self.names
-            .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| panic!("unregistered histogram: {name}"))
-    }
-
-    /// Record a value.
-    pub fn record(&mut self, name: &str, value: u64) {
-        let i = self.index(name);
-        self.hists[i].record(value);
-    }
-
-    /// Access a histogram.
-    pub fn get(&self, name: &str) -> &Histogram {
-        &self.hists[self.index(name)]
-    }
-
-    /// Append every histogram in registration order.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
-        for h in &self.hists {
-            h.encode_into(out);
-        }
-    }
-
-    /// Encoded size for this schema.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.names.len() * Histogram::ENCODED_LEN
-    }
-
-    /// Overwrite the histograms from a canonical encoding produced under
-    /// the same schema, consuming from `input`. Returns `None` on
-    /// truncation or schema-count mismatch.
-    pub fn restore_from(&mut self, input: &mut &[u8]) -> Option<()> {
-        let n = take_u32(input)? as usize;
-        if n != self.names.len() {
-            return None;
-        }
-        for h in &mut self.hists {
-            *h = Histogram::decode_from(input)?;
-        }
-        Some(())
+    /// Rebuild a gauge from its canonical encoding (the inverse of
+    /// [`Gauge::encode_into`]), consuming from `input`. Returns `None` on
+    /// truncation.
+    pub fn decode_from(input: &mut &[u8]) -> Option<Gauge> {
+        Some(Gauge {
+            last: take_u64(input)?,
+            max: take_u64(input)?,
+            samples: take_u64(input)?,
+        })
     }
 }
 
@@ -516,42 +349,17 @@ mod tests {
     }
 
     #[test]
-    fn counter_set_roundtrip() {
-        let mut c = CounterSet::new(&["a", "b"]);
-        c.add("b", 3);
-        assert_eq!(c.get("a"), 0);
-        assert_eq!(c.get("b"), 3);
-        let mut buf = Vec::new();
-        c.encode_into(&mut buf);
-        assert_eq!(buf.len(), c.encoded_len());
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered counter")]
-    fn unknown_counter_panics() {
-        CounterSet::new(&["a"]).add("nope", 1);
-    }
-
-    #[test]
     fn gauge_tracks_last_and_max() {
-        let mut g = GaugeSet::new(&["stash"]);
-        g.set("stash", 10);
-        g.set("stash", 4);
-        assert_eq!(g.last("stash"), 4);
-        assert_eq!(g.max("stash"), 10);
+        let mut g = Gauge::default();
+        g.set(10);
+        g.set(4);
+        assert_eq!(g.last(), 4);
+        assert_eq!(g.max(), 10);
         let mut buf = Vec::new();
         g.encode_into(&mut buf);
-        assert_eq!(buf.len(), g.encoded_len());
-    }
-
-    #[test]
-    fn hist_set_encodes_fixed_len() {
-        let mut hs = HistSet::new(&["x", "y"]);
-        hs.record("x", 9);
-        let mut buf = Vec::new();
-        hs.encode_into(&mut buf);
-        assert_eq!(buf.len(), hs.encoded_len());
-        assert_eq!(hs.get("x").count(), 1);
-        assert_eq!(hs.get("y").count(), 0);
+        assert_eq!(buf.len(), Gauge::ENCODED_LEN);
+        assert_eq!(buf[16..], 2u64.to_le_bytes(), "two samples");
+        assert_eq!(Gauge::decode_from(&mut &buf[..]), Some(g));
+        assert_eq!(Gauge::decode_from(&mut &buf[..buf.len() - 1]), None);
     }
 }

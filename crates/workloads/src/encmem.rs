@@ -18,7 +18,9 @@
 //! ORAM cycle accounting: the ORAM crate counts events; [`EncHeap`]
 //! converts the per-operation deltas into cycles on the machine clock.
 
-use autarky_oram::{buckets_for, CachedOram, MemStorage, OramStats, PathOram};
+use std::ops::Range;
+
+use autarky_oram::{buckets_for, CachedOram, MemStorage, OramCounts, OramStats, PathOram};
 use autarky_os_sim::{EnclaveImage, Os};
 use autarky_runtime::{RtError, Runtime, RuntimeConfig};
 use autarky_sgx_sim::machine::MachineConfig;
@@ -161,9 +163,9 @@ pub enum HeapMode {
     Direct,
     /// Cached ORAM (§5.2.2): `capacity_pages` of ORAM space fronted by an
     /// enclave-managed cache of `cache_pages`.
-    CachedOram(Box<CachedOram<MemStorage>>),
+    CachedOram(Box<CachedOram>),
     /// Uncached ORAM: the pre-Autarky configuration.
-    UncachedOram(Box<PathOram<MemStorage>>),
+    UncachedOram(Box<PathOram>),
 }
 
 /// The workload heap: allocation plus instrumented loads/stores.
@@ -173,7 +175,8 @@ pub struct EncHeap {
     /// runtime allocator).
     oram_bump: u64,
     oram_capacity_bytes: u64,
-    last_stats: OramStats,
+    /// ORAM event counts at the end of the previous access.
+    last_counts: OramCounts,
 }
 
 impl EncHeap {
@@ -183,7 +186,7 @@ impl EncHeap {
             mode: HeapMode::Direct,
             oram_bump: 0,
             oram_capacity_bytes: 0,
-            last_stats: OramStats::default(),
+            last_counts: OramCounts::default(),
         }
     }
 
@@ -196,7 +199,7 @@ impl EncHeap {
             mode: HeapMode::CachedOram(Box::new(CachedOram::new(oram, cache_pages))),
             oram_bump: PAGE_SIZE as u64, // skip block 0 so Ptr(0) stays null
             oram_capacity_bytes: capacity_pages * PAGE_SIZE as u64,
-            last_stats: OramStats::default(),
+            last_counts: OramCounts::default(),
         }
     }
 
@@ -209,7 +212,7 @@ impl EncHeap {
             mode: HeapMode::UncachedOram(Box::new(oram)),
             oram_bump: PAGE_SIZE as u64,
             oram_capacity_bytes: capacity_pages * PAGE_SIZE as u64,
-            last_stats: OramStats::default(),
+            last_counts: OramCounts::default(),
         }
     }
 
@@ -244,123 +247,72 @@ impl EncHeap {
     /// Read `buf.len()` bytes at `ptr`.
     pub fn read(&mut self, world: &mut World, ptr: Ptr, buf: &mut [u8]) -> Result<(), RtError> {
         match &mut self.mode {
-            HeapMode::Direct => world.rt.read(&mut world.os, Va(ptr.0), buf),
+            HeapMode::Direct => return world.rt.read(&mut world.os, Va(ptr.0), buf),
             HeapMode::CachedOram(cache) => {
-                let span = Self::enter_oram(world);
-                let mut done = 0usize;
-                while done < buf.len() {
-                    let at = ptr.0 + done as u64;
-                    let block = at / PAGE_SIZE as u64;
-                    let off = (at % PAGE_SIZE as u64) as usize;
-                    let chunk = (PAGE_SIZE - off).min(buf.len() - done);
+                for (block, off, range) in block_pieces(ptr, buf.len()) {
                     cache
-                        .read_at(block, off, &mut buf[done..done + chunk])
+                        .read_at(block, off, &mut buf[range])
                         .map_err(oram_err)?;
-                    done += chunk;
                 }
-                let stats = cache.oram().stats.clone();
-                let stash = cache.oram().stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
-                Self::exit_oram(world, span, stash);
-                Ok(())
             }
             HeapMode::UncachedOram(oram) => {
-                let span = Self::enter_oram(world);
-                let mut done = 0usize;
-                while done < buf.len() {
-                    let at = ptr.0 + done as u64;
-                    let block = at / PAGE_SIZE as u64;
-                    let off = (at % PAGE_SIZE as u64) as usize;
-                    let chunk = (PAGE_SIZE - off).min(buf.len() - done);
+                for (block, off, range) in block_pieces(ptr, buf.len()) {
                     let data = oram.read(block).map_err(oram_err)?;
-                    buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]);
-                    done += chunk;
+                    buf[range.clone()].copy_from_slice(&data[off..off + range.len()]);
                 }
-                let stats = oram.stats.clone();
-                let stash = oram.stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
-                Self::exit_oram(world, span, stash);
-                Ok(())
             }
         }
+        self.charge_oram(world);
+        Ok(())
     }
 
     /// Write `data` at `ptr`.
     pub fn write(&mut self, world: &mut World, ptr: Ptr, data: &[u8]) -> Result<(), RtError> {
         match &mut self.mode {
-            HeapMode::Direct => world.rt.write(&mut world.os, Va(ptr.0), data),
+            HeapMode::Direct => return world.rt.write(&mut world.os, Va(ptr.0), data),
             HeapMode::CachedOram(cache) => {
-                let span = Self::enter_oram(world);
-                let mut done = 0usize;
-                while done < data.len() {
-                    let at = ptr.0 + done as u64;
-                    let block = at / PAGE_SIZE as u64;
-                    let off = (at % PAGE_SIZE as u64) as usize;
-                    let chunk = (PAGE_SIZE - off).min(data.len() - done);
-                    cache
-                        .write_at(block, off, &data[done..done + chunk])
-                        .map_err(oram_err)?;
-                    done += chunk;
+                for (block, off, range) in block_pieces(ptr, data.len()) {
+                    cache.write_at(block, off, &data[range]).map_err(oram_err)?;
                 }
-                let stats = cache.oram().stats.clone();
-                let stash = cache.oram().stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
-                Self::exit_oram(world, span, stash);
-                Ok(())
             }
             HeapMode::UncachedOram(oram) => {
-                let span = Self::enter_oram(world);
-                let mut done = 0usize;
-                while done < data.len() {
-                    let at = ptr.0 + done as u64;
-                    let block = at / PAGE_SIZE as u64;
-                    let off = (at % PAGE_SIZE as u64) as usize;
-                    let chunk = (PAGE_SIZE - off).min(data.len() - done);
+                for (block, off, range) in block_pieces(ptr, data.len()) {
                     let mut block_data = oram.read(block).map_err(oram_err)?;
-                    block_data[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
+                    block_data[off..off + range.len()].copy_from_slice(&data[range]);
                     oram.write(block, &block_data).map_err(oram_err)?;
-                    done += chunk;
                 }
-                let stats = oram.stats.clone();
-                let stash = oram.stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
-                Self::exit_oram(world, span, stash);
-                Ok(())
             }
         }
+        self.charge_oram(world);
+        Ok(())
     }
 
-    /// Open an `oram_access` span on the runtime's telemetry.
-    fn enter_oram(world: &World) -> autarky_telemetry::SpanGuard {
-        world
-            .rt
-            .telemetry
-            .enter(SpanKind::OramAccess, world.os.machine.clock.now())
-    }
-
-    /// Close an `oram_access` span and sample the stash-occupancy gauge.
-    fn exit_oram(world: &mut World, span: autarky_telemetry::SpanGuard, stash: u64) {
-        world.rt.span_close(&mut world.os, span);
-        world.rt.telemetry.gauge_set("stash_occupancy", stash);
-    }
-
-    /// Convert ORAM event deltas into machine cycles.
-    fn charge(world: &mut World, before: &OramStats, after: &OramStats) {
-        let costs = &world.os.machine.costs;
-        let bucket_ops = (after.bucket_reads() - before.bucket_reads())
-            + (after.bucket_writes() - before.bucket_writes());
+    /// Account one completed ORAM-backed access: charge the cycles its
+    /// events cost since the previous access, record it as an
+    /// `oram_access` span, and sample the stash-occupancy gauge. The ORAM
+    /// itself never advances the clock, so the span opens at the same
+    /// cycle the access began.
+    fn charge_oram(&mut self, world: &mut World) {
+        let oram = match &self.mode {
+            HeapMode::Direct => return,
+            HeapMode::CachedOram(cache) => cache.oram(),
+            HeapMode::UncachedOram(oram) => oram,
+        };
+        let (after, stash) = (oram.stats.counts(), oram.stash_len() as u64);
+        let before = std::mem::replace(&mut self.last_counts, after);
+        let span = world.rt.telemetry.enter(SpanKind::OramAccess, world.now());
+        let bucket_ops = (after.bucket_reads - before.bucket_reads)
+            + (after.bucket_writes - before.bucket_writes);
         // Bucket sealing runs on AES-NI-class hardware crypto (~1
         // cycle/byte including the GCM tag work).
         let cycles = bucket_ops * 200 // untrusted-memory round trip per bucket
-            + (after.crypto_bytes() - before.crypto_bytes())
-            + (after.oblivious_scan_bytes() - before.oblivious_scan_bytes())
-                * costs.oblivious_copy_per_byte
-            + (after.cache_hits() - before.cache_hits()) * 15; // pinned-cache lookup
+            + (after.crypto_bytes - before.crypto_bytes)
+            + (after.oblivious_scan_bytes - before.oblivious_scan_bytes)
+                * world.os.machine.costs.oblivious_copy_per_byte
+            + (after.cache_hits - before.cache_hits) * 15; // pinned-cache lookup
         world.os.machine.clock.charge_tagged(CostTag::Oram, cycles);
+        world.rt.span_close(&mut world.os, span);
+        world.rt.telemetry.stash_occupancy.set(stash);
     }
 
     /// The adversary-visible ORAM bucket-access log: `(bucket index,
@@ -420,6 +372,21 @@ impl EncHeap {
     pub fn write_u32(&mut self, world: &mut World, ptr: Ptr, value: u32) -> Result<(), RtError> {
         self.write(world, ptr, &value.to_le_bytes())
     }
+}
+
+/// Split `len` bytes at `ptr` into per-block pieces: the ORAM block, the
+/// offset inside it, and the piece's range in the caller's buffer.
+fn block_pieces(ptr: Ptr, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = ptr.0 + done as u64;
+            let off = (at % PAGE_SIZE as u64) as usize;
+            let piece = done..done + (PAGE_SIZE - off).min(len - done);
+            done = piece.end;
+            (at / PAGE_SIZE as u64, off, piece)
+        })
+    })
 }
 
 fn oram_err(err: autarky_oram::OramError) -> RtError {

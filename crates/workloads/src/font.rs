@@ -1,5 +1,5 @@
 //! A FreeType-style glyph renderer (paper §7.3, Table 2; attack from Xu
-//! et al. [76]).
+//! et al. \[76\]).
 //!
 //! The original attack recovered rendered text purely from *instruction
 //! fetches*: each character's rendering routine executes a distinctive

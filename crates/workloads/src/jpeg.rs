@@ -1,5 +1,5 @@
 //! A miniature JPEG-style image codec with libjpeg's leaky access
-//! pattern (paper §7.3, Table 2; attack from Xu et al. [76]).
+//! pattern (paper §7.3, Table 2; attack from Xu et al. \[76\]).
 //!
 //! The codec is real: 8×8 block DCT, quantization, zig-zag + RLE entropy
 //! coding, and the inverse pipeline. The controlled-channel relevance is

@@ -1,5 +1,5 @@
 //! A Hunspell-style spell-checking server (paper §7.3, Table 2; attack
-//! from Xu et al. [76]).
+//! from Xu et al. \[76\]).
 //!
 //! Dictionaries are hash tables with chained collision resolution; a
 //! lookup walks a word-specific chain of nodes spread over pages, giving

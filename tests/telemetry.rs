@@ -5,7 +5,7 @@
 use autarky::os::FlightEvent;
 use autarky::prelude::*;
 use autarky::rt::telemetry_export_key;
-use autarky::telemetry::SpanKind;
+use autarky::telemetry::{SpanKind, Telemetry};
 use autarky::workloads::kvstore::{ItemClustering, KvStore};
 use autarky::{Profile, SystemBuilder};
 
@@ -165,5 +165,154 @@ fn oram_spans_reach_the_flight_log() {
     assert_eq!(
         recorded, counted,
         "one oram_access flight record per aggregated span"
+    );
+}
+
+/// Lowercase hex SHA-256 of `bytes`.
+fn sha256_hex(bytes: &[u8]) -> String {
+    autarky::crypto::sha256(bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// What a finished run leaves behind: SHA-256 of the export plaintext
+/// and of the checkpoint blob, the machine clock, and the seven ORAM
+/// counts (accesses, bucket reads, bucket writes, crypto bytes,
+/// oblivious-scan bytes, cache hits, cache misses).
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    export_sha256: String,
+    capture_sha256: String,
+    clock: u64,
+    oram: [u64; 7],
+}
+
+impl Fingerprint {
+    fn of(world: &World, heap: &EncHeap) -> Self {
+        let o = heap.oram_stats();
+        Self {
+            export_sha256: sha256_hex(&world.rt.export_plaintext()),
+            capture_sha256: sha256_hex(&world.rt.capture_bytes()),
+            clock: world.now(),
+            oram: [
+                o.accesses(),
+                o.bucket_reads(),
+                o.bucket_writes(),
+                o.crypto_bytes(),
+                o.oblivious_scan_bytes(),
+                o.cache_hits(),
+                o.cache_misses(),
+            ],
+        }
+    }
+}
+
+/// Write one `u64` into each of `pages` pages three times over, then
+/// read them back in reverse order, so every page is both written and
+/// read on every access path.
+fn page_sweep(world: &mut World, heap: &mut EncHeap, pages: u64) {
+    let ptr = heap
+        .alloc(world, pages as usize * PAGE_SIZE)
+        .expect("alloc");
+    let page = |i: u64| Ptr(ptr.0 + i * PAGE_SIZE as u64);
+    for round in 0..3u64 {
+        for i in 0..pages {
+            heap.write_u64(world, page(i), round * 100 + i)
+                .expect("write");
+        }
+    }
+    // One write and one read that straddle a page boundary.
+    let straddle = Ptr(page(1).0 - 8);
+    heap.write(world, straddle, &[0xA5; 16])
+        .expect("straddling write");
+    let mut buf = [0u8; 16];
+    heap.read(world, straddle, &mut buf)
+        .expect("straddling read");
+    assert_eq!(buf, [0xA5; 16]);
+    for i in (2..pages).rev() {
+        assert_eq!(heap.read_u64(world, page(i)).expect("read"), 200 + i);
+    }
+}
+
+/// Run `profile` through [`page_sweep`] and fingerprint the result.
+fn fingerprint(name: &str, profile: Profile, budget: usize, pages: u64) -> Fingerprint {
+    let (mut world, mut heap) = SystemBuilder::new(name, profile)
+        .epc_pages(2048)
+        .heap_pages(256)
+        .budget_pages(budget)
+        .seed(11)
+        .build()
+        .expect("system");
+    page_sweep(&mut world, &mut heap, pages);
+    assert_eq!(
+        world.rt.export_plaintext().len(),
+        Telemetry::SNAPSHOT_LEN + 72,
+        "telemetry snapshot plus nine RtStats counters"
+    );
+    if budget > 0 {
+        assert!(world.rt.stats.pages_evicted > 0 && world.rt.stats.pages_fetched > 0);
+    }
+    Fingerprint::of(&world, &heap)
+}
+
+/// Known answers for the exported and checkpointed bytes. The tests above
+/// compare two runs of one build, so they cannot see a change to the
+/// encoding, the recorded values or the ORAM cycle charges that moves
+/// both runs alike; these constants can.
+#[test]
+fn exported_bytes_match_known_answers() {
+    assert_eq!(Telemetry::SNAPSHOT_LEN, 24_796);
+    let direct = fingerprint(
+        "kat-direct",
+        Profile::Clusters {
+            pages_per_cluster: 4,
+        },
+        24,
+        40,
+    );
+    let cached = fingerprint(
+        "kat-cached",
+        Profile::CachedOram {
+            capacity_pages: 64,
+            cache_pages: 8,
+        },
+        0,
+        24,
+    );
+    let uncached = fingerprint(
+        "kat-uncached",
+        Profile::UncachedOram { capacity_pages: 32 },
+        0,
+        8,
+    );
+    assert_eq!(
+        [direct, cached, uncached],
+        [
+            Fingerprint {
+                export_sha256: "5254cbc5a2c90295622d466536448394cdccd418cef0a0c5449f52e15918b696"
+                    .into(),
+                capture_sha256: "3dc1ff5928981853b0a6369c7d82391861ddbfd9a9b45035d693ed7ff7c0caf8"
+                    .into(),
+                clock: 4_282_607,
+                oram: [0; 7],
+            },
+            Fingerprint {
+                export_sha256: "71f874b7067c957ec52686f81f00cf573c7dba935a17f2bc3a880da731187dec"
+                    .into(),
+                capture_sha256: "6a7edee4248af2904a5dd627dc6a40a41f121834a6ef09fd0175845896e747f1"
+                    .into(),
+                clock: 28_220_124,
+                oram: [164, 820, 820, 26_413_344, 368_640, 8, 90],
+            },
+            Fingerprint {
+                export_sha256: "a22e6caf03912539d7b8c5beaaf5c2334702e3ea7142768f89f11a3ed78d11d8"
+                    .into(),
+                capture_sha256: "1dcf5d7a0390617d0e479e85c327f4bdd46726dfb596afaf0bf3b29be7a27a3e"
+                    .into(),
+                clock: 259_914_020,
+                oram: [60, 240, 240, 7_633_440, 63_045_120, 0, 0],
+            },
+        ]
     );
 }
