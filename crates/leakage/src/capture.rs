@@ -36,7 +36,7 @@ impl Capture {
             heap.oram_access_log()[self.oram_mark..]
                 .iter()
                 .map(|&(bucket, write)| Observation::UntrustedAccess {
-                    key: bucket as u64,
+                    key: u64::from(bucket),
                     write,
                 }),
         );

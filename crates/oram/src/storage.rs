@@ -4,10 +4,20 @@
 //! under a fresh nonce, so the adversary watching the storage learns only
 //! which tree positions are touched — and PathORAM guarantees those are a
 //! uniformly random root-to-leaf path per access.
+//!
+//! A stored bucket is `nonce ‖ tag ‖ ciphertext`: a 28-byte header in
+//! front of the body. It is sealed in place, in the storage's own buffer,
+//! and authenticated against its tree position and its last write, so the
+//! storage can neither move, replay nor erase a bucket unnoticed.
 
 use autarky_crypto::aead::{self, NONCE_LEN, TAG_LEN};
 
-/// Untrusted bucket storage: one ciphertext per tree bucket, in host
+use crate::tree::OramError;
+
+/// Bytes in front of a sealed bucket's body: its nonce, then its tag.
+pub(crate) const HEADER_LEN: usize = NONCE_LEN + TAG_LEN;
+
+/// Untrusted bucket storage: one sealed bucket per tree position, in host
 /// memory, with an access log. The ORAM only ever calls
 /// [`MemStorage::read`] and [`MemStorage::write`], so the log *is* the
 /// adversary's view.
@@ -15,31 +25,42 @@ use autarky_crypto::aead::{self, NONCE_LEN, TAG_LEN};
 pub struct MemStorage {
     buckets: Vec<Vec<u8>>,
     /// Sequence of `(index, was_write)` accesses, adversary-visible.
-    pub log: Vec<(usize, bool)>,
+    pub log: Vec<(u32, bool)>,
 }
 
 impl MemStorage {
     /// Storage for `buckets` buckets.
+    ///
+    /// # Panics
+    ///
+    /// If a bucket index would not fit the log's `u32`.
     pub fn new(buckets: usize) -> Self {
+        assert!(
+            u32::try_from(buckets).is_ok(),
+            "{buckets} buckets: every index must fit in u32"
+        );
         Self {
             buckets: vec![Vec::new(); buckets],
             log: Vec::new(),
         }
     }
 
-    /// Read the ciphertext of bucket `index` (empty if never written).
-    pub fn read(&mut self, index: usize) -> Vec<u8> {
-        self.log.push((index, false));
-        self.buckets[index].clone()
+    /// Borrow the sealed bytes of bucket `index` (empty if never written).
+    pub fn read(&mut self, index: usize) -> &[u8] {
+        let bucket = &self.buckets[index];
+        self.log.push((index as u32, false));
+        bucket
     }
 
-    /// Replace the ciphertext of bucket `index`.
-    pub fn write(&mut self, index: usize, ciphertext: Vec<u8>) {
-        self.log.push((index, true));
-        self.buckets[index] = ciphertext;
+    /// Hand out bucket `index`'s own buffer, for the caller to overwrite
+    /// with the bucket's new sealed bytes.
+    pub fn write(&mut self, index: usize) -> &mut Vec<u8> {
+        let bucket = &mut self.buckets[index];
+        self.log.push((index as u32, true));
+        bucket
     }
 
-    /// Flip one ciphertext bit (fault injection for integrity tests).
+    /// Flip one stored bit (fault injection for integrity tests).
     pub fn corrupt(&mut self, index: usize, byte: usize) {
         if let Some(b) = self.buckets.get_mut(index).and_then(|v| v.get_mut(byte)) {
             *b ^= 1;
@@ -47,78 +68,150 @@ impl MemStorage {
     }
 }
 
-/// Bucket sealing: encrypt-then-MAC with a per-write nonce counter.
+/// Bucket sealing: encrypt-then-MAC under a per-write nonce counter, with
+/// the bucket's index as associated data. The counter of each bucket's
+/// last write is kept in trusted memory, and the bucket is opened under it.
 pub struct BucketSealer {
     key: [u8; 32],
     counter: u64,
+    /// Counter of each bucket's last seal; 0 = never written.
+    versions: Vec<u64>,
 }
 
 impl BucketSealer {
-    /// Create a sealer under `key`.
-    pub fn new(key: [u8; 32]) -> Self {
-        Self { key, counter: 0 }
-    }
-
-    /// Encrypt a serialized bucket; the output embeds nonce and tag.
-    pub fn seal(&mut self, mut plaintext: Vec<u8>) -> Vec<u8> {
-        self.counter += 1;
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce[..8].copy_from_slice(&self.counter.to_le_bytes());
-        let tag = aead::seal(&self.key, &nonce, b"oram-bucket", &mut plaintext);
-        let mut out = Vec::with_capacity(NONCE_LEN + TAG_LEN + plaintext.len());
-        out.extend_from_slice(&nonce);
-        out.extend_from_slice(&tag);
-        out.extend_from_slice(&plaintext);
-        out
-    }
-
-    /// Decrypt a sealed bucket. Returns `None` on tampering.
-    pub fn open(&self, sealed: &[u8]) -> Option<Vec<u8>> {
-        if sealed.len() < NONCE_LEN + TAG_LEN {
-            return None;
+    /// Create a sealer under `key` for a tree of `buckets` buckets.
+    pub fn new(key: [u8; 32], buckets: usize) -> Self {
+        Self {
+            key,
+            counter: 0,
+            versions: vec![0; buckets],
         }
-        let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().ok()?;
-        let tag: [u8; TAG_LEN] = sealed[NONCE_LEN..NONCE_LEN + TAG_LEN].try_into().ok()?;
-        let mut plaintext = sealed[NONCE_LEN + TAG_LEN..].to_vec();
-        aead::open(&self.key, &nonce, b"oram-bucket", &mut plaintext, &tag).ok()?;
-        Some(plaintext)
     }
+
+    /// Whether bucket `index` has been sealed at least once.
+    pub(crate) fn written(&self, index: usize) -> bool {
+        self.versions[index] != 0
+    }
+
+    /// Seal the body of `bucket` (all but its 28-byte header) in place as
+    /// the next write of bucket `index`, and write its nonce and tag into
+    /// the header.
+    pub fn seal(&mut self, index: usize, bucket: &mut [u8]) {
+        self.counter += 1;
+        self.versions[index] = self.counter;
+        let nonce = nonce(self.counter);
+        let (header, body) = bucket.split_at_mut(HEADER_LEN);
+        let tag = aead::seal(&self.key, &nonce, &aad(index), body);
+        header[..NONCE_LEN].copy_from_slice(&nonce);
+        header[NONCE_LEN..].copy_from_slice(&tag);
+    }
+
+    /// Authenticate `sealed` as the last write of bucket `index` and
+    /// decrypt its body into `out`, a trusted buffer. The stored nonce is
+    /// not trusted: the body is opened under the nonce of the bucket's last
+    /// seal, so bytes sealed for another index or by an earlier write are
+    /// [`OramError::Tampered`].
+    pub fn open(&self, index: usize, sealed: &[u8], out: &mut Vec<u8>) -> Result<(), OramError> {
+        let tampered = OramError::Tampered(index);
+        let Some((header, body)) = sealed.split_first_chunk::<HEADER_LEN>() else {
+            return Err(tampered);
+        };
+        let tag = header[NONCE_LEN..].try_into().expect("TAG_LEN bytes");
+        out.clear();
+        out.extend_from_slice(body);
+        let nonce = nonce(self.versions[index]);
+        aead::open(&self.key, &nonce, &aad(index), out, tag).map_err(|_| tampered)
+    }
+}
+
+/// The nonce of write number `counter`.
+fn nonce(counter: u64) -> [u8; NONCE_LEN] {
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce[..8].copy_from_slice(&counter.to_le_bytes());
+    nonce
+}
+
+/// The associated data binding a bucket to its tree position.
+fn aad(index: usize) -> [u8; 8] {
+    (index as u64).to_le_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn seal(sealer: &mut BucketSealer, index: usize, plaintext: &[u8]) -> Vec<u8> {
+        let mut bucket = vec![0u8; HEADER_LEN];
+        bucket.extend_from_slice(plaintext);
+        sealer.seal(index, &mut bucket);
+        bucket
+    }
+
     #[test]
     fn mem_storage_logs_accesses() {
         let mut storage = MemStorage::new(4);
-        storage.write(2, vec![1, 2, 3]);
-        assert_eq!(storage.read(2), vec![1, 2, 3]);
-        assert_eq!(storage.read(0), Vec::<u8>::new());
+        storage.write(2).extend_from_slice(&[1, 2, 3]);
+        assert_eq!(storage.read(2), [1, 2, 3]);
+        assert!(storage.read(0).is_empty());
         assert_eq!(storage.log, vec![(2, true), (2, false), (0, false)]);
     }
 
     #[test]
     fn sealer_roundtrip() {
-        let mut sealer = BucketSealer::new([7; 32]);
-        let sealed = sealer.seal(vec![9, 9, 9]);
-        assert_eq!(sealer.open(&sealed), Some(vec![9, 9, 9]));
+        let mut sealer = BucketSealer::new([7; 32], 4);
+        assert!(!sealer.written(1));
+        let sealed = seal(&mut sealer, 1, &[9, 9, 9]);
+        assert!(sealer.written(1));
+        let mut out = Vec::new();
+        assert_eq!(sealer.open(1, &sealed, &mut out), Ok(()));
+        assert_eq!(out, [9, 9, 9]);
     }
 
     #[test]
     fn sealer_detects_tamper() {
-        let mut sealer = BucketSealer::new([7; 32]);
-        let mut sealed = sealer.seal(vec![9, 9, 9]);
+        let mut sealer = BucketSealer::new([7; 32], 4);
+        let mut sealed = seal(&mut sealer, 1, &[9, 9, 9]);
+        let mut out = Vec::new();
         let last = sealed.len() - 1;
         sealed[last] ^= 1;
-        assert_eq!(sealer.open(&sealed), None);
+        assert_eq!(
+            sealer.open(1, &sealed, &mut out),
+            Err(OramError::Tampered(1))
+        );
+        assert_eq!(
+            sealer.open(1, &sealed[..HEADER_LEN - 1], &mut out),
+            Err(OramError::Tampered(1)),
+            "shorter than a header"
+        );
+    }
+
+    #[test]
+    fn sealer_binds_index_and_last_write() {
+        let mut sealer = BucketSealer::new([7; 32], 4);
+        let mut twin = BucketSealer::new([7; 32], 4);
+        let first = seal(&mut sealer, 1, &[9, 9, 9]);
+        // Same key and nonce, other index: only the associated data
+        // tells the two apart.
+        seal(&mut twin, 2, &[9, 9, 9]);
+        let mut out = Vec::new();
+        assert_eq!(
+            twin.open(2, &first, &mut out),
+            Err(OramError::Tampered(2)),
+            "moved to another bucket"
+        );
+        seal(&mut sealer, 1, &[9, 9, 9]);
+        assert_eq!(
+            sealer.open(1, &first, &mut out),
+            Err(OramError::Tampered(1)),
+            "an earlier write of the same bucket"
+        );
     }
 
     #[test]
     fn reencryption_changes_ciphertext() {
-        let mut sealer = BucketSealer::new([7; 32]);
-        let a = sealer.seal(vec![1, 2, 3]);
-        let b = sealer.seal(vec![1, 2, 3]);
+        let mut sealer = BucketSealer::new([7; 32], 4);
+        let a = seal(&mut sealer, 1, &[1, 2, 3]);
+        let b = seal(&mut sealer, 1, &[1, 2, 3]);
         assert_ne!(a, b, "fresh nonce per write");
     }
 }

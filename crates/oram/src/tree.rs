@@ -22,13 +22,29 @@
 use autarky_prng::SimRng;
 
 use crate::stats::OramStats;
-use crate::storage::{BucketSealer, MemStorage};
+use crate::storage::{BucketSealer, MemStorage, HEADER_LEN};
 
 /// Blocks per bucket (the standard `Z = 4`).
 pub const BUCKET_Z: usize = 4;
 
 /// Marker id for a dummy (empty) slot.
 const DUMMY: u64 = u64::MAX;
+
+/// Levels at the top of the tree whose last write the enclave keeps, sealed
+/// and in plaintext, so that reading them back parses the kept plaintext
+/// instead of opening the stored bytes. These levels are on every path, so
+/// this skips `RECENT_LEVELS` opens per access. Cost: `2^RECENT_LEVELS - 1`
+/// = 15 buckets at 16,444 + 16,416 B, ≈0.5 MiB with page-sized blocks; each
+/// level more doubles it.
+const RECENT_LEVELS: u32 = 4;
+
+/// One top-level bucket's last write: the sealed bytes it stored, and
+/// their plaintext.
+#[derive(Default)]
+struct Recent {
+    sealed: Vec<u8>,
+    plain: Vec<u8>,
+}
 
 /// Errors from ORAM operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +61,9 @@ pub enum OramError {
     /// The stash exceeded its provisioned capacity (astronomically
     /// unlikely with Z=4 unless the tree is mis-sized).
     StashOverflow,
-    /// A bucket failed authentication (storage tampered with).
+    /// A bucket failed authentication: its bytes were modified, moved
+    /// from another tree position, rolled back to an earlier write, or
+    /// erased (or a never-written bucket is not empty).
     Tampered(usize),
 }
 
@@ -68,6 +86,11 @@ impl std::error::Error for OramError {}
 pub struct PathOram {
     storage: MemStorage,
     sealer: BucketSealer,
+    /// The last write of each bucket in the top [`RECENT_LEVELS`] levels,
+    /// indexed by bucket.
+    recent: Vec<Recent>,
+    /// Trusted buffer every other bucket is opened in.
+    opened: Vec<u8>,
     /// Tree height: leaves are at level `height`, root at level 0.
     height: u32,
     num_leaves: u64,
@@ -110,13 +133,18 @@ impl PathOram {
     ) -> Self {
         let height = height_for(capacity);
         let num_leaves = 1u64 << height;
+        let buckets = buckets_for(capacity);
         let mut rng = SimRng::seed_from_u64(seed);
         let position = (0..capacity)
             .map(|_| rng.gen_range(0..num_leaves) as u32)
             .collect();
         Self {
             storage,
-            sealer: BucketSealer::new(key),
+            sealer: BucketSealer::new(key, buckets),
+            recent: (0..buckets.min((1 << RECENT_LEVELS) - 1))
+                .map(|_| Recent::default())
+                .collect(),
+            opened: Vec::new(),
             height,
             num_leaves,
             block_size,
@@ -193,20 +221,30 @@ impl PathOram {
             self.stats.counts.oblivious_scan_bytes += self.position.len() as u64 * 4;
         }
 
-        // 2. Read the whole path into the stash.
+        // 2. Read the whole path into the stash. A top-level bucket that
+        // still holds the enclave's own last write is parsed from the kept
+        // plaintext: until the bucket's next seal, `open` is a pure
+        // function of the stored bytes, and the kept pair is one of its
+        // input/output pairs. Any other stored bytes take the full
+        // authenticated open.
         for level in 0..=self.height {
             let bucket = self.bucket_index(leaf, level);
             let sealed = self.storage.read(bucket);
             self.stats.counts.bucket_reads += 1;
-            if sealed.is_empty() {
-                continue; // never-written bucket: all dummies
+            match (sealed.is_empty(), self.sealer.written(bucket)) {
+                (true, false) => continue, // never-written bucket: all dummies
+                (false, true) => {}
+                _ => return Err(OramError::Tampered(bucket)), // erased or forged
             }
-            let plaintext = self
-                .sealer
-                .open(&sealed)
-                .ok_or(OramError::Tampered(bucket))?;
+            let plaintext = match self.recent.get(bucket) {
+                Some(kept) if kept.sealed == sealed => &kept.plain,
+                _ => {
+                    self.sealer.open(bucket, sealed, &mut self.opened)?;
+                    &self.opened
+                }
+            };
             self.stats.counts.crypto_bytes += plaintext.len() as u64;
-            self.parse_bucket(&plaintext);
+            parse_bucket(&mut self.stash, self.block_size, plaintext);
         }
 
         // 3. Stash lookup. Under Autarky (cached mode) the stash lives in
@@ -240,24 +278,47 @@ impl PathOram {
             return Err(OramError::StashOverflow);
         }
 
-        // 4. Greedy write-back along the path, deepest level first.
+        // 4. Greedy write-back along the path, deepest level first: each
+        // bucket is serialised into its own storage buffer, behind the
+        // header, and sealed there.
+        let slot = 8 + self.block_size;
         for level in (0..=self.height).rev() {
             let bucket = self.bucket_index(leaf, level);
-            let mut chosen: Vec<(u64, Vec<u8>)> = Vec::with_capacity(BUCKET_Z);
+            // A block belongs in this bucket iff its leaf shares the path
+            // prefix down to `level`.
+            let shift = self.height - level;
+            let stored = self.storage.write(bucket);
+            stored.resize(HEADER_LEN + slot * BUCKET_Z, 0);
+            let body = &mut stored[HEADER_LEN..];
+            let mut filled = 0;
             let mut i = 0;
-            while i < self.stash.len() && chosen.len() < BUCKET_Z {
+            while i < self.stash.len() && filled < BUCKET_Z {
                 let (bid, _) = self.stash[i];
-                let block_leaf = self.position[bid as usize] as u64;
-                if self.bucket_index(block_leaf, level) == bucket {
-                    chosen.push(self.stash.swap_remove(i));
+                if u64::from(self.position[bid as usize]) >> shift == leaf >> shift {
+                    let (bid, data) = self.stash.swap_remove(i);
+                    let chunk = &mut body[filled * slot..(filled + 1) * slot];
+                    chunk[..8].copy_from_slice(&bid.to_le_bytes());
+                    chunk[8..].copy_from_slice(&data);
+                    filled += 1;
                 } else {
                     i += 1;
                 }
             }
-            let plaintext = self.serialize_bucket(&chosen);
-            self.stats.counts.crypto_bytes += plaintext.len() as u64;
-            let sealed = self.sealer.seal(plaintext);
-            self.storage.write(bucket, sealed);
+            for chunk in body[filled * slot..].chunks_exact_mut(slot) {
+                chunk[..8].copy_from_slice(&DUMMY.to_le_bytes());
+                chunk[8..].fill(0);
+            }
+            self.stats.counts.crypto_bytes += body.len() as u64;
+            let mut kept = self.recent.get_mut(bucket);
+            if let Some(kept) = &mut kept {
+                kept.plain.clear();
+                kept.plain.extend_from_slice(body);
+            }
+            self.sealer.seal(bucket, stored);
+            if let Some(kept) = kept {
+                kept.sealed.clear();
+                kept.sealed.extend_from_slice(stored);
+            }
             self.stats.counts.bucket_writes += 1;
         }
         self.stats.record_stash(self.stash.len() as u64);
@@ -269,34 +330,19 @@ impl PathOram {
         let node = (leaf + self.num_leaves) >> (self.height - level);
         (node - 1) as usize
     }
+}
 
-    fn parse_bucket(&mut self, plaintext: &[u8]) {
-        let slot = 8 + self.block_size;
-        for chunk in plaintext.chunks_exact(slot) {
-            let id = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-            if id == DUMMY {
-                continue;
-            }
-            if self.stash.iter().any(|(bid, _)| *bid == id) {
-                continue; // already stashed (shouldn't happen, but harmless)
-            }
-            self.stash.push((id, chunk[8..].to_vec()));
+/// Move the real blocks of a bucket's plaintext into the stash.
+fn parse_bucket(stash: &mut Vec<(u64, Vec<u8>)>, block_size: usize, plaintext: &[u8]) {
+    for chunk in plaintext.chunks_exact(8 + block_size) {
+        let id = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
+        if id == DUMMY {
+            continue;
         }
-    }
-
-    fn serialize_bucket(&self, blocks: &[(u64, Vec<u8>)]) -> Vec<u8> {
-        let slot = 8 + self.block_size;
-        let mut out = vec![0u8; slot * BUCKET_Z];
-        for (i, chunk) in out.chunks_exact_mut(slot).enumerate() {
-            match blocks.get(i) {
-                Some((id, data)) => {
-                    chunk[..8].copy_from_slice(&id.to_le_bytes());
-                    chunk[8..].copy_from_slice(data);
-                }
-                None => chunk[..8].copy_from_slice(&DUMMY.to_le_bytes()),
-            }
+        if stash.iter().any(|(bid, _)| *bid == id) {
+            continue; // already stashed (shouldn't happen, but harmless)
         }
-        out
+        stash.push((id, chunk[8..].to_vec()));
     }
 }
 
@@ -343,19 +389,27 @@ mod tests {
 
     #[test]
     fn matches_reference_model_under_random_ops() {
-        let mut o = oram(64, 16);
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut rng = SimRng::seed_from_u64(7);
-        for step in 0..2000u32 {
-            let id = rng.gen_range(0..64);
-            if rng.gen_bool(0.5) {
-                let mut data = vec![0u8; 16];
-                rng.fill_bytes(&mut data[..]);
-                o.write(id, &data).expect("write");
-                model.insert(id, data);
-            } else {
-                let expected = model.get(&id).cloned().unwrap_or_else(|| vec![0u8; 16]);
-                assert_eq!(o.read(id).expect("read"), expected, "step {step} id {id}");
+        // 5 levels, 4 of them memoised; then 9 levels, so that the full
+        // open carries as much of the traffic as the memo.
+        for capacity in [64, 1024] {
+            let mut o = oram(capacity, 16);
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut rng = SimRng::seed_from_u64(7);
+            for step in 0..2000u32 {
+                let id = rng.gen_range(0..capacity);
+                if rng.gen_bool(0.5) {
+                    let mut data = vec![0u8; 16];
+                    rng.fill_bytes(&mut data[..]);
+                    o.write(id, &data).expect("write");
+                    model.insert(id, data);
+                } else {
+                    let expected = model.get(&id).cloned().unwrap_or_else(|| vec![0u8; 16]);
+                    assert_eq!(
+                        o.read(id).expect("read"),
+                        expected,
+                        "capacity {capacity} step {step} id {id}"
+                    );
+                }
             }
         }
     }
@@ -387,8 +441,8 @@ mod tests {
         };
         let path_len = (height + 1) as usize;
         assert_eq!(log.len(), 2 * path_len, "reads then writes of one path");
-        let reads: Vec<usize> = log.iter().filter(|(_, w)| !w).map(|(i, _)| *i).collect();
-        let writes: Vec<usize> = log.iter().filter(|(_, w)| *w).map(|(i, _)| *i).collect();
+        let reads: Vec<u32> = log.iter().filter(|(_, w)| !w).map(|(i, _)| *i).collect();
+        let writes: Vec<u32> = log.iter().filter(|(_, w)| *w).map(|(i, _)| *i).collect();
         assert_eq!(reads.len(), path_len);
         let mut sorted_writes = writes.clone();
         sorted_writes.sort_unstable();
@@ -456,7 +510,7 @@ mod tests {
             .find(|(_, w)| *w)
             .expect("some write");
         // Flip a ciphertext bit in untrusted storage.
-        o.storage.corrupt(idx, 20);
+        o.storage.corrupt(idx as usize, 20);
         let mut saw_tamper = false;
         for id in 0..16 {
             if matches!(o.read(id), Err(OramError::Tampered(_))) {
@@ -465,5 +519,170 @@ mod tests {
             }
         }
         assert!(saw_tamper, "corruption must be detected");
+    }
+
+    /// Write `blocks` distinct blocks and return their contents by id.
+    fn fill(o: &mut PathOram, blocks: u64) -> Vec<Vec<u8>> {
+        (0..blocks)
+            .map(|id| {
+                let data = vec![id as u8 + 1; o.block_size()];
+                o.write(id, &data).expect("fill");
+                data
+            })
+            .collect()
+    }
+
+    /// Read blocks `first..first + expected.len()` round-robin until an
+    /// access reads bucket `target`, and return that access's result.
+    /// Every earlier access must return the block's `expected` contents.
+    fn read_until_touched(
+        o: &mut PathOram,
+        target: usize,
+        first: u64,
+        expected: &[Vec<u8>],
+    ) -> Result<Vec<u8>, OramError> {
+        for step in 0..1000 {
+            let i = step % expected.len();
+            let start = o.storage().log.len();
+            let result = o.read(first + i as u64);
+            if o.storage().log[start..].contains(&(target as u32, false)) {
+                return result;
+            }
+            assert_eq!(result.as_ref(), Ok(&expected[i]), "read {step}");
+        }
+        panic!("no access read bucket {target}");
+    }
+
+    /// The leaf bucket the last access wrote: write-back runs leaf first,
+    /// so it is the first of the access's path-length trailing writes.
+    fn last_written_leaf(o: &PathOram) -> usize {
+        let log = &o.storage().log;
+        let (leaf, was_write) = log[log.len() - (o.height as usize + 1)];
+        assert!(was_write);
+        leaf as usize
+    }
+
+    #[test]
+    fn relocated_bucket_is_tampered() {
+        let mut o = oram(16, 8);
+        let written = fill(&mut o, 16);
+        let root = o.storage.read(0).to_vec();
+        let leaf = buckets_for(16) - 1;
+        *o.storage.write(leaf) = root;
+        assert_eq!(
+            read_until_touched(&mut o, leaf, 0, &written),
+            Err(OramError::Tampered(leaf)),
+            "the root's bytes moved onto leaf {leaf}"
+        );
+
+        // Forging a bucket the enclave never wrote is relocation too.
+        let mut o = oram(16, 8);
+        let written = fill(&mut o, 1);
+        let root = o.storage.read(0).to_vec();
+        let blank = (0..buckets_for(16))
+            .find(|&b| !o.sealer.written(b))
+            .expect("one access leaves buckets unwritten");
+        *o.storage.write(blank) = root;
+        assert_eq!(
+            read_until_touched(&mut o, blank, 0, &written),
+            Err(OramError::Tampered(blank)),
+            "the root's bytes copied onto never-written bucket {blank}"
+        );
+    }
+
+    #[test]
+    fn rolled_back_storage_is_tampered() {
+        let mut o = oram(16, 8);
+        fill(&mut o, 16);
+        let buckets = buckets_for(16);
+        let snapshot: Vec<Vec<u8>> = (0..buckets).map(|b| o.storage.read(b).to_vec()).collect();
+        for id in 0..16u64 {
+            o.write(id, &[0xF0 | id as u8; 8]).expect("overwrite");
+        }
+        for (b, bytes) in snapshot.into_iter().enumerate() {
+            *o.storage.write(b) = bytes;
+        }
+        // Every access reads the root, and the root changed since the
+        // snapshot, so no read may return the stale blocks.
+        for id in 0..16u64 {
+            assert_eq!(o.read(id), Err(OramError::Tampered(0)), "block {id}");
+        }
+    }
+
+    #[test]
+    fn erased_storage_is_tampered() {
+        let mut o = oram(16, 8);
+        fill(&mut o, 16);
+        for b in 0..buckets_for(16) {
+            o.storage.write(b).clear();
+        }
+        for id in 0..16u64 {
+            assert_eq!(o.read(id), Err(OramError::Tampered(0)), "block {id}");
+        }
+    }
+
+    #[test]
+    fn tampering_is_detected_with_and_without_the_memo() {
+        // 5 levels: the top 4 are memoised, the leaves are not.
+        let mut o = oram(64, 16);
+        let written = fill(&mut o, 32);
+        // Probe with never-written blocks, so a failed access (which
+        // remaps its block and skips write-back) loses no data.
+        let zeros = vec![vec![0u8; 16]; 32];
+        let leaf = last_written_leaf(&o);
+        assert_eq!(o.recent.len(), 15);
+        assert!(leaf >= o.recent.len(), "leaf {leaf} is not memoised");
+        for bucket in [0, leaf] {
+            let byte = HEADER_LEN + 5;
+            o.storage.corrupt(bucket, byte);
+            assert_eq!(
+                read_until_touched(&mut o, bucket, 32, &zeros),
+                Err(OramError::Tampered(bucket)),
+                "bucket {bucket} corrupted"
+            );
+            o.storage.corrupt(bucket, byte);
+            for (id, data) in written.iter().enumerate() {
+                assert_eq!(
+                    o.read(id as u64).as_ref(),
+                    Ok(data),
+                    "bucket {bucket} restored"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recent_buckets_match_a_full_open() {
+        let mut o = oram(64, 16);
+        let mut rng = SimRng::seed_from_u64(11);
+        let mut opened = Vec::new();
+        for step in 0..600u32 {
+            let id = rng.gen_range(0..64);
+            if rng.gen_bool(0.5) {
+                o.write(id, &[step as u8; 16]).expect("write");
+            } else {
+                o.read(id).expect("read");
+            }
+            if step % 50 != 49 {
+                continue;
+            }
+            for bucket in 0..o.recent.len() {
+                let stored = o.storage.read(bucket).to_vec();
+                let kept = &o.recent[bucket];
+                assert_eq!(stored, kept.sealed, "step {step} bucket {bucket}");
+                if stored.is_empty() {
+                    assert!(kept.plain.is_empty() && !o.sealer.written(bucket));
+                    continue;
+                }
+                o.sealer
+                    .open(bucket, &stored, &mut opened)
+                    .expect("stored bytes open");
+                assert_eq!(opened, kept.plain, "step {step} bucket {bucket}");
+            }
+        }
+        assert!(
+            o.recent.iter().all(|kept| !kept.plain.is_empty()),
+            "every top-level bucket was written"
+        );
     }
 }

@@ -320,7 +320,7 @@ impl EncHeap {
     /// Empty for direct heaps. This is exactly what an OS watching the
     /// enclave's untrusted memory traffic records, so the leakage audit
     /// treats it as part of the observation stream.
-    pub fn oram_access_log(&self) -> &[(usize, bool)] {
+    pub fn oram_access_log(&self) -> &[(u32, bool)] {
         match &self.mode {
             HeapMode::Direct => &[],
             HeapMode::CachedOram(cache) => &cache.oram().storage().log,
