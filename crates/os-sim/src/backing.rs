@@ -19,12 +19,6 @@ pub struct BackingStore {
     /// replay attacks.
     stale: HashMap<(EnclaveId, Vpn), SealedPage>,
     blobs: HashMap<u64, Vec<u8>>,
-    /// Every sealed enclave checkpoint ever handed to the OS, in capture
-    /// order. An honest OS would keep only the latest; a hostile one
-    /// keeps the full history so it can offer a stale or duplicate blob
-    /// at restore time (the rollback attack the monotonic counter must
-    /// defeat).
-    snapshots: Vec<Vec<u8>>,
 }
 
 impl BackingStore {
@@ -88,42 +82,6 @@ impl BackingStore {
         match self.stale.remove(&(eid, vpn)) {
             Some(old) => {
                 self.sealed.insert((eid, vpn), old);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Store a sealed enclave checkpoint, returning its index in the
-    /// history. All previous checkpoints are retained (adversary
-    /// semantics — see the field docs).
-    pub fn put_snapshot(&mut self, blob: Vec<u8>) -> usize {
-        self.snapshots.push(blob);
-        self.snapshots.len() - 1
-    }
-
-    /// A checkpoint by history index (stale indices are the rollback
-    /// attack surface).
-    pub fn snapshot(&self, index: usize) -> Option<&[u8]> {
-        self.snapshots.get(index).map(|b| b.as_slice())
-    }
-
-    /// The most recently stored checkpoint.
-    pub fn latest_snapshot(&self) -> Option<&[u8]> {
-        self.snapshots.last().map(|b| b.as_slice())
-    }
-
-    /// Number of checkpoints retained.
-    pub fn snapshot_count(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// Hostile tampering: cut the stored checkpoint at `index` down to
-    /// `len` bytes. Returns whether a blob was present to truncate.
-    pub fn truncate_snapshot(&mut self, index: usize, len: usize) -> bool {
-        match self.snapshots.get_mut(index) {
-            Some(blob) => {
-                blob.truncate(len);
                 true
             }
             None => false,

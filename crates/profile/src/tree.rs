@@ -76,12 +76,16 @@ impl ProfileNode {
 
     /// Rebuild a tree from collapsed-stack frames. Every stack must
     /// start with the same root segment, which becomes the returned
-    /// `(root_name, tree)`; returns `None` on empty input or
-    /// mismatched roots.
+    /// `(root_name, tree)`; returns `None` on empty input, mismatched
+    /// roots, or cycles that sum past `u64::MAX`.
     pub fn from_frames(frames: &[(String, u64)]) -> Option<(String, ProfileNode)> {
         let mut root_name: Option<&str> = None;
         let mut root = ProfileNode::new();
+        let mut sum = 0u64;
         for (stack, cycles) in frames {
+            // Every node's own and subtree cycles are at most the sum of
+            // all frames, so a sum that fits keeps `add` and `total` exact.
+            sum = sum.checked_add(*cycles)?;
             let mut segs = stack.split(';');
             let head = segs.next()?;
             match root_name {
@@ -138,6 +142,11 @@ mod tests {
     fn from_frames_rejects_mismatched_roots() {
         let frames = vec![("a;x".to_owned(), 1), ("b;x".to_owned(), 2)];
         assert!(ProfileNode::from_frames(&frames).is_none());
+        // One frame's own cycles, and a subtree total, past `u64::MAX`.
+        for second in ["a;x", "a;y"] {
+            let overflow = vec![("a;x".to_owned(), u64::MAX), (second.to_owned(), 1)];
+            assert!(ProfileNode::from_frames(&overflow).is_none(), "{second}");
+        }
         assert!(ProfileNode::from_frames(&[]).is_none());
     }
 }

@@ -26,7 +26,7 @@ use autarky_os_sim::{FaultDisposition, FlightEvent, Os, OsError};
 use autarky_sgx_sim::{
     AccessError, CostTag, EnclaveId, FaultCause, Perms, SgxError, Va, Vpn, PAGE_SIZE,
 };
-use autarky_telemetry::{SpanGuard, SpanKind, SpanRecord, Telemetry};
+use autarky_telemetry::{DecodeError, Reader, SpanGuard, SpanKind, SpanRecord, Telemetry};
 
 use crate::cluster::{ClusterCapture, ClusterId, ClusterMap};
 use crate::error::RtError;
@@ -190,20 +190,19 @@ impl RtStats {
         }
     }
 
-    /// Decode exactly what [`RtStats::encode_into`] wrote.
-    fn decode(mut input: &[u8]) -> Option<RtStats> {
-        let stats = RtStats {
-            faults_handled: take_u64(&mut input)?,
-            forwarded: take_u64(&mut input)?,
-            pages_fetched: take_u64(&mut input)?,
-            pages_evicted: take_u64(&mut input)?,
-            pages_allocated: take_u64(&mut input)?,
-            allocs: take_u64(&mut input)?,
-            retries: take_u64(&mut input)?,
-            misbehavior: take_u64(&mut input)?,
-            degradations: take_u64(&mut input)?,
-        };
-        input.is_empty().then_some(stats)
+    /// Decode what [`RtStats::encode_into`] wrote.
+    fn decode(r: &mut Reader<'_>) -> Result<RtStats, DecodeError> {
+        Ok(RtStats {
+            faults_handled: r.u64()?,
+            forwarded: r.u64()?,
+            pages_fetched: r.u64()?,
+            pages_evicted: r.u64()?,
+            pages_allocated: r.u64()?,
+            allocs: r.u64()?,
+            retries: r.u64()?,
+            misbehavior: r.u64()?,
+            degradations: r.u64()?,
+        })
     }
 }
 
@@ -1453,7 +1452,7 @@ impl Runtime {
         out.extend_from_slice(&(perms.len() as u64).to_le_bytes());
         for (vpn, p) in perms {
             out.extend_from_slice(&vpn.0.to_le_bytes());
-            out.push(u8::from(p.r) | u8::from(p.w) << 1 | u8::from(p.x) << 2);
+            out.push(p.bits());
         }
         encode_vpn_u64_map(&mut out, &self.hw_versions);
         out.extend_from_slice(&self.heap.start.0.to_le_bytes());
@@ -1502,119 +1501,95 @@ impl Runtime {
     /// Rebuild a runtime from [`Runtime::capture_bytes`] output (after
     /// the snapshot subsystem has unsealed and freshness-checked it).
     ///
-    /// Keys are re-derived from the enclave id, never stored. Returns
-    /// `None` on any structural problem; freshness and consistency
+    /// Keys are re-derived from the enclave id, never stored. Any
+    /// structural problem is a [`DecodeError`]; freshness and consistency
     /// against the restored machine are checked separately by
     /// [`Runtime::verify_restore`].
-    pub fn restore_from_bytes(blob: &[u8]) -> Option<Runtime> {
-        let mut input = blob;
-        if input.len() < 8 || &input[..4] != b"AYRT" {
-            return None;
+    pub fn restore_from_bytes(blob: &[u8]) -> Result<Runtime, DecodeError> {
+        let mut r = Reader::new(blob);
+        if r.array()? != *b"AYRT" || r.u32()? != CAPTURE_VERSION {
+            return Err(DecodeError::BadTag);
         }
-        input = &input[4..];
-        if take_u32(&mut input)? != CAPTURE_VERSION {
-            return None;
-        }
-        let eid = EnclaveId(take_u32(&mut input)?);
-        let tcs = take_u64(&mut input)? as usize;
-        let self_paging = take_u8(&mut input)? != 0;
-        let terminated = take_u8(&mut input)? != 0;
-        let mode = match take_u8(&mut input)? {
+        let eid = EnclaveId(r.u32()?);
+        let tcs = r.usize()?;
+        let self_paging = r.bool()?;
+        let terminated = r.bool()?;
+        let mode = match r.u8()? {
             0 => PolicyMode::PinAll,
             1 => PolicyMode::SelfPaging,
-            _ => return None,
+            _ => return Err(DecodeError::BadTag),
         };
-        let mechanism = match take_u8(&mut input)? {
+        let mechanism = match r.u8()? {
             0 => PagingMechanism::Sgx1,
             1 => PagingMechanism::Sgx2,
-            _ => return None,
+            _ => return Err(DecodeError::BadTag),
         };
-        let budget = take_u64(&mut input)? as usize;
-        let auto_cluster_size = take_u64(&mut input)? as usize;
-        let cluster_code = take_u8(&mut input)? != 0;
-        let rate_limit = match take_u8(&mut input)? {
+        let budget = r.usize()?;
+        let auto_cluster_size = r.usize()?;
+        let cluster_code = r.bool()?;
+        let rate_limit = match r.u8()? {
             0 => None,
             1 => Some(RateLimit {
-                max_faults_per_progress: f64::from_bits(take_u64(&mut input)?),
-                burst: take_u64(&mut input)?,
+                max_faults_per_progress: f64::from_bits(r.u64()?),
+                burst: r.u64()?,
             }),
-            _ => return None,
+            _ => return Err(DecodeError::BadTag),
         };
         let harden = HardenConfig {
-            max_retries: take_u32(&mut input)?,
-            backoff_base_cycles: take_u64(&mut input)?,
-            misbehavior_budget: take_u32(&mut input)?,
-            verify_fetches: take_u8(&mut input)? != 0,
-            degrade_on_pressure: take_u8(&mut input)? != 0,
-            degrade_floor: take_u64(&mut input)? as usize,
+            max_retries: r.u32()?,
+            backoff_base_cycles: r.u64()?,
+            misbehavior_budget: r.u32()?,
+            verify_fetches: r.bool()?,
+            degrade_on_pressure: r.bool()?,
+            degrade_floor: r.usize()?,
         };
-        let limiter_faults = take_u64(&mut input)?;
-        let limiter_progress = take_u64(&mut input)?;
-        let n = take_u64(&mut input)? as usize;
-        let mut tracked = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let vpn = Vpn(take_u64(&mut input)?);
-            let state = match take_u8(&mut input)? {
-                0 => PageState::Resident,
-                1 => PageState::Evicted,
-                _ => return None,
-            };
-            tracked.insert(vpn, state);
-        }
-        let n = take_u64(&mut input)? as usize;
-        let mut fifo = VecDeque::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            fifo.push_back(Vpn(take_u64(&mut input)?));
-        }
-        let resident_count = take_u64(&mut input)? as usize;
-        let sw_versions = decode_vpn_u64_map(&mut input)?;
-        let n = take_u64(&mut input)? as usize;
-        let mut sw_perms = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let vpn = Vpn(take_u64(&mut input)?);
-            let bits = take_u8(&mut input)?;
-            sw_perms.insert(
-                vpn,
-                Perms {
-                    r: bits & 1 != 0,
-                    w: bits & 2 != 0,
-                    x: bits & 4 != 0,
-                },
-            );
-        }
-        let hw_versions = decode_vpn_u64_map(&mut input)?;
-        let heap_start = Va(take_u64(&mut input)?);
-        let heap_pages = take_u64(&mut input)? as usize;
-        let bump = take_u64(&mut input)?;
-        let allocated_until = take_u64(&mut input)?;
-        let n = take_u64(&mut input)? as usize;
-        let mut free_lists = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let size = take_u64(&mut input)? as usize;
-            let m = take_u64(&mut input)? as usize;
-            let mut list = Vec::with_capacity(m.min(1 << 20));
-            for _ in 0..m {
-                list.push(Va(take_u64(&mut input)?));
-            }
-            free_lists.insert(size, list);
-        }
-        let n = take_u64(&mut input)? as usize;
-        let mut cluster_list = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let id = ClusterId(take_u32(&mut input)?);
-            let m = take_u64(&mut input)? as usize;
-            let mut pages = Vec::with_capacity(m.min(1 << 20));
-            for _ in 0..m {
-                pages.push(Vpn(take_u64(&mut input)?));
-            }
-            cluster_list.push((id, pages));
-        }
-        let next_id = take_u32(&mut input)?;
-        let auto_size = take_u64(&mut input)? as usize;
-        let auto_current = match take_u8(&mut input)? {
+        let limiter_faults = r.u64()?;
+        let limiter_progress = r.u64()?;
+        let tracked = r
+            .list(9, |r| {
+                let vpn = Vpn(r.u64()?);
+                let state = match r.u8()? {
+                    0 => PageState::Resident,
+                    1 => PageState::Evicted,
+                    _ => return Err(DecodeError::BadTag),
+                };
+                Ok((vpn, state))
+            })?
+            .into_iter()
+            .collect();
+        let fifo = r.list(8, |r| Ok(Vpn(r.u64()?)))?.into();
+        let resident_count = r.usize()?;
+        let sw_versions = decode_vpn_u64_map(&mut r)?;
+        let sw_perms = r
+            .list(9, |r| {
+                let vpn = Vpn(r.u64()?);
+                let perms = Perms::from_bits(r.u8()?).ok_or(DecodeError::BadTag)?;
+                Ok((vpn, perms))
+            })?
+            .into_iter()
+            .collect();
+        let hw_versions = decode_vpn_u64_map(&mut r)?;
+        let heap_start = Va(r.u64()?);
+        let heap_pages = r.usize()?;
+        let bump = r.u64()?;
+        let allocated_until = r.u64()?;
+        let free_lists = r
+            .list(16, |r| {
+                let size = r.usize()?;
+                Ok((size, r.list(8, |r| Ok(Va(r.u64()?)))?))
+            })?
+            .into_iter()
+            .collect();
+        let cluster_list = r.list(12, |r| {
+            let id = ClusterId(r.u32()?);
+            Ok((id, r.list(8, |r| Ok(Vpn(r.u64()?)))?))
+        })?;
+        let next_id = r.u32()?;
+        let auto_size = r.usize()?;
+        let auto_current = match r.u8()? {
             0 => None,
-            1 => Some(ClusterId(take_u32(&mut input)?)),
-            _ => return None,
+            1 => Some(ClusterId(r.u32()?)),
+            _ => return Err(DecodeError::BadTag),
         };
         let clusters = ClusterMap::restore(&ClusterCapture {
             clusters: cluster_list,
@@ -1622,15 +1597,14 @@ impl Runtime {
             auto_size,
             auto_current,
         });
-        let export_len = take_u64(&mut input)? as usize;
-        if input.len() != export_len {
-            return None;
-        }
+        let export_len = r.usize()?;
+        let mut export = Reader::new(r.bytes(export_len)?);
+        r.finish()?;
         let mut telemetry = Box::<Telemetry>::default();
-        let (snapshot, stats) = input.split_at_checked(Telemetry::SNAPSHOT_LEN)?;
-        telemetry.restore_state(snapshot).ok()?;
-        let stats = RtStats::decode(stats)?;
-        Some(Runtime {
+        telemetry.restore_state(export.bytes(Telemetry::SNAPSHOT_LEN)?)?;
+        let stats = RtStats::decode(&mut export)?;
+        export.finish()?;
+        Ok(Runtime {
             eid,
             tcs,
             config: RuntimeConfig {
@@ -1747,30 +1721,6 @@ fn open_snapshot(key: &[u8; 32], expected_epoch: u64, blob: &[u8]) -> Option<Vec
 // Checkpoint codec helpers.
 // ------------------------------------------------------------------
 
-fn take_u8(input: &mut &[u8]) -> Option<u8> {
-    let (&byte, rest) = input.split_first()?;
-    *input = rest;
-    Some(byte)
-}
-
-fn take_u32(input: &mut &[u8]) -> Option<u32> {
-    if input.len() < 4 {
-        return None;
-    }
-    let (head, rest) = input.split_at(4);
-    *input = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
-}
-
-fn take_u64(input: &mut &[u8]) -> Option<u64> {
-    if input.len() < 8 {
-        return None;
-    }
-    let (head, rest) = input.split_at(8);
-    *input = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
-}
-
 /// Encode a vpn→u64 map sorted by vpn so identical maps always produce
 /// identical bytes regardless of hash-map iteration order.
 fn encode_vpn_u64_map(out: &mut Vec<u8>, map: &HashMap<Vpn, u64>) {
@@ -1783,13 +1733,8 @@ fn encode_vpn_u64_map(out: &mut Vec<u8>, map: &HashMap<Vpn, u64>) {
     }
 }
 
-fn decode_vpn_u64_map(input: &mut &[u8]) -> Option<HashMap<Vpn, u64>> {
-    let n = take_u64(input)? as usize;
-    let mut map = HashMap::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let vpn = Vpn(take_u64(input)?);
-        let value = take_u64(input)?;
-        map.insert(vpn, value);
-    }
-    Some(map)
+fn decode_vpn_u64_map(r: &mut Reader<'_>) -> Result<HashMap<Vpn, u64>, DecodeError> {
+    Ok(r.list(16, |r| Ok((Vpn(r.u64()?), r.u64()?)))?
+        .into_iter()
+        .collect())
 }

@@ -8,6 +8,7 @@ use autarky_runtime::{
 };
 use autarky_sgx_sim::machine::MachineConfig;
 use autarky_sgx_sim::{EnclaveId, SgxError, Va, Vpn, PAGE_SIZE};
+use autarky_telemetry::DecodeError;
 
 fn image(name: &str) -> EnclaveImage {
     let mut img = EnclaveImage::named(name);
@@ -584,11 +585,11 @@ fn runtime_is_small_enough_to_move_per_request() {
     assert!(std::mem::size_of::<Runtime>() <= 1024);
 }
 
-#[test]
-fn checkpoint_codec_rejects_huge_counts() {
-    // No rate limit, so the tracked-page count sits at byte 84. SGXv2
-    // eviction fills the software-permission map and a freed allocation
-    // a free list, so the walk below crosses non-empty sections.
+/// A checkpoint whose software-permission map and free lists are not
+/// empty (SGXv2 eviction, a freed allocation; no rate limit), with the
+/// offsets of its tracked-page, software-permission and free-list
+/// counts.
+fn exercised_checkpoint() -> (Vec<u8>, [(&'static str, usize); 3]) {
     let (mut os, _eid, mut rt) = setup(RuntimeConfig {
         mechanism: PagingMechanism::Sgx2,
         budget: 24,
@@ -614,42 +615,64 @@ fn checkpoint_codec_rejects_huge_counts() {
     let hw_versions = sw_perms + 8 + 9 * count_at(sw_perms);
     let free_lists = hw_versions + 8 + 16 * count_at(hw_versions) + 32;
     assert!(count_at(sw_perms) > 0 && count_at(free_lists) > 0);
-    for (name, at) in [
+    let sections = [
         ("tracked", tracked),
         ("sw_perms", sw_perms),
         ("free_lists", free_lists),
-    ] {
-        let mut huge = blob.clone();
-        huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(
-            Runtime::restore_from_bytes(&huge).is_none(),
-            "{name} count u64::MAX"
-        );
+    ];
+    (blob, sections)
+}
+
+#[test]
+fn checkpoint_codec_rejects_huge_counts() {
+    let (blob, sections) = exercised_checkpoint();
+    for (name, at) in sections {
+        for count in [u64::MAX, 1 << 32, 1 << 20] {
+            let mut huge = blob.clone();
+            huge[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                Runtime::restore_from_bytes(&huge).err(),
+                Some(DecodeError::OversizeCount),
+                "{name} count {count}"
+            );
+        }
     }
 }
 
 #[test]
 fn checkpoint_codec_rejects_malformed_blobs() {
-    let (mut _os, _eid, rt) = setup(RuntimeConfig::default());
-    let blob = rt.capture_bytes();
-    assert!(Runtime::restore_from_bytes(&[]).is_none(), "empty");
-    assert!(
-        Runtime::restore_from_bytes(&blob[..blob.len() - 1]).is_none(),
+    let (blob, sections) = exercised_checkpoint();
+    let refusal = |bytes: &[u8]| Runtime::restore_from_bytes(bytes).err();
+    assert_eq!(refusal(&[]), Some(DecodeError::Truncated), "empty");
+    assert_eq!(
+        refusal(&blob[..blob.len() - 1]),
+        Some(DecodeError::Truncated),
         "truncated"
     );
     let mut bad_magic = blob.clone();
     bad_magic[0] ^= 0xFF;
-    assert!(Runtime::restore_from_bytes(&bad_magic).is_none(), "magic");
+    assert_eq!(refusal(&bad_magic), Some(DecodeError::BadTag), "magic");
     let mut bad_version = blob.clone();
     bad_version[4] = 9;
-    assert!(
-        Runtime::restore_from_bytes(&bad_version).is_none(),
-        "version"
-    );
+    assert_eq!(refusal(&bad_version), Some(DecodeError::BadTag), "version");
     let mut trailing = blob.clone();
     trailing.push(0);
-    assert!(
-        Runtime::restore_from_bytes(&trailing).is_none(),
+    assert_eq!(
+        refusal(&trailing),
+        Some(DecodeError::Trailing),
         "trailing bytes"
     );
+    // The five flag bytes: self_paging, terminated, cluster_code,
+    // verify_fetches and degrade_on_pressure. Only 0 and 1 are bools.
+    for at in [20, 21, 40, 58, 59] {
+        assert!(blob[at] <= 1);
+        let mut flag = blob.clone();
+        flag[at] = 2;
+        assert_eq!(refusal(&flag), Some(DecodeError::BadTag), "flag at {at}");
+    }
+    // The first software permission: its vpn, then the 3-bit perms.
+    let (_, sw_perms) = sections[1];
+    let mut perms = blob.clone();
+    perms[sw_perms + 16] = 0b1000;
+    assert_eq!(refusal(&perms), Some(DecodeError::BadTag), "perm bits");
 }

@@ -83,6 +83,20 @@ impl Perms {
             crate::error::AccessKind::Execute => self.x,
         }
     }
+
+    /// The 3-bit form checkpoints carry: `r | w << 1 | x << 2`.
+    pub fn bits(self) -> u8 {
+        u8::from(self.r) | u8::from(self.w) << 1 | u8::from(self.x) << 2
+    }
+
+    /// Inverse of [`Perms::bits`]; `None` when a bit above `0b111` is set.
+    pub fn from_bits(bits: u8) -> Option<Perms> {
+        (bits <= 0b111).then_some(Perms {
+            r: bits & 1 != 0,
+            w: bits & 2 != 0,
+            x: bits & 4 != 0,
+        })
+    }
 }
 
 /// Metadata for one EPC frame (one EPCM entry).

@@ -14,65 +14,10 @@ use autarky_sgx_sim::{
     AccessKind, Attributes, EnclaveCapture, EnclaveId, FaultCause, Frame, MachineStats,
     PageCapture, PageType, Perms, Pte, Secs, SsaExInfo, Va, Vpn, COST_TAGS, PAGE_SIZE,
 };
-
-pub(crate) fn take_u8(input: &mut &[u8]) -> Option<u8> {
-    let (&byte, rest) = input.split_first()?;
-    *input = rest;
-    Some(byte)
-}
-
-pub(crate) fn take_u32(input: &mut &[u8]) -> Option<u32> {
-    if input.len() < 4 {
-        return None;
-    }
-    let (head, rest) = input.split_at(4);
-    *input = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
-}
-
-pub(crate) fn take_u64(input: &mut &[u8]) -> Option<u64> {
-    if input.len() < 8 {
-        return None;
-    }
-    let (head, rest) = input.split_at(8);
-    *input = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
-}
-
-fn take_bytes<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if input.len() < n {
-        return None;
-    }
-    let (head, rest) = input.split_at(n);
-    *input = rest;
-    Some(head)
-}
+use autarky_telemetry::codec::{DecodeError, Reader};
 
 fn put_bool(out: &mut Vec<u8>, value: bool) {
     out.push(u8::from(value));
-}
-
-fn take_bool(input: &mut &[u8]) -> Option<bool> {
-    match take_u8(input)? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
-fn perms_bits(perms: Perms) -> u8 {
-    u8::from(perms.r) | u8::from(perms.w) << 1 | u8::from(perms.x) << 2
-}
-
-fn perms_from_bits(bits: u8) -> Option<Perms> {
-    if bits > 0b111 {
-        return None;
-    }
-    Some(Perms {
-        r: bits & 1 != 0,
-        w: bits & 2 != 0,
-        x: bits & 4 != 0,
-    })
 }
 
 fn page_type_tag(page_type: PageType) -> u8 {
@@ -142,17 +87,17 @@ fn encode_ssa_frame(out: &mut Vec<u8>, frame: &SsaFrame) {
     }
 }
 
-fn decode_ssa_frame(input: &mut &[u8]) -> Option<SsaFrame> {
-    let exinfo = match take_u8(input)? {
+fn decode_ssa_frame(r: &mut Reader<'_>) -> Result<SsaFrame, DecodeError> {
+    let exinfo = match r.u8()? {
         0 => None,
         1 => Some(SsaExInfo {
-            va: Va(take_u64(input)?),
-            kind: access_kind_from(take_u8(input)?)?,
-            cause: fault_cause_from(take_u8(input)?)?,
+            va: Va(r.u64()?),
+            kind: access_kind_from(r.u8()?).ok_or(DecodeError::BadTag)?,
+            cause: fault_cause_from(r.u8()?).ok_or(DecodeError::BadTag)?,
         }),
-        _ => return None,
+        _ => return Err(DecodeError::BadTag),
     };
-    Some(SsaFrame { exinfo })
+    Ok(SsaFrame { exinfo })
 }
 
 fn encode_vpn_u64_list(out: &mut Vec<u8>, list: &[(Vpn, u64)]) {
@@ -163,15 +108,8 @@ fn encode_vpn_u64_list(out: &mut Vec<u8>, list: &[(Vpn, u64)]) {
     }
 }
 
-fn decode_vpn_u64_list(input: &mut &[u8]) -> Option<Vec<(Vpn, u64)>> {
-    let n = take_u64(input)? as usize;
-    let mut list = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let vpn = Vpn(take_u64(input)?);
-        let value = take_u64(input)?;
-        list.push((vpn, value));
-    }
-    Some(list)
+fn decode_vpn_u64_list(r: &mut Reader<'_>) -> Result<Vec<(Vpn, u64)>, DecodeError> {
+    r.list(16, |r| Ok((Vpn(r.u64()?), r.u64()?)))
 }
 
 /// Encode a full enclave capture into canonical bytes.
@@ -205,7 +143,7 @@ pub fn encode_capture(capture: &EnclaveCapture) -> Vec<u8> {
     for page in &capture.pages {
         out.extend_from_slice(&page.vpn.0.to_le_bytes());
         out.push(page_type_tag(page.page_type));
-        out.push(perms_bits(page.perms));
+        out.push(page.perms.bits());
         put_bool(&mut out, page.blocked);
         put_bool(&mut out, page.pending);
         put_bool(&mut out, page.modified);
@@ -217,7 +155,7 @@ pub fn encode_capture(capture: &EnclaveCapture) -> Vec<u8> {
         out.extend_from_slice(&vpn.0.to_le_bytes());
         put_bool(&mut out, pte.present);
         out.extend_from_slice(&pte.frame.0.to_le_bytes());
-        out.push(perms_bits(pte.perms));
+        out.push(pte.perms.bits());
         put_bool(&mut out, pte.accessed);
         put_bool(&mut out, pte.dirty);
     }
@@ -226,7 +164,7 @@ pub fn encode_capture(capture: &EnclaveCapture) -> Vec<u8> {
     for &(vpn, entry) in &capture.tlb {
         out.extend_from_slice(&vpn.0.to_le_bytes());
         out.extend_from_slice(&entry.frame.0.to_le_bytes());
-        out.push(perms_bits(entry.perms));
+        out.push(entry.perms.bits());
         put_bool(&mut out, entry.dirty_ok);
     }
     // Timing and counters.
@@ -252,116 +190,87 @@ pub fn encode_capture(capture: &EnclaveCapture) -> Vec<u8> {
     out
 }
 
-/// Decode an enclave capture, consuming exactly its encoding from the
-/// front of `input`. Returns `None` on any structural problem.
-pub fn decode_capture(input: &mut &[u8]) -> Option<EnclaveCapture> {
-    let eid = EnclaveId(take_u32(input)?);
+/// Decode an enclave capture from exactly its encoding: bytes left over
+/// after it are [`DecodeError::Trailing`].
+pub fn decode_capture(bytes: &[u8]) -> Result<EnclaveCapture, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let eid = EnclaveId(r.u32()?);
     let secs = Secs {
-        base: Va(take_u64(input)?),
-        size: take_u64(input)?,
+        base: Va(r.u64()?),
+        size: r.u64()?,
         attributes: Attributes {
-            self_paging: take_bool(input)?,
-            debug: take_bool(input)?,
+            self_paging: r.bool()?,
+            debug: r.bool()?,
         },
-        measurement: take_bytes(input, 32)?.try_into().ok()?,
-        initialized: take_bool(input)?,
-        terminated: take_bool(input)?,
+        measurement: r.array()?,
+        initialized: r.bool()?,
+        terminated: r.bool()?,
     };
-    let n = take_u64(input)? as usize;
-    let mut tcs = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        let nssa = take_u64(input)? as usize;
-        let pending_exception = take_bool(input)?;
-        let active = take_bool(input)?;
-        let frames = take_u64(input)? as usize;
-        let mut ssa = Vec::with_capacity(frames.min(1 << 10));
-        for _ in 0..frames {
-            ssa.push(decode_ssa_frame(input)?);
-        }
-        tcs.push(autarky_sgx_sim::TcsCapture {
-            ssa,
+    // nssa, two flags and the frame count.
+    let tcs = r.list(18, |r| {
+        let nssa = r.usize()?;
+        let pending_exception = r.bool()?;
+        let active = r.bool()?;
+        Ok(autarky_sgx_sim::TcsCapture {
+            ssa: r.list(1, decode_ssa_frame)?,
             nssa,
             pending_exception,
             active,
-        });
-    }
-    let next_version = decode_vpn_u64_list(input)?;
-    let outstanding = decode_vpn_u64_list(input)?;
-    let n = take_u64(input)? as usize;
-    let mut pages = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let vpn = Vpn(take_u64(input)?);
-        let page_type = page_type_from(take_u8(input)?)?;
-        let perms = perms_from_bits(take_u8(input)?)?;
-        let blocked = take_bool(input)?;
-        let pending = take_bool(input)?;
-        let modified = take_bool(input)?;
-        let contents = take_bytes(input, PAGE_SIZE)?.to_vec();
-        pages.push(PageCapture {
-            vpn,
-            page_type,
-            perms,
-            blocked,
-            pending,
-            modified,
-            contents,
-        });
-    }
-    let n = take_u64(input)? as usize;
-    let mut ptes = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let vpn = Vpn(take_u64(input)?);
-        let present = take_bool(input)?;
-        let frame = Frame(take_u32(input)?);
-        let perms = perms_from_bits(take_u8(input)?)?;
-        let accessed = take_bool(input)?;
-        let dirty = take_bool(input)?;
-        ptes.push((
-            vpn,
-            Pte {
-                present,
-                frame,
-                perms,
-                accessed,
-                dirty,
-            },
-        ));
-    }
-    let n = take_u64(input)? as usize;
-    let mut tlb = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let vpn = Vpn(take_u64(input)?);
-        let frame = Frame(take_u32(input)?);
-        let perms = perms_from_bits(take_u8(input)?)?;
-        let dirty_ok = take_bool(input)?;
-        tlb.push((
-            vpn,
-            TlbEntry {
-                frame,
-                perms,
-                dirty_ok,
-            },
-        ));
-    }
-    let clock_cycles = take_u64(input)?;
+        })
+    })?;
+    let next_version = decode_vpn_u64_list(&mut r)?;
+    let outstanding = decode_vpn_u64_list(&mut r)?;
+    let pages = r.list(13 + PAGE_SIZE, |r| {
+        Ok(PageCapture {
+            vpn: Vpn(r.u64()?),
+            page_type: page_type_from(r.u8()?).ok_or(DecodeError::BadTag)?,
+            perms: Perms::from_bits(r.u8()?).ok_or(DecodeError::BadTag)?,
+            blocked: r.bool()?,
+            pending: r.bool()?,
+            modified: r.bool()?,
+            contents: r.bytes(PAGE_SIZE)?.to_vec(),
+        })
+    })?;
+    let ptes = r.list(16, |r| {
+        let vpn = Vpn(r.u64()?);
+        let pte = Pte {
+            present: r.bool()?,
+            frame: Frame(r.u32()?),
+            perms: Perms::from_bits(r.u8()?).ok_or(DecodeError::BadTag)?,
+            accessed: r.bool()?,
+            dirty: r.bool()?,
+        };
+        Ok((vpn, pte))
+    })?;
+    let tlb = r.list(14, |r| {
+        let vpn = Vpn(r.u64()?);
+        let entry = TlbEntry {
+            frame: Frame(r.u32()?),
+            perms: Perms::from_bits(r.u8()?).ok_or(DecodeError::BadTag)?,
+            dirty_ok: r.bool()?,
+        };
+        Ok((vpn, entry))
+    })?;
+    let clock_cycles = r.u64()?;
     let mut clock_tagged = [0u64; COST_TAGS];
     for slot in &mut clock_tagged {
-        *slot = take_u64(input)?;
+        *slot = r.u64()?;
     }
     let stats = MachineStats {
-        faults: take_u64(input)?,
-        aexs: take_u64(input)?,
-        eenters: take_u64(input)?,
-        eresumes: take_u64(input)?,
-        ewbs: take_u64(input)?,
-        eldus: take_u64(input)?,
-        eaugs: take_u64(input)?,
-        eaccepts: take_u64(input)?,
+        faults: r.u64()?,
+        aexs: r.u64()?,
+        eenters: r.u64()?,
+        eresumes: r.u64()?,
+        ewbs: r.u64()?,
+        eldus: r.u64()?,
+        eaugs: r.u64()?,
+        eaccepts: r.u64()?,
     };
-    let tlb_fills = take_u64(input)?;
-    let tlb_hits = take_u64(input)?;
-    let tlb_flushes = take_u64(input)?;
-    Some(EnclaveCapture {
+    let tlb_fills = r.u64()?;
+    let tlb_hits = r.u64()?;
+    let tlb_flushes = r.u64()?;
+    r.finish()?;
+    Ok(EnclaveCapture {
         eid,
         secs,
         tcs,

@@ -56,6 +56,7 @@ use autarky_runtime::{RtError, Runtime};
 use autarky_sgx_sim::{
     snapshot_seal_key, EnclaveCapture, EnclaveId, MonotonicCounter, SgxError, Vpn,
 };
+use autarky_telemetry::codec::{DecodeError, Reader};
 
 pub use codec::{decode_capture, encode_capture};
 
@@ -111,9 +112,10 @@ pub enum SnapError {
     /// The blob's authenticated seal did not verify: truncated, bit-
     /// flipped, wrong platform, or wrong enclave.
     SealBroken,
-    /// The seal verified but the payload inside did not decode. This is
+    /// The seal verified but the payload inside did not decode (any
+    /// [`DecodeError`]) or names another enclave than the header. This is
     /// unreachable for blobs we produced; it indicates a codec bug or a
-    /// forged key.
+    /// forged key. The host's machine is left as it was.
     Malformed,
     /// Freshness check failed: the sealed counter does not match the
     /// live platform counter. A stale snapshot is behind the counter; a
@@ -209,27 +211,19 @@ fn encode_payload(checkpoint: &Checkpoint) -> Vec<u8> {
     payload
 }
 
-fn decode_payload(mut input: &[u8]) -> Option<(EnclaveCapture, Vec<u8>)> {
-    let machine_len = codec::take_u64(&mut input)? as usize;
-    if input.len() < machine_len {
-        return None;
-    }
-    let (mut machine_bytes, rest) = input.split_at(machine_len);
-    let capture = decode_capture(&mut machine_bytes)?;
-    if !machine_bytes.is_empty() {
-        return None;
-    }
-    input = rest;
-    let runtime_len = codec::take_u64(&mut input)? as usize;
-    if input.len() < runtime_len {
-        return None;
-    }
-    let (runtime, padding) = input.split_at(runtime_len);
+fn decode_payload(payload: &[u8]) -> Result<(EnclaveCapture, &[u8]), DecodeError> {
+    let mut r = Reader::new(payload);
+    let machine_len = r.usize()?;
+    let capture = decode_capture(r.bytes(machine_len)?)?;
+    let runtime_len = r.usize()?;
+    let runtime = r.bytes(runtime_len)?;
     // Anything past the runtime blob must be canonical zero padding.
-    if padding.iter().any(|&b| b != 0) {
-        return None;
+    while let Ok(byte) = r.u8() {
+        if byte != 0 {
+            return Err(DecodeError::Trailing);
+        }
     }
-    Some((capture, runtime.to_vec()))
+    Ok((capture, runtime))
 }
 
 /// Capture a running enclave into an unsealed [`Checkpoint`].
@@ -311,10 +305,12 @@ fn record_restore_attack(os: &mut Os, sealed_counter: u64, why: &str) {
 ///
 /// Verification order matters and is part of the threat model:
 /// header sanity → counter MAC → freshness equality → AEAD open →
-/// counter bump (consuming this blob) → decode → hardware restore →
-/// runtime restore → runtime self-check (`verify_restore`). Every
-/// failure before the bump leaves the counter untouched so a *good*
-/// blob can still be restored afterwards.
+/// counter bump (consuming this blob) → payload and runtime decode (both
+/// must name the sealed enclave) → hardware restore → runtime self-check
+/// (`verify_restore`). Every failure before the bump leaves the counter
+/// untouched so a *good* blob can still be restored afterwards; a blob
+/// refused before the hardware restore leaves the host's machine as it
+/// was.
 pub fn restore(
     os: &mut Os,
     counter: &mut MonotonicCounter,
@@ -401,18 +397,25 @@ fn restore_inner(
     // failure burns the snapshot — deliberately, since a decode or
     // restore failure past the seal means the platform is compromised.
     counter.bump(&platform_key)?;
-    let (capture, runtime_bytes) = decode_payload(&payload).ok_or(SnapError::Malformed)?;
-    if capture.eid != eid {
-        return Err(SnapError::Malformed);
-    }
+    // Both halves decode, and both name the sealed enclave, before the
+    // hardware is touched: a refused blob leaves the host as it was.
+    let decoded = decode_payload(&payload)
+        .and_then(|(capture, runtime)| Ok((capture, Runtime::restore_from_bytes(runtime)?)));
+    let (capture, mut rt) = match decoded {
+        Ok((capture, rt)) if capture.eid == eid && rt.eid == eid => (capture, rt),
+        _ => {
+            record_restore_attack(
+                os,
+                sealed,
+                "sealed snapshot payload is malformed or names another enclave",
+            );
+            return Err(SnapError::Malformed);
+        }
+    };
     if shared_machine {
         os.machine.restore_enclave_shared(&capture)?;
     } else {
         os.machine.restore_enclave(&capture)?;
-    }
-    let mut rt = Runtime::restore_from_bytes(&runtime_bytes).ok_or(SnapError::Malformed)?;
-    if rt.eid != eid {
-        return Err(SnapError::Malformed);
     }
     if let Err(e) = rt.verify_restore(os) {
         record_restore_attack(

@@ -252,6 +252,43 @@ fn truncated_or_corrupt_blob_is_seal_broken_and_burns_nothing() {
 }
 
 #[test]
+fn malformed_runtime_half_leaves_the_host_untouched() {
+    // An authentic seal around a runtime half that lost its last byte:
+    // the refusal must come before the hardware restore, and be recorded
+    // as an attack like every other refusal.
+    let (mut os, eid, mut rt) = setup(RuntimeConfig::default());
+    exercise(&mut os, &mut rt);
+    let mut checkpoint = capture_checkpoint(&os, &rt).expect("capture");
+    checkpoint.runtime.pop();
+    let mut counter = counter_for(&os, eid);
+    let blob = seal_checkpoint(&os, &mut counter, &checkpoint).expect("seal");
+    let mut host = failover(&mut os, eid);
+    host.arm_flight_recorder(256);
+    let free_frames = host.machine.epc_free_frames();
+
+    let err = must_fail(restore(&mut host, &mut counter, &blob), "malformed");
+    assert!(matches!(err, SnapError::Malformed), "got {err}");
+    assert!(
+        host.machine.capture_enclave(eid).is_err(),
+        "the enclave was restored onto the host"
+    );
+    assert_eq!(host.machine.epc_free_frames(), free_frames, "EPC frames");
+    let records = host.flight_snapshot();
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r.event, FlightEvent::SnapshotRestore { .. })),
+        "restore attempt not recorded"
+    );
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r.event, FlightEvent::AttackDetected { .. })),
+        "verdict not in flight log"
+    );
+}
+
+#[test]
 fn counter_rollback_is_detected_by_mac() {
     let (mut os, eid, mut rt) = setup(RuntimeConfig::default());
     exercise(&mut os, &mut rt);

@@ -19,15 +19,20 @@
 //!   snapshot exported once per epoch is indistinguishable across secrets
 //!   by construction. The leakage audit verifies this.
 //!
+//! [`codec`] holds the one byte reader every binary decoder of sealed
+//! state uses, this crate's snapshot decoder included.
+//!
 //! The crate is dependency-free so that even the pure `oram` crate can
 //! build its statistics on top of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod metrics;
 pub mod span;
 
+pub use codec::{DecodeError, Reader};
 pub use metrics::{Gauge, Histogram, LatencySummary, HIST_BUCKETS};
 pub use span::{SpanGuard, SpanKind, SpanRecord, SPAN_KINDS};
 
@@ -162,51 +167,36 @@ impl Telemetry {
     /// so a restored enclave continues with telemetry byte-identical to
     /// an uninterrupted run.
     ///
-    /// On error, `self` is left unchanged — the decode completes into
-    /// temporaries before anything is committed.
-    pub fn restore_state(&mut self, blob: &[u8]) -> Result<(), StateError> {
-        let mut input = blob;
-        if input.len() < 8 {
-            return Err(StateError::Malformed);
-        }
-        if &input[..4] != SNAPSHOT_MAGIC {
-            return Err(StateError::BadMagic);
-        }
-        input = &input[4..];
-        let version = metrics::take_u32(&mut input).ok_or(StateError::Malformed)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(StateError::BadVersion(version));
+    /// On error, `self` is left unchanged — the decode completes into a
+    /// temporary before anything is committed.
+    pub fn restore_state(&mut self, blob: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(blob);
+        if r.array()? != *SNAPSHOT_MAGIC || r.u32()? != SNAPSHOT_VERSION {
+            return Err(DecodeError::BadTag);
         }
         let mut next = Telemetry {
-            epoch: metrics::take_u64(&mut input).ok_or(StateError::Malformed)?,
+            epoch: r.u64()?,
             ..Telemetry::new()
         };
         for agg in &mut next.spans {
-            agg.count = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-            agg.total_cycles = metrics::take_u64(&mut input).ok_or(StateError::Malformed)?;
-            agg.hist = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
+            agg.count = r.u64()?;
+            agg.total_cycles = r.u64()?;
+            agg.hist = Histogram::decode_from(&mut r)?;
         }
-        take_count(&mut input, COUNTERS)?;
-        take_count(&mut input, GAUGES)?;
-        next.resident_pages = Gauge::decode_from(&mut input).ok_or(StateError::Malformed)?;
-        next.stash_occupancy = Gauge::decode_from(&mut input).ok_or(StateError::Malformed)?;
-        take_count(&mut input, HISTS)?;
-        next.fetch_batch_pages = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
-        next.evict_batch_pages = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
-        next.retry_attempt = Histogram::decode_from(&mut input).ok_or(StateError::Malformed)?;
-        if !input.is_empty() {
-            return Err(StateError::Malformed);
+        if r.u32()? != COUNTERS || r.u32()? != GAUGES {
+            return Err(DecodeError::BadTag);
         }
+        next.resident_pages = Gauge::decode_from(&mut r)?;
+        next.stash_occupancy = Gauge::decode_from(&mut r)?;
+        if r.u32()? != HISTS {
+            return Err(DecodeError::BadTag);
+        }
+        next.fetch_batch_pages = Histogram::decode_from(&mut r)?;
+        next.evict_batch_pages = Histogram::decode_from(&mut r)?;
+        next.retry_attempt = Histogram::decode_from(&mut r)?;
+        r.finish()?;
         *self = next;
         Ok(())
-    }
-}
-
-/// Consume a section count, which must be `count`.
-fn take_count(input: &mut &[u8], count: u32) -> Result<(), StateError> {
-    match metrics::take_u32(input) {
-        Some(n) if n == count => Ok(()),
-        _ => Err(StateError::Malformed),
     }
 }
 
@@ -215,30 +205,6 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"AYTL";
 
 /// Format version of [`Telemetry::snapshot_bytes`].
 const SNAPSHOT_VERSION: u32 = 2;
-
-/// Errors from [`Telemetry::restore_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StateError {
-    /// Blob does not start with the `AYTL` magic.
-    BadMagic,
-    /// Unknown state-format version.
-    BadVersion(u32),
-    /// Blob truncated, of the wrong length, or with an unexpected
-    /// section count.
-    Malformed,
-}
-
-impl core::fmt::Display for StateError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            StateError::BadMagic => write!(f, "telemetry state blob has bad magic"),
-            StateError::BadVersion(v) => write!(f, "unknown telemetry state version {v}"),
-            StateError::Malformed => write!(f, "telemetry state blob is malformed"),
-        }
-    }
-}
-
-impl std::error::Error for StateError {}
 
 #[cfg(test)]
 mod tests {
@@ -283,10 +249,10 @@ mod tests {
             [0, 2, 3]
         );
         let stash_at = gauges_at + 4 + Gauge::ENCODED_LEN;
-        let stash = Gauge::decode_from(&mut &snap[stash_at..]).expect("gauge");
+        let stash = Gauge::decode_from(&mut Reader::new(&snap[stash_at..])).expect("gauge");
         assert_eq!(stash, t.stash_occupancy);
         let evict_at = hists_at + 4 + Histogram::ENCODED_LEN;
-        let evict = Histogram::decode_from(&mut &snap[evict_at..]).expect("histogram");
+        let evict = Histogram::decode_from(&mut Reader::new(&snap[evict_at..])).expect("histogram");
         assert_eq!(evict, t.evict_batch_pages);
     }
 
@@ -361,27 +327,21 @@ mod tests {
         for at in [COUNTERS_AT, COUNTERS_AT + 4, COUNTERS_AT + 56] {
             let mut other_count = blob.clone();
             other_count[at] += 1;
-            assert_eq!(
-                fresh.restore_state(&other_count),
-                Err(StateError::Malformed)
-            );
+            assert_eq!(fresh.restore_state(&other_count), Err(DecodeError::BadTag));
         }
         assert_eq!(
             fresh.restore_state(&blob[..blob.len() - 1]),
-            Err(StateError::Malformed)
+            Err(DecodeError::Truncated)
         );
         let mut trailing = blob.clone();
         trailing.push(0);
-        assert_eq!(fresh.restore_state(&trailing), Err(StateError::Malformed));
+        assert_eq!(fresh.restore_state(&trailing), Err(DecodeError::Trailing));
         let mut bad_magic = blob.clone();
         bad_magic[0] ^= 0xFF;
-        assert_eq!(fresh.restore_state(&bad_magic), Err(StateError::BadMagic));
+        assert_eq!(fresh.restore_state(&bad_magic), Err(DecodeError::BadTag));
         let mut old_version = blob.clone();
         old_version[4] = 1;
-        assert_eq!(
-            fresh.restore_state(&old_version),
-            Err(StateError::BadVersion(1))
-        );
+        assert_eq!(fresh.restore_state(&old_version), Err(DecodeError::BadTag));
         assert_eq!(
             fresh,
             Telemetry::new(),

@@ -5,6 +5,8 @@
 //! [`crate::Telemetry`]), so recording is a field update and the
 //! encoding order is the declaration order.
 
+use crate::codec::{DecodeError, Reader};
+
 /// Log-linear histogram: one octave per power of two, four linear
 /// sub-buckets per octave (~25% relative resolution), fixed storage.
 ///
@@ -161,20 +163,19 @@ impl Histogram {
     }
 
     /// Rebuild a histogram from its canonical encoding (the inverse of
-    /// [`Histogram::encode_into`]), consuming from `input`. The encoding
-    /// stores `min()` (0 when empty), so an empty histogram decodes back
-    /// to the internal `u64::MAX` sentinel and keeps recording correctly.
-    /// Returns `None` on truncation.
-    pub fn decode_from(input: &mut &[u8]) -> Option<Histogram> {
-        let count = take_u64(input)?;
-        let sum = take_u64(input)?;
-        let min = take_u64(input)?;
-        let max = take_u64(input)?;
+    /// [`Histogram::encode_into`]). The encoding stores `min()` (0 when
+    /// empty), so an empty histogram decodes back to the internal
+    /// `u64::MAX` sentinel and keeps recording correctly.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Histogram, DecodeError> {
+        let count = r.u64()?;
+        let sum = r.u64()?;
+        let min = r.u64()?;
+        let max = r.u64()?;
         let mut buckets = [0u64; HIST_BUCKETS];
         for b in &mut buckets {
-            *b = take_u64(input)?;
+            *b = r.u64()?;
         }
-        Some(Histogram {
+        Ok(Histogram {
             buckets,
             count,
             sum,
@@ -200,28 +201,6 @@ pub struct LatencySummary {
     pub p999: u64,
     /// Mean, cycles.
     pub mean: f64,
-}
-
-/// Consume a little-endian `u64` from the front of `input`.
-pub(crate) fn take_u64(input: &mut &[u8]) -> Option<u64> {
-    if input.len() < 8 {
-        return None;
-    }
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&input[..8]);
-    *input = &input[8..];
-    Some(u64::from_le_bytes(bytes))
-}
-
-/// Consume a little-endian `u32` from the front of `input`.
-pub(crate) fn take_u32(input: &mut &[u8]) -> Option<u32> {
-    if input.len() < 4 {
-        return None;
-    }
-    let mut bytes = [0u8; 4];
-    bytes.copy_from_slice(&input[..4]);
-    *input = &input[4..];
-    Some(u32::from_le_bytes(bytes))
 }
 
 /// A sampled level: the last sample, its high-water mark and the number
@@ -262,13 +241,12 @@ impl Gauge {
     }
 
     /// Rebuild a gauge from its canonical encoding (the inverse of
-    /// [`Gauge::encode_into`]), consuming from `input`. Returns `None` on
-    /// truncation.
-    pub fn decode_from(input: &mut &[u8]) -> Option<Gauge> {
-        Some(Gauge {
-            last: take_u64(input)?,
-            max: take_u64(input)?,
-            samples: take_u64(input)?,
+    /// [`Gauge::encode_into`]).
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Gauge, DecodeError> {
+        Ok(Gauge {
+            last: r.u64()?,
+            max: r.u64()?,
+            samples: r.u64()?,
         })
     }
 }
@@ -359,7 +337,10 @@ mod tests {
         g.encode_into(&mut buf);
         assert_eq!(buf.len(), Gauge::ENCODED_LEN);
         assert_eq!(buf[16..], 2u64.to_le_bytes(), "two samples");
-        assert_eq!(Gauge::decode_from(&mut &buf[..]), Some(g));
-        assert_eq!(Gauge::decode_from(&mut &buf[..buf.len() - 1]), None);
+        assert_eq!(Gauge::decode_from(&mut Reader::new(&buf)), Ok(g));
+        assert_eq!(
+            Gauge::decode_from(&mut Reader::new(&buf[..buf.len() - 1])),
+            Err(DecodeError::Truncated)
+        );
     }
 }

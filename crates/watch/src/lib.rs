@@ -39,4 +39,4 @@ pub mod trace;
 
 pub use detect::{burn_rate_milli, entropy_milli_bits, epc_skew_milli, Cusum, Ewma, MILLI};
 pub use tower::{render_alert_log, Alert, WatchConfig, Watchtower};
-pub use trace::{export_trace, parse_trace, TraceEvent};
+pub use trace::export_trace;

@@ -17,8 +17,8 @@
 //! cycle; `otherData.ts_unit` says so). No wall time, no floats, no
 //! host state: the writer is line-oriented and fully deterministic, so
 //! the artifact is byte-identical across reruns and `--jobs` levels.
-//! [`parse_trace`] reads the writer's exact format back (the schema
-//! round-trip gate in CI).
+//! A test-only parser reads the writer's exact format back, so the unit
+//! tests check the schema by round trip.
 
 use autarky_os_sim::kernel::Observation;
 use autarky_os_sim::{FlightEvent, FlightRecord};
@@ -198,8 +198,9 @@ pub fn export_trace(records: &[FlightRecord], members: &[(EnclaveId, String)]) -
 }
 
 /// One event row as read back by [`parse_trace`].
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
+struct TraceEvent {
     /// Event phase (`M`, `X`, or `i`).
     pub ph: char,
     /// Process id (raw enclave id; 0 = host).
@@ -217,6 +218,7 @@ pub struct TraceEvent {
 }
 
 /// Scan `"key":<u64>` out of one event line.
+#[cfg(test)]
 fn field_u64(line: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let at = line.find(&pat)? + pat.len();
@@ -228,6 +230,7 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Scan `"key":"value"` out of one event line, unescaping.
+#[cfg(test)]
 fn field_str(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":\"");
     let at = line.find(&pat)? + pat.len();
@@ -256,8 +259,9 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 
 /// Parse [`export_trace`] output back into event rows. Line-oriented —
 /// exactly the writer's format, not general JSON. Errors name the
-/// offending line so a CI schema break is diagnosable from the log.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
+/// offending line so a schema break is diagnosable from the test log.
+#[cfg(test)]
+fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     let mut in_events = false;
     let mut seen_close = false;
