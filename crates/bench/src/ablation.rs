@@ -13,6 +13,8 @@ use autarky::prelude::*;
 use autarky::workloads::uthash::hash64;
 use autarky::{Profile, SystemBuilder};
 
+use crate::Figure;
+
 /// Per-page cycles of a fetch+evict round as a function of batch size.
 pub fn batching(batch_sizes: &[usize], rounds: u64) -> Vec<(usize, u64)> {
     let mut out = Vec::new();
@@ -137,6 +139,42 @@ pub fn fifo_vs_clock(accesses: u64) -> (u64, u64) {
     }
     let fifo_faults = world.os.machine.stats().faults - base_faults;
     (clock_faults, fifo_faults)
+}
+
+/// The three ablations at `scale`, gated on each design choice paying
+/// off in the direction the paper argues.
+pub fn figure(scale: u32) -> Figure {
+    let s = scale as u64;
+    let batches = batching(&[1, 2, 4, 8, 16, 32, 64], 20 * s);
+    let (exitless, syscall) = exitless_vs_syscall(50 * s);
+    let (clock, fifo) = fifo_vs_clock(5_000 * s);
+    let syscall_pct = (syscall as f64 / exitless as f64 - 1.0) * 100.0;
+
+    let mut fig = Figure::new(
+        "Ablation: Autarky design choices",
+        "Per-page fetch+evict cycles by driver-call batch size; exitless host calls \
+         against ring-switch syscalls, and FIFO against clock eviction on an 80/20 skew \
+         (A/D bits blocked, §5.1.4), are in the numbers below.",
+    );
+    fig.table(
+        "batch size | cycles/page",
+        batches
+            .iter()
+            .map(|(batch, cycles)| vec![batch.to_string(), cycles.to_string()]),
+    );
+    for (batch, cycles) in &batches {
+        fig.metric(format!("batch_{batch}_cycles_per_page"), *cycles as f64);
+    }
+    fig.metric("exitless_cycles", exitless as f64);
+    fig.metric("syscall_cycles", syscall as f64);
+    fig.metric("syscall_overhead_pct", syscall_pct);
+    fig.metric("clock_faults", clock as f64);
+    fig.metric("fifo_faults", fifo as f64);
+    let never_more = batches.windows(2).all(|w| w[1].1 <= w[0].1);
+    fig.claim("batching_never_costs_more", never_more);
+    fig.claim("exitless_cheaper_than_syscalls", exitless < syscall);
+    fig.claim("fifo_faults_at_least_clock", fifo >= clock);
+    fig
 }
 
 #[cfg(test)]

@@ -19,6 +19,16 @@ use autarky::workloads::ycsb::{Distribution, KeyGenerator};
 use autarky::{Profile, SystemBuilder};
 
 use crate::util::ops_per_sec;
+use crate::Figure;
+
+/// Least throughput gain rehashing must give at every cluster size
+/// (paper: ≈1.5×).
+pub const MIN_REHASH_GAIN: f64 = 1.3;
+
+/// Least cached-over-uncached ORAM throughput ratio. The paper measures
+/// 232×; the gap grows with the position map, so at scale 1 it is far
+/// smaller.
+pub const MIN_UNCACHED_GAP: f64 = 20.0;
 
 /// Scaled experiment parameters.
 #[derive(Debug, Clone)]
@@ -197,6 +207,64 @@ pub fn run_unprotected(params: &Fig6Params) -> Point {
     }
 }
 
+/// Figure 6 at `scale`: the cluster-size series before and after a
+/// rehash against cached ORAM, plus the uncached-ORAM and unprotected
+/// points, gated on the paper's shapes. The crossing (paper: ≈10 pages)
+/// and the uncached gap (paper: 232×) are reported beside the paper's.
+pub fn figure(scale: u32) -> Figure {
+    let params = Fig6Params::scaled(scale);
+    let series = run_clusters(&params, &[1, 2, 5, 10, 20, 50, 100]);
+    let cached = run_cached_oram(&params).throughput;
+    let uncached = run_uncached_oram(&params).throughput;
+    let unprotected = run_unprotected(&params).throughput;
+
+    let mut fig = Figure::new(
+        "Figure 6: effect of cluster size on hash table performance",
+        &format!(
+            "uthash, {} items x {} B, budget {} pages, {} random reads.",
+            params.items, params.item_size, params.budget_pages, params.reads
+        ),
+    );
+    fig.table(
+        "pages/cluster | clusters (req/s) | after rehash (req/s) | cached ORAM (req/s)",
+        series.iter().map(|(b, a)| {
+            let mut row = vec![b.cluster_pages.to_string()];
+            row.extend([b.throughput, a.throughput, cached].map(|v| format!("{v:.0}")));
+            row
+        }),
+    );
+    let mut gain = f64::INFINITY;
+    // The first size whose clusters fall below cached ORAM.
+    let mut crossing = 0;
+    for (b, a) in &series {
+        fig.metric(format!("clusters_{}", b.cluster_pages), b.throughput);
+        fig.metric(format!("rehashed_{}", b.cluster_pages), a.throughput);
+        gain = gain.min(a.throughput / b.throughput);
+        if crossing == 0 && b.throughput < cached {
+            crossing = b.cluster_pages;
+        }
+    }
+    let before: Vec<f64> = series.iter().map(|(b, _)| b.throughput).collect();
+    let (one, last) = (before[0], before[before.len() - 1]);
+    let gap = cached / uncached;
+    fig.metric("cached_oram", cached);
+    fig.metric("uncached_oram", uncached);
+    fig.metric("unprotected", unprotected);
+    fig.metric("min_rehash_gain", gain);
+    fig.metric("unprotected_over_one_page", unprotected / one);
+    fig.metric("crossing_pages", crossing as f64);
+    fig.metric("paper_crossing_pages", 10.0);
+    fig.metric("cached_over_uncached", gap);
+    fig.metric("paper_cached_over_uncached", 232.0);
+    let falls = before.windows(2).all(|w| w[1] < w[0]);
+    fig.claim("throughput_falls_with_cluster_size", falls);
+    fig.claim("rehash_gain", gain >= MIN_REHASH_GAIN);
+    fig.claim("unprotected_beats_one_page_clusters", unprotected > one);
+    fig.claim("clusters_cross_cached_oram", one > cached && last < cached);
+    fig.claim("uncached_oram_far_slower", gap >= MIN_UNCACHED_GAP);
+    fig
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +311,7 @@ mod tests {
         let cached = run_cached_oram(&params);
         let uncached = run_uncached_oram(&params);
         assert!(
-            cached.throughput > uncached.throughput * 20.0,
+            cached.throughput > uncached.throughput * MIN_UNCACHED_GAP,
             "cached {} vs uncached {} (paper: 232×)",
             cached.throughput,
             uncached.throughput

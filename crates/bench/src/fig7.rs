@@ -11,7 +11,12 @@
 use autarky::workloads::apps::{fig7_apps, App};
 use autarky::{Profile, SystemBuilder};
 
-use crate::util::secs;
+use crate::util::{geomean, pearson, secs};
+use crate::Figure;
+
+/// Least Pearson correlation of per-app slowdown with page-fault rate
+/// (the paper: slowdown "strongly correlated" with the fault rate).
+pub const MIN_PF_CORRELATION: f64 = 0.5;
 
 /// One application's measurement.
 #[derive(Debug, Clone)]
@@ -99,10 +104,63 @@ pub fn run_all(params: &Fig7Params, elide_aex: bool) -> Vec<AppRow> {
         .collect()
 }
 
+/// Figure 7 at `scale`: every app with the AEX and with it elided,
+/// gated on identical results, elision never costing, and slowdown
+/// tracking the fault rate. The geomeans are reported beside the
+/// paper's, not gated: the simulator's elision over-recovers.
+pub fn figure(scale: u32) -> Figure {
+    let params = Fig7Params::scaled(scale);
+    let with_aex = run_all(&params, false);
+    let elided = run_all(&params, true);
+    let apps = || with_aex.iter().zip(&elided);
+    let slowdowns: Vec<f64> = with_aex.iter().map(|r| r.slowdown).collect();
+    let pf_rates: Vec<f64> = with_aex.iter().map(|r| r.pf_rate).collect();
+    let mean = geomean(&slowdowns);
+    let mean_elided = geomean(&elided.iter().map(|r| r.slowdown).collect::<Vec<_>>());
+    let correlation = pearson(&slowdowns, &pf_rates);
+
+    let mut fig = Figure::new(
+        "Figure 7: rate-limited paging for Phoenix and PARSEC",
+        &format!(
+            "EPC budget {} pages, footprints ~{} pages.",
+            params.epc_budget_pages, params.footprint_pages
+        ),
+    );
+    fig.table(
+        "app | slowdown | slowdown (elide AEX) | PF rate (faults/s) | result",
+        apps().map(|(row, erow)| {
+            let ok = row.checksums_match && erow.checksums_match;
+            vec![
+                row.name.to_string(),
+                format!("{:.3}", row.slowdown),
+                format!("{:.3}", erow.slowdown),
+                format!("{:.0}", row.pf_rate),
+                if ok { "ok" } else { "MISMATCH" }.to_string(),
+            ]
+        }),
+    );
+    for (row, erow) in apps() {
+        fig.metric(format!("{}_slowdown", row.name), row.slowdown);
+        fig.metric(format!("{}_elided_slowdown", row.name), erow.slowdown);
+        fig.metric(format!("{}_pf_rate", row.name), row.pf_rate);
+    }
+    fig.metric("geomean_slowdown", mean);
+    fig.metric("paper_geomean_slowdown", 1.06);
+    fig.metric("geomean_elided_slowdown", mean_elided);
+    fig.metric("paper_geomean_elided_slowdown", 1.02);
+    fig.metric("pf_correlation", correlation);
+    let identical = apps().all(|(row, erow)| row.checksums_match && erow.checksums_match);
+    fig.claim("results_bit_identical", identical);
+    let never_slower = apps().all(|(row, erow)| erow.slowdown <= row.slowdown);
+    fig.claim("elision_never_slower", never_slower);
+    let tracks = correlation >= MIN_PF_CORRELATION;
+    fig.claim("slowdown_tracks_fault_rate", tracks);
+    fig
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::geomean;
 
     fn tiny() -> Fig7Params {
         Fig7Params {

@@ -12,6 +12,12 @@ use autarky::prelude::*;
 use autarky::workloads::nbench::all_kernels;
 use autarky::{Profile, SystemBuilder};
 
+use crate::util::geomean;
+use crate::Figure;
+
+/// The paper's geomean slowdown from the TLB-fill check: 0.07%.
+pub const PAPER_GEOMEAN_OVERHEAD: f64 = 0.0007;
+
 /// One kernel's overhead measurement.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
@@ -82,10 +88,41 @@ pub fn run_all(scale: u32) -> Vec<KernelRow> {
         .collect()
 }
 
+/// The nbench analysis at `scale`, gated on the geomean overhead
+/// staying within the paper's.
+pub fn figure(scale: u32) -> Figure {
+    let rows = run_all(scale);
+    let mut fig = Figure::new(
+        "nbench: overhead from the SGX architecture changes (no paging)",
+        "10-cycle accessed/dirty check per TLB fill, pessimistic.",
+    );
+    fig.table(
+        "kernel | base cycles | autarky cycles | TLB fills | measured | analytical",
+        rows.iter().map(|row| {
+            vec![
+                row.name.to_string(),
+                row.base_cycles.to_string(),
+                row.protected_cycles.to_string(),
+                row.tlb_fills.to_string(),
+                format!("{:+.3}%", (row.slowdown - 1.0) * 100.0),
+                format!("{:.4}%", row.analytical_overhead * 100.0),
+            ]
+        }),
+    );
+    let overhead = geomean(&rows.iter().map(|r| r.slowdown).collect::<Vec<_>>()) - 1.0;
+    for row in &rows {
+        let name = row.name.replace(' ', "_");
+        fig.metric(format!("{name}_overhead_pct"), (row.slowdown - 1.0) * 100.0);
+    }
+    fig.metric("geomean_overhead_pct", overhead * 100.0);
+    let within = overhead <= PAPER_GEOMEAN_OVERHEAD;
+    fig.claim("geomean_overhead_within_paper", within);
+    fig
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::geomean;
 
     #[test]
     fn overhead_is_negligible_without_paging() {

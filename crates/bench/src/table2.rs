@@ -15,6 +15,12 @@ use autarky::workloads::spell::{synth_text, SpellServer};
 use autarky::{Profile, SystemBuilder};
 
 use crate::util::secs;
+use crate::Figure;
+
+/// Most FreeType throughput may differ between variants, relative: the
+/// paper finds no measurable overhead (149 kop/s in every column). Only
+/// the TLB-fill check separates them here.
+pub const MAX_FREETYPE_DELTA: f64 = 0.001;
 
 /// Protection variant of one measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,6 +338,71 @@ pub fn run_all(params: &Table2Params) -> Vec<Row> {
     ]
 }
 
+/// Table 2 at `scale`: the three applications under the four
+/// variants, gated on the paper's orderings. The protected variants'
+/// changes and Hunspell's faults are reported beside the paper's, not
+/// gated: the simulator's AEX elision over-recovers and its Hunspell
+/// faults once.
+pub fn figure(scale: u32) -> Figure {
+    const VARIANTS: [&str; 4] = ["unprotected", "autarky", "no_upcall", "no_upcall_aex"];
+    // The paper's change against unprotected, percent, per protected variant.
+    let paper_pct = [
+        ("libjpeg", [-18.0, -6.0, 3.0]),
+        ("hunspell", [-25.0, -16.0, -9.0]),
+    ];
+    let params = Table2Params::scaled(scale);
+    let rows = run_all(&params);
+    let pct = |row: &Row, i: usize| (row.throughput[i] / row.throughput[0] - 1.0) * 100.0;
+
+    let mut fig = Figure::new(
+        "Table 2: end-to-end performance of applications using page clusters",
+        &format!(
+            "Image {0}x{0}, {1} dictionaries x {2} words, {3} glyph ops.",
+            params.image_side, params.dictionaries, params.words_per_dictionary, params.glyph_ops
+        ),
+    );
+    let labels = Variant::all().map(Variant::label).join(" | ");
+    fig.table(
+        &format!("workload | unit | {labels} | page faults | enclave-managed pages"),
+        rows.iter().map(|row| {
+            let base = format!("{:.1}", row.throughput[0]);
+            let mut cells = vec![row.workload.to_string(), row.unit.to_string(), base];
+            cells
+                .extend((1..4).map(|i| format!("{:.1} ({:+.0}%)", row.throughput[i], pct(row, i))));
+            cells.extend([row.page_faults, row.enclave_managed_pages].map(|n| n.to_string()));
+            cells
+        }),
+    );
+    for row in &rows {
+        let key = row.workload.to_lowercase();
+        for (variant, value) in VARIANTS.iter().zip(row.throughput) {
+            fig.metric(format!("{key}_{variant}"), value);
+        }
+        fig.metric(format!("{key}_faults"), row.page_faults as f64);
+        let pages = row.enclave_managed_pages as f64;
+        fig.metric(format!("{key}_enclave_managed_pages"), pages);
+        for (_, paper) in paper_pct.iter().filter(|(name, _)| *name == key) {
+            for (i, variant) in VARIANTS.iter().enumerate().skip(1) {
+                fig.metric(format!("{key}_{variant}_pct"), pct(row, i));
+                fig.metric(format!("paper_{key}_{variant}_pct"), paper[i - 1]);
+            }
+        }
+    }
+    fig.metric("paper_hunspell_faults", 49_501.0);
+    let [jpeg, spell, font] = [&rows[0], &rows[1], &rows[2]];
+    let delta = (1..4)
+        .map(|i| pct(font, i).abs() / 100.0)
+        .fold(0.0, f64::max);
+    let unchanged = delta < MAX_FREETYPE_DELTA && font.page_faults == 0;
+    fig.claim("freetype_unchanged_without_faults", unchanged);
+    let [jpeg, spell] = [jpeg.throughput, spell.throughput];
+    let trails = jpeg[1] < jpeg[0] && spell[1] < spell[0];
+    fig.claim("protected_trails_unprotected", trails);
+    let recovers = jpeg[1] < jpeg[2] && jpeg[2] < jpeg[3];
+    fig.claim("libjpeg_optimizations_recover", recovers);
+    fig
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,7 +437,10 @@ mod tests {
         let row = run_freetype(&tiny());
         let [base, measured, ..] = row.throughput;
         let delta = (base - measured).abs() / base;
-        assert!(delta < 0.02, "FreeType overhead {delta} should be ~0");
+        assert!(
+            delta < MAX_FREETYPE_DELTA,
+            "FreeType overhead {delta} should be ~0"
+        );
         assert_eq!(row.page_faults, 0, "everything pinned");
     }
 

@@ -23,56 +23,27 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Parse `--scale N` from argv (default 1, minimum 1). Larger scales run
-/// bigger workloads closer to the paper's absolute sizes.
-pub fn parse_scale() -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    for window in args.windows(2) {
-        if window[0] == "--scale" {
-            return window[1].parse().unwrap_or(1).max(1);
-        }
+/// Pearson correlation of two equally long series (0.0 when either is
+/// constant).
+pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+    let n = xs.len().min(ys.len()) as f64;
+    let mx = xs.iter().sum::<f64>() / n;
+    let my = ys.iter().sum::<f64>() / n;
+    let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+    for (x, y) in xs.iter().zip(ys) {
+        sxy += (x - mx) * (y - my);
+        sxx += (x - mx) * (x - mx);
+        syy += (y - my) * (y - my);
     }
-    1
-}
-
-/// Render a simple aligned table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
+    if sxx == 0.0 || syy == 0.0 {
+        return 0.0;
     }
-    let line = |cells: &[String]| {
-        let joined: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>width$}", width = widths[i]))
-            .collect();
-        println!("  {}", joined.join("  "));
-    };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    let total: usize = widths.iter().sum::<usize>() + widths.len() * 2;
-    println!("  {}", "-".repeat(total));
-    for row in rows {
-        line(row);
-    }
+    sxy / (sxx * syy).sqrt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_is_never_zero() {
-        // `--scale 0` must not produce a zero that divides iteration
-        // counts (regression: fig5 panicked on division by zero).
-        assert_eq!("0".parse::<u32>().unwrap_or(1).max(1), 1);
-        assert_eq!("abc".parse::<u32>().unwrap_or(1).max(1), 1);
-        assert_eq!("3".parse::<u32>().unwrap_or(1).max(1), 3);
-    }
 
     #[test]
     fn geomean_of_equal_values() {
@@ -88,5 +59,12 @@ mod tests {
     fn ops_per_sec_matches_clock() {
         assert!((ops_per_sec(3_000_000_000, CLOCK_HZ) - 3_000_000_000.0).abs() < 1.0);
         assert_eq!(ops_per_sec(5, 0), 0.0);
+    }
+
+    #[test]
+    fn pearson_sees_the_sign_and_a_constant_series() {
+        assert!((pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]) - 1.0).abs() < 1e-12);
+        assert!((pearson(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]) + 1.0).abs() < 1e-12);
+        assert_eq!(pearson(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]), 0.0);
     }
 }

@@ -28,7 +28,8 @@ pub enum CellKind {
     /// Fleet load-gen run with accounting/failover gates and latency
     /// percentiles.
     Fleet,
-    /// Paper-figure reproduction (currently fig5's latency breakdown).
+    /// One paper artifact (figure or table) gated on the paper's claims
+    /// about it.
     Figure,
     /// Watchtower fleet run (watched twice for artifact byte-identity)
     /// with alert-count and false-positive gates.
@@ -130,9 +131,9 @@ pub struct CellSpec {
     /// Experiment kind.
     pub kind: CellKind,
     /// Protection policy (bench, leakage, replay, restore-determinism
-    /// snapshot) or paging mechanism (figure).
+    /// snapshot).
     pub policy: Option<String>,
-    /// Workload (all kinds).
+    /// Workload (all kinds; a figure cell's names the artifact).
     pub workload: String,
     /// Enclave heap sizing in pages (fleet).
     pub enclave_size: Option<u64>,
@@ -243,14 +244,9 @@ impl CellSpec {
                 ));
             }
             CellKind::Figure => {
-                // The workload axis carries the figure name, the policy
-                // axis the paging mechanism — keeps the matrix axes
-                // reusable as more figures become cells.
                 out.push_str(&format!(
-                    " figure={} mechanism={} scale={}",
-                    self.workload,
-                    self.policy.as_deref().unwrap_or("sgx1"),
-                    self.params.scale,
+                    " figure={} scale={}",
+                    self.workload, self.params.scale,
                 ));
             }
             CellKind::Watch => {

@@ -49,11 +49,6 @@ pub const WATCH_FAULT_PLANS: [&str; 2] = ["quiet", "storm"];
 /// Valid member mixes for watch cells (the victim is always the first
 /// member, a kvstore).
 pub const WATCH_WORKLOADS: [&str; 2] = ["kvstore", "mixed"];
-/// Valid figure names for figure cells (the workload axis carries the
-/// figure, the policy axis the paging mechanism).
-pub const FIGURE_NAMES: [&str; 1] = ["fig5"];
-/// Valid paging-mechanism tags for figure cells.
-pub const FIGURE_MECHANISMS: [&str; 2] = ["sgx1", "sgx2"];
 
 /// A config-level failure (parse or validation).
 #[derive(Debug, Clone, PartialEq)]
@@ -156,7 +151,7 @@ impl Suite {
         let a = &self.axes;
         let mut cells = Vec::new();
         match self.kind {
-            CellKind::Bench | CellKind::Leakage | CellKind::Figure => {
+            CellKind::Bench | CellKind::Leakage => {
                 for policy in &a.policy {
                     for workload in &a.workload {
                         cells.push(CellSpec::new(
@@ -241,6 +236,20 @@ impl Suite {
                             }
                         }
                     }
+                }
+            }
+            CellKind::Figure => {
+                for workload in &a.workload {
+                    cells.push(CellSpec::new(
+                        self.kind,
+                        None,
+                        workload.clone(),
+                        None,
+                        None,
+                        None,
+                        None,
+                        self.params.clone(),
+                    ));
                 }
             }
             CellKind::Watch => {
@@ -359,8 +368,11 @@ impl Suite {
                 }
             }
             CellKind::Figure => {
-                check("workload", &self.axes.workload, &FIGURE_NAMES)?;
-                check("policy", &self.axes.policy, &FIGURE_MECHANISMS)?;
+                check(
+                    "workload",
+                    &self.axes.workload,
+                    &autarky_bench::FIGURES.map(|(name, _)| name),
+                )?;
                 if self.params.scale == 0 {
                     return Err(ConfigError("figure suite: scale must be ≥ 1".into()));
                 }
@@ -638,6 +650,11 @@ workload = ["font", "paging"]
                 "[[suite]]\nkind = \"snapshot\"\nworkload = [\"font\"]",
                 "restore matrix",
             ),
+            (
+                "[[suite]]\nkind = \"figure\"\nworkload = [\"fig9\"]",
+                "workload",
+            ),
+            ("[[suite]]\nkind = \"figure\"\nscale = 0", "scale"),
             ("[[suite]]\nkind = \"nope\"", "kind"),
         ] {
             let toml = format!("[campaign]\nname = \"v\"\n{snippet}\n");

@@ -21,8 +21,9 @@
 //!   percentiles, the zero-silent-drop accounting gate, and the staged
 //!   crash's failover gates;
 //! * `watch` → the watchtower raced against the three-strike watchdog;
-//! * `figure` → paper-figure reproduction (fig5's tag-ledger latency
-//!   breakdown), gated on the breakdown being non-degenerate.
+//! * `figure` → one paper artifact from [`autarky_bench::FIGURES`]: its
+//!   table as `<figure>.md`, its numbers as metrics, and a failure for
+//!   each of the paper's claims about it that does not hold.
 //!
 //! Executors are pure functions of the spec (plus, for bench, the
 //! baseline file named in it), so a cell's outcome is
@@ -46,7 +47,7 @@ use autarky_flightrec::{
 use autarky_leakage::{run_audit_filtered, AuditConfig, Gate};
 use autarky_os_sim::flight::{causal_root_of_attack, render_timeline};
 use autarky_os_sim::{FaultPlan, FlightEvent, FlightRecord, Observation};
-use autarky_runtime::{PagingMechanism, RuntimeConfig};
+use autarky_runtime::RuntimeConfig;
 
 use crate::cell::{Artifacts, CellKind, CellOutcome, CellSpec, GateOutcome};
 
@@ -60,7 +61,7 @@ pub fn execute_cell(spec: &CellSpec) -> (CellOutcome, Artifacts) {
         CellKind::Replay => run_replay(spec, &mut artifacts),
         CellKind::Snapshot => run_snapshot(spec, &mut artifacts),
         CellKind::Fleet => run_fleet(spec, &mut artifacts),
-        CellKind::Figure => run_figure(spec),
+        CellKind::Figure => run_figure(spec, &mut artifacts),
         CellKind::Watch => run_watch(spec, &mut artifacts),
     };
     (outcome, artifacts)
@@ -1023,60 +1024,42 @@ fn run_watch(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
 
 // --------------------------------------------------------------- figure
 
-/// Fig5 iterations per scale unit (the figure's batch loop is 16 pages
-/// per iteration, so scale 1 measures 160 fault/evict round trips).
-const FIGURE_ITERS_PER_SCALE: u64 = 10;
+fn run_figure(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
+    match autarky_bench::FIGURES
+        .iter()
+        .find(|(name, _)| *name == spec.workload)
+    {
+        Some((name, figure)) => gate_figure(name, figure(spec.params.scale), artifacts),
+        None => CellOutcome::fail(format!("unknown figure {:?}", spec.workload)),
+    }
+}
 
-fn run_figure(spec: &CellSpec) -> CellOutcome {
-    if spec.workload != "fig5" {
-        return CellOutcome::fail(format!("unknown figure {:?}", spec.workload));
+/// Write the figure's table, numbers and claim verdicts to `<name>.md`
+/// and fail the cell on every claim that does not hold.
+fn gate_figure(
+    name: &str,
+    figure: autarky_bench::Figure,
+    artifacts: &mut Artifacts,
+) -> CellOutcome {
+    let mut md = figure.table + "\n## Numbers\n\n";
+    for (key, value) in &figure.metrics {
+        md.push_str(&format!("- `{key}`: {value}\n"));
     }
-    let mechanism = match spec.policy.as_deref() {
-        Some("sgx1") | None => PagingMechanism::Sgx1,
-        Some("sgx2") => PagingMechanism::Sgx2,
-        Some(other) => return CellOutcome::fail(format!("unknown figure mechanism {other:?}")),
-    };
-    let iters = FIGURE_ITERS_PER_SCALE * spec.params.scale as u64;
-    let (fault, evict) = autarky_bench::fig5::measure(mechanism, iters);
-    let metrics = vec![
-        ("fault_preemption".to_owned(), fault.preemption as f64),
-        ("fault_invocation".to_owned(), fault.invocation as f64),
-        (
-            "fault_runtime_overhead".to_owned(),
-            fault.runtime_overhead as f64,
-        ),
-        ("fault_sgx_paging".to_owned(), fault.sgx_paging as f64),
-        ("fault_total".to_owned(), fault.total() as f64),
-        ("evict_preemption".to_owned(), evict.preemption as f64),
-        ("evict_invocation".to_owned(), evict.invocation as f64),
-        (
-            "evict_runtime_overhead".to_owned(),
-            evict.runtime_overhead as f64,
-        ),
-        ("evict_sgx_paging".to_owned(), evict.sgx_paging as f64),
-        ("evict_total".to_owned(), evict.total() as f64),
-    ];
-    // The breakdown partitions the measured total by construction; the
-    // gate is that the figure is non-degenerate — both operations
-    // actually cost cycles (a zero side means the loop measured nothing).
+    md.push_str("\n## Claims\n\n");
     let mut failures = Vec::new();
-    if fault.total() == 0 || evict.total() == 0 {
-        failures.push(format!(
-            "degenerate breakdown: fault {} / evict {} cycles per page",
-            fault.total(),
-            evict.total()
+    for &(claim, holds) in &figure.claims {
+        md.push_str(&format!(
+            "- `{claim}` {}\n",
+            if holds { "holds" } else { "FAILS" }
         ));
+        if !holds {
+            failures.push(format!("claim {claim} fails"));
+        }
     }
-    CellOutcome::gated(
-        metrics,
-        failures,
-        format!(
-            "{}: fault {} / evict {} cycles per page",
-            fault.mech,
-            fault.total(),
-            evict.total()
-        ),
-    )
+    artifacts.push((format!("{name}.md"), md));
+    let names: Vec<&str> = figure.claims.iter().map(|(claim, _)| *claim).collect();
+    let held = format!("{} claims hold: {}", names.len(), names.join(", "));
+    CellOutcome::gated(figure.metrics, failures, held)
 }
 
 fn arrivals_for(shape: &str) -> Arrivals {
@@ -1413,30 +1396,54 @@ mod tests {
     fn figure_cell_reports_the_fig5_breakdown() {
         let spec = cell(
             CellKind::Figure,
-            Some("sgx1"),
+            None,
             "fig5",
             None,
             None,
             SuiteParams::default(),
         );
-        let (out, _) = execute_cell(&spec);
+        let (out, artifacts) = execute_cell(&spec);
         assert_eq!(out.gate, GateOutcome::Pass, "reason: {}", out.reason);
-        let get = |key: &str| {
-            out.metrics
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing metric {key}"))
-        };
+        let get = |key: String| out.metrics.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
         // Components partition the totals exactly (fig5's invariant).
-        assert_eq!(
-            get("fault_total"),
-            get("fault_preemption")
-                + get("fault_invocation")
-                + get("fault_runtime_overhead")
-                + get("fault_sgx_paging")
+        let parts = ["preemption", "invocation", "runtime_overhead", "sgx_paging"];
+        for op in ["sgx1_fault", "sgx2_evict"] {
+            let sum: Option<f64> = parts.iter().map(|c| get(format!("{op}_{c}"))).sum();
+            assert_eq!(get(format!("{op}_total")), sum, "{op}");
+        }
+        assert!(out.reason.contains("sgx2_slower_fetch"), "{}", out.reason);
+        assert_eq!(artifact_names(&artifacts), ["fig5.md"]);
+        assert!(artifacts[0].1.contains("| fault | SGX1 |"));
+    }
+
+    #[test]
+    fn figure_cell_fails_on_every_claim_that_does_not_hold() {
+        let figure = autarky_bench::Figure {
+            table: "# t\n".to_owned(),
+            metrics: vec![("x".to_owned(), 1.0)],
+            claims: vec![("a", true), ("b", false), ("c", false)],
+        };
+        let mut artifacts = Artifacts::new();
+        let out = gate_figure("fig8", figure, &mut artifacts);
+        assert_eq!(out.gate, GateOutcome::Fail);
+        assert_eq!(out.reason, "claim b fails; claim c fails");
+        assert_eq!(out.metrics, [("x".to_owned(), 1.0)]);
+        assert_eq!(artifact_names(&artifacts), ["fig8.md"]);
+        assert!(artifacts[0]
+            .1
+            .ends_with("- `a` holds\n- `b` FAILS\n- `c` FAILS\n"));
+        // A figure outside the vocabulary fails cleanly.
+        let spec = cell(
+            CellKind::Figure,
+            None,
+            "fig9",
+            None,
+            None,
+            SuiteParams::default(),
         );
-        assert!(get("evict_total") > 0.0);
+        let (out, artifacts) = execute_cell(&spec);
+        assert_eq!(out.gate, GateOutcome::Fail);
+        assert!(out.reason.contains("fig9") && artifacts.is_empty());
     }
 
     #[test]

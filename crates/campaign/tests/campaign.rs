@@ -79,13 +79,12 @@ workload = ["paging", "spell"]
 [[suite]]
 kind = "figure"
 workload = ["fig5"]
-policy = ["sgx1", "sgx2"]
 "#;
 
 /// Consumed-axis products: bench 1×4 (default clusters policy, seed
 /// unconsumed) and 2×2, leakage 3×2, replay 2×2×2×3, fleet 2×2×1×2×3,
-/// figure 1×2.
-const SWEEP_CELLS: usize = 4 + 6 + 24 + 24 + 4 + 2;
+/// figure 1 (it consumes the workload axis alone).
+const SWEEP_CELLS: usize = 4 + 6 + 24 + 24 + 4 + 1;
 
 #[test]
 fn expansion_matches_the_axis_product_with_stable_distinct_ids() {
@@ -230,7 +229,6 @@ seed = 1
 [[suite]]
 kind = "figure"
 workload = "fig5"
-policy = "sgx1"
 
 [[suite]]
 kind = "watch"
@@ -279,7 +277,6 @@ workload = "spell"
 [[suite]]
 kind = "figure"
 workload = "fig5"
-policy = "sgx1"
 "#,
     )
     .expect("parses");

@@ -522,8 +522,7 @@ fn run_one(policy: Policy, victim: Victim, secret: u32, seed: u64) -> (Trace, Ru
         rate_limit: meta.rate_limit,
         terminated: world.rt.is_terminated(),
     };
-    let trace = Trace::new(policy.name(), victim.name(), secret, seed, events);
-    (trace, stats)
+    (Trace { events }, stats)
 }
 
 // ----------------------------------------------------------------------
@@ -640,8 +639,7 @@ fn run_fleet_cell(victim: Victim, secret: u32, seed: u64) -> (Trace, RunStats) {
         rate_limit: meta.rate_limit,
         terminated: neighbor.rt.is_terminated() || world.rt.is_terminated(),
     };
-    let trace = Trace::new("fleet", victim.name(), secret, seed, events);
-    (trace, stats)
+    (Trace { events }, stats)
 }
 
 #[cfg(test)]

@@ -6,9 +6,8 @@
 //! bits per unit of progress, and ORAM paging eliminates it. This crate
 //! turns that argument into *numbers* and into a regression gate:
 //!
-//! * [`trace`] — a compact serializable trace of everything the
-//!   adversary observed during a run, built on the `os-sim` wire format,
-//!   with a deterministic replay loader;
+//! * [`trace`] — everything the adversary observed during a run,
+//!   flattened into the symbols the analysis compares;
 //! * [`capture`] — the capture hook: a cursor pair over the OS
 //!   observation stream and the ORAM bucket log, so a workload phase can
 //!   be bracketed and its adversary view extracted without draining
@@ -46,4 +45,4 @@ pub use metrics::{
     distinguishability, edit_distance_normalized, normalized_histogram, tv_distance,
     Distinguishability,
 };
-pub use trace::{Trace, TraceMeta};
+pub use trace::Trace;

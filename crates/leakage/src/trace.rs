@@ -1,116 +1,19 @@
-//! The serialized adversary trace: what the OS saw, tagged with enough
-//! metadata to replay and regroup it.
+//! The adversary trace: what the OS saw during one audited run.
 //!
 //! A trace is one run's adversary view — the [`Observation`] stream the
 //! `os-sim` kernel records, plus (for ORAM-paged heaps) the untrusted
 //! bucket traffic folded in as [`Observation::UntrustedAccess`] events.
-//! Serialization reuses the `os-sim` wire grammar, prefixed with one
-//! `trace` header line carrying the run coordinates, so a saved artifact
-//! is self-describing and `from_text(to_text(t)) == t` exactly.
 
-use std::collections::BTreeMap;
-
-use autarky_os_sim::wire::{self, WireError};
 use autarky_os_sim::Observation;
-
-/// Coordinates of one audited run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceMeta {
-    /// Protection policy label (no whitespace; e.g. `baseline`,
-    /// `rate-limit`, `clusters`, `cached-oram`).
-    pub policy: String,
-    /// Workload label (no whitespace; e.g. `jpeg`, `spell`).
-    pub workload: String,
-    /// Which secret class of the pair this run processed (0 or 1).
-    pub secret: u32,
-    /// Seed index of the run (varies ORAM randomness across repeats).
-    pub seed: u64,
-}
 
 /// One run's adversary-visible event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    /// Run coordinates.
-    pub meta: TraceMeta,
     /// Everything the adversary observed, in order.
     pub events: Vec<Observation>,
 }
 
 impl Trace {
-    /// Build a trace; labels must be whitespace-free (they live in a
-    /// space-separated header line).
-    pub fn new(
-        policy: &str,
-        workload: &str,
-        secret: u32,
-        seed: u64,
-        events: Vec<Observation>,
-    ) -> Self {
-        assert!(
-            !policy.contains(char::is_whitespace) && !workload.contains(char::is_whitespace),
-            "trace labels must not contain whitespace"
-        );
-        Self {
-            meta: TraceMeta {
-                policy: policy.to_owned(),
-                workload: workload.to_owned(),
-                secret,
-                seed,
-            },
-            events,
-        }
-    }
-
-    /// Serialize: a `trace` header line, then one event per line.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "trace policy={} workload={} secret={} seed={}\n",
-            self.meta.policy, self.meta.workload, self.meta.secret, self.meta.seed
-        );
-        out.push_str(&wire::encode_observations(&self.events));
-        out
-    }
-
-    /// Deserialize a trace produced by [`Trace::to_text`]. Blank lines
-    /// and `#` comments between events are tolerated.
-    pub fn from_text(text: &str) -> Result<Self, WireError> {
-        let bad = |what: &'static str, line: &str| WireError {
-            what,
-            line: line.to_owned(),
-        };
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| bad("empty trace", ""))?;
-        let fields: Vec<&str> = header.split_whitespace().collect();
-        let ["trace", kv @ ..] = fields.as_slice() else {
-            return Err(bad("trace header", header));
-        };
-        let mut meta = TraceMeta {
-            policy: String::new(),
-            workload: String::new(),
-            secret: 0,
-            seed: 0,
-        };
-        for field in kv {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| bad("header key=value", header))?;
-            match key {
-                "policy" => meta.policy = value.to_owned(),
-                "workload" => meta.workload = value.to_owned(),
-                "secret" => {
-                    meta.secret = value.parse().map_err(|_| bad("secret", header))?;
-                }
-                "seed" => meta.seed = value.parse().map_err(|_| bad("seed", header))?,
-                _ => return Err(bad("header key", header)),
-            }
-        }
-        let body: String = lines.map(|l| format!("{l}\n")).collect();
-        Ok(Self {
-            meta,
-            events: wire::decode_observations(&body)?,
-        })
-    }
-
     /// Flatten the trace into a symbol sequence for the analysis. Each
     /// event contributes one symbol per *page-granular thing the
     /// adversary learned*: a fault contributes its (page, access-kind),
@@ -150,15 +53,6 @@ impl Trace {
             }
         }
         out
-    }
-
-    /// Raw symbol counts (the un-normalized access histogram).
-    pub fn page_histogram(&self) -> BTreeMap<u64, u64> {
-        let mut hist = BTreeMap::new();
-        for s in self.symbols() {
-            *hist.entry(s).or_insert(0) += 1;
-        }
-        hist
     }
 }
 
@@ -200,42 +94,13 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_preserves_everything() {
-        let trace = Trace::new("rate-limit", "jpeg", 1, 9, sample_events());
-        let back = Trace::from_text(&trace.to_text()).expect("decode");
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn roundtrip_tolerates_comments_and_blanks() {
-        let trace = Trace::new("baseline", "font", 0, 3, sample_events());
-        let mut text = trace.to_text();
-        text.push_str("\n# trailing comment\n\n");
-        assert_eq!(Trace::from_text(&text).expect("decode"), trace);
-    }
-
-    #[test]
-    fn malformed_headers_are_rejected() {
-        assert!(Trace::from_text("").is_err());
-        assert!(Trace::from_text("notatrace policy=x").is_err());
-        assert!(Trace::from_text("trace policy=x bogus=1").is_err());
-        assert!(Trace::from_text("trace secret=abc").is_err());
-    }
-
-    #[test]
     fn symbols_expand_batches_per_page() {
-        let trace = Trace::new("baseline", "kv", 0, 0, sample_events());
+        let trace = Trace {
+            events: sample_events(),
+        };
         // fault=1, fetch of 2 pages=2, untrusted access=1.
         assert_eq!(trace.symbols().len(), 4);
         let unique: std::collections::HashSet<u64> = trace.symbols().into_iter().collect();
         assert_eq!(unique.len(), 4, "distinct things map to distinct symbols");
-    }
-
-    #[test]
-    fn histogram_counts_repeats() {
-        let mut events = sample_events();
-        events.extend(sample_events());
-        let trace = Trace::new("baseline", "kv", 0, 0, events);
-        assert!(trace.page_histogram().values().all(|&c| c == 2));
     }
 }

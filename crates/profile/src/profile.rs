@@ -247,159 +247,88 @@ impl CycleProfile {
     }
 
     /// Parse a profile back from [`CycleProfile::to_json`] output.
-    /// Line-oriented — exactly the writer's format, not general JSON.
+    /// Line-oriented — exactly the writer's format, not general JSON:
+    /// every scalar the writer emits must be present once and parse, and
+    /// any other line, or a row missing a field, refuses the input.
     pub fn from_json(json: &str) -> Option<CycleProfile> {
-        enum Section {
-            Scalars,
-            Tags,
-            Clusters,
-            Frames,
-        }
-        let mut section = Section::Scalars;
-        let mut workload = None;
-        let mut policy = None;
-        let mut scale = None;
-        let mut ops = None;
-        let mut total_cycles = None;
-        let mut residual_cycles = None;
-        let mut orphan_cycles = 0u64;
-        let mut journal_dropped = 0u64;
-        let mut flight_dropped = 0u64;
-        let mut faults = None;
-        let mut p50 = 0u64;
-        let mut p99 = 0u64;
-        let mut p999 = 0u64;
-        let mut mean = 0f64;
+        // Scalar keys, then the three row lists, in writer order.
+        const SCALARS: &str = "version name workload policy scale ops total_cycles \
+            workload_cycles cycles_per_op attributed_cycles residual_cycles orphan_cycles \
+            residual_pct journal_dropped flight_dropped faults fault_p50_cycles fault_p99_cycles \
+            fault_p999_cycles fault_mean_cycles hot_path_cycles_per_fault";
+        const LISTS: [&str; 3] = ["\"tags\": [", "\"clusters\": [", "\"frames\": ["];
+        let mut scalars: Vec<(&str, &str)> = Vec::new();
         let mut tags: Vec<(String, u64)> = Vec::new();
         let mut clusters: Vec<ClusterRow> = Vec::new();
         let mut frames: Vec<(String, u64)> = Vec::new();
+        // Lists opened so far, whether one is open, and the closing brace.
+        let (mut lists, mut in_list, mut closed) = (0, false, false);
 
-        let str_field = |t: &str, key: &str| -> Option<String> {
-            t.strip_prefix(&format!("\"{key}\": \""))
-                .and_then(|r| r.strip_suffix('"'))
-                .map(str::to_owned)
-        };
-        let u64_field = |t: &str, key: &str| -> Option<u64> {
-            t.strip_prefix(&format!("\"{key}\": "))
-                .and_then(|r| r.parse().ok())
-        };
-        let f64_field = |t: &str, key: &str| -> Option<f64> {
-            t.strip_prefix(&format!("\"{key}\": "))
-                .and_then(|r| r.parse().ok())
-        };
-
-        for line in json.lines() {
-            let t = line.trim().trim_end_matches(',');
-            match t {
-                "\"tags\": [" => {
-                    section = Section::Tags;
-                    continue;
+        let mut lines = json.lines().map(|line| {
+            let t = line.trim();
+            t.strip_suffix(',').unwrap_or(t)
+        });
+        if lines.next()? != "{" {
+            return None;
+        }
+        for t in lines {
+            match (lists, in_list, t) {
+                _ if closed => return None,
+                (n, false, _) if n < LISTS.len() && t == LISTS[n] => {
+                    (lists, in_list) = (n + 1, true)
                 }
-                "\"clusters\": [" => {
-                    section = Section::Clusters;
-                    continue;
-                }
-                "\"frames\": [" => {
-                    section = Section::Frames;
-                    continue;
-                }
-                _ => {}
-            }
-            match section {
-                Section::Scalars => {
-                    if let Some(v) = str_field(t, "workload") {
-                        workload = Some(v);
-                    } else if let Some(v) = str_field(t, "policy") {
-                        policy = Some(v);
-                    } else if let Some(v) = u64_field(t, "scale") {
-                        scale = Some(v as u32);
-                    } else if let Some(v) = u64_field(t, "ops") {
-                        ops = Some(v);
-                    } else if let Some(v) = u64_field(t, "total_cycles") {
-                        total_cycles = Some(v);
-                    } else if let Some(v) = u64_field(t, "residual_cycles") {
-                        residual_cycles = Some(v);
-                    } else if let Some(v) = u64_field(t, "orphan_cycles") {
-                        orphan_cycles = v;
-                    } else if let Some(v) = u64_field(t, "journal_dropped") {
-                        journal_dropped = v;
-                    } else if let Some(v) = u64_field(t, "flight_dropped") {
-                        flight_dropped = v;
-                    } else if let Some(v) = u64_field(t, "faults") {
-                        faults = Some(v);
-                    } else if let Some(v) = u64_field(t, "fault_p50_cycles") {
-                        p50 = v;
-                    } else if let Some(v) = u64_field(t, "fault_p99_cycles") {
-                        p99 = v;
-                    } else if let Some(v) = u64_field(t, "fault_p999_cycles") {
-                        p999 = v;
-                    } else if let Some(v) = f64_field(t, "fault_mean_cycles") {
-                        mean = v;
+                (_, true, "]") => in_list = false,
+                (3, false, "}") => closed = true,
+                (0, _, _) => {
+                    let (key, value) = t.strip_prefix('"')?.split_once("\": ")?;
+                    let known = SCALARS.split_whitespace().any(|k| k == key);
+                    if !known || scalars.iter().any(|(k, _)| *k == key) {
+                        return None;
                     }
+                    scalars.push((key, value));
                 }
-                Section::Tags => {
-                    let item = t.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
-                    if let Some(item) = item {
-                        let mut name = None;
-                        let mut cycles = None;
-                        for part in item.split(", ") {
-                            if let Some(v) = str_field(part, "tag") {
-                                name = Some(v);
-                            } else if let Some(v) = u64_field(part, "cycles") {
-                                cycles = Some(v);
-                            }
-                        }
-                        if let (Some(n), Some(c)) = (name, cycles) {
-                            tags.push((n, c));
-                        }
-                    }
+                (1, true, _) => {
+                    let [tag, cycles] = row_fields(t)?;
+                    tags.push((str_field(tag, "tag")?, u64_field(cycles, "cycles")?));
                 }
-                Section::Clusters => {
-                    let item = t.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
-                    if let Some(item) = item {
-                        let mut page = None;
-                        let mut cf = None;
-                        let mut cc = None;
-                        for part in item.split(", ") {
-                            if let Some(v) = u64_field(part, "page") {
-                                page = Some(v);
-                            } else if let Some(v) = u64_field(part, "cluster_faults") {
-                                cf = Some(v);
-                            } else if let Some(v) = u64_field(part, "cluster_cycles") {
-                                cc = Some(v);
-                            }
-                        }
-                        if let (Some(page), Some(faults), Some(cycles)) = (page, cf, cc) {
-                            clusters.push(ClusterRow {
-                                page,
-                                faults,
-                                cycles,
-                            });
-                        }
-                    }
+                (2, true, _) => {
+                    let [page, faults, cycles] = row_fields(t)?;
+                    clusters.push(ClusterRow {
+                        page: u64_field(page, "page")?,
+                        faults: u64_field(faults, "cluster_faults")?,
+                        cycles: u64_field(cycles, "cluster_cycles")?,
+                    });
                 }
-                Section::Frames => {
-                    let item = t.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
-                    if let Some(item) = item {
-                        let mut stack = None;
-                        let mut cycles = None;
-                        for part in item.split(", ") {
-                            if let Some(v) = str_field(part, "stack") {
-                                stack = Some(v);
-                            } else if let Some(v) = u64_field(part, "cycles") {
-                                cycles = Some(v);
-                            }
-                        }
-                        if let (Some(s), Some(c)) = (stack, cycles) {
-                            frames.push((s, c));
-                        }
-                    }
+                (3, true, _) => {
+                    let [stack, cycles] = row_fields(t)?;
+                    frames.push((str_field(stack, "stack")?, u64_field(cycles, "cycles")?));
                 }
+                _ => return None,
             }
         }
+        if !closed || scalars.len() != SCALARS.split_whitespace().count() {
+            return None;
+        }
 
-        let workload = workload?;
-        let faults = faults?;
+        let raw = |key: &str| scalars.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        let text = |key: &str| {
+            let v = raw(key)?.strip_prefix('"')?.strip_suffix('"')?;
+            Some(v.to_owned())
+        };
+        let int = |key: &str| raw(key)?.parse::<u64>().ok();
+        let float = |key: &str| raw(key)?.parse::<f64>().ok();
+        let workload = text("workload")?;
+        let policy = text("policy")?;
+        // The derived scalars must parse too; the profile recomputes them.
+        let derived = "workload_cycles cycles_per_op attributed_cycles residual_pct \
+            hot_path_cycles_per_fault";
+        if int("version")? != 1
+            || text("name")? != format!("{policy}/{workload}")
+            || derived.split_whitespace().any(|key| float(key).is_none())
+        {
+            return None;
+        }
+        let faults = int("faults")?;
         let root = if frames.is_empty() {
             ProfileNode::new()
         } else {
@@ -411,27 +340,45 @@ impl CycleProfile {
         };
         Some(CycleProfile {
             workload,
-            policy: policy?,
-            scale: scale?,
-            ops: ops?,
-            total_cycles: total_cycles?,
-            residual_cycles: residual_cycles?,
-            orphan_cycles,
-            journal_dropped,
-            flight_dropped,
+            policy,
+            scale: u32::try_from(int("scale")?).ok()?,
+            ops: int("ops")?,
+            total_cycles: int("total_cycles")?,
+            residual_cycles: int("residual_cycles")?,
+            orphan_cycles: int("orphan_cycles")?,
+            journal_dropped: int("journal_dropped")?,
+            flight_dropped: int("flight_dropped")?,
             faults,
             fault_latency: LatencySummary {
                 count: faults,
-                p50,
-                p99,
-                p999,
-                mean,
+                p50: int("fault_p50_cycles")?,
+                p99: int("fault_p99_cycles")?,
+                p999: int("fault_p999_cycles")?,
+                mean: float("fault_mean_cycles")?,
             },
             tags,
             clusters,
             root,
         })
     }
+}
+
+/// The `N` comma-separated fields of one `{...}` list row.
+fn row_fields<const N: usize>(row: &str) -> Option<[&str; N]> {
+    let inner = row.strip_prefix('{')?.strip_suffix('}')?;
+    inner.split(", ").collect::<Vec<_>>().try_into().ok()
+}
+
+/// The string value of `"key": "value"`.
+fn str_field(field: &str, key: &str) -> Option<String> {
+    let value = field.strip_prefix('"')?.strip_prefix(key)?;
+    Some(value.strip_prefix("\": \"")?.strip_suffix('"')?.to_owned())
+}
+
+/// The integer value of `"key": value`.
+fn u64_field(field: &str, key: &str) -> Option<u64> {
+    let value = field.strip_prefix('"')?.strip_prefix(key)?;
+    value.strip_prefix("\": ")?.parse().ok()
 }
 
 /// `cycles / count`, 0.0 for an empty count.

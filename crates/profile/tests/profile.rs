@@ -71,6 +71,36 @@ fn spell_profile_attributes_nearly_everything_and_is_byte_stable() {
 }
 
 #[test]
+fn from_json_refuses_what_it_cannot_parse() {
+    let json = profile_of("paging", "clusters").to_json();
+    assert!(CycleProfile::from_json(&json).is_some());
+    let frame = json
+        .lines()
+        .find(|l| l.contains("\"stack\""))
+        .expect("a frame row");
+    for (what, mutant) in [
+        (
+            "a dropped scalar",
+            json.lines()
+                .filter(|l| !l.contains("\"fault_p50_cycles\""))
+                .map(|l| format!("{l}\n"))
+                .collect(),
+        ),
+        (
+            "a non-numeric frame count",
+            json.replacen(frame, &frame.replace("\"cycles\": ", "\"cycles\": x"), 1),
+        ),
+        (
+            "scale 2^32",
+            json.replacen("\"scale\": 1,", "\"scale\": 4294967296,", 1),
+        ),
+    ] {
+        assert_ne!(mutant, json, "{what}: the mutation did not apply");
+        assert!(CycleProfile::from_json(&mutant).is_none(), "{what} decoded");
+    }
+}
+
+#[test]
 fn residual_gate_trips_when_instrumentation_is_lost() {
     let healthy = collect_impl(&spec("spell", "clusters"), Observe::Armed).expect("collect");
     let maimed =

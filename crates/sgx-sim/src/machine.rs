@@ -1245,14 +1245,15 @@ impl Machine {
     /// Machine-global timing state (clock, stats, TLB counters) is
     /// overwritten from the capture so the continuation is
     /// byte-identical; restore therefore targets a *fresh* machine built
-    /// with the same [`MachineConfig`]. On error the machine may hold a
-    /// partially-restored enclave and must be discarded.
+    /// with the same [`MachineConfig`]. A refused capture leaves the
+    /// machine as it was.
     ///
     /// Callers are responsible for freshness: this method checks
     /// structural integrity (unseal happens upstream), not whether the
     /// capture is the *latest* one. Fails with
-    /// [`SgxError::LifecycleViolation`] if the enclave id already exists
-    /// and [`SgxError::SealBroken`] on a malformed page capture.
+    /// [`SgxError::LifecycleViolation`] if the enclave id already exists,
+    /// [`SgxError::SealBroken`] on a malformed page capture and
+    /// [`SgxError::EpcFull`] when the free frames cannot hold its pages.
     pub fn restore_enclave(&mut self, capture: &EnclaveCapture) -> Result<(), SgxError> {
         self.restore_enclave_inner(capture, true)
     }
@@ -1283,11 +1284,16 @@ impl Machine {
         if !capture.secs.initialized {
             return Err(SgxError::LifecycleViolation);
         }
+        // Refuse before the first allocation, so a failed restore takes
+        // no frame.
+        if capture.pages.iter().any(|p| p.contents.len() != PAGE_SIZE) {
+            return Err(SgxError::SealBroken);
+        }
+        if self.epc_free_frames() < capture.pages.len() {
+            return Err(SgxError::EpcFull);
+        }
         let mut new_frames: HashMap<Vpn, Frame> = HashMap::new();
         for page in &capture.pages {
-            if page.contents.len() != PAGE_SIZE {
-                return Err(SgxError::SealBroken);
-            }
             let frame = self.epc.alloc(EpcmEntry {
                 valid: true,
                 eid,

@@ -412,10 +412,14 @@ fn restore_inner(
             return Err(SnapError::Malformed);
         }
     };
-    if shared_machine {
-        os.machine.restore_enclave_shared(&capture)?;
+    let restored = if shared_machine {
+        os.machine.restore_enclave_shared(&capture)
     } else {
-        os.machine.restore_enclave(&capture)?;
+        os.machine.restore_enclave(&capture)
+    };
+    if let Err(e) = restored {
+        record_restore_attack(os, sealed, "hardware restore of the sealed enclave failed");
+        return Err(SnapError::Sgx(e));
     }
     if let Err(e) = rt.verify_restore(os) {
         record_restore_attack(

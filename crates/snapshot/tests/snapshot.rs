@@ -268,6 +268,36 @@ fn malformed_runtime_half_leaves_the_host_untouched() {
 
     let err = must_fail(restore(&mut host, &mut counter, &blob), "malformed");
     assert!(matches!(err, SnapError::Malformed), "got {err}");
+    assert_untouched_and_recorded(&mut host, eid, free_frames);
+}
+
+#[test]
+fn restore_onto_a_full_epc_takes_no_frame_and_is_recorded() {
+    // An authentic, fresh blob with more pages than the failover host
+    // has free frames: the hardware must refuse it before allocating.
+    let (mut os, eid, mut rt) = setup(RuntimeConfig::default());
+    exercise(&mut os, &mut rt);
+    let mut counter = counter_for(&os, eid);
+    let blob = snapshot(&os, &rt, &mut counter).expect("snapshot");
+    let mut host = Os::new(MachineConfig {
+        epc_frames: 8,
+        ..Default::default()
+    });
+    host.adopt_untrusted_state(&mut os, eid).expect("adopt");
+    host.arm_flight_recorder(256);
+    let free_frames = host.machine.epc_free_frames();
+
+    let err = must_fail(restore(&mut host, &mut counter, &blob), "full EPC");
+    assert!(
+        matches!(err, SnapError::Sgx(SgxError::EpcFull)),
+        "got {err}"
+    );
+    assert_untouched_and_recorded(&mut host, eid, free_frames);
+}
+
+/// A refused restore leaves no enclave and no frame taken on `host`,
+/// and records the attempt and the verdict in its flight log.
+fn assert_untouched_and_recorded(host: &mut Os, eid: EnclaveId, free_frames: usize) {
     assert!(
         host.machine.capture_enclave(eid).is_err(),
         "the enclave was restored onto the host"
