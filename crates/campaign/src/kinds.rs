@@ -37,8 +37,7 @@
 use autarky_fleet::Request;
 use autarky_fleet::{
     export_trace, kv_stream, render_alert_log, spell_stream, Arrivals, Fleet, FleetConfig,
-    FleetReport, LoadConfig, MemberConfig, MemberStats, StagedCrash, TimedRequest, WatchConfig,
-    WorkloadKind,
+    FleetReport, LoadConfig, MemberConfig, MemberStats, StagedCrash, TimedRequest, WorkloadKind,
 };
 use autarky_flightrec::{
     render_divergence, rollback_attack_run, verify_replay, verify_restore_replay, ReplayVerdict,
@@ -494,9 +493,6 @@ fn run_fleet(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
         queue_cap: 256,
         watchdog_cycles: 50_000_000,
         restart_budget_cycles: FLEET_RESTART_BUDGET_CYCLES,
-        restart_cost_cycles: 5_000_000,
-        max_retries: 3,
-        retry_backoff_cycles: 100_000,
         max_watchdog_strikes: 1,
         max_restarts: 3,
         snapshot_every: 32,
@@ -504,7 +500,7 @@ fn run_fleet(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
         shrink_floor_pages: 16,
         flight_capacity: 1 << 18,
         staged_crash,
-        watch: None,
+        watch: false,
     };
     let traffic: Vec<Vec<TimedRequest>> = (0..member_count)
         .map(|i| {
@@ -684,21 +680,6 @@ fn watch_victim_stream(requests: usize) -> Vec<TimedRequest> {
     out
 }
 
-/// Watchtower tuned to the staged storm: the SLO-burn detector judges
-/// dispatch service time — the watchdog's own measure — so the race
-/// against the three-strike watchdog runs on equal terms.
-fn watch_tower_config() -> WatchConfig {
-    WatchConfig {
-        epoch_cycles: 1_000_000,
-        warmup_windows: 8,
-        fault_h_milli: 0,
-        entropy_h_milli: 0,
-        p99_budget_cycles: 1_600_000,
-        min_window_requests: 1,
-        ..Default::default()
-    }
-}
-
 struct WatchRun {
     stats: Vec<MemberStats>,
     report: FleetReport,
@@ -718,7 +699,7 @@ impl WatchRun {
 
 fn watch_scenario(
     spec: &CellSpec,
-    watch: Option<WatchConfig>,
+    watch: bool,
 ) -> Result<(FleetConfig, Vec<Vec<TimedRequest>>), String> {
     let requests = spec.params.requests;
     let plan_seed = spec.derived_seed();
@@ -812,9 +793,6 @@ fn watch_scenario(
         queue_cap: 64,
         watchdog_cycles: 2_000_000,
         restart_budget_cycles: 500_000_000,
-        restart_cost_cycles: 5_000_000,
-        max_retries: 3,
-        retry_backoff_cycles: 100_000,
         max_watchdog_strikes: WATCH_WATCHDOG_STRIKES,
         max_restarts: 3,
         snapshot_every: 32,
@@ -827,7 +805,7 @@ fn watch_scenario(
     Ok((cfg, traffic))
 }
 
-fn watch_run_once(spec: &CellSpec, watch: Option<WatchConfig>) -> Result<WatchRun, String> {
+fn watch_run_once(spec: &CellSpec, watch: bool) -> Result<WatchRun, String> {
     let (cfg, traffic) = watch_scenario(spec, watch)?;
     let mut fleet = Fleet::new(cfg).map_err(|e| format!("watch fleet boot failed: {e}"))?;
     let stats = fleet
@@ -857,10 +835,10 @@ fn run_watch(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     // the run. A storm also runs unwatched once: the watchdog-driven
     // failover the alert has to beat.
     let runs = (|| {
-        let run = watch_run_once(spec, Some(watch_tower_config()))?;
-        let rerun = watch_run_once(spec, Some(watch_tower_config()))?;
+        let run = watch_run_once(spec, true)?;
+        let rerun = watch_run_once(spec, true)?;
         let unwatched = match plan {
-            "storm" => Some(watch_run_once(spec, None)?),
+            "storm" => Some(watch_run_once(spec, false)?),
             _ => None,
         };
         Ok::<_, String>((run, rerun, unwatched))
@@ -1468,5 +1446,46 @@ mod tests {
             artifact_names(&artifacts),
             ["fleet-latency-report.md", "fleet-forensics.txt"]
         );
+    }
+
+    #[test]
+    fn slo_alerts_do_not_depend_on_flight_ring_headroom() {
+        // The watch-smoke kvstore storm cell.
+        let spec = cell(
+            CellKind::Watch,
+            None,
+            "kvstore",
+            Some("storm"),
+            Some(1),
+            SuiteParams {
+                requests: 150,
+                ..SuiteParams::default()
+            },
+        );
+        let victim_alerts = |flight_capacity: usize| {
+            let (cfg, traffic) = watch_scenario(&spec, true).expect("scenario");
+            let mut fleet = Fleet::new(FleetConfig {
+                flight_capacity,
+                ..cfg
+            })
+            .expect("boot");
+            fleet.run(traffic).expect("run");
+            let alerts: Vec<_> = fleet
+                .watch_alerts()
+                .iter()
+                .filter(|a| a.member == 0)
+                .cloned()
+                .collect();
+            (alerts, fleet.os().flight_dropped())
+        };
+        let (full, full_dropped) = victim_alerts(1 << 18);
+        assert_eq!(full_dropped, 0);
+        assert_eq!(full.len(), 1);
+        assert_eq!((full[0].detector, full[0].window), ("slo_burn", 14));
+        // Every record still charges its cost when the ring overflows,
+        // so the timeline and the alert stay where they were.
+        let (small, small_dropped) = victim_alerts(64);
+        assert!(small_dropped > 0, "a 64-record ring overflows");
+        assert_eq!(small, full);
     }
 }

@@ -1,8 +1,8 @@
 //! Seeded mutation fuzzing of every decoder that reads bytes from
 //! outside its trust domain: the runtime checkpoint, the enclave
-//! capture, the telemetry snapshot, the wire flight log, observation
-//! stream and fault-plan line, the campaign TOML configs, the campaign
-//! journal line and the profile JSON.
+//! capture, the telemetry snapshot, the wire flight log (kernel
+//! observations included) and fault-plan line, the campaign TOML
+//! configs, the campaign journal line and the profile JSON.
 //!
 //! Each decoder's seed is its own encoder's output from a small
 //! exercised run. Mutants are the seed with one to three of: a bit flip,
@@ -23,8 +23,7 @@ use std::path::Path;
 use autarky_campaign::cell::decode_line;
 use autarky_campaign::{CampaignConfig, CellOutcome};
 use autarky_os_sim::wire::{
-    decode_fault_plan, decode_flight_log, decode_observations, encode_fault_plan,
-    encode_flight_log, encode_observations,
+    decode_fault_plan, decode_flight_log, encode_fault_plan, encode_flight_log,
 };
 use autarky_os_sim::{EnclaveImage, FaultPlan, Os};
 use autarky_prng::SimRng;
@@ -176,15 +175,6 @@ fn targets() -> Vec<Target> {
         text("flight log", flight_log, |s| {
             decode_flight_log(s).ok().map(|log| encode_flight_log(&log))
         }),
-        text(
-            "observations",
-            encode_observations(os.observations()),
-            |s| {
-                decode_observations(s)
-                    .ok()
-                    .map(|obs| encode_observations(&obs))
-            },
-        ),
         text("fault plan", encode_fault_plan(&plan), |s| {
             decode_fault_plan(s).ok().map(|p| encode_fault_plan(&p))
         }),

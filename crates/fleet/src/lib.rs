@@ -30,7 +30,7 @@ pub mod report;
 pub mod supervisor;
 
 pub use autarky_telemetry::LatencySummary;
-pub use autarky_watch::{export_trace, render_alert_log, Alert, WatchConfig, Watchtower};
+pub use autarky_watch::{export_trace, render_alert_log, Alert, Watchtower};
 pub use autarky_workloads::request::Request;
 pub use loadgen::{kv_stream, spell_stream, Arrivals, LoadConfig, TimedRequest};
 pub use report::{FleetReport, MemberReport};

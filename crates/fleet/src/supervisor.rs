@@ -34,15 +34,14 @@
 use std::collections::VecDeque;
 
 use autarky_os_sim::{
-    EnclaveImage, FaultPlan, FlightEvent, FlightRecord, Observation, Os, OsError,
-    UntrustedEnclaveState,
+    EnclaveImage, FaultPlan, FlightEvent, FlightRecord, Os, OsError, UntrustedEnclaveState,
 };
 use autarky_runtime::{RtError, RuntimeConfig};
 use autarky_sgx_sim::machine::MachineConfig;
 use autarky_sgx_sim::{EnclaveId, MonotonicCounter, Vpn};
 use autarky_snapshot::{self as snapshot, SnapError};
 use autarky_telemetry::{Histogram, SpanKind};
-use autarky_watch::{Alert, WatchConfig, Watchtower};
+use autarky_watch::{Alert, Watchtower};
 use autarky_workloads::kvstore::{ItemClustering, KvStore};
 use autarky_workloads::request::{Request, Response, Service};
 use autarky_workloads::spell::SpellServer;
@@ -151,6 +150,15 @@ pub struct StagedCrash {
     pub plan: FaultPlan,
 }
 
+/// Cycles charged to the shared clock per snapshot restart (models
+/// teardown, reload, and sealed-blob decryption; makes the restart
+/// budget a real constraint rather than a free host-side action).
+const RESTART_COST_CYCLES: u64 = 5_000_000;
+/// Retry ladder depth before quarantine.
+const MAX_RETRIES: u32 = 3;
+/// Base backoff charged before retry k is `RETRY_BACKOFF_CYCLES << (k-1)`.
+const RETRY_BACKOFF_CYCLES: u64 = 100_000;
+
 /// Fleet-wide supervisor configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -166,14 +174,6 @@ pub struct FleetConfig {
     /// Detection-to-restored budget in simulated cycles for the
     /// snapshot-restart path.
     pub restart_budget_cycles: u64,
-    /// Cycles charged to the shared clock per snapshot restart (models
-    /// teardown, reload, and sealed-blob decryption; makes the restart
-    /// budget a real constraint rather than a free host-side action).
-    pub restart_cost_cycles: u64,
-    /// Retry ladder depth before quarantine.
-    pub max_retries: u32,
-    /// Base backoff charged before retry k is `backoff << (k-1)`.
-    pub retry_backoff_cycles: u64,
     /// Watchdog strikes tolerated before a restart.
     pub max_watchdog_strikes: u32,
     /// Snapshot restarts tolerated before permanent eviction.
@@ -191,12 +191,12 @@ pub struct FleetConfig {
     pub flight_capacity: usize,
     /// Optional staged mid-run fault campaign.
     pub staged_crash: Option<StagedCrash>,
-    /// Optional streaming watchtower. When set, the supervisor feeds
-    /// every flight-ring fault, request completion, and EPC sample into
-    /// the detectors each scheduling step, records firings as
-    /// [`FlightEvent::WatchAlert`] causal events, and escalates the
-    /// alerted member *immediately* — ahead of the watchdog budget.
-    pub watch: Option<WatchConfig>,
+    /// Run the streaming watchtower. When set, the supervisor hands it
+    /// every request's dispatch service time, closes its windows each
+    /// scheduling step, records firings as [`FlightEvent::WatchAlert`]
+    /// causal events, and escalates the alerted member *immediately* —
+    /// ahead of the watchdog budget.
+    pub watch: bool,
 }
 
 impl Default for FleetConfig {
@@ -207,9 +207,6 @@ impl Default for FleetConfig {
             queue_cap: 64,
             watchdog_cycles: 50_000_000,
             restart_budget_cycles: 100_000_000,
-            restart_cost_cycles: 5_000_000,
-            max_retries: 3,
-            retry_backoff_cycles: 100_000,
             max_watchdog_strikes: 2,
             max_restarts: 3,
             snapshot_every: 64,
@@ -217,7 +214,7 @@ impl Default for FleetConfig {
             shrink_floor_pages: 16,
             flight_capacity: 4096,
             staged_crash: None,
-            watch: None,
+            watch: false,
         }
     }
 }
@@ -353,7 +350,6 @@ pub struct Fleet {
     total_served: u64,
     crash_armed: bool,
     tower: Option<Watchtower>,
-    flight_cursor: u64,
     alert_history: Vec<Alert>,
 }
 
@@ -452,23 +448,22 @@ impl Fleet {
             });
             os_slot = Some(os);
         }
-        let tower = cfg.watch.clone().map(|wc| {
+        let tower = cfg.watch.then(|| {
             let start = os_slot
                 .as_ref()
                 .map(|os| os.machine.clock.now())
                 .unwrap_or(0);
-            let mut tower = Watchtower::new(wc, start);
+            let mut tower = Watchtower::new(start);
             for member in &members {
-                tower.add_member(member.stats.eid, &member.stats.name);
+                tower.add_member(member.stats.eid);
             }
             tower
         });
-        // Boot-time paging is not traffic: start the watch cursor past
-        // the load-phase records so baselines see only served load.
-        let flight_cursor = os_slot
-            .as_mut()
-            .map(|os| os.flight_snapshot().last().map(|r| r.seq).unwrap_or(0))
-            .unwrap_or(0);
+        // Fold the load phase's pending transitions into the ring now, so
+        // their recorder cost is charged before any arrival is scheduled.
+        if let Some(os) = os_slot.as_mut() {
+            os.flight_sync();
+        }
         Ok(Self {
             os: os_slot,
             members,
@@ -477,7 +472,6 @@ impl Fleet {
             total_served: 0,
             crash_armed: false,
             tower,
-            flight_cursor,
             alert_history: Vec::new(),
         })
     }
@@ -646,7 +640,6 @@ impl Fleet {
             .ok_or(FleetError::Internal("member handle missing in restart"))?
             .image;
 
-        let cost = self.cfg.restart_cost_cycles;
         let crash_armed = self.crash_armed;
         let os = self.os_mut();
         // The staged fault window closes at the first failover: the
@@ -656,7 +649,7 @@ impl Fleet {
         if crash_armed {
             os.disarm_fault_plan();
         }
-        os.machine.clock.charge(cost);
+        os.machine.clock.charge(RESTART_COST_CYCLES);
         os.retire_enclave(eid)?;
         os.reinstate_untrusted_state(&bundle.untrusted)?;
         let member = &mut self.members[index];
@@ -684,9 +677,8 @@ impl Fleet {
                 "restored from sealed snapshot in {recovery} cycles (byte-identical: {byte_identical}); cause: {why}"
             ),
         );
-        // A fresh incarnation gets a fresh detector baseline: the old
-        // lens would re-fire on the very traffic mix the restart is
-        // expected to change.
+        // A fresh incarnation warms up again instead of being judged on
+        // the traffic the restart is expected to change.
         if let Some(tower) = self.tower.as_mut() {
             tower.reset_member(index);
         }
@@ -764,14 +756,14 @@ impl Fleet {
                         self.members[index].queue.push_front((arrival, request));
                         return self.escalate(index, "runtime terminated (attack detected)");
                     }
-                    if attempts >= self.cfg.max_retries {
+                    if attempts >= MAX_RETRIES {
                         self.members[index].queue.push_front((arrival, request));
                         return self.escalate(index, "request failed after retry ladder");
                     }
                     attempts += 1;
                     self.members[index].stats.retries += 1;
                     let eid = self.members[index].stats.eid;
-                    let backoff = self.cfg.retry_backoff_cycles << (attempts - 1);
+                    let backoff = RETRY_BACKOFF_CYCLES << (attempts - 1);
                     self.flight_supervisor(
                         eid,
                         "retry",
@@ -831,81 +823,18 @@ impl Fleet {
         }
     }
 
-    /// Ask one member to shrink its resident set to the floor (the
-    /// cooperative response to an EPC-skew alert naming it the hog).
-    fn shrink_member(&mut self, index: usize, why: &str) -> Result<(), FleetError> {
-        let floor = self.cfg.shrink_floor_pages;
-        if self.members[index].state != MemberState::Healthy {
-            return Ok(());
-        }
-        let resident = self.members[index]
-            .handle
-            .as_ref()
-            .map(|h| h.rt.resident_pages())
-            .unwrap_or(0);
-        if resident <= floor {
-            return Ok(());
-        }
-        let os = self
-            .os
-            .take()
-            .ok_or(FleetError::Internal("os slot empty in shrink"))?;
-        let member = &mut self.members[index];
-        let handle = match member.handle.take() {
-            Some(h) => h,
-            None => {
-                self.os = Some(os);
-                return Ok(());
-            }
-        };
-        let mut world = World::join(os, handle);
-        let shrink = world.rt.shrink_budget(&mut world.os, floor);
-        let (os, handle) = world.split();
-        member.handle = Some(handle);
-        self.os = Some(os);
-        shrink?;
-        let eid = self.members[index].stats.eid;
-        self.members[index].stats.shrinks += 1;
-        self.flight_supervisor(eid, "shrink", why.to_owned());
-        Ok(())
-    }
-
-    /// One watchtower step: drain fresh flight-ring records into the
-    /// detectors, close any elapsed windows, and act on firings. Alerts
-    /// land in the flight ring as causal events *before* the resulting
-    /// escalation records, so forensics reads detector → supervisor in
-    /// order.
+    /// One watchtower step: close any elapsed windows and act on
+    /// firings. Alerts land in the flight ring as causal events *before*
+    /// the resulting escalation records, so forensics reads detector →
+    /// supervisor in order.
     fn watch_tick(&mut self) -> Result<(), FleetError> {
-        if self.tower.is_none() {
-            return Ok(());
-        }
         let now = self.now();
-        let cursor = self.flight_cursor;
-        let fresh = self.os_mut().flight_records_after(cursor);
-        if let Some(last) = fresh.last() {
-            self.flight_cursor = last.seq;
-        }
-        let dropped = self.os_mut().flight_dropped();
-        let frames: Vec<u64> = {
-            let os = self.os();
-            self.members
-                .iter()
-                .map(|m| os.machine.epc_frames_of(m.stats.eid) as u64)
-                .collect()
-        };
         let alerts = match self.tower.as_mut() {
             Some(tower) => {
-                for r in &fresh {
-                    if let FlightEvent::Kernel(Observation::Fault { eid, va, .. }) = &r.event {
-                        tower.observe_fault(*eid, va.vpn(), r.cycles);
-                    }
-                }
-                tower.note_ring_dropped(dropped);
-                tower.sample_epc(&frames);
                 tower.advance(now);
                 tower.take_alerts()
             }
-            None => Vec::new(),
+            None => return Ok(()),
         };
         for alert in alerts {
             let index = alert.member;
@@ -931,13 +860,8 @@ impl Fleet {
                 .map(|m| m.state == MemberState::Healthy)
                 .unwrap_or(false);
             if actionable {
-                if alert.detector == "epc_skew" {
-                    let why = format!("watch alert: {} ({})", alert.detector, alert.why);
-                    self.shrink_member(index, &why)?;
-                } else {
-                    let why = format!("watch alert: {} ({})", alert.detector, alert.why);
-                    self.escalate(index, &why)?;
-                }
+                let why = format!("watch alert: {} ({})", alert.detector, alert.why);
+                self.escalate(index, &why)?;
             }
             self.alert_history.push(alert);
         }

@@ -36,9 +36,6 @@ fn fleet_cfg(members: Vec<MemberConfig>) -> FleetConfig {
         queue_cap: 256,
         watchdog_cycles: 20_000_000,
         restart_budget_cycles: 500_000_000,
-        restart_cost_cycles: 5_000_000,
-        max_retries: 3,
-        retry_backoff_cycles: 100_000,
         // One egregious overrun is enough: injected stalls can land
         // multiple syscall delays inside a single request, so a strike
         // threshold > 1 could let a wedge hide inside one serve call.
@@ -51,7 +48,7 @@ fn fleet_cfg(members: Vec<MemberConfig>) -> FleetConfig {
         // thousands of paging records a full run appends after them.
         flight_capacity: 1 << 18,
         staged_crash: None,
-        watch: None,
+        watch: false,
     }
 }
 

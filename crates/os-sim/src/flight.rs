@@ -160,29 +160,23 @@ pub enum FlightEvent {
     SpanClose(SpanRecord),
     /// An online detector in the watchtower fired. Like [`Supervisor`],
     /// this is an *untrusted host-side* event — the watchtower observes
-    /// only adversary-visible signals (fault counters, latencies, EPC
-    /// occupancy) — so `is_runtime_decision()` excludes it. It is a
-    /// first-class verdict for causal forensics, though:
-    /// [`causal_root_of_attack`] resolves the latest alert to the
-    /// injected fault that provoked it, exactly as it does for the
-    /// runtime's own `AttackDetected`.
+    /// only adversary-visible signals (request service times) — so
+    /// `is_runtime_decision()` excludes it. It is a first-class verdict
+    /// for causal forensics, though: [`causal_root_of_attack`] resolves
+    /// the latest alert to the injected fault that provoked it, as it
+    /// does for the runtime's own `AttackDetected`.
     ///
     /// [`Supervisor`]: FlightEvent::Supervisor
     WatchAlert {
         /// Fleet member the detector fired for.
         eid: EnclaveId,
-        /// Detector name, a single lowercase token (e.g. `fault_cusum`,
-        /// `entropy_cusum`, `slo_burn`, `epc_skew`).
+        /// Detector name, a single lowercase token (`slo_burn`).
         detector: String,
         /// Index of the epoch window that tripped the detector.
         window: u64,
         /// Detector score at firing, in milli-units (integer so alert
         /// artifacts stay byte-stable across platforms).
         score_milli: u64,
-        /// Most-recently faulted page in the tripping window, when the
-        /// detector tracks fault addresses (the alert's best guess at
-        /// the probe target).
-        vpn: Option<Vpn>,
         /// Human-readable firing reason (thresholds and observed value).
         why: String,
     },
@@ -278,18 +272,11 @@ impl FlightEvent {
                 detector,
                 window,
                 score_milli,
-                vpn,
                 why,
-            } => {
-                let page = match vpn {
-                    Some(v) => format!(" vpn={}", v.0),
-                    None => String::new(),
-                };
-                format!(
-                    "WATCH ALERT {detector} eid={} window={window} score={score_milli}m{page} ({why})",
-                    eid.0
-                )
-            }
+            } => format!(
+                "WATCH ALERT {detector} eid={} window={window} score={score_milli}m ({why})",
+                eid.0
+            ),
         }
     }
 }
@@ -422,19 +409,6 @@ impl FlightRecorder {
         self.records.iter().cloned().collect()
     }
 
-    /// Retained records with sequence numbers strictly greater than
-    /// `seq`, oldest first — the incremental-drain cursor for streaming
-    /// consumers (the watchtower) that must not re-clone the whole ring
-    /// every poll. A consumer that falls behind the ring sees the gap
-    /// via [`FlightRecorder::dropped`], not silently.
-    pub fn records_after(&self, seq: u64) -> Vec<FlightRecord> {
-        self.records
-            .iter()
-            .skip_while(|r| r.seq <= seq)
-            .cloned()
-            .collect()
-    }
-
     /// Number of retained records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -501,9 +475,10 @@ fn is_injection(record: &FlightRecord) -> bool {
 /// For the last attack verdict in the log — the runtime's own
 /// `AttackDetected` or a watchtower `WatchAlert` — find the injected
 /// fault that caused it: first an injection inside the verdict's own
-/// correlation chain, else the most recent prior injection — preferring
-/// one that names the same page (a spurious eviction surfaces as a fault
-/// only when the page is next touched, typically in a *later* chain).
+/// correlation chain, else the most recent prior injection — for an
+/// `AttackDetected`, preferring one that names the same page (a
+/// spurious eviction surfaces as a fault only when the page is next
+/// touched, typically in a *later* chain).
 ///
 /// Returns `(verdict_record, injection_record)`; `None` when the log
 /// holds no verdict or no injection preceding it.
@@ -516,7 +491,7 @@ pub fn causal_root_of_attack(records: &[FlightRecord]) -> Option<(&FlightRecord,
     })?;
     let attack_vpn = match &attack.event {
         FlightEvent::AttackDetected { vpn, .. } => Some(*vpn),
-        FlightEvent::WatchAlert { vpn, .. } => *vpn,
+        FlightEvent::WatchAlert { .. } => None,
         _ => return None,
     };
     // Inside the verdict's own chain first.
@@ -743,58 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn watch_alert_resolves_to_same_page_injection() {
-        let mut rec = FlightRecorder::new(64);
-        // The staged probe: a spurious eviction of page 11.
-        rec.begin_chain();
-        rec.record(
-            10,
-            FlightEvent::Kernel(Observation::FaultInjected {
-                eid: EnclaveId(2),
-                fault: crate::fault::InjectedFault::SpuriousEvict { vpn: Vpn(11) },
-            }),
-        );
-        rec.end_chain();
-        // An unrelated later injection the resolver must not prefer.
-        rec.begin_chain();
-        rec.record(
-            20,
-            FlightEvent::Kernel(Observation::FaultInjected {
-                eid: EnclaveId(2),
-                fault: crate::fault::InjectedFault::TransientNoMemory,
-            }),
-        );
-        rec.end_chain();
-        // The watchtower fires outside any chain (it drains the ring
-        // between requests), naming the page its window saw fault.
-        rec.record(
-            30,
-            FlightEvent::WatchAlert {
-                eid: EnclaveId(2),
-                detector: "fault_cusum".to_owned(),
-                window: 4,
-                score_milli: 5120,
-                vpn: Some(Vpn(11)),
-                why: "fault rate above cusum threshold".to_owned(),
-            },
-        );
-        let snap = rec.snapshot();
-        let (verdict, inj) = causal_root_of_attack(&snap).expect("root");
-        assert!(matches!(verdict.event, FlightEvent::WatchAlert { .. }));
-        match &inj.event {
-            FlightEvent::Kernel(Observation::FaultInjected { fault, .. }) => {
-                assert_eq!(
-                    *fault,
-                    crate::fault::InjectedFault::SpuriousEvict { vpn: Vpn(11) }
-                );
-            }
-            other => panic!("wrong root: {other:?}"),
-        }
-        assert_eq!(verdict.event.domain(), "watch");
-        assert!(!verdict.event.is_runtime_decision());
-    }
-
-    #[test]
     fn watch_alert_without_vpn_falls_back_to_latest_injection() {
         let mut rec = FlightRecorder::new(64);
         rec.record(
@@ -811,7 +734,6 @@ mod tests {
                 detector: "slo_burn".to_owned(),
                 window: 2,
                 score_milli: 1500,
-                vpn: None,
                 why: "p99 budget burn".to_owned(),
             },
         );
@@ -819,6 +741,8 @@ mod tests {
         let (verdict, inj) = causal_root_of_attack(&snap).expect("root");
         assert!(matches!(verdict.event, FlightEvent::WatchAlert { .. }));
         assert!(is_injection(inj));
+        assert_eq!(verdict.event.domain(), "watch");
+        assert!(!verdict.event.is_runtime_decision());
     }
 
     #[test]

@@ -398,8 +398,10 @@ impl Os {
 
     /// Fold machine transitions recorded since the last drain into the
     /// flight log (stamped with their captured cycle times and the
-    /// currently open correlation chain).
-    fn flight_sync(&mut self) {
+    /// currently open correlation chain). Each folded record charges its
+    /// cost to the clock now, so a caller that must fix *when* that cost
+    /// lands (e.g. before traffic is scheduled) folds explicitly.
+    pub fn flight_sync(&mut self) {
         let Some(rec) = self.flight.as_mut() else {
             return;
         };
@@ -477,18 +479,6 @@ impl Os {
     /// Flight records lost to ring overflow.
     pub fn flight_dropped(&self) -> u64 {
         self.flight.as_ref().map(|rec| rec.dropped()).unwrap_or(0)
-    }
-
-    /// Retained flight records with sequence numbers strictly greater
-    /// than `seq`, oldest first (pending machine transitions folded in).
-    /// The incremental form of [`Os::flight_snapshot`] for streaming
-    /// consumers that poll with a cursor.
-    pub fn flight_records_after(&mut self, seq: u64) -> Vec<FlightRecord> {
-        self.flight_sync();
-        self.flight
-            .as_ref()
-            .map(|rec| rec.records_after(seq))
-            .unwrap_or_default()
     }
 
     pub(crate) fn proc(&self, eid: EnclaveId) -> Result<&Proc, OsError> {

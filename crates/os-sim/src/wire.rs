@@ -1,15 +1,16 @@
-//! Lossless serialization of adversary observations and fault schedules.
+//! Lossless text serialization of flight logs and fault plans.
 //!
-//! The leakage-audit subsystem persists observation traces to disk and
-//! replays them deterministically; fault schedules travel alongside so a
-//! run is fully described by its artifacts. External crates (serde) are
+//! The record/replay gate compares runs by their encoded flight logs,
+//! and a recorded schedule carries its fault plan as one line, so a run
+//! is fully described by its artifacts. External crates (serde) are
 //! unavailable in the offline build, so this module hand-rolls a compact
 //! line-oriented text format with the same contract a serde round-trip
 //! would give: `decode(encode(x)) == x` for every value, checked by
 //! randomized round-trip tests over values generated with
 //! [`SimRng`](autarky_prng::SimRng).
 //!
-//! Grammar (one event per line, fields space-separated):
+//! Kernel observations (the payload of a flight record's `k` line; one
+//! observation, fields space-separated):
 //!
 //! ```text
 //! fault <eid> <va> <r|w|x>
@@ -24,9 +25,8 @@
 //! inj   <eid> <fault...>           (FaultInjected; see encode_injected_fault)
 //! ```
 //!
-//! Flight-recorder records (PR 5) extend the grammar with one `ev` line
-//! per [`FlightRecord`], carrying the sequence number, cycle timestamp,
-//! and correlation id, then a payload:
+//! A flight log is one `ev` line per [`FlightRecord`], carrying the
+//! sequence number, cycle timestamp, and correlation id, then a payload:
 //!
 //! ```text
 //! ev <seq> <cycles> <corr> tr <kind> <eid> <tcs>       (enclave transition)
@@ -41,6 +41,10 @@
 //! ev <seq> <cycles> <corr> attack <vpn> <why...>
 //! ev <seq> <cycles> <corr> rlkill
 //! ev <seq> <cycles> <corr> span <kind> <start> <end>
+//! ev <seq> <cycles> <corr> snapcap <counter>           (snapshot capture)
+//! ev <seq> <cycles> <corr> snaprest <counter>          (snapshot restore)
+//! ev <seq> <cycles> <corr> sup <eid> <action> <why...> (supervisor decision)
+//! ev <seq> <cycles> <corr> walert <eid> <detector> <window> <score> <why...>
 //! ```
 //!
 //! Free-text `why...` payloads occupy the rest of the line and are
@@ -55,7 +59,7 @@ use autarky_sgx_sim::machine::TransitionKind;
 use autarky_sgx_sim::{AccessKind, EnclaveId, Va, Vpn};
 use autarky_telemetry::{SpanKind, SpanRecord};
 
-use crate::fault::{FaultKind, FaultPlan, InjectedFault};
+use crate::fault::{FaultPlan, InjectedFault};
 use crate::flight::{FlightEvent, FlightRecord};
 use crate::kernel::Observation;
 
@@ -135,7 +139,7 @@ fn parse_eid(field: &str, line: &str) -> Result<EnclaveId, WireError> {
 }
 
 /// Encode one observation as a single line (no trailing newline).
-pub fn encode_observation(obs: &Observation) -> String {
+fn encode_observation(obs: &Observation) -> String {
     match obs {
         Observation::Fault { eid, va, kind } => {
             format!("fault {} {} {}", eid.0, va.0, kind_tag(*kind))
@@ -169,7 +173,7 @@ pub fn encode_observation(obs: &Observation) -> String {
 }
 
 /// Decode one observation line.
-pub fn decode_observation(line: &str) -> Result<Observation, WireError> {
+fn decode_observation(line: &str) -> Result<Observation, WireError> {
     let fields: Vec<&str> = line.split_whitespace().collect();
     let [tag, rest @ ..] = fields.as_slice() else {
         return err("empty line", line);
@@ -229,28 +233,8 @@ pub fn decode_observation(line: &str) -> Result<Observation, WireError> {
     }
 }
 
-/// Encode a whole observation stream, one event per line.
-pub fn encode_observations(stream: &[Observation]) -> String {
-    let mut out = String::new();
-    for obs in stream {
-        out.push_str(&encode_observation(obs));
-        out.push('\n');
-    }
-    out
-}
-
-/// Decode an observation stream (blank lines and `#` comments skipped).
-pub fn decode_observations(text: &str) -> Result<Vec<Observation>, WireError> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(decode_observation)
-        .collect()
-}
-
-/// Encode an injected fault (the payload of `inj` lines, also usable
-/// standalone for fault-schedule artifacts).
-pub fn encode_injected_fault(fault: &InjectedFault) -> String {
+/// Encode an injected fault (the payload of `inj` lines).
+fn encode_injected_fault(fault: &InjectedFault) -> String {
     match fault {
         InjectedFault::TransientNoMemory => "nomem".to_owned(),
         InjectedFault::PartialBatch { completed } => format!("partial {completed}"),
@@ -266,12 +250,6 @@ pub fn encode_injected_fault(fault: &InjectedFault) -> String {
         InjectedFault::TruncatedSnapshot { len } => format!("truncsnap {len}"),
         InjectedFault::CounterRollback { to } => format!("ctrroll {to}"),
     }
-}
-
-/// Decode an injected fault.
-pub fn decode_injected_fault(text: &str) -> Result<InjectedFault, WireError> {
-    let fields: Vec<&str> = text.split_whitespace().collect();
-    decode_injected_fault_fields(&fields, text)
 }
 
 fn decode_injected_fault_fields(fields: &[&str], line: &str) -> Result<InjectedFault, WireError> {
@@ -315,32 +293,6 @@ fn decode_injected_fault_fields(fields: &[&str], line: &str) -> Result<InjectedF
         }),
         _ => err("injected fault", line),
     }
-}
-
-/// Encode a fault kind (stable one-word tags).
-pub fn encode_fault_kind(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::TransientNoMemory => "nomem",
-        FaultKind::PartialBatch => "partial",
-        FaultKind::WrongResidence => "wrongres",
-        FaultKind::DropPage => "drop",
-        FaultKind::SpuriousEvict => "spurious",
-        FaultKind::CorruptBacking => "corrupt",
-        FaultKind::ReplayBacking => "replay",
-        FaultKind::Delay => "delay",
-        FaultKind::Suspend => "suspend",
-    }
-}
-
-/// Decode a fault kind tag.
-pub fn decode_fault_kind(tag: &str) -> Result<FaultKind, WireError> {
-    FaultKind::ALL
-        .into_iter()
-        .find(|&k| encode_fault_kind(k) == tag)
-        .ok_or_else(|| WireError {
-            what: "fault kind",
-            line: tag.to_owned(),
-        })
 }
 
 /// Encode a fault plan as one line of `key=value` pairs. Rates are IEEE
@@ -420,12 +372,12 @@ pub fn decode_fault_plan(line: &str) -> Result<FaultPlan, WireError> {
 
 /// Encode a transition kind (stable one-word tags shared with
 /// `TransitionKind::name`).
-pub fn encode_transition_kind(kind: TransitionKind) -> &'static str {
+fn encode_transition_kind(kind: TransitionKind) -> &'static str {
     kind.name()
 }
 
 /// Decode a transition kind tag.
-pub fn decode_transition_kind(tag: &str) -> Result<TransitionKind, WireError> {
+fn decode_transition_kind(tag: &str) -> Result<TransitionKind, WireError> {
     TransitionKind::ALL
         .into_iter()
         .find(|&k| k.name() == tag)
@@ -444,7 +396,7 @@ fn rest_of_line(fields: &[&str], line: &str) -> Result<String, WireError> {
 
 /// Encode one flight-event payload (the part of an `ev` line after the
 /// seq/cycles/corr header fields).
-pub fn encode_flight_event(event: &FlightEvent) -> String {
+fn encode_flight_event(event: &FlightEvent) -> String {
     match event {
         FlightEvent::Transition { kind, eid, tcs } => {
             format!("tr {} {} {}", encode_transition_kind(*kind), eid.0, tcs)
@@ -485,18 +437,8 @@ pub fn encode_flight_event(event: &FlightEvent) -> String {
             detector,
             window,
             score_milli,
-            vpn,
             why,
-        } => {
-            let page = match vpn {
-                Some(v) => v.0.to_string(),
-                None => "-".to_owned(),
-            };
-            format!(
-                "walert {} {detector} {window} {score_milli} {page} {why}",
-                eid.0
-            )
-        }
+        } => format!("walert {} {detector} {window} {score_milli} {why}", eid.0),
     }
 }
 
@@ -566,16 +508,11 @@ fn decode_flight_event_fields(fields: &[&str], line: &str) -> Result<FlightEvent
             start_cycles: parse_u64(start, line)?,
             end_cycles: parse_u64(end, line)?,
         })),
-        ("walert", [eid, detector, window, score, page, why @ ..]) => Ok(FlightEvent::WatchAlert {
+        ("walert", [eid, detector, window, score, why @ ..]) => Ok(FlightEvent::WatchAlert {
             eid: parse_eid(eid, line)?,
             detector: (*detector).to_owned(),
             window: parse_u64(window, line)?,
             score_milli: parse_u64(score, line)?,
-            vpn: if *page == "-" {
-                None
-            } else {
-                Some(Vpn(parse_u64(page, line)?))
-            },
             why: rest_of_line(why, line)?,
         }),
         _ => err("flight event", line),
@@ -583,7 +520,7 @@ fn decode_flight_event_fields(fields: &[&str], line: &str) -> Result<FlightEvent
 }
 
 /// Encode one flight record as a single `ev` line (no trailing newline).
-pub fn encode_flight_record(record: &FlightRecord) -> String {
+fn encode_flight_record(record: &FlightRecord) -> String {
     format!(
         "ev {} {} {} {}",
         record.seq,
@@ -739,33 +676,17 @@ mod tests {
     }
 
     #[test]
-    fn stream_roundtrip_with_comments_and_blanks() {
-        let mut rng = SimRng::seed_from_u64(0xC0FF);
-        let stream: Vec<Observation> = (0..50).map(|_| random_observation(&mut rng)).collect();
-        let mut text = String::from("# header comment\n\n");
-        text.push_str(&encode_observations(&stream));
-        assert_eq!(decode_observations(&text).expect("decode"), stream);
-    }
-
-    #[test]
     fn injected_fault_roundtrip_randomized() {
         let mut rng = SimRng::seed_from_u64(0xFA17);
         for _ in 0..1000 {
             let fault = random_injected_fault(&mut rng);
             let text = encode_injected_fault(&fault);
-            assert_eq!(decode_injected_fault(&text).expect("decode"), fault);
-        }
-    }
-
-    #[test]
-    fn fault_kind_roundtrip_exhaustive() {
-        for kind in FaultKind::ALL {
+            let fields: Vec<&str> = text.split_whitespace().collect();
             assert_eq!(
-                decode_fault_kind(encode_fault_kind(kind)).expect("decode"),
-                kind
+                decode_injected_fault_fields(&fields, &text).expect("decode"),
+                fault
             );
         }
-        assert!(decode_fault_kind("bogus").is_err());
     }
 
     #[test]
@@ -895,16 +816,9 @@ mod tests {
             }),
             _ => FlightEvent::WatchAlert {
                 eid: EnclaveId(rng.next_u32() >> 8),
-                detector: ["fault_cusum", "entropy_cusum", "slo_burn", "epc_skew"]
-                    [rng.gen_range_usize(0..4)]
-                .to_owned(),
+                detector: "slo_burn".to_owned(),
                 window: rng.gen_range(0..10_000),
                 score_milli: rng.next_u64() >> 24,
-                vpn: if rng.gen_bool(0.5) {
-                    Some(Vpn(rng.next_u64() >> 12))
-                } else {
-                    None
-                },
                 why: random_why(rng),
             },
         }
@@ -970,6 +884,8 @@ mod tests {
             "ev 1 2 3 k inj 1 truncsnap -4",
             "ev 1 2 3 sup 4 restart",
             "ev 1 2 3 sup x restart wedged",
+            "ev 1 2 3 walert 1 slo_burn 4 5",
+            "ev 1 2 3 walert 1 slo_burn x 5 burn",
         ] {
             assert!(
                 decode_flight_record(bad).is_err(),

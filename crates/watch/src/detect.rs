@@ -1,195 +1,13 @@
-//! Online detector math in integer milli fixed-point.
+//! SLO burn-rate math in integer milli fixed-point.
 //!
-//! Every detector here operates on **milli-units** (`x_milli = x ×
-//! 1000`) with pure integer arithmetic — no floating point anywhere on
-//! the alerting path. That is the teeth behind the watchtower's
-//! determinism contract: alert logs and trace artifacts must be
-//! byte-identical across reruns, `--jobs` levels, and platforms, and
-//! integer math cannot pick up libm or rounding-mode skew. All updates
-//! saturate instead of wrapping, so a hostile counter (or a synthetic
-//! saturation test) degrades a score rather than corrupting state.
-
-/// One fixed-point unit: detector inputs and scores carry 1/1000ths.
-pub const MILLI: i64 = 1000;
-
-/// Exponentially-weighted moving average over milli-unit samples.
-///
-/// `m ← m + α·(x − m)` with `α` itself in milli-units. The state is
-/// unset until the first sample, so an empty stream has no mean to
-/// compare against (callers treat that as "still warming up").
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha_milli: i64,
-    mean_milli: Option<i64>,
-}
-
-impl Ewma {
-    /// Create an EWMA with smoothing factor `alpha_milli`/1000
-    /// (clamped to `0..=1000`).
-    pub fn new(alpha_milli: u64) -> Self {
-        Self {
-            alpha_milli: (alpha_milli as i64).clamp(0, MILLI),
-            mean_milli: None,
-        }
-    }
-
-    /// Current mean in milli-units; `None` before any sample.
-    pub fn mean_milli(&self) -> Option<i64> {
-        self.mean_milli
-    }
-
-    /// Absorb one milli-unit sample and return the updated mean.
-    pub fn update(&mut self, x_milli: i64) -> i64 {
-        let m = match self.mean_milli {
-            // First sample seeds the mean exactly (no bias toward 0).
-            None => x_milli,
-            Some(m) => {
-                let delta = x_milli.saturating_sub(m);
-                m.saturating_add(self.alpha_milli.saturating_mul(delta) / MILLI)
-            }
-        };
-        self.mean_milli = Some(m);
-        m
-    }
-
-    /// Forget all state (member restarted: the fresh incarnation must
-    /// not inherit the compromised one's baseline).
-    pub fn reset(&mut self) {
-        self.mean_milli = None;
-    }
-}
-
-/// Two-sided CUSUM change-point detector over milli-unit samples.
-///
-/// Classic tabular CUSUM against a reference mean `m` (supplied per
-/// sample, usually an [`Ewma`] of the same stream):
-///
-/// ```text
-/// s_hi ← max(0, s_hi + (x − m) − k)     upward shifts
-/// s_lo ← max(0, s_lo + (m − x) − k)     downward shifts
-/// ```
-///
-/// with slack `k` and decision threshold `h`, all in milli-units. The
-/// detector fires when either sum *strictly exceeds* `h` — a score of
-/// exactly `h` does not alert, which the boundary tests pin down.
-#[derive(Debug, Clone)]
-pub struct Cusum {
-    k_milli: i64,
-    h_milli: i64,
-    s_hi_milli: i64,
-    s_lo_milli: i64,
-    two_sided: bool,
-}
-
-impl Cusum {
-    /// One-sided (upward shifts only) CUSUM with slack `k` and
-    /// threshold `h`, both in milli-units.
-    pub fn upward(k_milli: u64, h_milli: u64) -> Self {
-        Self {
-            k_milli: k_milli as i64,
-            h_milli: h_milli as i64,
-            s_hi_milli: 0,
-            s_lo_milli: 0,
-            two_sided: false,
-        }
-    }
-
-    /// Two-sided CUSUM (fires on shifts in either direction).
-    pub fn two_sided(k_milli: u64, h_milli: u64) -> Self {
-        Self {
-            two_sided: true,
-            ..Self::upward(k_milli, h_milli)
-        }
-    }
-
-    /// Decision threshold in milli-units.
-    pub fn threshold_milli(&self) -> i64 {
-        self.h_milli
-    }
-
-    /// Current score: the larger cumulative sum, in milli-units.
-    pub fn score_milli(&self) -> i64 {
-        self.s_hi_milli.max(self.s_lo_milli)
-    }
-
-    /// Absorb one sample against reference mean `mean_milli`; returns
-    /// `true` when the score strictly exceeds the threshold.
-    pub fn update(&mut self, x_milli: i64, mean_milli: i64) -> bool {
-        let dev = x_milli.saturating_sub(mean_milli);
-        self.s_hi_milli = self
-            .s_hi_milli
-            .saturating_add(dev.saturating_sub(self.k_milli))
-            .max(0);
-        if self.two_sided {
-            self.s_lo_milli = self
-                .s_lo_milli
-                .saturating_add(dev.saturating_neg().saturating_sub(self.k_milli))
-                .max(0);
-        }
-        self.fired()
-    }
-
-    /// Whether the current score strictly exceeds the threshold.
-    pub fn fired(&self) -> bool {
-        self.score_milli() > self.h_milli
-    }
-
-    /// Zero both cumulative sums (after an alert or a member restart).
-    pub fn reset(&mut self) {
-        self.s_hi_milli = 0;
-        self.s_lo_milli = 0;
-    }
-}
-
-/// Integer `log2(v)` in milli-bits (`log2(v) × 1000`, rounded down).
-///
-/// Fixed-point square-and-extract: normalize `v` to `[1, 2)` in Q32,
-/// then square ten times, each squaring yielding one bit of the
-/// fraction — the textbook integer log algorithm. Deterministic on any
-/// platform because it never leaves `u64`/`u128`. `log2_milli(0) = 0`
-/// by convention (callers never pass 0 for a counted symbol).
-pub fn log2_milli(v: u64) -> u64 {
-    if v <= 1 {
-        return 0;
-    }
-    let int_part = 63 - v.leading_zeros() as u64;
-    // Normalize the mantissa to Q32 in [1, 2).
-    let mut frac: u128 = ((v as u128) << 32) >> int_part;
-    let mut frac_bits: u64 = 0;
-    for _ in 0..10 {
-        frac_bits <<= 1;
-        frac = (frac * frac) >> 32;
-        if frac >= 2u128 << 32 {
-            frac_bits |= 1;
-            frac >>= 1;
-        }
-    }
-    // frac_bits holds 10 fractional bits of log2; scale 1024ths → milli.
-    int_part * 1000 + frac_bits * 1000 / 1024
-}
-
-/// Shannon entropy of a count distribution, in milli-bits.
-///
-/// For counts `c_i` summing to `n`: `H = Σ (c_i/n)·log2(n/c_i)`,
-/// computed as `Σ c_i·(log2(n) − log2(c_i)) / n` entirely in integers.
-/// Empty input (or a single symbol) has zero entropy. Saturates rather
-/// than overflowing on absurd counts.
-pub fn entropy_milli_bits(counts: &[u64]) -> u64 {
-    let n: u64 = counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
-    if n == 0 {
-        return 0;
-    }
-    let log_n = log2_milli(n);
-    let mut acc: u128 = 0;
-    for &c in counts {
-        if c == 0 {
-            continue;
-        }
-        let term = log_n.saturating_sub(log2_milli(c));
-        acc = acc.saturating_add(c as u128 * term as u128);
-    }
-    u64::try_from(acc / n as u128).unwrap_or(u64::MAX)
-}
+//! The detector works in **milli-units** (`x_milli = x × 1000`) with
+//! pure integer arithmetic — no floating point anywhere on the alerting
+//! path. That is the teeth behind the watchtower's determinism
+//! contract: alert logs and trace artifacts must be byte-identical
+//! across reruns, `--jobs` levels, and platforms, and integer math
+//! cannot pick up libm or rounding-mode skew. The math saturates
+//! instead of wrapping, so a hostile counter degrades a score rather
+//! than corrupting state.
 
 /// SLO burn rate in milli-units.
 ///
@@ -206,196 +24,9 @@ pub fn burn_rate_milli(bad: u64, total: u64, error_budget_milli: u64) -> u64 {
     u64::try_from(bad_milli.saturating_mul(1000) / error_budget_milli as u128).unwrap_or(u64::MAX)
 }
 
-/// Cross-member EPC-pressure skew in milli-units.
-///
-/// Given each member's resident EPC frame count, returns
-/// `max_share / mean_share × 1000` — 1000 means perfectly balanced,
-/// 2000 means the hottest member holds twice its fair share. Returns
-/// `(skew_milli, index_of_max)`; `(0, 0)` when no member holds frames.
-pub fn epc_skew_milli(frames: &[u64]) -> (u64, usize) {
-    let n = frames.len() as u64;
-    let total: u64 = frames.iter().fold(0u64, |acc, &f| acc.saturating_add(f));
-    if n == 0 || total == 0 {
-        return (0, 0);
-    }
-    let (max_idx, max) = frames
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, f)| (*f, std::cmp::Reverse(i)))
-        .map(|(i, f)| (i, *f))
-        .unwrap_or((0, 0));
-    // max/mean = max·n/total.
-    let skew = (max as u128).saturating_mul(n as u128).saturating_mul(1000) / total as u128;
-    (u64::try_from(skew).unwrap_or(u64::MAX), max_idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // ---- EWMA ----
-
-    #[test]
-    fn ewma_empty_has_no_mean() {
-        let e = Ewma::new(200);
-        assert_eq!(e.mean_milli(), None, "no samples, no baseline");
-    }
-
-    #[test]
-    fn ewma_single_sample_seeds_exactly() {
-        let mut e = Ewma::new(200);
-        assert_eq!(e.update(5_000), 5_000);
-        assert_eq!(e.mean_milli(), Some(5_000));
-    }
-
-    #[test]
-    fn ewma_converges_toward_level() {
-        let mut e = Ewma::new(500);
-        e.update(0);
-        for _ in 0..30 {
-            e.update(10_000);
-        }
-        let m = e.mean_milli().unwrap();
-        assert!(m > 9_900, "converged near the level, got {m}");
-    }
-
-    #[test]
-    fn ewma_saturates_instead_of_wrapping() {
-        let mut e = Ewma::new(1000);
-        e.update(i64::MAX - 1);
-        e.update(i64::MAX - 1);
-        assert!(e.mean_milli().unwrap() > 0, "no wraparound to negative");
-    }
-
-    #[test]
-    fn ewma_reset_forgets() {
-        let mut e = Ewma::new(200);
-        e.update(42);
-        e.reset();
-        assert_eq!(e.mean_milli(), None);
-    }
-
-    // ---- CUSUM ----
-
-    #[test]
-    fn cusum_empty_window_score_is_zero() {
-        let c = Cusum::upward(500, 3_000);
-        assert_eq!(c.score_milli(), 0);
-        assert!(!c.fired());
-    }
-
-    #[test]
-    fn cusum_single_benign_sample_does_not_fire() {
-        let mut c = Cusum::upward(500, 3_000);
-        assert!(
-            !c.update(1_000, 1_000),
-            "on-mean sample accumulates nothing"
-        );
-        assert_eq!(c.score_milli(), 0);
-    }
-
-    #[test]
-    fn cusum_threshold_boundary_is_strict() {
-        // One sample that lands the score exactly on h: must NOT fire.
-        let mut c = Cusum::upward(0, 3_000);
-        assert!(!c.update(4_000, 1_000), "score == h is not an alert");
-        assert_eq!(c.score_milli(), 3_000);
-        // One more milli-unit strictly exceeds h: fires.
-        assert!(c.update(1, 0), "score > h fires");
-    }
-
-    #[test]
-    fn cusum_accumulates_persistent_shift() {
-        let mut c = Cusum::upward(500, 3_000);
-        let mut fired = false;
-        for _ in 0..4 {
-            fired = c.update(2_500, 1_000); // +1000 over slack per step
-        }
-        assert!(fired, "persistent +1.5 shift fires within 4 windows");
-    }
-
-    #[test]
-    fn cusum_decays_back_after_transient() {
-        let mut c = Cusum::upward(500, 10_000);
-        c.update(3_000, 1_000); // transient spike: s = 1500
-        for _ in 0..3 {
-            c.update(0, 1_000); // below mean: drains s
-        }
-        assert_eq!(c.score_milli(), 0, "one-off spike drains away");
-    }
-
-    #[test]
-    fn cusum_two_sided_catches_downward_shift() {
-        let mut c = Cusum::two_sided(200, 2_000);
-        let mut fired = false;
-        for _ in 0..4 {
-            fired = c.update(0, 1_000);
-        }
-        assert!(fired, "collapse to zero fires the low side");
-        let mut one_sided = Cusum::upward(200, 2_000);
-        for _ in 0..4 {
-            assert!(!one_sided.update(0, 1_000), "upward-only ignores it");
-        }
-    }
-
-    #[test]
-    fn cusum_saturation_does_not_wrap() {
-        let mut c = Cusum::upward(0, i64::MAX as u64);
-        c.update(i64::MAX - 1, 0);
-        c.update(i64::MAX - 1, 0);
-        assert!(c.score_milli() > 0, "saturating add, no wrap to negative");
-        c.reset();
-        assert_eq!(c.score_milli(), 0);
-    }
-
-    // ---- entropy ----
-
-    #[test]
-    fn log2_milli_anchors() {
-        assert_eq!(log2_milli(0), 0);
-        assert_eq!(log2_milli(1), 0);
-        assert_eq!(log2_milli(2), 1000);
-        assert_eq!(log2_milli(4), 2000);
-        assert_eq!(log2_milli(1024), 10_000);
-        // log2(3) = 1.58496...; 10-bit fraction lands within 2 milli.
-        let l3 = log2_milli(3);
-        assert!((1583..=1585).contains(&l3), "log2(3) ≈ 1.585, got {l3}");
-    }
-
-    #[test]
-    fn entropy_empty_and_single_symbol_are_zero() {
-        assert_eq!(entropy_milli_bits(&[]), 0);
-        assert_eq!(entropy_milli_bits(&[7]), 0, "one symbol carries no bits");
-    }
-
-    #[test]
-    fn entropy_uniform_distribution_is_log2_n() {
-        let h = entropy_milli_bits(&[5, 5, 5, 5]);
-        assert!(
-            (1995..=2000).contains(&h),
-            "uniform over 4 ≈ 2 bits, got {h}"
-        );
-        let h8 = entropy_milli_bits(&[1; 8]);
-        assert!(
-            (2993..=3000).contains(&h8),
-            "uniform over 8 ≈ 3 bits, got {h8}"
-        );
-    }
-
-    #[test]
-    fn entropy_skewed_is_below_uniform() {
-        let uniform = entropy_milli_bits(&[10, 10, 10, 10]);
-        let skewed = entropy_milli_bits(&[37, 1, 1, 1]);
-        assert!(skewed < uniform, "{skewed} < {uniform}");
-    }
-
-    #[test]
-    fn entropy_saturating_counts_do_not_panic() {
-        let h = entropy_milli_bits(&[u64::MAX / 2, u64::MAX / 2, 3]);
-        assert!(h <= 64_000, "entropy of any u64 distribution ≤ 64 bits");
-    }
-
-    // ---- SLO burn / EPC skew ----
 
     #[test]
     fn burn_rate_empty_window_is_zero() {
@@ -413,30 +44,5 @@ mod tests {
     #[test]
     fn burn_rate_saturates() {
         assert!(burn_rate_milli(u64::MAX, 1, 1) >= 1_000_000);
-    }
-
-    #[test]
-    fn epc_skew_balanced_is_1000() {
-        let (skew, _) = epc_skew_milli(&[8, 8, 8, 8]);
-        assert_eq!(skew, 1000);
-    }
-
-    #[test]
-    fn epc_skew_names_the_hog() {
-        let (skew, idx) = epc_skew_milli(&[4, 20, 4, 4]);
-        assert_eq!(idx, 1);
-        assert_eq!(skew, 2500, "20 frames of 32, 4 members: 2.5× fair share");
-    }
-
-    #[test]
-    fn epc_skew_empty_fleet_is_zero() {
-        assert_eq!(epc_skew_milli(&[]), (0, 0));
-        assert_eq!(epc_skew_milli(&[0, 0]), (0, 0));
-    }
-
-    #[test]
-    fn epc_skew_tie_prefers_first_member() {
-        let (_, idx) = epc_skew_milli(&[9, 9, 3]);
-        assert_eq!(idx, 0, "deterministic tie-break: lowest index");
     }
 }

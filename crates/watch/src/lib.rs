@@ -1,21 +1,11 @@
-//! Live fleet watchtower: deterministic streaming detectors over the
-//! telemetry/flight stream, causal alerts, and a unified Perfetto
-//! trace export.
+//! Live fleet watchtower: a deterministic streaming SLO-burn detector,
+//! causal alerts, and a unified Perfetto trace export.
 //!
-//! The watchtower consumes the same adversary-visible signals the
-//! untrusted host already sees — per-enclave fault counters, request
-//! latencies, EPC occupancy, and the causal flight ring — in
-//! epoch-sized windows, and runs online detectors over them:
-//!
-//! * **`fault_cusum`** — EWMA-baselined CUSUM on the per-enclave
-//!   fault rate (a `SpuriousEvict` storm shifts it upward long before
-//!   a watchdog budget runs dry);
-//! * **`entropy_cusum`** — two-sided CUSUM on the Shannon entropy of
-//!   fault page addresses (a single-page probe collapses entropy; a
-//!   scan inflates it);
-//! * **`slo_burn`** — error-budget burn rate against a p99 latency
-//!   budget;
-//! * **`epc_skew`** — cross-member EPC-pressure skew naming the hog.
+//! The watchtower consumes a signal the untrusted host already sees —
+//! each member's dispatch service times, handed over by the fleet
+//! supervisor — in epoch-sized windows, and judges every window by
+//! **`slo_burn`**: the error-budget burn rate against a p99 latency
+//! budget.
 //!
 //! Everything on the alerting path is integer milli fixed-point
 //! ([`detect`]), all timing is simulated cycles, and alert/trace
@@ -37,6 +27,6 @@ pub mod detect;
 pub mod tower;
 pub mod trace;
 
-pub use detect::{burn_rate_milli, entropy_milli_bits, epc_skew_milli, Cusum, Ewma, MILLI};
-pub use tower::{render_alert_log, Alert, WatchConfig, Watchtower};
+pub use detect::burn_rate_milli;
+pub use tower::{render_alert_log, Alert, Watchtower};
 pub use trace::export_trace;

@@ -325,7 +325,7 @@ fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 mod tests {
     use super::*;
     use autarky_os_sim::flight::FlightRecorder;
-    use autarky_sgx_sim::{AccessKind, Va, Vpn};
+    use autarky_sgx_sim::{AccessKind, Va};
     use autarky_telemetry::{SpanKind, SpanRecord};
 
     fn sample_records() -> Vec<FlightRecord> {
@@ -360,11 +360,10 @@ mod tests {
             250,
             FlightEvent::WatchAlert {
                 eid: EnclaveId(1),
-                detector: "fault_cusum".to_owned(),
+                detector: "slo_burn".to_owned(),
                 window: 3,
                 score_milli: 5000,
-                vpn: Some(Vpn(5)),
-                why: "rate shift".to_owned(),
+                why: "budget burn".to_owned(),
             },
         );
         rec.snapshot()
@@ -404,7 +403,7 @@ mod tests {
         assert_eq!(spans[0].dur, 50);
         let instants: Vec<_> = events.iter().filter(|e| e.ph == 'i').collect();
         assert_eq!(instants.len(), 3, "fault, supervisor, alert");
-        assert!(instants.iter().any(|e| e.name == "alert:fault_cusum"));
+        assert!(instants.iter().any(|e| e.name == "alert:slo_burn"));
         assert!(instants.iter().any(|e| e.name == "supervisor:restart"));
         let chains: Vec<_> = events
             .iter()
