@@ -285,8 +285,16 @@ fn determinism_outcome(
         ),
     ];
     let mut why = Vec::new();
-    if !verdict.log_identical {
-        why.push("log diverged".to_owned());
+    if let Some(div) = &verdict.divergence {
+        // One side holds a record at the index, or the logs would agree.
+        if let Some(r) = div.left.as_ref().or(div.right.as_ref()) {
+            why.push(format!(
+                "log diverged at record {} (seq {}: {})",
+                div.index,
+                r.seq,
+                r.event.describe()
+            ));
+        }
     }
     if !verdict.telemetry_identical {
         why.push("telemetry diverged".to_owned());
@@ -300,24 +308,20 @@ fn determinism_outcome(
     if !verdict.decisions_resolved {
         why.push("unresolved decision chain".to_owned());
     }
-    if let Some(div) = &verdict.divergence {
-        why.push(format!("first divergence at log line {}", div.index + 1));
-    }
     let mut failures = Vec::new();
     if !why.is_empty() {
         failures.push(format!("not deterministic: {}", why.join("; ")));
         let schedule = &verdict.schedule;
         let mut report = format!(
-            "# {title}: {}/{}\n\nSchedule:\n\n```\n{}```\n\n",
+            "# {title}: {}/{}\n\nSchedule:\n\n```\n{schedule:?}\n```\n\n",
             schedule.policy.name(),
             schedule.workload.name(),
-            schedule.to_text()
         );
         if let Some(div) = &verdict.divergence {
             report.push_str(&render_divergence(
                 div,
-                &verdict.record.log_text,
-                &verdict.replay.log_text,
+                &verdict.record.records,
+                &verdict.replay.records,
             ));
             report.push('\n');
         }
@@ -492,7 +496,6 @@ fn run_fleet(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
         members,
         queue_cap: 256,
         watchdog_cycles: 50_000_000,
-        restart_budget_cycles: FLEET_RESTART_BUDGET_CYCLES,
         max_watchdog_strikes: 1,
         max_restarts: 3,
         snapshot_every: 32,
@@ -792,7 +795,6 @@ fn watch_scenario(
         members,
         queue_cap: 64,
         watchdog_cycles: 2_000_000,
-        restart_budget_cycles: 500_000_000,
         max_watchdog_strikes: WATCH_WATCHDOG_STRIKES,
         max_restarts: 3,
         snapshot_every: 32,
@@ -1139,6 +1141,53 @@ mod tests {
         assert!(
             artifacts.is_empty(),
             "forensics are written on failure only"
+        );
+    }
+
+    #[test]
+    fn a_diverging_replay_fails_and_its_forensics_show_both_records() {
+        let schedule = Schedule::ci_matrix()[0].clone();
+        let record = autarky_flightrec::record_run(&schedule);
+        let mut replay = record.clone();
+        let index = replay
+            .records
+            .iter()
+            .position(|r| matches!(r.event, FlightEvent::DecisionClusterFetch { .. }))
+            .expect("the clusters/spell run fetches a cluster");
+        if let FlightEvent::DecisionClusterFetch { pages, .. } = &mut replay.records[index].event {
+            pages[0].0 += 1 << 20;
+        }
+        // The one-line description prints only the set's size.
+        let (original, changed) = (&record.records[index], &replay.records[index]);
+        assert_eq!(original.event.describe(), changed.event.describe());
+        let (original, changed) = (format!("{original:?}"), format!("{changed:?}"));
+        let verdict = ReplayVerdict {
+            schedule: schedule.clone(),
+            telemetry_identical: true,
+            outcome_identical: true,
+            decisions_resolved: true,
+            divergence: autarky_flightrec::first_divergence(&record.records, &replay.records),
+            record,
+            replay,
+        };
+        let mut artifacts = Artifacts::new();
+        let out = determinism_outcome("Replay determinism failure", &verdict, &mut artifacts);
+        assert_eq!(out.gate, GateOutcome::Fail);
+        assert!(
+            out.reason
+                .contains(&format!("log diverged at record {index} ")),
+            "{}",
+            out.reason
+        );
+        assert_eq!(artifact_names(&artifacts), ["forensics.md"]);
+        let forensics = &artifacts[0].1;
+        for shown in [format!("{schedule:?}"), original, changed] {
+            assert!(forensics.contains(&shown), "{shown} missing:\n{forensics}");
+        }
+        assert_eq!(
+            forensics.matches("Diverging correlation chain").count(),
+            2,
+            "{forensics}"
         );
     }
 

@@ -1,8 +1,7 @@
 //! A minimal TOML-subset parser for campaign configs.
 //!
-//! The offline build carries no serde/toml dependency, so — like the
-//! `os-sim::wire` codec — this is a hand-rolled reader of exactly the
-//! grammar the shipped configs use:
+//! The offline build carries no serde/toml dependency, so this is a
+//! hand-rolled reader of exactly the grammar the shipped configs use:
 //!
 //! * `# comment` lines and trailing comments outside strings;
 //! * `[table]` headers and `[[array-of-tables]]` headers;

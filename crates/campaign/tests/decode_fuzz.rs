@@ -1,8 +1,7 @@
 //! Seeded mutation fuzzing of every decoder that reads bytes from
 //! outside its trust domain: the runtime checkpoint, the enclave
-//! capture, the telemetry snapshot, the wire flight log (kernel
-//! observations included) and fault-plan line, the campaign TOML
-//! configs, the campaign journal line and the profile JSON.
+//! capture, the telemetry snapshot, the campaign TOML configs, the
+//! campaign journal line and the profile JSON.
 //!
 //! Each decoder's seed is its own encoder's output from a small
 //! exercised run. Mutants are the seed with one to three of: a bit flip,
@@ -22,9 +21,6 @@ use std::path::Path;
 
 use autarky_campaign::cell::decode_line;
 use autarky_campaign::{CampaignConfig, CellOutcome};
-use autarky_os_sim::wire::{
-    decode_fault_plan, decode_flight_log, encode_fault_plan, encode_flight_log,
-};
 use autarky_os_sim::{EnclaveImage, FaultPlan, Os};
 use autarky_prng::SimRng;
 use autarky_profile::{collect, CollectSpec, CycleProfile};
@@ -85,8 +81,8 @@ fn journal_sum(body: &str) -> String {
 
 /// A small exercised run: SGXv2 self-paging under a page budget and a
 /// rate limit, a cluster, an eviction and fault-back, a freed allocation,
-/// and a delay-injecting fault plan with the flight recorder armed.
-fn exercised_run() -> (Os, Runtime, FaultPlan) {
+/// and a delay-injecting fault plan.
+fn exercised_run() -> (Os, Runtime) {
     let mut os = Os::new(MachineConfig {
         epc_frames: 512,
         ..Default::default()
@@ -98,14 +94,12 @@ fn exercised_run() -> (Os, Runtime, FaultPlan) {
     img.stack_pages = 1;
     img.heap_pages = 8;
     let eid = os.load_enclave(&img).expect("load");
-    os.arm_flight_recorder(1 << 12);
-    let plan = FaultPlan {
+    os.arm_fault_plan(FaultPlan {
         delay: 0.5,
         delay_cycles: 1_000,
         max_injections: Some(16),
         ..FaultPlan::quiescent(7)
-    };
-    os.arm_fault_plan(plan.clone());
+    });
     let mut rt = Runtime::attach(
         &mut os,
         eid,
@@ -138,17 +132,12 @@ fn exercised_run() -> (Os, Runtime, FaultPlan) {
     let va = rt.malloc(&mut os, 2 * PAGE_SIZE).expect("malloc");
     rt.free(va, 2 * PAGE_SIZE);
     rt.progress(5);
-    (os, rt, plan)
+    (os, rt)
 }
 
 fn targets() -> Vec<Target> {
-    let (mut os, rt, plan) = exercised_run();
+    let (os, rt) = exercised_run();
     let capture = os.machine.capture_enclave(rt.eid).expect("capture");
-    let flight_log = encode_flight_log(&os.flight_snapshot());
-    assert!(
-        flight_log.contains(" k inj "),
-        "the seed flight log holds an injected fault"
-    );
     let mut out = vec![
         binary(
             "runtime checkpoint",
@@ -172,12 +161,6 @@ fn targets() -> Vec<Target> {
                 t.restore_state(b).ok().map(|()| t.snapshot_bytes())
             }),
         ),
-        text("flight log", flight_log, |s| {
-            decode_flight_log(s).ok().map(|log| encode_flight_log(&log))
-        }),
-        text("fault plan", encode_fault_plan(&plan), |s| {
-            decode_fault_plan(s).ok().map(|p| encode_fault_plan(&p))
-        }),
     ];
 
     // The config format has no encoder: its seeds only have to parse.
@@ -328,7 +311,7 @@ fn no_decoder_panics_on_mutated_input() {
 }
 
 #[test]
-#[ignore = "the long run: about 3 min in release"]
+#[ignore = "the long run: about 2 min in release"]
 fn no_decoder_panics_on_a_million_mutated_inputs() {
     fuzz(LONG_INPUTS);
 }

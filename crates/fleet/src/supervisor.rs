@@ -151,8 +151,10 @@ pub struct StagedCrash {
 }
 
 /// Cycles charged to the shared clock per snapshot restart (models
-/// teardown, reload, and sealed-blob decryption; makes the restart
-/// budget a real constraint rather than a free host-side action).
+/// teardown, reload, and sealed-blob decryption, so a restart is not a
+/// free host-side action: it counts toward the member's
+/// `max_recovery_cycles`, which the campaign's fleet gate holds to its
+/// restart budget).
 const RESTART_COST_CYCLES: u64 = 5_000_000;
 /// Retry ladder depth before quarantine.
 const MAX_RETRIES: u32 = 3;
@@ -171,9 +173,6 @@ pub struct FleetConfig {
     /// Per-request watchdog budget in simulated cycles; a slower
     /// request is a health strike.
     pub watchdog_cycles: u64,
-    /// Detection-to-restored budget in simulated cycles for the
-    /// snapshot-restart path.
-    pub restart_budget_cycles: u64,
     /// Watchdog strikes tolerated before a restart.
     pub max_watchdog_strikes: u32,
     /// Snapshot restarts tolerated before permanent eviction.
@@ -206,7 +205,6 @@ impl Default for FleetConfig {
             members: Vec::new(),
             queue_cap: 64,
             watchdog_cycles: 50_000_000,
-            restart_budget_cycles: 100_000_000,
             max_watchdog_strikes: 2,
             max_restarts: 3,
             snapshot_every: 64,
@@ -518,17 +516,13 @@ impl Fleet {
         self.os().machine.clock.now()
     }
 
-    fn flight_supervisor(&mut self, eid: EnclaveId, action: &str, why: String) {
+    fn flight_supervisor(&mut self, eid: EnclaveId, action: &'static str, why: String) {
         let os = self.os_mut();
         if !os.flight_armed() {
             return;
         }
         let opened = os.flight_begin_chain_if_idle();
-        os.flight_record(FlightEvent::Supervisor {
-            eid,
-            action: action.to_owned(),
-            why,
-        });
+        os.flight_record(FlightEvent::Supervisor { eid, action, why });
         if opened {
             os.flight_end_chain();
         }
@@ -801,7 +795,7 @@ impl Fleet {
         Ok(())
     }
 
-    /// Quarantine → restart → eviction, depending on restart budget.
+    /// Quarantine → restart → eviction, depending on `max_restarts`.
     fn escalate(&mut self, index: usize, why: &str) -> Result<(), FleetError> {
         if self.members[index].stats.first_failover_cycles == 0 {
             self.members[index].stats.first_failover_cycles = self.now();

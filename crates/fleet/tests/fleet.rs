@@ -35,7 +35,6 @@ fn fleet_cfg(members: Vec<MemberConfig>) -> FleetConfig {
         members,
         queue_cap: 256,
         watchdog_cycles: 20_000_000,
-        restart_budget_cycles: 500_000_000,
         // One egregious overrun is enough: injected stalls can land
         // multiple syscall delays inside a single request, so a strike
         // threshold > 1 could let a wedge hide inside one serve call.
@@ -165,7 +164,7 @@ fn staged_corruption_restarts_victim_byte_identically() {
             eid: e,
             action,
             why,
-        } if *e == eid && action == "restart" => Some(why.clone()),
+        } if *e == eid && *action == "restart" => Some(why.clone()),
         _ => None,
     });
     let why = restart.expect("supervisor restart event recorded");
@@ -201,7 +200,7 @@ fn attack_detected_member_fails_over() {
         records.iter().any(|r| matches!(
             &r.event,
             FlightEvent::Supervisor { eid: e, action, why }
-                if *e == eid && action == "quarantine" && why.contains("attack detected")
+                if *e == eid && *action == "quarantine" && why.contains("attack detected")
         )),
         "quarantine event records the attack-detected cause"
     );

@@ -1,150 +1,159 @@
-//! Trace-diff: find and explain the first causal divergence between two
-//! wire-encoded flight logs.
+//! Trace-diff: find and explain the first divergence between two flight
+//! logs.
 //!
-//! The comparison is textual (the wire encoding *is* the determinism
-//! surface), but the report is causal: when the diverging line decodes
-//! to a flight record, the report resolves its correlation chain on both
-//! sides so the reader sees which provocation → decision sequence split,
-//! not just which byte differed.
+//! The comparison is on the typed records (every event, cycle stamp and
+//! correlation id), and the report is causal: it prints both diverging
+//! records in full and resolves their correlation chains on both sides,
+//! so the reader sees which provocation → decision sequence split, not
+//! just which record differed.
 
-use autarky_os_sim::flight::{chain_records, CORR_NONE};
-use autarky_os_sim::wire::decode_flight_record;
+use autarky_os_sim::flight::{chain_records, timeline_table};
 use autarky_os_sim::FlightRecord;
 
+/// Records of context shown on each side of the diverging one.
+const CONTEXT: usize = 3;
+
 /// The first point where two flight logs disagree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
-    /// Zero-based line index of the first differing line.
+    /// Zero-based index of the first differing record.
     pub index: usize,
-    /// That line in the left log (`None` when the left log ended).
-    pub left: Option<String>,
-    /// That line in the right log (`None` when the right log ended).
-    pub right: Option<String>,
+    /// That record in the left log (`None` when the left log ended).
+    pub left: Option<FlightRecord>,
+    /// That record in the right log (`None` when the right log ended).
+    pub right: Option<FlightRecord>,
 }
 
-/// First line where the two logs differ; `None` when byte-identical.
-pub fn first_divergence(left: &str, right: &str) -> Option<Divergence> {
-    let mut a = left.lines();
-    let mut b = right.lines();
-    let mut index = 0;
-    loop {
-        match (a.next(), b.next()) {
-            (None, None) => return None,
-            (l, r) if l == r => index += 1,
-            (l, r) => {
-                return Some(Divergence {
-                    index,
-                    left: l.map(str::to_owned),
-                    right: r.map(str::to_owned),
-                })
-            }
-        }
+/// First record where the two logs differ; `None` when they are equal.
+pub fn first_divergence(left: &[FlightRecord], right: &[FlightRecord]) -> Option<Divergence> {
+    let index = left.iter().zip(right).take_while(|(l, r)| l == r).count();
+    if index == left.len() && index == right.len() {
+        return None;
     }
+    Some(Divergence {
+        index,
+        left: left.get(index).cloned(),
+        right: right.get(index).cloned(),
+    })
 }
 
-/// Render a markdown report for a divergence: the differing lines with
-/// surrounding context, plus the diverging correlation chains resolved
-/// on both sides.
-pub fn render_divergence(div: &Divergence, left: &str, right: &str) -> String {
-    let mut out = String::from("# Flight-log divergence\n\n");
-    out.push_str(&format!(
-        "First divergence at line {} (0-based).\n\n",
+/// Render a markdown report for a divergence: on each side, the
+/// diverging record in full, its neighbours as timeline rows, and its
+/// correlation chain.
+pub fn render_divergence(
+    div: &Divergence,
+    left: &[FlightRecord],
+    right: &[FlightRecord],
+) -> String {
+    let mut out = format!(
+        "# Flight-log divergence\n\nFirst divergence at record {} (0-based).\n\n",
         div.index
-    ));
-    for (name, line, text) in [
+    );
+    for (name, record, log) in [
         ("recording", &div.left, left),
         ("replay", &div.right, right),
     ] {
         out.push_str(&format!("## {name}\n\n"));
-        match line {
-            Some(l) => out.push_str(&format!("Diverging line:\n\n```\n{l}\n```\n\n")),
-            None => out.push_str("Log ended before this line.\n\n"),
+        match record {
+            Some(r) => out.push_str(&format!("Diverging record:\n\n```\n{r:?}\n```\n\n")),
+            None => out.push_str("Log ended before this record.\n\n"),
         }
-        out.push_str("Context:\n\n```\n");
-        let lines: Vec<&str> = text.lines().collect();
-        let lo = div.index.saturating_sub(3);
-        let hi = (div.index + 4).min(lines.len());
-        for (i, l) in lines.iter().enumerate().take(hi).skip(lo) {
-            let marker = if i == div.index { ">" } else { " " };
-            out.push_str(&format!("{marker} {i:>5} {l}\n"));
-        }
-        out.push_str("```\n\n");
-        if let Some(chain) = diverging_chain(line.as_deref(), text) {
-            out.push_str("Diverging correlation chain:\n\n");
-            for r in chain {
-                out.push_str(&format!(
-                    "- seq {} corr {} [{}] {}\n",
-                    r.seq,
-                    r.corr,
-                    r.event.domain(),
-                    r.event.describe()
-                ));
-            }
-            out.push('\n');
+        let lo = div.index.saturating_sub(CONTEXT);
+        let hi = (div.index + CONTEXT + 1).min(log.len());
+        let context = log.get(lo..hi).unwrap_or_default();
+        out.push_str(&format!("Context:\n\n{}\n", timeline_table(context)));
+        let chain = record
+            .as_ref()
+            .map_or_else(Vec::new, |r| chain_records(log, r.corr));
+        if !chain.is_empty() {
+            out.push_str(&format!(
+                "Diverging correlation chain:\n\n{}\n",
+                timeline_table(chain)
+            ));
         }
     }
     out
 }
 
-/// Decode the full log and the diverging line; when both succeed and the
-/// line carries a correlation id, return that chain's records.
-fn diverging_chain(line: Option<&str>, text: &str) -> Option<Vec<FlightRecord>> {
-    let record = decode_flight_record(line?).ok()?;
-    if record.corr == CORR_NONE {
-        return None;
-    }
-    let records: Vec<FlightRecord> = text
-        .lines()
-        .filter_map(|l| decode_flight_record(l).ok())
-        .collect();
-    let chain: Vec<FlightRecord> = chain_records(&records, record.corr)
-        .into_iter()
-        .cloned()
-        .collect();
-    if chain.is_empty() {
-        None
-    } else {
-        Some(chain)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autarky_os_sim::FlightEvent;
+    use autarky_sgx_sim::{EnclaveId, Vpn};
+
+    fn record(seq: u64, corr: u64, event: FlightEvent) -> FlightRecord {
+        FlightRecord {
+            seq,
+            cycles: 10 * (seq + 1),
+            corr,
+            event,
+        }
+    }
+
+    fn forward(seq: u64, vpn: u64) -> FlightRecord {
+        record(seq, 1, FlightEvent::DecisionForward { vpn: Vpn(vpn) })
+    }
 
     #[test]
     fn identical_logs_have_no_divergence() {
-        let log = "ev 0 10 0 rlkill\nev 1 20 1 fwd 5\n";
-        assert_eq!(first_divergence(log, log), None);
+        let log = [record(0, 0, FlightEvent::RateLimitKill), forward(1, 5)];
+        assert_eq!(first_divergence(&log, &log), None);
     }
 
     #[test]
     fn first_differing_line_is_reported() {
-        let a = "ev 0 10 0 rlkill\nev 1 20 1 fwd 5\nev 2 30 1 fwd 6\n";
-        let b = "ev 0 10 0 rlkill\nev 1 20 1 fwd 7\nev 2 30 1 fwd 6\n";
-        let div = first_divergence(a, b).expect("diverges");
+        let a = [
+            record(0, 0, FlightEvent::RateLimitKill),
+            forward(1, 5),
+            forward(2, 6),
+        ];
+        let mut b = a.clone();
+        b[1] = forward(1, 7);
+        let div = first_divergence(&a, &b).expect("diverges");
         assert_eq!(div.index, 1);
-        assert_eq!(div.left.as_deref(), Some("ev 1 20 1 fwd 5"));
-        assert_eq!(div.right.as_deref(), Some("ev 1 20 1 fwd 7"));
+        assert_eq!(div.left, Some(a[1].clone()));
+        assert_eq!(div.right, Some(b[1].clone()));
     }
 
     #[test]
     fn truncation_is_a_divergence() {
-        let a = "ev 0 10 0 rlkill\nev 1 20 1 fwd 5\n";
-        let b = "ev 0 10 0 rlkill\n";
-        let div = first_divergence(a, b).expect("diverges");
+        let a = [record(0, 0, FlightEvent::RateLimitKill), forward(1, 5)];
+        let div = first_divergence(&a, &a[..1]).expect("diverges");
         assert_eq!(div.index, 1);
         assert!(div.right.is_none());
+        let report = render_divergence(&div, &a, &a[..1]);
+        assert!(report.contains("Log ended before this record."), "{report}");
     }
 
     #[test]
     fn report_resolves_the_diverging_chain() {
-        let a = "ev 0 10 1 he 1 5\nev 1 20 1 fwd 5\n";
-        let b = "ev 0 10 1 he 1 5\nev 1 20 1 fwd 9\n";
-        let div = first_divergence(a, b).expect("diverges");
-        let report = render_divergence(&div, a, b);
+        let entry = record(
+            0,
+            1,
+            FlightEvent::HandlerEntry {
+                eid: EnclaveId(1),
+                vpn: Vpn(5),
+            },
+        );
+        // Only one page of the fetch set differs, which the one-line
+        // description (`set={2 pages}`) does not show.
+        let fetch = |pages| {
+            record(
+                1,
+                1,
+                FlightEvent::DecisionClusterFetch { vpn: Vpn(5), pages },
+            )
+        };
+        let a = [entry.clone(), fetch(vec![Vpn(5), Vpn(6)])];
+        let b = [entry, fetch(vec![Vpn(5), Vpn(77)])];
+        assert_eq!(a[1].event.describe(), b[1].event.describe());
+        let div = first_divergence(&a, &b).expect("diverges");
+        assert_eq!(div.index, 1);
+        let report = render_divergence(&div, &a, &b);
         assert!(report.contains("# Flight-log divergence"));
         assert!(report.contains("Diverging correlation chain"));
         assert!(report.contains("handler entry"), "{report}");
+        assert!(report.contains("[Vpn(5), Vpn(6)]"), "{report}");
+        assert!(report.contains("[Vpn(5), Vpn(77)]"), "{report}");
     }
 }

@@ -7,17 +7,19 @@
 //!
 //! * [`schedule`] — a recorded schedule: the `(policy, workload, secret,
 //!   seed, fault plan)` coordinates that fully determine a simulated
-//!   run, serialized in the hand-rolled `os-sim::wire` grammar so a
-//!   failed CI run can be re-driven locally from a few text lines;
+//!   run, printed in full in a failed cell's forensics so the run can be
+//!   re-driven locally;
 //! * [`replay`] — the replay engine: re-run a schedule from scratch and
-//!   assert the flight log and the export plaintext (telemetry snapshot
-//!   plus the runtime's counters) are *bit-identical* to the recording. The recorder's own observer effect (cycles charged
-//!   per record) is part of the replayed state, so a run that records is
-//!   compared against a replay that records — never against a silent run;
-//! * [`diff`] — the trace-diff: the first line where two flight logs
-//!   diverge, with the diverging correlation chains resolved on both
-//!   sides so the report names the *causal* split, not just the textual
-//!   one.
+//!   assert the flight records equal the recording's and the export
+//!   plaintext (telemetry snapshot plus the runtime's counters) is
+//!   *bit-identical* to it. The recorder's own observer effect (cycles
+//!   charged per record) is part of the replayed state, so a run that
+//!   records is compared against a replay that records — never against a
+//!   silent run;
+//! * [`diff`] — the trace-diff: the first record where two flight logs
+//!   diverge, printed in full on both sides with its correlation chain
+//!   resolved, so the report names the *causal* split, not just the
+//!   differing record.
 //!
 //! [`victim`] is the program a schedule runs: the four secret-pair
 //! victims, their world builder, and the failover cycle. The leakage

@@ -2,8 +2,8 @@
 //! world with the flight recorder armed, then drive it *again* and
 //! require the two runs to be indistinguishable artifacts.
 //!
-//! Determinism here is end-to-end: the comparison is on the wire-encoded
-//! flight log (every event, cycle stamp, and correlation id) and on the
+//! Determinism here is end-to-end: the comparison is on the typed flight
+//! records (every event, cycle stamp, and correlation id) and on the
 //! fixed-size telemetry aggregate snapshot. The recorder's observer
 //! effect — `RECORD_COST_CYCLES` charged per record under
 //! `CostTag::Recorder` — is identical in both runs because both arm the
@@ -11,7 +11,6 @@
 //! silent one.
 
 use autarky_os_sim::flight::decisions_resolved;
-use autarky_os_sim::wire::encode_flight_log;
 use autarky_os_sim::FlightRecord;
 use autarky_runtime::RtError;
 use autarky_workloads::{EncHeap, World};
@@ -32,10 +31,8 @@ const BUDGET_PAGES: usize = 32;
 /// Everything one recorded run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArtifacts {
-    /// The decoded flight log.
+    /// The flight log.
     pub records: Vec<FlightRecord>,
-    /// The same log, wire-encoded (the comparison surface).
-    pub log_text: String,
     /// The fixed-size export plaintext: telemetry aggregates plus the
     /// runtime's counters ([`autarky_runtime::Runtime::export_plaintext`]).
     pub telemetry_snapshot: Vec<u8>,
@@ -50,8 +47,6 @@ pub struct RunArtifacts {
 pub struct ReplayVerdict {
     /// The schedule that was run twice.
     pub schedule: Schedule,
-    /// Whether the wire-encoded flight logs were byte-identical.
-    pub log_identical: bool,
     /// Whether the export plaintexts were byte-identical.
     pub telemetry_identical: bool,
     /// Whether both runs ended the same way.
@@ -59,7 +54,8 @@ pub struct ReplayVerdict {
     /// Whether every runtime decision in the last 50 recorded events
     /// resolves to its provoking chain root.
     pub decisions_resolved: bool,
-    /// First causal divergence between the two logs, when any.
+    /// First record where the two flight logs differ; `None` when they
+    /// are identical.
     pub divergence: Option<Divergence>,
     /// The recording.
     pub record: RunArtifacts,
@@ -68,10 +64,11 @@ pub struct ReplayVerdict {
 }
 
 impl ReplayVerdict {
-    /// The determinism gate: bit-identical artifacts and a fully
-    /// resolved decision window.
+    /// The determinism gate: identical flight records, bit-identical
+    /// export plaintexts, equal outcomes and a fully resolved decision
+    /// window.
     pub fn deterministic(&self) -> bool {
-        self.log_identical
+        self.divergence.is_none()
             && self.telemetry_identical
             && self.outcome_identical
             && self.decisions_resolved
@@ -114,14 +111,11 @@ fn record_run_inner(schedule: &Schedule, capacity: usize, restore_midway: bool) 
         .os
         .disarm_flight_recorder()
         .expect("recorder was armed for the whole run");
-    let records = recorder.snapshot();
-    let log_text = encode_flight_log(&records);
     RunArtifacts {
-        log_text,
+        records: recorder.snapshot(),
         telemetry_snapshot: world.rt.export_plaintext(),
         outcome,
         dropped: recorder.dropped(),
-        records,
     }
 }
 
@@ -142,14 +136,12 @@ pub fn verify_restore_replay(schedule: &Schedule) -> ReplayVerdict {
 }
 
 fn compare_runs(schedule: &Schedule, record: RunArtifacts, replay: RunArtifacts) -> ReplayVerdict {
-    let divergence = first_divergence(&record.log_text, &replay.log_text);
     ReplayVerdict {
         schedule: schedule.clone(),
-        log_identical: record.log_text == replay.log_text,
+        divergence: first_divergence(&record.records, &replay.records),
         telemetry_identical: record.telemetry_snapshot == replay.telemetry_snapshot,
         outcome_identical: record.outcome == replay.outcome,
         decisions_resolved: decisions_resolved(&record.records, 50),
-        divergence,
         record,
         replay,
     }

@@ -3,17 +3,11 @@
 //! A schedule is everything the replay engine needs to re-drive os-sim
 //! and the runtime into the exact same sequence of decisions: the paging
 //! policy, the workload, the secret class, the build seed, and (when the
-//! run was adversarial) the injected fault plan. It serializes to a few
-//! text lines in the `os-sim::wire` idiom — line-oriented, serde-free,
-//! exactly round-trippable:
-//!
-//! ```text
-//! # autarky flightrec schedule v1
-//! run policy=clusters workload=spell secret=0 seed=1
-//! plan seed=9 nomem=0000000000000000 ...        (optional)
-//! ```
+//! run was adversarial) the injected fault plan. A failing cell's
+//! forensics prints it in its `Debug` form, which names every field (each
+//! fault-plan rate in Rust's shortest round-trip `f64` form), so the
+//! report holds all it takes to rebuild the run.
 
-use autarky_os_sim::wire::{decode_fault_plan, encode_fault_plan, WireError};
 use autarky_os_sim::FaultPlan;
 
 use crate::victim::Victim;
@@ -39,7 +33,7 @@ impl SchedulePolicy {
         SchedulePolicy::CachedOram,
     ];
 
-    /// Stable wire tag.
+    /// Stable name: the value of a campaign cell's `policy` axis.
     pub fn name(self) -> &'static str {
         match self {
             SchedulePolicy::Clusters => "clusters",
@@ -48,8 +42,8 @@ impl SchedulePolicy {
         }
     }
 
-    /// Resolve a wire tag back to a policy (external matrix drivers
-    /// name cells by these tags).
+    /// Resolve a [`SchedulePolicy::name`] back to a policy (campaign
+    /// cells name their policy by it).
     pub fn from_name(tag: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|p| p.name() == tag)
     }
@@ -106,130 +100,5 @@ impl Schedule {
             }
         }
         out
-    }
-
-    /// Serialize in the wire grammar (round-trips via [`Schedule::from_text`]).
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("# autarky flightrec schedule v1\n");
-        out.push_str(&format!(
-            "run policy={} workload={} secret={} seed={}\n",
-            self.policy.name(),
-            self.workload.name(),
-            self.secret,
-            self.seed
-        ));
-        if let Some(plan) = &self.fault_plan {
-            out.push_str(&encode_fault_plan(plan));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse a schedule produced by [`Schedule::to_text`]. Comments and
-    /// blank lines are skipped, matching the rest of the wire grammar.
-    pub fn from_text(text: &str) -> Result<Schedule, WireError> {
-        let mut run: Option<Schedule> = None;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("run ") {
-                run = Some(parse_run_line(rest, line)?);
-            } else if line.starts_with("plan ") {
-                let schedule = run.as_mut().ok_or(WireError {
-                    what: "plan before run line",
-                    line: line.to_owned(),
-                })?;
-                schedule.fault_plan = Some(decode_fault_plan(line)?);
-            } else {
-                return Err(WireError {
-                    what: "schedule line",
-                    line: line.to_owned(),
-                });
-            }
-        }
-        run.ok_or(WireError {
-            what: "missing run line",
-            line: text.lines().next().unwrap_or("").to_owned(),
-        })
-    }
-}
-
-fn parse_run_line(rest: &str, line: &str) -> Result<Schedule, WireError> {
-    let mut policy = None;
-    let mut workload = None;
-    let mut secret = None;
-    let mut seed = None;
-    for field in rest.split_whitespace() {
-        let (key, value) = field.split_once('=').ok_or(WireError {
-            what: "key=value",
-            line: line.to_owned(),
-        })?;
-        let bad = |what| WireError {
-            what,
-            line: line.to_owned(),
-        };
-        match key {
-            "policy" => {
-                policy = Some(SchedulePolicy::from_name(value).ok_or(bad("policy tag"))?);
-            }
-            "workload" => {
-                workload = Some(Victim::from_name(value).ok_or(bad("workload tag"))?);
-            }
-            "secret" => secret = Some(value.parse().map_err(|_| bad("secret"))?),
-            "seed" => seed = Some(value.parse().map_err(|_| bad("seed"))?),
-            _ => return Err(bad("run key")),
-        }
-    }
-    let missing = |what| WireError {
-        what,
-        line: line.to_owned(),
-    };
-    Ok(Schedule {
-        policy: policy.ok_or(missing("missing policy"))?,
-        workload: workload.ok_or(missing("missing workload"))?,
-        secret: secret.ok_or(missing("missing secret"))?,
-        seed: seed.ok_or(missing("missing seed"))?,
-        fault_plan: None,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_without_plan() {
-        for schedule in Schedule::ci_matrix() {
-            let text = schedule.to_text();
-            assert_eq!(Schedule::from_text(&text).expect("parses"), schedule);
-        }
-    }
-
-    #[test]
-    fn roundtrip_with_plan() {
-        let schedule = Schedule {
-            fault_plan: Some(FaultPlan {
-                spurious_evict: 1.0,
-                ..FaultPlan::transient_only(9, 0.125)
-            }),
-            ..Schedule::quiet(SchedulePolicy::Clusters, Victim::Kvstore, 1, 7)
-        };
-        let text = schedule.to_text();
-        assert_eq!(Schedule::from_text(&text).expect("parses"), schedule);
-    }
-
-    #[test]
-    fn malformed_schedules_are_rejected() {
-        for bad in [
-            "",
-            "run policy=clusters workload=spell secret=0",
-            "run policy=nope workload=spell secret=0 seed=1",
-            "plan seed=1\nrun policy=clusters workload=spell secret=0 seed=1",
-            "run policy=clusters workload=spell secret=0 seed=1\nwhat is this",
-        ] {
-            assert!(Schedule::from_text(bad).is_err(), "{bad:?}");
-        }
     }
 }

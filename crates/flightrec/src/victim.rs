@@ -52,7 +52,8 @@ impl Victim {
     /// Every victim, in report order.
     pub const ALL: [Victim; 4] = [Victim::Jpeg, Victim::Font, Victim::Spell, Victim::Kvstore];
 
-    /// Stable wire tag.
+    /// Stable name: the value of a campaign cell's `workload` axis and
+    /// the leakage report's row label.
     pub fn name(self) -> &'static str {
         match self {
             Victim::Jpeg => "jpeg",
@@ -62,7 +63,7 @@ impl Victim {
         }
     }
 
-    /// Resolve a wire tag back to a victim.
+    /// Resolve a [`Victim::name`] back to a victim.
     pub fn from_name(tag: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|v| v.name() == tag)
     }

@@ -1,12 +1,11 @@
 //! Acceptance tests for deterministic record/replay: for every paging
 //! policy in the CI matrix, recording and replaying the same (seed,
-//! fault plan, workload) coordinates must yield bit-identical flight
-//! logs and export plaintexts, with every runtime decision in the
-//! tail resolved to its provoking observation.
+//! fault plan, workload) coordinates must yield identical flight
+//! records and bit-identical export plaintexts, with every runtime
+//! decision in the tail resolved to its provoking observation.
 
 use autarky_flightrec::{record_run, verify_replay, Schedule};
 use autarky_os_sim::flight::{causal_root_of_attack, decisions_resolved, render_timeline};
-use autarky_os_sim::wire::decode_flight_log;
 use autarky_os_sim::{FaultPlan, FlightEvent};
 
 #[test]
@@ -14,7 +13,10 @@ fn replay_is_bit_identical_for_every_policy() {
     for schedule in Schedule::ci_matrix() {
         let label = format!("{}/{}", schedule.policy.name(), schedule.workload.name());
         let verdict = verify_replay(&schedule);
-        assert!(verdict.log_identical, "{label}: flight logs diverged");
+        assert!(
+            verdict.divergence.is_none(),
+            "{label}: flight logs diverged"
+        );
         assert!(
             verdict.telemetry_identical,
             "{label}: export plaintexts diverged"
@@ -26,7 +28,6 @@ fn replay_is_bit_identical_for_every_policy() {
             !verdict.record.records.is_empty(),
             "{label}: nothing recorded"
         );
-        assert!(verdict.divergence.is_none(), "{label}");
     }
 }
 
@@ -41,14 +42,6 @@ fn every_decision_in_the_tail_resolves_to_its_provocation() {
             render_timeline(&run.records, 50)
         );
     }
-}
-
-#[test]
-fn recorded_log_roundtrips_through_the_wire_grammar() {
-    let schedule = &Schedule::ci_matrix()[0];
-    let run = record_run(schedule);
-    let decoded = decode_flight_log(&run.log_text).expect("recorded log decodes");
-    assert_eq!(decoded, run.records, "wire round trip is exact");
 }
 
 #[test]
@@ -88,7 +81,10 @@ fn hostile_replay_is_deterministic_and_names_the_injected_root() {
         ..Schedule::ci_matrix()[0].clone()
     };
     let verdict = verify_replay(&schedule);
-    assert!(verdict.log_identical, "hostile run must still replay");
+    assert!(
+        verdict.divergence.is_none(),
+        "hostile run must still replay"
+    );
     assert!(verdict.telemetry_identical);
     assert!(verdict.outcome_identical);
     let has_injection = verdict.record.records.iter().any(|r| {

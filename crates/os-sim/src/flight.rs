@@ -103,7 +103,7 @@ pub enum FlightEvent {
         /// Total budget before termination.
         budget: u64,
         /// Why the runtime grew suspicious.
-        why: String,
+        why: &'static str,
     },
     /// Self-defense degradation: the runtime shrank its paging appetite.
     Degrade {
@@ -117,7 +117,7 @@ pub enum FlightEvent {
         /// Page implicated in the verdict.
         vpn: Vpn,
         /// The verdict's reason string.
-        why: String,
+        why: &'static str,
     },
     /// The fault-rate limiter tripped and killed the enclave.
     RateLimitKill,
@@ -149,7 +149,7 @@ pub enum FlightEvent {
         /// Ladder step or control action, as a single lowercase token
         /// (e.g. `retry`, `quarantine`, `restart`, `evict`, `shed`,
         /// `shrink`).
-        action: String,
+        action: &'static str,
         /// Free-text reason (health verdict, budget numbers, ...).
         why: String,
     },
@@ -171,7 +171,7 @@ pub enum FlightEvent {
         /// Fleet member the detector fired for.
         eid: EnclaveId,
         /// Detector name, a single lowercase token (`slo_burn`).
-        detector: String,
+        detector: &'static str,
         /// Index of the epoch window that tripped the detector.
         window: u64,
         /// Detector score at firing, in milli-units (integer so alert
@@ -533,23 +533,7 @@ pub fn render_timeline(records: &[FlightRecord], last_n: usize) -> String {
         records.len(),
         window.len()
     ));
-    out.push_str("| seq | cycles | corr | domain | event |\n");
-    out.push_str("|----:|-------:|-----:|:------|:------|\n");
-    for r in window {
-        let corr = if r.corr == CORR_NONE {
-            "-".to_owned()
-        } else {
-            r.corr.to_string()
-        };
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
-            r.seq,
-            r.cycles,
-            corr,
-            r.event.domain(),
-            r.event.describe()
-        ));
-    }
+    out.push_str(&timeline_table(window));
 
     out.push_str("\n## Correlation chains\n\n");
     let mut any = false;
@@ -587,6 +571,29 @@ pub fn render_timeline(records: &[FlightRecord], last_n: usize) -> String {
             attack.event.describe(),
             inj.seq,
             inj.event.describe()
+        ));
+    }
+    out
+}
+
+/// `records` as a markdown table, one `| seq | cycles | corr | domain |
+/// event |` row each (the post-mortem timeline's shape).
+pub fn timeline_table<'a>(records: impl IntoIterator<Item = &'a FlightRecord>) -> String {
+    let mut out = String::from("| seq | cycles | corr | domain | event |\n");
+    out.push_str("|----:|-------:|-----:|:------|:------|\n");
+    for r in records {
+        let corr = if r.corr == CORR_NONE {
+            "-".to_owned()
+        } else {
+            r.corr.to_string()
+        };
+        out.push_str(&format!(
+            "| {} | {} | {} | {} | {} |\n",
+            r.seq,
+            r.cycles,
+            corr,
+            r.event.domain(),
+            r.event.describe()
         ));
     }
     out
@@ -700,7 +707,7 @@ mod tests {
             40,
             FlightEvent::AttackDetected {
                 vpn: Vpn(9),
-                why: "unexpected fault on resident enclave-managed page".to_owned(),
+                why: "unexpected fault on resident enclave-managed page",
             },
         );
         let snap = rec.snapshot();
@@ -731,7 +738,7 @@ mod tests {
             9,
             FlightEvent::WatchAlert {
                 eid: EnclaveId(1),
-                detector: "slo_burn".to_owned(),
+                detector: "slo_burn",
                 window: 2,
                 score_milli: 1500,
                 why: "p99 budget burn".to_owned(),

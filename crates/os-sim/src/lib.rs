@@ -42,7 +42,6 @@ pub mod flight;
 pub mod hypervisor;
 pub mod image;
 pub mod kernel;
-pub mod wire;
 
 pub use attack::{AdMonitor, Attacker, FaultTracer, TraceMode};
 pub use backing::BackingStore;
@@ -52,4 +51,3 @@ pub use flight::{FlightEvent, FlightRecord, FlightRecorder, CORR_NONE};
 pub use hypervisor::{BalloonOutcome, Hypervisor, VmId};
 pub use image::EnclaveImage;
 pub use kernel::{FaultDisposition, Observation, Os, OsError, UntrustedEnclaveState};
-pub use wire::WireError;

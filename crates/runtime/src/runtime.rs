@@ -678,10 +678,7 @@ impl Runtime {
 
     fn attack(&mut self, os: &mut Os, vpn: Vpn, why: &'static str) -> Result<(), RtError> {
         if os.flight_armed() {
-            os.flight_record(FlightEvent::AttackDetected {
-                vpn,
-                why: why.to_owned(),
-            });
+            os.flight_record(FlightEvent::AttackDetected { vpn, why });
         }
         self.terminated = true;
         os.machine.terminate(self.eid)?;
@@ -1079,7 +1076,7 @@ impl Runtime {
                 vpn,
                 used: self.stats.misbehavior,
                 budget,
-                why: why.to_owned(),
+                why,
             });
         }
         if self.stats.misbehavior > budget {

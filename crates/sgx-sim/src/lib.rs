@@ -55,7 +55,7 @@ pub use epc::{PageType, Perms};
 pub use error::{AccessKind, FaultCause, FaultEvent, SgxError};
 pub use machine::{
     AccessError, EnclaveCapture, Machine, MachineConfig, MachineStats, PageCapture, TcsCapture,
-    TransitionEvent, TransitionKind, TRANSITION_KINDS,
+    TransitionEvent, TransitionKind,
 };
 pub use pagetable::{PageTable, Pte};
 pub use seal::SealedPage;

@@ -69,21 +69,8 @@ pub enum TransitionKind {
     PopSsa,
 }
 
-/// Number of [`TransitionKind`] variants.
-pub const TRANSITION_KINDS: usize = 6;
-
 impl TransitionKind {
-    /// All kinds, in a stable order (wire codec + exhaustive tests).
-    pub const ALL: [TransitionKind; TRANSITION_KINDS] = [
-        TransitionKind::Eenter,
-        TransitionKind::Eexit,
-        TransitionKind::Aex,
-        TransitionKind::Eresume,
-        TransitionKind::ResumeBlocked,
-        TransitionKind::PopSsa,
-    ];
-
-    /// Stable display name (also the wire tag).
+    /// Stable display name (the flight timeline prints it).
     pub fn name(self) -> &'static str {
         match self {
             TransitionKind::Eenter => "eenter",

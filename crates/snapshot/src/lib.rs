@@ -278,7 +278,7 @@ pub fn snapshot(
 /// forensics can name the stale/forged blob as the causal root. Joins
 /// the caller's open chain if one exists (so an explicitly staged
 /// injection lands in the same chain as the verdict).
-fn record_restore_attack(os: &mut Os, sealed_counter: u64, why: &str) {
+fn record_restore_attack(os: &mut Os, sealed_counter: u64, why: &'static str) {
     if !os.flight_armed() {
         return;
     }
@@ -286,10 +286,7 @@ fn record_restore_attack(os: &mut Os, sealed_counter: u64, why: &str) {
     os.flight_record(FlightEvent::SnapshotRestore {
         counter: sealed_counter,
     });
-    os.flight_record(FlightEvent::AttackDetected {
-        vpn: Vpn(0),
-        why: why.to_string(),
-    });
+    os.flight_record(FlightEvent::AttackDetected { vpn: Vpn(0), why });
     if opened {
         os.flight_end_chain();
     }

@@ -64,12 +64,6 @@ impl SpanKind {
             SpanKind::HeapAlloc => "heap_alloc",
         }
     }
-
-    /// Kind for a stable display name (wire decode); `None` for a name
-    /// no kind has.
-    pub fn from_name(name: &str) -> Option<SpanKind> {
-        Self::ALL.into_iter().find(|kind| kind.name() == name)
-    }
 }
 
 /// One completed span: `Copy` and fixed-size, so recording it allocates
@@ -131,10 +125,6 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             SpanKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), SPAN_KINDS);
-        for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(SpanKind::from_name("bogus"), None);
     }
 
     #[test]

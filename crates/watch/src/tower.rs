@@ -66,7 +66,7 @@ impl Alert {
     pub fn to_flight_event(&self) -> FlightEvent {
         FlightEvent::WatchAlert {
             eid: self.eid,
-            detector: self.detector.to_owned(),
+            detector: self.detector,
             window: self.window,
             score_milli: self.score_milli,
             why: self.why.clone(),

@@ -352,7 +352,7 @@ mod tests {
             200,
             FlightEvent::Supervisor {
                 eid: EnclaveId(2),
-                action: "restart".to_owned(),
+                action: "restart",
                 why: "watchdog \"budget\"".to_owned(),
             },
         );
@@ -360,7 +360,7 @@ mod tests {
             250,
             FlightEvent::WatchAlert {
                 eid: EnclaveId(1),
-                detector: "slo_burn".to_owned(),
+                detector: "slo_burn",
                 window: 3,
                 score_milli: 5000,
                 why: "budget burn".to_owned(),
