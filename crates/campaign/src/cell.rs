@@ -2,14 +2,18 @@
 //! matrix coordinates, identified by a content address.
 //!
 //! A cell's identity is the sha256 of its canonical spec line — the
-//! kind, every axis value the kind consumes, and every gate parameter
-//! that can change its verdict. Two campaign runs (or two resumes of
+//! kind, every axis value the kind consumes, and every parameter that
+//! can change its verdict. Two campaign runs (or two resumes of
 //! one run) that expand the same config therefore produce the same
 //! IDs, which is what lets the journal skip completed cells safely:
 //! any config edit that could change a cell's outcome changes its
 //! address, and the stale journal entry is simply never matched again.
 
 use std::fmt;
+
+use crate::kinds::{
+    FLEET_EPC_FRAMES, MAX_GROWTH_PCT, RESIDUAL_MAX_PCT, WATCH_MAX_FALSE_ALERTS, WATCH_MIN_ALERTS,
+};
 
 /// The experiment kinds a cell can run (each wraps one existing
 /// subsystem as a library call).
@@ -67,8 +71,9 @@ impl CellKind {
     }
 }
 
-/// Per-suite gate and sizing parameters (kind-specific fields are
-/// ignored — and excluded from the content address — for other kinds).
+/// Per-suite parameters: sizes and the bench baseline (kind-specific
+/// fields are ignored — and excluded from the content address — for
+/// other kinds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteParams {
     /// Bench, figure: scale factor (multiplies operation counts).
@@ -76,28 +81,10 @@ pub struct SuiteParams {
     /// Bench: baseline JSON path the regression gates read (relative to
     /// the invocation directory); `None` leaves only the residual gate.
     pub baseline: Option<String>,
-    /// Bench: max tolerated growth vs the baseline, percent, of both
-    /// cycles/op and (where baselined) hot-path cycles/fault.
-    pub max_growth_pct: f64,
     /// Leakage: seeds per secret class (≥ 2).
     pub samples: usize,
-    /// Leakage: minimum MI the unprotected baseline must leak.
-    pub baseline_min_mi: f64,
-    /// Leakage: maximum MI a protected configuration may leak.
-    pub oram_max_mi: f64,
-    /// Replay: secret class driven through the schedule.
-    pub secret: u32,
-    /// Fleet: requests offered per member.
+    /// Fleet, watch: requests offered per member.
     pub requests: usize,
-    /// Fleet: EPC frames shared by the members.
-    pub epc_frames: usize,
-    /// Bench: max unattributed-cycle share, percent.
-    pub residual_max_pct: f64,
-    /// Watch: minimum alerts a staged storm cell must fire.
-    pub min_alerts: u64,
-    /// Watch: maximum alerts a quiet (no-injection) cell may fire —
-    /// the false-positive gate.
-    pub max_false_alerts: u64,
 }
 
 impl Default for SuiteParams {
@@ -105,21 +92,13 @@ impl Default for SuiteParams {
         Self {
             scale: 1,
             baseline: None,
-            max_growth_pct: 10.0,
             samples: 2,
-            baseline_min_mi: 0.9,
-            oram_max_mi: 0.25,
-            secret: 0,
             requests: 60,
-            epc_frames: 2048,
-            residual_max_pct: 5.0,
-            min_alerts: 1,
-            max_false_alerts: 0,
         }
     }
 }
 
-/// One expanded cell: kind + the axis values it consumes + gate params.
+/// One expanded cell: kind + the axis values it consumes + suite params.
 ///
 /// Axes the kind does not consume are `None` and render as `-`.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,7 +122,7 @@ pub struct CellSpec {
     pub traffic_shape: Option<String>,
     /// Seed axis value (replay, rollback snapshot, fleet, watch).
     pub seed: Option<u64>,
-    /// Gate parameters inherited from the suite.
+    /// Parameters inherited from the suite.
     pub params: SuiteParams,
 }
 
@@ -179,9 +158,14 @@ impl CellSpec {
     }
 
     /// The canonical spec line the content address hashes: kind, the
-    /// consumed axes, and every gate parameter that can change the
-    /// verdict. Unconsumed axes are deliberately absent so e.g. a bench
-    /// cell's address is stable no matter what the seed axis holds.
+    /// consumed axes, and every parameter that can change the verdict.
+    /// Unconsumed axes are deliberately absent so e.g. a bench cell's
+    /// address is stable no matter what the seed axis holds.
+    ///
+    /// The gate thresholds are constants of the executors, and the line
+    /// still prints them: that keeps every journaled address — and every
+    /// [`CellSpec::derived_seed`], which seeds the fleet and watch fault
+    /// plans — stable.
     pub fn canon(&self) -> String {
         let mut out = format!("campaign-cell-v1 kind={}", self.kind.name());
         match self.kind {
@@ -191,18 +175,18 @@ impl CellSpec {
                     self.policy.as_deref().unwrap_or("-"),
                     self.workload,
                     self.params.samples,
-                    self.params.baseline_min_mi,
-                    self.params.oram_max_mi,
+                    autarky_leakage::BASELINE_MIN_MI,
+                    autarky_leakage::ORAM_MAX_MI,
                 ));
             }
             CellKind::Replay => {
+                // The replay schedule always drives secret class 0.
                 out.push_str(&format!(
-                    " policy={} workload={} fault_plan={} seed={} secret={}",
+                    " policy={} workload={} fault_plan={} seed={} secret=0",
                     self.policy.as_deref().unwrap_or("-"),
                     self.workload,
                     self.fault_plan.as_deref().unwrap_or("quiet"),
                     self.seed.unwrap_or(1),
-                    self.params.secret,
                 ));
             }
             // Restore determinism runs one restore-matrix schedule; a
@@ -228,7 +212,7 @@ impl CellSpec {
                     self.enclave_size.unwrap_or(192),
                     self.seed.unwrap_or(1),
                     self.params.requests,
-                    self.params.epc_frames,
+                    FLEET_EPC_FRAMES,
                 ));
             }
             CellKind::Bench => {
@@ -238,9 +222,9 @@ impl CellSpec {
                     self.policy.as_deref().unwrap_or("-"),
                     self.workload,
                     self.params.scale,
-                    self.params.residual_max_pct,
+                    RESIDUAL_MAX_PCT,
                     self.params.baseline.as_deref().unwrap_or("-"),
-                    self.params.max_growth_pct,
+                    MAX_GROWTH_PCT,
                 ));
             }
             CellKind::Figure => {
@@ -257,8 +241,8 @@ impl CellSpec {
                     self.fault_plan.as_deref().unwrap_or("quiet"),
                     self.seed.unwrap_or(1),
                     self.params.requests,
-                    self.params.min_alerts,
-                    self.params.max_false_alerts,
+                    WATCH_MIN_ALERTS,
+                    WATCH_MAX_FALSE_ALERTS,
                 ));
             }
         }
@@ -553,7 +537,7 @@ mod tests {
     fn gate_params_perturb_the_address() {
         let a = spec(CellKind::Leakage);
         let params = SuiteParams {
-            oram_max_mi: 0.5,
+            samples: 3,
             ..SuiteParams::default()
         };
         let b = CellSpec::new(
@@ -566,7 +550,7 @@ mod tests {
             Some(1),
             params,
         );
-        assert_ne!(a.id, b.id, "a changed threshold re-addresses the cell");
+        assert_ne!(a.id, b.id, "a changed sample count re-addresses the cell");
     }
 
     #[test]
@@ -609,6 +593,59 @@ mod tests {
             );
         }
         assert!(decode_line(&line).is_some(), "full line decodes");
+    }
+
+    #[test]
+    fn default_cells_keep_their_content_addresses() {
+        // Each kind's canon line and id with the default axes and
+        // params. A change here re-addresses journaled cells and re-seeds
+        // the fleet and watch fault plans.
+        for (kind, canon, id) in [
+            (
+                CellKind::Bench,
+                "campaign-cell-v1 kind=bench policy=clusters workload=spell scale=1 \
+                 residual_max_pct=5 baseline=- max_growth_pct=10",
+                "d7bb58d5a6a2",
+            ),
+            (
+                CellKind::Leakage,
+                "campaign-cell-v1 kind=leakage policy=clusters workload=spell samples=2 \
+                 baseline_min_mi=0.9 oram_max_mi=0.25",
+                "1393821ead67",
+            ),
+            (
+                CellKind::Replay,
+                "campaign-cell-v1 kind=replay policy=clusters workload=spell fault_plan=quiet \
+                 seed=1 secret=0",
+                "8ba5510a4576",
+            ),
+            (
+                CellKind::Snapshot,
+                "campaign-cell-v1 kind=snapshot policy=clusters workload=spell fault_plan=quiet",
+                "a72a0f81ac65",
+            ),
+            (
+                CellKind::Fleet,
+                "campaign-cell-v1 kind=fleet workload=spell traffic_shape=bursty \
+                 fault_plan=quiet enclave_size=192 seed=1 requests=60 epc_frames=2048",
+                "00bb427481fb",
+            ),
+            (
+                CellKind::Figure,
+                "campaign-cell-v1 kind=figure figure=spell scale=1",
+                "be2a59f05331",
+            ),
+            (
+                CellKind::Watch,
+                "campaign-cell-v1 kind=watch workload=spell fault_plan=quiet seed=1 \
+                 requests=60 min_alerts=1 max_false_alerts=0",
+                "8a08df0bbdf7",
+            ),
+        ] {
+            let cell = spec(kind);
+            assert_eq!(cell.canon(), canon, "{}", kind.name());
+            assert_eq!(cell.id, id, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -3,21 +3,24 @@
 //!
 //! A config has three layers:
 //!
-//! * `[campaign]` — the name (which also names the default output
-//!   directory);
+//! * `[campaign]` — `name`, which also names the default output
+//!   directory;
 //! * `[matrix]` — the shared axis vocabulary: `policy`, `workload`,
 //!   `enclave_size`, `fault_plan`, `traffic_shape`, `seed`;
-//! * `[[suite]]` — one experiment kind each (`bench`, `leakage`,
-//!   `replay`, `snapshot`, `fleet`, `figure`, `watch`),
-//!   inheriting the matrix axes unless overridden, plus the kind's gate
-//!   parameters.
+//! * `[[suite]]` — `kind`, one experiment kind each (`bench`,
+//!   `leakage`, `replay`, `snapshot`, `fleet`, `figure`, `watch`),
+//!   inheriting the matrix axes unless overridden, plus four parameter
+//!   keys: `scale` (bench, figure), `baseline` (bench), `samples`
+//!   (leakage) and `requests` (fleet, watch).
 //!
+//! The gate thresholds are constants of the cell executors, not keys.
 //! Each kind consumes only the axes that can change its outcome (a
 //! bench cell has no seed; a leakage cell folds the seed axis into
 //! its own per-class sampling), and expansion is the cartesian product
-//! of the consumed axes. Axis values are validated against the wrapped
-//! subsystem's vocabulary at load time — a typo is a config error, not
-//! a silently skipped cell.
+//! of the consumed axes. A section refuses any key it does not read,
+//! and axis values are validated against the wrapped subsystem's
+//! vocabulary at load time — a typo in a key or a value is a config
+//! error, not a silently ignored setting or a skipped cell.
 
 use std::fmt;
 
@@ -49,6 +52,19 @@ pub const WATCH_FAULT_PLANS: [&str; 2] = ["quiet", "storm"];
 /// Valid member mixes for watch cells (the victim is always the first
 /// member, a kvstore).
 pub const WATCH_WORKLOADS: [&str; 2] = ["kvstore", "mixed"];
+
+/// The matrix axes: the keys of `[matrix]`, and of `[[suite]]` beside
+/// `kind` and [`PARAM_KEYS`].
+const AXIS_KEYS: [&str; 6] = [
+    "policy",
+    "workload",
+    "enclave_size",
+    "fault_plan",
+    "traffic_shape",
+    "seed",
+];
+/// The parameter keys of `[[suite]]` (the fields of [`SuiteParams`]).
+const PARAM_KEYS: [&str; 4] = ["scale", "baseline", "samples", "requests"];
 
 /// A config-level failure (parse or validation).
 #[derive(Debug, Clone, PartialEq)]
@@ -361,11 +377,6 @@ impl Suite {
                 if self.params.scale == 0 {
                     return Err(ConfigError("bench suite: scale must be ≥ 1".into()));
                 }
-                if !self.params.residual_max_pct.is_finite() || self.params.residual_max_pct < 0.0 {
-                    return Err(ConfigError(
-                        "bench suite: residual_max_pct must be a non-negative number".into(),
-                    ));
-                }
             }
             CellKind::Figure => {
                 check(
@@ -410,6 +421,7 @@ impl CampaignConfig {
         let campaign = doc
             .table("campaign")
             .ok_or_else(|| ConfigError("missing [campaign] section".into()))?;
+        refuse_unknown_keys(campaign, "[campaign]", &["name"])?;
         let name = campaign
             .get_str("name")
             .ok_or_else(|| ConfigError("[campaign] needs a string `name`".into()))?
@@ -426,6 +438,7 @@ impl CampaignConfig {
 
         let mut matrix_axes = Axes::default();
         if let Some(matrix) = doc.table("matrix") {
+            refuse_unknown_keys(matrix, "[matrix]", &AXIS_KEYS)?;
             matrix_axes.overlay(matrix)?;
         }
 
@@ -434,7 +447,13 @@ impl CampaignConfig {
             return Err(ConfigError("config declares no [[suite]]".into()));
         }
         let mut suites = Vec::with_capacity(suite_tables.len());
+        let suite_keys: Vec<&str> = ["kind"]
+            .into_iter()
+            .chain(AXIS_KEYS)
+            .chain(PARAM_KEYS)
+            .collect();
         for (i, table) in suite_tables.iter().enumerate() {
+            refuse_unknown_keys(table, &format!("suite #{}", i + 1), &suite_keys)?;
             let kind_tag = table
                 .get_str("kind")
                 .ok_or_else(|| ConfigError(format!("suite #{}: missing `kind`", i + 1)))?;
@@ -471,6 +490,22 @@ impl CampaignConfig {
     }
 }
 
+/// Refuse the first key of `table` outside `valid`, naming it, the
+/// section and the valid keys.
+fn refuse_unknown_keys(table: &Table, section: &str, valid: &[&str]) -> Result<(), ConfigError> {
+    match table
+        .entries
+        .iter()
+        .find(|(key, _)| !valid.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(ConfigError(format!(
+            "{section}: unknown key `{key}` (valid: {})",
+            valid.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
 fn parse_params(table: &Table, mut params: SuiteParams) -> Result<SuiteParams, ConfigError> {
     let bad = |key: &str, what: &str| ConfigError(format!("suite key `{key}` must be {what}"));
     if table.has("scale") {
@@ -487,12 +522,6 @@ fn parse_params(table: &Table, mut params: SuiteParams) -> Result<SuiteParams, C
                 .to_owned(),
         );
     }
-    if table.has("max_growth_pct") {
-        params.max_growth_pct = table
-            .get_f64("max_growth_pct")
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or_else(|| bad("max_growth_pct", "a non-negative number"))?;
-    }
     if table.has("samples") {
         params.samples = table
             .get_i64("samples")
@@ -500,57 +529,12 @@ fn parse_params(table: &Table, mut params: SuiteParams) -> Result<SuiteParams, C
             .ok_or_else(|| bad("samples", "a non-negative integer"))?
             as usize;
     }
-    if table.has("baseline_min_mi") {
-        params.baseline_min_mi = table
-            .get_f64("baseline_min_mi")
-            .filter(|v| v.is_finite())
-            .ok_or_else(|| bad("baseline_min_mi", "a number"))?;
-    }
-    if table.has("oram_max_mi") {
-        params.oram_max_mi = table
-            .get_f64("oram_max_mi")
-            .filter(|v| v.is_finite())
-            .ok_or_else(|| bad("oram_max_mi", "a number"))?;
-    }
-    if table.has("secret") {
-        params.secret = table
-            .get_i64("secret")
-            .filter(|v| (0..=1).contains(v))
-            .ok_or_else(|| bad("secret", "0 or 1"))? as u32;
-    }
     if table.has("requests") {
         params.requests = table
             .get_i64("requests")
             .filter(|v| *v >= 0)
             .ok_or_else(|| bad("requests", "a non-negative integer"))?
             as usize;
-    }
-    if table.has("epc_frames") {
-        params.epc_frames = table
-            .get_i64("epc_frames")
-            .filter(|v| (64..=1 << 20).contains(v))
-            .ok_or_else(|| bad("epc_frames", "an integer in 64..=1048576"))?
-            as usize;
-    }
-    if table.has("residual_max_pct") {
-        params.residual_max_pct = table
-            .get_f64("residual_max_pct")
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or_else(|| bad("residual_max_pct", "a non-negative number"))?;
-    }
-    if table.has("min_alerts") {
-        params.min_alerts = table
-            .get_i64("min_alerts")
-            .filter(|v| *v >= 0)
-            .ok_or_else(|| bad("min_alerts", "a non-negative integer"))?
-            as u64;
-    }
-    if table.has("max_false_alerts") {
-        params.max_false_alerts = table
-            .get_i64("max_false_alerts")
-            .filter(|v| *v >= 0)
-            .ok_or_else(|| bad("max_false_alerts", "a non-negative integer"))?
-            as u64;
     }
     Ok(params)
 }
@@ -660,6 +644,47 @@ workload = ["font", "paging"]
             let toml = format!("[campaign]\nname = \"v\"\n{snippet}\n");
             let err = CampaignConfig::from_toml(&toml).expect_err(snippet);
             assert!(err.0.contains(needle), "{snippet}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_by_name() {
+        let suite_keys = "kind, policy, workload, enclave_size, fault_plan, traffic_shape, \
+                          seed, scale, baseline, samples, requests";
+        // The gate thresholds that were once suite keys, and a typo.
+        for key in [
+            "max_growth_pct",
+            "residual_max_pct",
+            "baseline_min_mi",
+            "oram_max_mi",
+            "secret",
+            "epc_frames",
+            "min_alerts",
+            "max_false_alerts",
+            "sampels",
+        ] {
+            let toml =
+                format!("[campaign]\nname = \"v\"\n[[suite]]\nkind = \"bench\"\n{key} = 1\n");
+            let err = CampaignConfig::from_toml(&toml).expect_err(key);
+            assert_eq!(
+                err.0,
+                format!("suite #1: unknown key `{key}` (valid: {suite_keys})"),
+                "{key}"
+            );
+        }
+        for (toml, want) in [
+            (
+                "[campaign]\nname = \"v\"\nseed = 1\n[[suite]]\nkind = \"bench\"\n",
+                "[campaign]: unknown key `seed` (valid: name)",
+            ),
+            (
+                "[campaign]\nname = \"v\"\n[matrix]\nscale = 2\n[[suite]]\nkind = \"bench\"\n",
+                "[matrix]: unknown key `scale` (valid: policy, workload, enclave_size, \
+                 fault_plan, traffic_shape, seed)",
+            ),
+        ] {
+            let err = CampaignConfig::from_toml(toml).expect_err(want);
+            assert_eq!(err.0, want);
         }
     }
 

@@ -43,9 +43,10 @@ use autarky_flightrec::{
     render_divergence, rollback_attack_run, verify_replay, verify_restore_replay, ReplayVerdict,
     RollbackScenario, Schedule, SchedulePolicy, Victim,
 };
-use autarky_leakage::{run_audit_filtered, AuditConfig, Gate};
+use autarky_leakage::{run_audit_filtered, Gate};
 use autarky_os_sim::flight::{causal_root_of_attack, render_timeline};
 use autarky_os_sim::{FaultPlan, FlightEvent, FlightRecord, Observation};
+use autarky_profile::CycleProfile;
 use autarky_runtime::RuntimeConfig;
 
 use crate::cell::{Artifacts, CellKind, CellOutcome, CellSpec, GateOutcome};
@@ -71,6 +72,12 @@ const TIMELINE_EVENTS: usize = 50;
 
 // ---------------------------------------------------------------- bench
 
+/// Max tolerated growth against the baseline, percent, of both
+/// cycles/op and (where baselined) hot-path cycles/fault.
+pub(crate) const MAX_GROWTH_PCT: f64 = 10.0;
+/// Max unattributed-cycle share of a profile, percent.
+pub(crate) const RESIDUAL_MAX_PCT: f64 = 5.0;
+
 fn run_bench(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let policy = spec.policy.as_deref().unwrap_or("clusters");
     let collect_spec = autarky_profile::CollectSpec {
@@ -86,6 +93,12 @@ fn run_bench(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     artifacts.push((format!("{stem}.folded"), p.folded()));
     artifacts.push((format!("{stem}.svg"), autarky_profile::flamegraph(&p)));
     artifacts.push((format!("{stem}.json"), p.to_json()));
+    bench_outcome(&p, spec.params.baseline.as_deref())
+}
+
+/// Gate one profile: on its residual and, against `baseline`, on
+/// cycles/op and hot-path cycles/fault.
+fn bench_outcome(p: &CycleProfile, baseline: Option<&str>) -> CellOutcome {
     let cycles_per_op = p.cycles_per_op();
     let mut metrics = vec![
         ("ops".to_owned(), p.ops as f64),
@@ -108,11 +121,10 @@ fn run_bench(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
         ),
     ];
     let mut failures = Vec::new();
-    if !p.passes_residual_gate(spec.params.residual_max_pct) {
+    if !p.passes_residual_gate(RESIDUAL_MAX_PCT) {
         failures.push(format!(
-            "residual {:.2}% > {:.2}% allowed",
+            "residual {:.2}% > {RESIDUAL_MAX_PCT:.2}% allowed",
             p.residual_pct(),
-            spec.params.residual_max_pct
         ));
     }
     let mut summary = format!(
@@ -121,7 +133,7 @@ fn run_bench(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
         p.total_cycles,
         p.faults
     );
-    let Some(path) = &spec.params.baseline else {
+    let Some(path) = baseline else {
         if failures.is_empty() {
             return CellOutcome {
                 gate: GateOutcome::Info,
@@ -164,7 +176,7 @@ fn run_bench(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
             }
         };
         let delta_pct = (cur / base - 1.0) * 100.0;
-        let limit = spec.params.max_growth_pct;
+        let limit = MAX_GROWTH_PCT;
         metrics.push((format!("baseline_{key}"), base));
         metrics.push((delta_key.to_owned(), delta_pct));
         summary.push_str(&format!(
@@ -183,13 +195,8 @@ fn run_leakage(spec: &CellSpec) -> CellOutcome {
     let Some(policy) = &spec.policy else {
         return CellOutcome::fail("leakage cell without a policy axis");
     };
-    let cfg = AuditConfig {
-        seeds: spec.params.samples,
-        baseline_min_mi: spec.params.baseline_min_mi,
-        oram_max_mi: spec.params.oram_max_mi,
-    };
     let label = format!("{policy}/{}", spec.workload);
-    let report = run_audit_filtered(&cfg, std::slice::from_ref(&label));
+    let report = run_audit_filtered(spec.params.samples, std::slice::from_ref(&label));
     let Some(cell) = report.cells.first() else {
         return CellOutcome::fail(format!("audit matrix has no cell {label}"));
     };
@@ -253,7 +260,6 @@ fn run_replay(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let schedule = Schedule {
         policy,
         workload,
-        secret: spec.params.secret,
         seed,
         fault_plan,
     };
@@ -284,6 +290,7 @@ fn determinism_outcome(
             f64::from(u8::from(verdict.record.outcome == "ok")),
         ),
     ];
+    // The gate is `deterministic()`; these clauses explain a failure.
     let mut why = Vec::new();
     if let Some(div) = &verdict.divergence {
         // One side holds a record at the index, or the logs would agree.
@@ -309,7 +316,7 @@ fn determinism_outcome(
         why.push("unresolved decision chain".to_owned());
     }
     let mut failures = Vec::new();
-    if !why.is_empty() {
+    if !verdict.deterministic() {
         failures.push(format!("not deterministic: {}", why.join("; ")));
         let schedule = &verdict.schedule;
         let mut report = format!(
@@ -417,6 +424,8 @@ const FLEET_SPELL_WORDS_PER_REQ: usize = 12;
 const FLEET_KV_THETA: f64 = 0.2;
 /// Recovery deadline for a failed-over member, in cycles.
 const FLEET_RESTART_BUDGET_CYCLES: u64 = 500_000_000;
+/// EPC frames the members of a fleet or watch cell share.
+pub(crate) const FLEET_EPC_FRAMES: usize = 2048;
 
 fn run_fleet(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     let (Some(shape), Some(plan_name), Some(enclave_size), Some(_seed)) = (
@@ -492,15 +501,13 @@ fn run_fleet(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
         other => return CellOutcome::fail(format!("unknown fleet fault plan {other:?}")),
     };
     let cfg = FleetConfig {
-        epc_frames: spec.params.epc_frames,
+        epc_frames: FLEET_EPC_FRAMES,
         members,
         queue_cap: 256,
         watchdog_cycles: 50_000_000,
         max_watchdog_strikes: 1,
-        max_restarts: 3,
         snapshot_every: 32,
         epc_reserve_frames: 0,
-        shrink_floor_pages: 16,
         flight_capacity: 1 << 18,
         staged_crash,
         watch: false,
@@ -648,6 +655,11 @@ const WATCH_STORM_DELAY_CYCLES: u64 = 1_500_000;
 const WATCH_STORM_SEED: u64 = 424242;
 /// Strikes before the watchdog fails a member over.
 const WATCH_WATCHDOG_STRIKES: u32 = 3;
+/// Minimum alerts a staged storm cell must fire.
+pub(crate) const WATCH_MIN_ALERTS: u64 = 1;
+/// Maximum alerts a quiet (no-injection) cell may fire: the
+/// false-positive gate.
+pub(crate) const WATCH_MAX_FALSE_ALERTS: u64 = 0;
 
 fn watch_bursty(seed: u64, requests: usize) -> LoadConfig {
     LoadConfig {
@@ -791,15 +803,13 @@ fn watch_scenario(
         other => return Err(format!("unknown watch fault plan {other:?}")),
     };
     let cfg = FleetConfig {
-        epc_frames: spec.params.epc_frames,
+        epc_frames: FLEET_EPC_FRAMES,
         members,
         queue_cap: 64,
         watchdog_cycles: 2_000_000,
         max_watchdog_strikes: WATCH_WATCHDOG_STRIKES,
-        max_restarts: 3,
         snapshot_every: 32,
         epc_reserve_frames: 32,
-        shrink_floor_pages: 16,
         flight_capacity: 1 << 18,
         staged_crash,
         watch,
@@ -905,11 +915,10 @@ fn run_watch(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
     }
     match &unwatched {
         None => {
-            if alerts > spec.params.max_false_alerts {
+            if alerts > WATCH_MAX_FALSE_ALERTS {
                 failures.push(format!(
                     "false positives: {alerts} alerts on quiescent traffic \
-                     (budget {})",
-                    spec.params.max_false_alerts
+                     (budget {WATCH_MAX_FALSE_ALERTS})"
                 ));
             }
             if restarts > 0 {
@@ -917,10 +926,10 @@ fn run_watch(spec: &CellSpec, artifacts: &mut Artifacts) -> CellOutcome {
             }
         }
         Some(unwatched) => {
-            if victim.watch_alerts < spec.params.min_alerts {
+            if victim.watch_alerts < WATCH_MIN_ALERTS {
                 failures.push(format!(
-                    "victim raised {} alerts, expected at least {}",
-                    victim.watch_alerts, spec.params.min_alerts
+                    "victim raised {} alerts, expected at least {WATCH_MIN_ALERTS}",
+                    victim.watch_alerts
                 ));
             }
             if first_alert == 0 || (first_failover > 0 && first_alert > first_failover) {
@@ -1328,20 +1337,19 @@ mod tests {
 
     #[test]
     fn bench_cell_fails_on_impossible_residual_gate() {
-        let spec = cell(
-            CellKind::Bench,
-            Some("clusters"),
-            "paging",
-            None,
-            None,
-            SuiteParams {
-                residual_max_pct: -0.5,
-                ..SuiteParams::default()
-            },
-        );
-        let (out, _) = execute_cell(&spec);
+        // The clusters/paging profile with 6% of its cycles left
+        // unattributed: over the 5% gate.
+        let mut p = autarky_profile::collect(&autarky_profile::CollectSpec {
+            workload: "paging".into(),
+            policy: "clusters".into(),
+            scale: 1,
+        })
+        .expect("profile");
+        assert!(p.passes_residual_gate(RESIDUAL_MAX_PCT));
+        p.residual_cycles = p.total_cycles * 6 / 100;
+        let out = bench_outcome(&p, None);
         assert_eq!(out.gate, GateOutcome::Fail);
-        assert!(out.reason.contains("residual"), "reason: {}", out.reason);
+        assert_eq!(out.reason, "residual 6.00% > 5.00% allowed");
     }
 
     /// Runs the clusters/paging bench cell against `baseline`.
@@ -1382,7 +1390,7 @@ mod tests {
 
     #[test]
     fn bench_cell_flags_hot_path_growth_and_a_missing_baseline_entry() {
-        // The same max_growth_pct holds the hot path: a baseline whose
+        // The same MAX_GROWTH_PCT holds the hot path: a baseline whose
         // hot path is 20% cheaper fails the cell on that gate alone.
         let dir = std::env::temp_dir().join(format!("ay-bench-cell-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");

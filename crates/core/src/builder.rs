@@ -15,7 +15,7 @@
 use autarky_os_sim::EnclaveImage;
 use autarky_runtime::{PagingMechanism, PolicyMode, RateLimit, RtError, RuntimeConfig};
 use autarky_sgx_sim::machine::MachineConfig;
-use autarky_sgx_sim::{CostModel, PAGE_SIZE};
+use autarky_sgx_sim::PAGE_SIZE;
 use autarky_workloads::{EncHeap, World};
 
 /// Protection profile for the enclave under construction.
@@ -67,7 +67,6 @@ pub struct SystemBuilder {
     mechanism: PagingMechanism,
     elide_aex: bool,
     elide_handler_invocation: bool,
-    costs: CostModel,
     seed: u64,
 }
 
@@ -85,7 +84,6 @@ impl SystemBuilder {
             mechanism: PagingMechanism::Sgx1,
             elide_aex: false,
             elide_handler_invocation: false,
-            costs: CostModel::default(),
             seed: 42,
         }
     }
@@ -144,12 +142,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Override the cycle cost model.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
-        self
-    }
-
     /// Seed for the ORAM randomness.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -160,7 +152,6 @@ impl SystemBuilder {
     pub fn build(self) -> Result<(World, EncHeap), RtError> {
         let machine = MachineConfig {
             epc_frames: self.epc_pages,
-            costs: self.costs,
             elide_aex: self.elide_aex,
             elide_handler_invocation: self.elide_handler_invocation,
         };

@@ -156,6 +156,10 @@ pub struct StagedCrash {
 /// `max_recovery_cycles`, which the campaign's fleet gate holds to its
 /// restart budget).
 const RESTART_COST_CYCLES: u64 = 5_000_000;
+/// Snapshot restarts tolerated before permanent eviction.
+const MAX_RESTARTS: u32 = 3;
+/// Resident-page budget healthy members are shrunk to under pressure.
+const SHRINK_FLOOR_PAGES: usize = 16;
 /// Retry ladder depth before quarantine.
 const MAX_RETRIES: u32 = 3;
 /// Base backoff charged before retry k is `RETRY_BACKOFF_CYCLES << (k-1)`.
@@ -175,17 +179,12 @@ pub struct FleetConfig {
     pub watchdog_cycles: u64,
     /// Watchdog strikes tolerated before a restart.
     pub max_watchdog_strikes: u32,
-    /// Snapshot restarts tolerated before permanent eviction.
-    pub max_restarts: u32,
     /// Healthy-member checkpoint cadence, in served requests
     /// (0 = only the boot checkpoint).
     pub snapshot_every: u64,
     /// Free-frame floor under which the supervisor asks healthy members
     /// to shrink before restarting a victim.
     pub epc_reserve_frames: usize,
-    /// Resident-page budget healthy members are shrunk to under
-    /// pressure.
-    pub shrink_floor_pages: usize,
     /// Flight-recorder ring capacity (0 = recorder off).
     pub flight_capacity: usize,
     /// Optional staged mid-run fault campaign.
@@ -206,10 +205,8 @@ impl Default for FleetConfig {
             queue_cap: 64,
             watchdog_cycles: 50_000_000,
             max_watchdog_strikes: 2,
-            max_restarts: 3,
             snapshot_every: 64,
             epc_reserve_frames: 32,
-            shrink_floor_pages: 16,
             flight_capacity: 4096,
             staged_crash: None,
             watch: false,
@@ -573,7 +570,7 @@ impl Fleet {
         if self.os().machine.epc_free_frames() >= self.cfg.epc_reserve_frames {
             return Ok(());
         }
-        let floor = self.cfg.shrink_floor_pages;
+        let floor = SHRINK_FLOOR_PAGES;
         for index in 0..self.members.len() {
             if index == victim || self.members[index].state != MemberState::Healthy {
                 continue;
@@ -795,12 +792,12 @@ impl Fleet {
         Ok(())
     }
 
-    /// Quarantine → restart → eviction, depending on `max_restarts`.
+    /// Quarantine → restart → eviction, depending on `MAX_RESTARTS`.
     fn escalate(&mut self, index: usize, why: &str) -> Result<(), FleetError> {
         if self.members[index].stats.first_failover_cycles == 0 {
             self.members[index].stats.first_failover_cycles = self.now();
         }
-        if self.members[index].stats.restarts >= self.cfg.max_restarts {
+        if self.members[index].stats.restarts >= MAX_RESTARTS {
             self.evict_member(index, why);
             return Ok(());
         }

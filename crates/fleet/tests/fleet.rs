@@ -39,10 +39,8 @@ fn fleet_cfg(members: Vec<MemberConfig>) -> FleetConfig {
         // multiple syscall delays inside a single request, so a strike
         // threshold > 1 could let a wedge hide inside one serve call.
         max_watchdog_strikes: 1,
-        max_restarts: 3,
         snapshot_every: 32,
         epc_reserve_frames: 0,
-        shrink_floor_pages: 16,
         // Large enough that early supervisor events survive the
         // thousands of paging records a full run appends after them.
         flight_capacity: 1 << 18,
@@ -265,25 +263,30 @@ fn queue_overflow_sheds_load_explicitly() {
 
 #[test]
 fn exhausted_restart_budget_evicts_and_rejects_remainder() {
-    let mut cfg = fleet_cfg(vec![kv_member("kv-a", 16), kv_member("kv-b", 16)]);
-    cfg.max_restarts = 0; // first failure is fatal
-    cfg.staged_crash = Some(StagedCrash {
-        after_total_served: 6,
-        member: 0,
-        plan: corruption_plan(21),
-    });
+    // kv-a pages under its 16-page budget, so some of its requests take
+    // several faults; kv-b holds its whole store resident and never
+    // faults (about 125k cycles a request). A 300k-cycle watchdog
+    // strikes kv-a again after each restart, until the supervisor's
+    // restart budget is spent and the next strike evicts it.
+    let mut cfg = fleet_cfg(vec![kv_member("kv-a", 16), kv_member("kv-b", 0)]);
+    cfg.watchdog_cycles = 300_000;
     let mut fleet = Fleet::new(cfg).expect("fleet boots");
     let stats = fleet
         .run(vec![kv_traffic(7, 80), kv_traffic(8, 80)])
         .expect("run");
     let report = FleetReport::from_stats(&stats, fleet.now());
     assert!(report.all_accounted(), "eviction never drops silently");
-    assert!(stats[0].evicted, "zero restart budget means eviction");
+    assert!(stats[0].evicted, "a spent restart budget means eviction");
+    assert_eq!(
+        stats[0].restarts, 3,
+        "evicted on the failure after the last restart"
+    );
     assert!(
         stats[0].rejected_evicted > 0,
         "requests after eviction are explicitly rejected"
     );
     assert_eq!(stats[1].served, 80, "the survivor is unaffected");
+    assert_eq!(stats[1].watchdog_strikes, 0);
     assert!(!stats[1].evicted);
 }
 
@@ -304,9 +307,6 @@ fn property_replacement_within_budget_over_seeds() {
         };
         let wedge = seed % 3 == 1;
         let mut cfg = fleet_cfg(vec![kv_member("kv-a", 16), kv_member("kv-b", 16)]);
-        // The property under test is replacement, not eviction: give the
-        // ladder headroom for every injection to cause its own restart.
-        cfg.max_restarts = 10;
         cfg.staged_crash = Some(StagedCrash {
             after_total_served: 4 + seed % 7,
             member: (seed % 2) as usize,
@@ -361,7 +361,6 @@ fn restart_shrinks_healthy_neighbors_first() {
     // A reserve no fleet this size can satisfy forces the degradation
     // path on every restart.
     cfg.epc_reserve_frames = cfg.epc_frames;
-    cfg.shrink_floor_pages = 8;
     cfg.staged_crash = Some(StagedCrash {
         after_total_served: 10,
         member: 0,

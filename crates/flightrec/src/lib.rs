@@ -5,9 +5,9 @@
 //! domains. This crate turns that log into an *artifact* with three
 //! consumers:
 //!
-//! * [`schedule`] — a recorded schedule: the `(policy, workload, secret,
-//!   seed, fault plan)` coordinates that fully determine a simulated
-//!   run, printed in full in a failed cell's forensics so the run can be
+//! * [`schedule`] — a recorded schedule: the `(policy, workload, seed,
+//!   fault plan)` coordinates that fully determine a simulated run,
+//!   printed in full in a failed cell's forensics so the run can be
 //!   re-driven locally;
 //! * [`replay`] — the replay engine: re-run a schedule from scratch and
 //!   assert the flight records equal the recording's and the export

@@ -167,9 +167,7 @@ fn run_schedule(
     restore_midway: bool,
 ) -> Result<(), RtError> {
     let victim = schedule.workload;
-    let phase = victim
-        .setup(world, heap, schedule.secret)
-        .expect("victim setup");
+    let phase = victim.setup(world, heap, 0).expect("victim setup");
     phase.run(world, heap, |world, _, done| {
         if done == 0 {
             begin_secret_phase(schedule, world)?;

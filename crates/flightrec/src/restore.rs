@@ -108,7 +108,7 @@ impl RollbackOutcome {
 /// what the caller grades.
 pub fn rollback_attack_run(seed: u64, scenario: RollbackScenario) -> RollbackOutcome {
     let victim = Victim::Spell;
-    let schedule = Schedule::quiet(SchedulePolicy::Clusters, victim, 0, seed);
+    let schedule = Schedule::quiet(SchedulePolicy::Clusters, victim, seed);
     let (mut world, mut heap) = schedule_world(&schedule);
     let eid = world.eid;
     let mut counter = MonotonicCounter::new(world.os.machine.platform_key(), eid);

@@ -2,8 +2,9 @@
 //!
 //! A schedule is everything the replay engine needs to re-drive os-sim
 //! and the runtime into the exact same sequence of decisions: the paging
-//! policy, the workload, the secret class, the build seed, and (when the
-//! run was adversarial) the injected fault plan. A failing cell's
+//! policy, the workload, the build seed, and (when the run was
+//! adversarial) the injected fault plan. The workload always runs its
+//! secret class 0. A failing cell's
 //! forensics prints it in its `Debug` form, which names every field (each
 //! fault-plan rate in Rust's shortest round-trip `f64` form), so the
 //! report holds all it takes to rebuild the run.
@@ -57,8 +58,6 @@ pub struct Schedule {
     pub policy: SchedulePolicy,
     /// Victim to drive.
     pub workload: Victim,
-    /// Secret class (selects one side of the workload's secret pair).
-    pub secret: u32,
     /// Build seed (ORAM randomness; also offsets the world seed).
     pub seed: u64,
     /// Injected fault plan for adversarial runs, armed after workload
@@ -68,11 +67,10 @@ pub struct Schedule {
 
 impl Schedule {
     /// A quiescent (no injected faults) schedule.
-    pub fn quiet(policy: SchedulePolicy, workload: Victim, secret: u32, seed: u64) -> Self {
+    pub fn quiet(policy: SchedulePolicy, workload: Victim, seed: u64) -> Self {
         Self {
             policy,
             workload,
-            secret,
             seed,
             fault_plan: None,
         }
@@ -82,9 +80,9 @@ impl Schedule {
     /// on the workload that exercises that policy's decision surface.
     pub fn ci_matrix() -> Vec<Schedule> {
         vec![
-            Schedule::quiet(SchedulePolicy::Clusters, Victim::Spell, 0, 1),
-            Schedule::quiet(SchedulePolicy::RateLimit, Victim::Font, 0, 1),
-            Schedule::quiet(SchedulePolicy::CachedOram, Victim::Kvstore, 0, 1),
+            Schedule::quiet(SchedulePolicy::Clusters, Victim::Spell, 1),
+            Schedule::quiet(SchedulePolicy::RateLimit, Victim::Font, 1),
+            Schedule::quiet(SchedulePolicy::CachedOram, Victim::Kvstore, 1),
         ]
     }
 
@@ -96,7 +94,7 @@ impl Schedule {
         let mut out = Vec::new();
         for policy in SchedulePolicy::ALL {
             for workload in [Victim::Spell, Victim::Kvstore] {
-                out.push(Schedule::quiet(policy, workload, 0, 1));
+                out.push(Schedule::quiet(policy, workload, 1));
             }
         }
         out

@@ -15,8 +15,8 @@ fn mid_run_restore_is_artifact_invisible() {
     // self-paging cell and the ORAM cell keep the suite fast while
     // exercising both paging shapes.
     for schedule in [
-        Schedule::quiet(SchedulePolicy::Clusters, Victim::Spell, 0, 1),
-        Schedule::quiet(SchedulePolicy::CachedOram, Victim::Kvstore, 0, 1),
+        Schedule::quiet(SchedulePolicy::Clusters, Victim::Spell, 1),
+        Schedule::quiet(SchedulePolicy::CachedOram, Victim::Kvstore, 1),
     ] {
         let label = format!("{}/{}", schedule.policy.name(), schedule.workload.name());
         let verdict = verify_restore_replay(&schedule);
@@ -64,7 +64,7 @@ fn every_rollback_scenario_is_detected_and_attributed() {
 
 #[test]
 fn saturated_ring_drops_oldest_deterministically() {
-    let schedule = Schedule::quiet(SchedulePolicy::RateLimit, Victim::Kvstore, 0, 1);
+    let schedule = Schedule::quiet(SchedulePolicy::RateLimit, Victim::Kvstore, 1);
     let full = record_run(&schedule);
     assert_eq!(full.dropped, 0, "reference run must not wrap");
 

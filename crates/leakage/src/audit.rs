@@ -42,28 +42,13 @@ use crate::capture::Capture;
 use crate::metrics::{distinguishability, Distinguishability};
 use crate::trace::Trace;
 
-/// Audit parameters and gate thresholds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuditConfig {
-    /// Seeds (runs) per secret class per cell; ≥ 2.
-    pub seeds: usize,
-    /// The baseline sanity gate: minimum MI (bits/run) the unprotected
-    /// configuration must leak.
-    pub baseline_min_mi: f64,
-    /// The ORAM gate: maximum MI (bits/run) the cached-ORAM
-    /// configuration may leak.
-    pub oram_max_mi: f64,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            seeds: 3,
-            baseline_min_mi: 0.9,
-            oram_max_mi: 0.25,
-        }
-    }
-}
+/// The baseline sanity gate: minimum MI (bits/run) the unprotected
+/// configuration must leak.
+pub const BASELINE_MIN_MI: f64 = 0.9;
+/// The ORAM gate: maximum MI (bits/run) the cached-ORAM configuration
+/// may leak. The telemetry, restore and fleet cells hold their isolated
+/// channels to the same bound.
+pub const ORAM_MAX_MI: f64 = 0.25;
 
 /// The audited protection policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,37 +180,29 @@ pub fn policy_names() -> [&'static str; 7] {
     Policy::ALL.map(Policy::name)
 }
 
-/// Run the full audit matrix.
-pub fn run_audit(config: &AuditConfig) -> AuditReport {
-    run_audit_filtered(config, &[])
-}
-
-/// Run a subset of the matrix: `only` holds `policy/workload` labels
-/// (e.g. `cached-oram/spell`); empty runs everything.
-pub fn run_audit_filtered(config: &AuditConfig, only: &[String]) -> AuditReport {
-    assert!(config.seeds >= 2, "need ≥2 seeds per class");
+/// Run a subset of the matrix with `seeds` runs (≥ 2) per secret class
+/// per cell: `only` holds `policy/workload` labels (e.g.
+/// `cached-oram/spell`); empty runs everything.
+pub fn run_audit_filtered(seeds: usize, only: &[String]) -> AuditReport {
+    assert!(seeds >= 2, "need ≥2 seeds per class");
     let mut cells = Vec::new();
     for policy in Policy::ALL {
         for workload in Victim::ALL {
             let label = format!("{}/{}", policy.name(), workload.name());
             if only.is_empty() || only.iter().any(|o| o == &label) {
-                cells.push(audit_cell(config, policy, workload));
+                cells.push(audit_cell(seeds, policy, workload));
             }
         }
     }
     let pass = cells.iter().all(|c| c.gate != Gate::Fail);
-    AuditReport {
-        seeds: config.seeds,
-        cells,
-        pass,
-    }
+    AuditReport { seeds, cells, pass }
 }
 
-fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellResult {
+fn audit_cell(seeds: usize, policy: Policy, workload: Victim) -> CellResult {
     let mut classes: [Vec<Vec<u64>>; 2] = [Vec::new(), Vec::new()];
     let mut worst_rate: Option<RateGate> = None;
     for secret in 0..2u32 {
-        for seed in 0..config.seeds as u64 {
+        for seed in 0..seeds as u64 {
             let (trace, stats) = run_one(policy, workload, secret, seed);
             assert!(
                 !stats.terminated,
@@ -250,12 +227,12 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
 
     let (gate, reason) = match policy {
         Policy::Baseline => {
-            if dist.mi_bits >= config.baseline_min_mi {
+            if dist.mi_bits >= BASELINE_MIN_MI {
                 (
                     Gate::Pass,
                     format!(
                         "sanity: baseline leaks {:.2} ≥ {:.2} bits/run",
-                        dist.mi_bits, config.baseline_min_mi
+                        dist.mi_bits, BASELINE_MIN_MI
                     ),
                 )
             } else {
@@ -263,18 +240,18 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     Gate::Fail,
                     format!(
                         "audit broken: baseline leaks only {:.2} < {:.2} bits/run",
-                        dist.mi_bits, config.baseline_min_mi
+                        dist.mi_bits, BASELINE_MIN_MI
                     ),
                 )
             }
         }
         Policy::CachedOram => {
-            if dist.mi_bits <= config.oram_max_mi {
+            if dist.mi_bits <= ORAM_MAX_MI {
                 (
                     Gate::Pass,
                     format!(
                         "ORAM indistinguishable: {:.2} ≤ {:.2} bits/run",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             } else {
@@ -282,7 +259,7 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     Gate::Fail,
                     format!(
                         "ORAM leaks {:.2} > {:.2} bits/run",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             }
@@ -320,12 +297,12 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     Gate::Fail,
                     "telemetry cell captured no export traffic".to_owned(),
                 )
-            } else if dist.mi_bits <= config.oram_max_mi {
+            } else if dist.mi_bits <= ORAM_MAX_MI {
                 (
                     Gate::Pass,
                     format!(
                         "telemetry export indistinguishable: {:.2} ≤ {:.2} bits/run",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             } else {
@@ -333,7 +310,7 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     Gate::Fail,
                     format!(
                         "telemetry export leaks {:.2} > {:.2} bits/run",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             }
@@ -344,12 +321,12 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     Gate::Fail,
                     "restore cell captured no snapshot transport".to_owned(),
                 )
-            } else if dist.mi_bits <= config.oram_max_mi {
+            } else if dist.mi_bits <= ORAM_MAX_MI {
                 (
                     Gate::Pass,
                     format!(
                         "sealed snapshot transport indistinguishable: {:.2} ≤ {:.2} bits/run",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             } else {
@@ -358,7 +335,7 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     format!(
                         "sealed snapshot transport leaks {:.2} > {:.2} bits/run \
                          (blob size channel open?)",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             }
@@ -369,13 +346,13 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     Gate::Fail,
                     "fleet cell captured no neighbor traffic".to_owned(),
                 )
-            } else if dist.mi_bits <= config.oram_max_mi {
+            } else if dist.mi_bits <= ORAM_MAX_MI {
                 (
                     Gate::Pass,
                     format!(
                         "cross-tenant isolation holds: neighbor trace leaks \
                          {:.2} ≤ {:.2} bits/run",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             } else {
@@ -384,7 +361,7 @@ fn audit_cell(config: &AuditConfig, policy: Policy, workload: Victim) -> CellRes
                     format!(
                         "neighbor trace leaks {:.2} > {:.2} bits/run of the \
                          co-tenant's secret",
-                        dist.mi_bits, config.oram_max_mi
+                        dist.mi_bits, ORAM_MAX_MI
                     ),
                 )
             }
@@ -514,12 +491,11 @@ fn run_one(policy: Policy, victim: Victim, secret: u32, seed: u64) -> (Trace, Ru
                 if autarky_snapshot::is_snapshot_transport_key(*key))
         });
     }
-    let meta = world.rt.policy_meta();
     let stats = RunStats {
         faults: world.rt.fault_count(),
         progress: world.rt.progress_total(),
-        tracked_pages: meta.tracked_pages,
-        rate_limit: meta.rate_limit,
+        tracked_pages: world.rt.tracked_pages(),
+        rate_limit: world.rt.rate_limit(),
         terminated: world.rt.is_terminated(),
     };
     (Trace { events }, stats)
@@ -631,12 +607,11 @@ fn run_fleet_cell(victim: Victim, secret: u32, seed: u64) -> (Trace, RunStats) {
         .filter(|ev| observation_eid(ev) == Some(eid_a))
         .cloned()
         .collect();
-    let meta = neighbor.rt.policy_meta();
     let stats = RunStats {
         faults: neighbor.rt.fault_count(),
         progress: neighbor.rt.progress_total(),
-        tracked_pages: meta.tracked_pages,
-        rate_limit: meta.rate_limit,
+        tracked_pages: neighbor.rt.tracked_pages(),
+        rate_limit: neighbor.rt.rate_limit(),
         terminated: neighbor.rt.is_terminated() || world.rt.is_terminated(),
     };
     (Trace { events }, stats)
@@ -646,10 +621,12 @@ fn run_fleet_cell(victim: Victim, secret: u32, seed: u64) -> (Trace, RunStats) {
 mod tests {
     use super::*;
 
+    /// Runs per secret class in each unit-tested cell.
+    const SEEDS: usize = 3;
+
     #[test]
     fn baseline_spell_is_distinguishable() {
-        let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::Baseline, Victim::Spell);
+        let cell = audit_cell(SEEDS, Policy::Baseline, Victim::Spell);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         assert!(cell.dist.mi_bits >= 0.9, "MI {:.3}", cell.dist.mi_bits);
         assert!(cell.dist.mean_cross_tv > 0.0);
@@ -657,16 +634,14 @@ mod tests {
 
     #[test]
     fn cached_oram_kvstore_is_indistinguishable() {
-        let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::CachedOram, Victim::Kvstore);
+        let cell = audit_cell(SEEDS, Policy::CachedOram, Victim::Kvstore);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         assert!(cell.dist.mi_bits <= 0.25, "MI {:.3}", cell.dist.mi_bits);
     }
 
     #[test]
     fn rate_limited_font_stays_under_budget() {
-        let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::RateLimit, Victim::Font);
+        let cell = audit_cell(SEEDS, Policy::RateLimit, Victim::Font);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         let rate = cell.rate.expect("rate evidence recorded");
         assert!((rate.faults as f64) <= rate.allowed);
@@ -674,8 +649,7 @@ mod tests {
 
     #[test]
     fn telemetry_export_is_indistinguishable() {
-        let config = AuditConfig::default();
-        let cell = audit_cell(&config, Policy::Telemetry, Victim::Spell);
+        let cell = audit_cell(SEEDS, Policy::Telemetry, Victim::Spell);
         assert_eq!(cell.gate, Gate::Pass, "{}", cell.reason);
         assert!(
             cell.dist.mean_symbols[0] > 0.0,
@@ -686,9 +660,8 @@ mod tests {
 
     #[test]
     fn restore_transport_is_indistinguishable() {
-        let config = AuditConfig::default();
         for workload in [Victim::Spell, Victim::Kvstore] {
-            let cell = audit_cell(&config, Policy::Restore, workload);
+            let cell = audit_cell(SEEDS, Policy::Restore, workload);
             assert_eq!(
                 cell.gate,
                 Gate::Pass,
@@ -712,9 +685,8 @@ mod tests {
 
     #[test]
     fn fleet_neighbor_trace_is_secret_independent() {
-        let config = AuditConfig::default();
         for workload in [Victim::Kvstore, Victim::Spell] {
-            let cell = audit_cell(&config, Policy::Fleet, workload);
+            let cell = audit_cell(SEEDS, Policy::Fleet, workload);
             assert_eq!(
                 cell.gate,
                 Gate::Pass,

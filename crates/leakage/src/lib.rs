@@ -37,8 +37,8 @@ pub mod metrics;
 pub mod trace;
 
 pub use audit::{
-    policy_names, run_audit, run_audit_filtered, AuditConfig, AuditReport, CellResult, Gate,
-    RateGate,
+    policy_names, run_audit_filtered, AuditReport, CellResult, Gate, RateGate, BASELINE_MIN_MI,
+    ORAM_MAX_MI,
 };
 pub use capture::Capture;
 pub use metrics::{

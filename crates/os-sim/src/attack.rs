@@ -122,13 +122,6 @@ pub enum Attacker {
     AdMonitor(AdMonitor),
 }
 
-impl Attacker {
-    /// Whether an attack is armed.
-    pub fn is_armed(&self) -> bool {
-        !matches!(self, Attacker::None)
-    }
-}
-
 fn protect(os: &mut Os, eid: EnclaveId, vpn: Vpn, mode: TraceMode) {
     if let Ok(pt) = os.machine.page_table_mut(eid) {
         match mode {

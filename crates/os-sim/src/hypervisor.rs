@@ -73,11 +73,6 @@ impl Hypervisor {
         self.partitions.entry(vm).or_default().enclaves.insert(eid);
     }
 
-    /// The VM's configured cap.
-    pub fn partition_cap(&self, vm: VmId) -> usize {
-        self.partitions.get(&vm).map(|p| p.frame_cap).unwrap_or(0)
-    }
-
     /// Frames the VM's enclaves currently occupy.
     pub fn usage(&self, os: &Os, vm: VmId) -> usize {
         self.partitions

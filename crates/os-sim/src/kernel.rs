@@ -225,11 +225,6 @@ impl Os {
         self.injector.take().map(|i| i.injected()).unwrap_or(0)
     }
 
-    /// Faults injected so far by the armed injector.
-    pub fn injected_fault_count(&self) -> u64 {
-        self.injector.as_ref().map(|i| i.injected()).unwrap_or(0)
-    }
-
     /// Whether an injected suspend is awaiting its transparent resume
     /// (exposed so the fault path can model the OS resuming the enclave
     /// before the next entry, as the syscall-entry hook would).

@@ -37,6 +37,6 @@ pub use cluster::{ClusterCapture, ClusterId, ClusterMap};
 pub use error::RtError;
 pub use ratelimit::{RateLimit, RateLimiter};
 pub use runtime::{
-    is_telemetry_export_key, telemetry_export_key, HardenConfig, PagingMechanism, PolicyMeta,
-    PolicyMode, RtStats, Runtime, RuntimeConfig, TELEMETRY_EXPORT_KEY_BIT,
+    is_telemetry_export_key, telemetry_export_key, PagingMechanism, PolicyMode, RtStats, Runtime,
+    RuntimeConfig, MISBEHAVIOR_BUDGET, TELEMETRY_EXPORT_KEY_BIT,
 };

@@ -71,10 +71,6 @@ pub struct RuntimeConfig {
     pub budget: usize,
     /// Automatic data-page cluster size for the allocator (0 = off).
     pub auto_cluster_size: usize,
-    /// Put all code pages into one per-library cluster at attach time.
-    pub cluster_code: bool,
-    /// Hostile-OS hardening knobs (retry, verification, degradation).
-    pub harden: HardenConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -85,61 +81,40 @@ impl Default for RuntimeConfig {
             mechanism: PagingMechanism::Sgx1,
             budget: 0,
             auto_cluster_size: 0,
-            cluster_code: true,
-            harden: HardenConfig::default(),
         }
     }
 }
 
-/// How the runtime survives an OS that fails, lies, or stalls
-/// (see DESIGN.md, "Threat model under OS misbehavior & fault
-/// injection").
-///
-/// Driver errors are split into two classes. *Transient* errors
-/// (`NoMemory`, `Suspended`) are what an honest OS produces under memory
-/// pressure or scheduling; the runtime absorbs them with bounded,
-/// backoff-charged retries and — under sustained pressure — by shrinking
-/// its own resident budget (the ballooning path, §5.4). *Hostile*
-/// evidence (wrong answers, silently dropped pages, diverging batches) is
-/// counted against a misbehaviour budget; exceeding it escalates to
-/// `AttackDetected` and termination, exactly like a controlled-channel
-/// signal.
-#[derive(Debug, Clone)]
-pub struct HardenConfig {
-    /// Transient driver failures tolerated per operation before the
-    /// (typed) error propagates to the caller.
-    pub max_retries: u32,
-    /// Base of the exponential backoff charged to the simulated clock
-    /// between retries; doubles with each attempt.
-    pub backoff_base_cycles: u64,
-    /// Anomalies (lies, dropped pages, diverged batches) tolerated over
-    /// the enclave's lifetime before the runtime terminates it with
-    /// `AttackDetected`.
-    pub misbehavior_budget: u32,
-    /// Re-verify architectural residency after every fetch-style call,
-    /// catching an OS that claims success without doing the work.
-    pub verify_fetches: bool,
-    /// Under sustained `NoMemory`, cooperatively shrink the resident
-    /// budget (ballooning, §5.4) to relieve EPC pressure instead of
-    /// failing fast. Never applied under `PolicyMode::PinAll`, where
-    /// evicting would turn later legitimate faults into false attacks.
-    pub degrade_on_pressure: bool,
-    /// Floor below which degradation never shrinks the budget.
-    pub degrade_floor: usize,
-}
+// How the runtime survives an OS that fails, lies, or stalls (see
+// DESIGN.md, "Threat model under OS misbehavior & fault injection").
+//
+// Driver errors are split into two classes. *Transient* errors
+// (`NoMemory`, `Suspended`) are what an honest OS produces under memory
+// pressure or scheduling; the runtime absorbs them with bounded,
+// backoff-charged retries and — under sustained pressure — by shrinking
+// its own resident budget (the ballooning path, §5.4). *Hostile*
+// evidence (wrong answers, silently dropped pages, diverging batches) is
+// counted against a misbehaviour budget; exceeding it escalates to
+// `AttackDetected` and termination, exactly like a controlled-channel
+// signal. Every fetch-style call is re-verified against architectural
+// residency, catching an OS that claims success without doing the work.
+//
+// The thresholds are part of the runtime's measured code, not of its
+// configuration, so no checkpoint can carry other ones.
 
-impl Default for HardenConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 6,
-            backoff_base_cycles: 2_000,
-            misbehavior_budget: 8,
-            verify_fetches: true,
-            degrade_on_pressure: true,
-            degrade_floor: 8,
-        }
-    }
-}
+/// Transient driver failures tolerated per operation before the (typed)
+/// error propagates to the caller.
+const MAX_RETRIES: u32 = 6;
+/// Base of the exponential backoff charged to the simulated clock
+/// between retries; doubles with each attempt.
+const BACKOFF_BASE_CYCLES: u64 = 2_000;
+/// Anomalies (lies, dropped pages, diverged batches) tolerated over the
+/// enclave's lifetime before the runtime terminates it with
+/// `AttackDetected`.
+pub const MISBEHAVIOR_BUDGET: u32 = 8;
+/// Floor below which degradation under sustained `NoMemory` never
+/// shrinks the resident budget.
+const DEGRADE_FLOOR: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PageState {
@@ -204,27 +179,6 @@ impl RtStats {
             degradations: r.u64()?,
         })
     }
-}
-
-/// A read-only snapshot of the paging policy a runtime enforces, exposed
-/// for external audit tooling (the leakage subsystem checks the measured
-/// fault rate of a run against `rate_limit` and sizes the per-fault
-/// leakage bound by `tracked_pages`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyMeta {
-    /// Fault-handling policy.
-    pub mode: PolicyMode,
-    /// Configured fault-rate bound, if any (§5.2.4).
-    pub rate_limit: Option<RateLimit>,
-    /// Paging mechanism.
-    pub mechanism: PagingMechanism,
-    /// Resident-page budget (0 = unlimited).
-    pub budget: usize,
-    /// Automatic data-cluster size (0 = off).
-    pub auto_cluster_size: usize,
-    /// Pages currently under runtime management — the set a page-granular
-    /// adversary could hope to distinguish between.
-    pub tracked_pages: usize,
 }
 
 /// The trusted runtime instance for one enclave.
@@ -344,39 +298,37 @@ impl Runtime {
                 }
                 rt.tracked.insert(vpn, state);
             }
-            if rt.config.cluster_code {
-                // One cluster per library (§5.2.3, "Clusters for code
-                // pages"), created automatically by the trusted loader. A
-                // library's cluster also covers the code of libraries it
-                // calls into, so control flow across the dependency edge
-                // never faults separately — and dependents of a shared
-                // library end up sharing pages, which the transitive
-                // fetch-set rule then keeps consistent.
-                if image.libraries.is_empty() {
-                    let lib = rt.clusters.new_cluster();
-                    for vpn in image.code_range() {
-                        rt.clusters.ay_add_page(lib, vpn)?;
+            // One cluster per library (§5.2.3, "Clusters for code
+            // pages"), created automatically by the trusted loader. A
+            // library's cluster also covers the code of libraries it
+            // calls into, so control flow across the dependency edge
+            // never faults separately — and dependents of a shared
+            // library end up sharing pages, which the transitive
+            // fetch-set rule then keeps consistent.
+            if image.libraries.is_empty() {
+                let lib = rt.clusters.new_cluster();
+                for vpn in image.code_range() {
+                    rt.clusters.ay_add_page(lib, vpn)?;
+                }
+            } else {
+                for (index, library) in image.libraries.iter().enumerate() {
+                    let cluster = rt.clusters.new_cluster();
+                    for vpn in image.library_pages(index) {
+                        rt.clusters.ay_add_page(cluster, vpn)?;
                     }
-                } else {
-                    for (index, library) in image.libraries.iter().enumerate() {
-                        let cluster = rt.clusters.new_cluster();
-                        for vpn in image.library_pages(index) {
+                    for &dep in &library.uses {
+                        for vpn in image.library_pages(dep) {
                             rt.clusters.ay_add_page(cluster, vpn)?;
                         }
-                        for &dep in &library.uses {
-                            for vpn in image.library_pages(dep) {
-                                rt.clusters.ay_add_page(cluster, vpn)?;
-                            }
-                        }
                     }
-                    // Code pages outside any declared library form one
-                    // residual cluster.
-                    let declared: usize = image.libraries.iter().map(|l| l.pages).sum();
-                    if declared < image.code_pages {
-                        let rest = rt.clusters.new_cluster();
-                        for vpn in image.code_range().skip(declared) {
-                            rt.clusters.ay_add_page(rest, vpn)?;
-                        }
+                }
+                // Code pages outside any declared library form one
+                // residual cluster.
+                let declared: usize = image.libraries.iter().map(|l| l.pages).sum();
+                if declared < image.code_pages {
+                    let rest = rt.clusters.new_cluster();
+                    for vpn in image.code_range().skip(declared) {
+                        rt.clusters.ay_add_page(rest, vpn)?;
                     }
                 }
             }
@@ -392,11 +344,6 @@ impl Runtime {
     /// The configured budget (0 = unlimited).
     pub fn budget(&self) -> usize {
         self.config.budget
-    }
-
-    /// Adjust the resident-page budget at run time.
-    pub fn set_budget(&mut self, budget: usize) {
-        self.config.budget = budget;
     }
 
     /// Cooperatively shrink to `new_budget` resident pages, evicting down
@@ -435,16 +382,15 @@ impl Runtime {
         self.limiter.progress_total()
     }
 
-    /// Snapshot of the enforced policy, for audit tooling.
-    pub fn policy_meta(&self) -> PolicyMeta {
-        PolicyMeta {
-            mode: self.config.mode,
-            rate_limit: self.config.rate_limit,
-            mechanism: self.config.mechanism,
-            budget: self.config.budget,
-            auto_cluster_size: self.config.auto_cluster_size,
-            tracked_pages: self.tracked.len(),
-        }
+    /// Pages under runtime management: the set a page-granular
+    /// adversary could hope to distinguish between.
+    pub fn tracked_pages(&self) -> usize {
+        self.tracked.len()
+    }
+
+    /// The enforced fault-rate bound, if any (§5.2.4).
+    pub fn rate_limit(&self) -> Option<RateLimit> {
+        self.config.rate_limit
     }
 
     // ----------------------------------------------------------------
@@ -603,11 +549,11 @@ impl Runtime {
                     self.span_close(os, guard);
                     self.telemetry.fetch_batch_pages.record(1);
                     fetched?;
-                    if !self.config.harden.verify_fetches || os.machine.is_resident(self.eid, vpn) {
+                    if os.machine.is_resident(self.eid, vpn) {
                         break;
                     }
                     rounds += 1;
-                    if rounds > self.config.harden.max_retries {
+                    if rounds > MAX_RETRIES {
                         return Err(RtError::Os(OsError::BadRequest(
                             "forwarded fetch never became resident",
                         )));
@@ -829,14 +775,12 @@ impl Runtime {
             }
             match os.ay_evict_pages(self.eid, &remaining) {
                 Ok(()) => continue, // re-check: a resume may reload pages
-                Err(e @ (OsError::NoMemory | OsError::Suspended(_)))
-                    if attempts < self.config.harden.max_retries =>
-                {
+                Err(e @ (OsError::NoMemory | OsError::Suspended(_))) if attempts < MAX_RETRIES => {
                     let _ = e;
                     attempts += 1;
                     self.charge_backoff(os, attempts);
                 }
-                Err(OsError::BadRequest(_)) if attempts < self.config.harden.max_retries => {
+                Err(OsError::BadRequest(_)) if attempts < MAX_RETRIES => {
                     // A page vanished between our residency check and the
                     // OS processing the batch: something is evicting our
                     // pinned pages under our feet.
@@ -869,7 +813,7 @@ impl Runtime {
                 return Ok(());
             }
             self.check_hw_freshness(os, &missing)?;
-            if rounds > self.config.harden.max_retries {
+            if rounds > MAX_RETRIES {
                 return Err(RtError::Os(OsError::BadRequest(
                     "fetched pages never became resident",
                 )));
@@ -879,9 +823,6 @@ impl Runtime {
             }
             rounds += 1;
             self.with_retries(os, true, |os, eid| os.ay_fetch_pages(eid, &missing))?;
-            if !self.config.harden.verify_fetches {
-                return Ok(());
-            }
         }
     }
 
@@ -992,9 +933,7 @@ impl Runtime {
         loop {
             match op(os, self.eid) {
                 Ok(v) => return Ok(v),
-                Err(e @ (OsError::NoMemory | OsError::Suspended(_)))
-                    if attempt < self.config.harden.max_retries =>
-                {
+                Err(e @ (OsError::NoMemory | OsError::Suspended(_))) if attempt < MAX_RETRIES => {
                     attempt += 1;
                     self.charge_backoff(os, attempt);
                     if allow_degrade && matches!(e, OsError::NoMemory) && attempt >= 2 {
@@ -1015,37 +954,37 @@ impl Runtime {
             .telemetry
             .enter(SpanKind::RetryBackoff, os.machine.clock.now());
         let shift = (attempt - 1).min(10);
-        os.machine.clock.charge_tagged(
-            CostTag::Runtime,
-            self.config.harden.backoff_base_cycles << shift,
-        );
+        os.machine
+            .clock
+            .charge_tagged(CostTag::Runtime, BACKOFF_BASE_CYCLES << shift);
         self.span_close(os, guard);
         if os.flight_armed() {
             os.flight_record(FlightEvent::Retry {
                 attempt: u64::from(attempt),
-                backoff_cycles: self.config.harden.backoff_base_cycles << shift,
+                backoff_cycles: BACKOFF_BASE_CYCLES << shift,
             });
         }
         self.telemetry.retry_attempt.record(attempt as u64);
     }
 
     /// The degradation ladder: under sustained EPC pressure, shrink our
-    /// own resident budget by a quarter (down to the configured floor)
+    /// own resident budget by a quarter (down to `DEGRADE_FLOOR`)
     /// and evict down to it immediately through the ballooning path
     /// (§5.4), freeing pinned frames for whoever needs them. Disabled
     /// under `PinAll`, where evicting would make later legitimate faults
     /// indistinguishable from attacks.
     fn degrade(&mut self, os: &mut Os) -> Result<(), RtError> {
-        if !self.config.harden.degrade_on_pressure || self.config.mode == PolicyMode::PinAll {
+        if self.config.mode == PolicyMode::PinAll {
             return Ok(());
         }
-        let floor = self.config.harden.degrade_floor.max(1);
         let current = if self.config.budget == 0 {
             self.resident_count
         } else {
             self.config.budget
         };
-        let target = current.saturating_sub((current / 4).max(1)).max(floor);
+        let target = current
+            .saturating_sub((current / 4).max(1))
+            .max(DEGRADE_FLOOR);
         if current == 0 || target >= current {
             return Ok(());
         }
@@ -1070,7 +1009,7 @@ impl Runtime {
         why: &'static str,
     ) -> Result<(), RtError> {
         self.stats.misbehavior += 1;
-        let budget = u64::from(self.config.harden.misbehavior_budget);
+        let budget = u64::from(MISBEHAVIOR_BUDGET);
         if os.flight_armed() {
             os.flight_record(FlightEvent::Misbehavior {
                 vpn,
@@ -1387,7 +1326,9 @@ impl Runtime {
     /// Carrying the *hardening* state is deliberate — a restore that
     /// reset retry counters, misbehaviour debits, or the leakage budget
     /// would let the OS launder an attack by snapshotting before each
-    /// probe. Hash-map sections are emitted sorted, so identical runtimes
+    /// probe. The thresholds those debits count against are constants
+    /// of the runtime's code ([`MISBEHAVIOR_BUDGET`] among them), so no
+    /// blob can carry other ones. Hash-map sections are emitted sorted, so identical runtimes
     /// always produce identical blobs. The blob holds secret-dependent
     /// state (which pages are resident, in what order) and must only
     /// leave the enclave sealed.
@@ -1409,7 +1350,6 @@ impl Runtime {
         });
         out.extend_from_slice(&(self.config.budget as u64).to_le_bytes());
         out.extend_from_slice(&(self.config.auto_cluster_size as u64).to_le_bytes());
-        out.push(u8::from(self.config.cluster_code));
         match self.config.rate_limit {
             Some(limit) => {
                 out.push(1);
@@ -1418,13 +1358,6 @@ impl Runtime {
             }
             None => out.push(0),
         }
-        let harden = &self.config.harden;
-        out.extend_from_slice(&harden.max_retries.to_le_bytes());
-        out.extend_from_slice(&harden.backoff_base_cycles.to_le_bytes());
-        out.extend_from_slice(&harden.misbehavior_budget.to_le_bytes());
-        out.push(u8::from(harden.verify_fetches));
-        out.push(u8::from(harden.degrade_on_pressure));
-        out.extend_from_slice(&(harden.degrade_floor as u64).to_le_bytes());
         out.extend_from_slice(&self.limiter.faults().to_le_bytes());
         out.extend_from_slice(&self.limiter.progress_total().to_le_bytes());
         let mut tracked: Vec<(Vpn, PageState)> =
@@ -1523,7 +1456,6 @@ impl Runtime {
         };
         let budget = r.usize()?;
         let auto_cluster_size = r.usize()?;
-        let cluster_code = r.bool()?;
         let rate_limit = match r.u8()? {
             0 => None,
             1 => Some(RateLimit {
@@ -1531,14 +1463,6 @@ impl Runtime {
                 burst: r.u64()?,
             }),
             _ => return Err(DecodeError::BadTag),
-        };
-        let harden = HardenConfig {
-            max_retries: r.u32()?,
-            backoff_base_cycles: r.u64()?,
-            misbehavior_budget: r.u32()?,
-            verify_fetches: r.bool()?,
-            degrade_on_pressure: r.bool()?,
-            degrade_floor: r.usize()?,
         };
         let limiter_faults = r.u64()?;
         let limiter_progress = r.u64()?;
@@ -1610,8 +1534,6 @@ impl Runtime {
                 mechanism,
                 budget,
                 auto_cluster_size,
-                cluster_code,
-                harden,
             },
             tracked,
             clusters,
@@ -1639,7 +1561,7 @@ impl Runtime {
 }
 
 /// Format version of [`Runtime::capture_bytes`].
-const CAPTURE_VERSION: u32 = 2;
+const CAPTURE_VERSION: u32 = 3;
 
 fn derive_sealing_key(eid: EnclaveId) -> [u8; 32] {
     // Stand-in for EGETKEY: a per-enclave sealing key.

@@ -525,7 +525,6 @@ fn sgx2_paging_preserves_code_page_permissions() {
     // executable, or its next instruction fetch looks like an attack.
     let (mut os, _eid, mut rt) = setup(RuntimeConfig {
         mechanism: PagingMechanism::Sgx2,
-        cluster_code: true,
         ..Default::default()
     });
     let img = image("rt-test");
@@ -608,7 +607,7 @@ fn exercised_checkpoint() -> (Vec<u8>, [(&'static str, usize); 3]) {
     // vpns, resident count, software versions (vpn, version), software
     // permissions (vpn, bits), hardware versions, four heap words, then
     // the free lists.
-    let tracked = 84;
+    let tracked = 57;
     let fifo = tracked + 8 + 9 * count_at(tracked);
     let sw_versions = fifo + 8 + 8 * count_at(fifo) + 8;
     let sw_perms = sw_versions + 8 + 16 * count_at(sw_versions);
@@ -652,9 +651,16 @@ fn checkpoint_codec_rejects_malformed_blobs() {
     let mut bad_magic = blob.clone();
     bad_magic[0] ^= 0xFF;
     assert_eq!(refusal(&bad_magic), Some(DecodeError::BadTag), "magic");
-    let mut bad_version = blob.clone();
-    bad_version[4] = 9;
-    assert_eq!(refusal(&bad_version), Some(DecodeError::BadTag), "version");
+    // The previous version and an unknown one.
+    for version in [2, 9] {
+        let mut bad_version = blob.clone();
+        bad_version[4] = version;
+        assert_eq!(
+            refusal(&bad_version),
+            Some(DecodeError::BadTag),
+            "version {version}"
+        );
+    }
     let mut trailing = blob.clone();
     trailing.push(0);
     assert_eq!(
@@ -662,9 +668,9 @@ fn checkpoint_codec_rejects_malformed_blobs() {
         Some(DecodeError::Trailing),
         "trailing bytes"
     );
-    // The five flag bytes: self_paging, terminated, cluster_code,
-    // verify_fetches and degrade_on_pressure. Only 0 and 1 are bools.
-    for at in [20, 21, 40, 58, 59] {
+    // The two flag bytes: self_paging and terminated. Only 0 and 1 are
+    // bools.
+    for at in [20, 21] {
         assert!(blob[at] <= 1);
         let mut flag = blob.clone();
         flag[at] = 2;

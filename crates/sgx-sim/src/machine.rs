@@ -212,8 +212,6 @@ struct EnclaveState {
 pub struct MachineConfig {
     /// Number of EPC frames available to all enclaves.
     pub epc_frames: usize,
-    /// Cycle cost model.
-    pub costs: CostModel,
     /// Enable the paper's proposed AEX-elision optimization: page faults in
     /// self-paging enclaves vector directly to the in-enclave handler
     /// without an AEX/OS round trip (§5.1.3, "Eliding AEX").
@@ -228,7 +226,6 @@ impl Default for MachineConfig {
     fn default() -> Self {
         Self {
             epc_frames: 4096, // 16 MiB of EPC by default
-            costs: CostModel::default(),
             elide_aex: false,
             elide_handler_invocation: false,
         }
@@ -265,7 +262,7 @@ impl Machine {
     /// Build a machine from `config`.
     pub fn new(config: MachineConfig) -> Self {
         Self {
-            costs: config.costs,
+            costs: CostModel::default(),
             clock: Clock::new(),
             epc: Epc::new(config.epc_frames),
             enclaves: HashMap::new(),
@@ -290,11 +287,6 @@ impl Machine {
         if !on {
             self.transitions.clear();
         }
-    }
-
-    /// Whether the transition log is armed.
-    pub fn transition_recording(&self) -> bool {
-        self.record_transitions
     }
 
     /// Drain all transitions recorded since the last drain.

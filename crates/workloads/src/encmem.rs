@@ -360,18 +360,6 @@ impl EncHeap {
     pub fn write_f64(&mut self, world: &mut World, ptr: Ptr, value: f64) -> Result<(), RtError> {
         self.write_u64(world, ptr, value.to_bits())
     }
-
-    /// Read a `u32`.
-    pub fn read_u32(&mut self, world: &mut World, ptr: Ptr) -> Result<u32, RtError> {
-        let mut buf = [0u8; 4];
-        self.read(world, ptr, &mut buf)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    /// Write a `u32`.
-    pub fn write_u32(&mut self, world: &mut World, ptr: Ptr, value: u32) -> Result<(), RtError> {
-        self.write(world, ptr, &value.to_le_bytes())
-    }
 }
 
 /// Split `len` bytes at `ptr` into per-block pieces: the ORAM block, the

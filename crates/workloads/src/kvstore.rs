@@ -8,7 +8,7 @@
 //! its cluster.
 
 use autarky_runtime::RtError;
-use autarky_sgx_sim::{Vpn, PAGE_SIZE};
+use autarky_sgx_sim::PAGE_SIZE;
 
 use crate::encmem::{EncHeap, World};
 use crate::uthash::EncHashTable;
@@ -140,20 +140,6 @@ pub fn secret_pair(items: u64, count: usize) -> (Vec<u64>, Vec<u64>) {
     let a = (0..count).map(|i| i as u64 % half).collect();
     let b = (0..count).map(|i| i as u64 % half + half).collect();
     (a, b)
-}
-
-/// Enable cluster registration on a direct heap world: route the runtime
-/// allocator's pages into auto clusters of `pages` pages.
-pub fn enable_item_clusters(world: &mut World, pages: usize) {
-    world.rt.clusters.ay_init_clusters(0, pages);
-}
-
-/// Hand the heap region to the OS for the *baseline* (insecure) and
-/// rate-limited configurations where item pages are not pinned.
-pub fn declare_heap_os_managed(world: &mut World) -> Result<(), RtError> {
-    let pages: Vec<Vpn> = world.image.heap_range().collect();
-    world.os.ay_set_os_managed(world.eid, &pages)?;
-    Ok(())
 }
 
 /// Approximate bytes a store of `items` × `value_size` occupies,

@@ -545,12 +545,8 @@ fn leakage_audit_quantifies_the_channel() {
     // One distinguishable cell (legacy paging, traced code pages) and
     // one closed cell (cached ORAM): the audit must measure ~1 bit per
     // run on the former and ~0 on the latter.
-    let config = autarky_leakage::AuditConfig {
-        seeds: 2,
-        ..Default::default()
-    };
     let report = autarky_leakage::audit::run_audit_filtered(
-        &config,
+        2,
         &["baseline/font".into(), "cached-oram/font".into()],
     );
     assert_eq!(report.cells.len(), 2);

@@ -292,7 +292,7 @@ fn exported_bytes_match_known_answers() {
             Fingerprint {
                 export_sha256: "5254cbc5a2c90295622d466536448394cdccd418cef0a0c5449f52e15918b696"
                     .into(),
-                capture_sha256: "3dc1ff5928981853b0a6369c7d82391861ddbfd9a9b45035d693ed7ff7c0caf8"
+                capture_sha256: "e201659eac7c78f4765bcb8df5c1d102a755659f80f36e6eb566053e79894380"
                     .into(),
                 clock: 4_282_607,
                 oram: [0; 7],
@@ -300,7 +300,7 @@ fn exported_bytes_match_known_answers() {
             Fingerprint {
                 export_sha256: "71f874b7067c957ec52686f81f00cf573c7dba935a17f2bc3a880da731187dec"
                     .into(),
-                capture_sha256: "6a7edee4248af2904a5dd627dc6a40a41f121834a6ef09fd0175845896e747f1"
+                capture_sha256: "bbb268ab42cfb0f5e0bd3e093223c05e44563d72c050c5e481b33dd94f87b5b8"
                     .into(),
                 clock: 28_220_124,
                 oram: [164, 820, 820, 26_413_344, 368_640, 8, 90],
@@ -308,7 +308,7 @@ fn exported_bytes_match_known_answers() {
             Fingerprint {
                 export_sha256: "a22e6caf03912539d7b8c5beaaf5c2334702e3ea7142768f89f11a3ed78d11d8"
                     .into(),
-                capture_sha256: "1dcf5d7a0390617d0e479e85c327f4bdd46726dfb596afaf0bf3b29be7a27a3e"
+                capture_sha256: "9e99ce58c56bd9b7dda6d7e716c208081cf8da2bc32c44d815cf5e5e945382ef"
                     .into(),
                 clock: 259_914_020,
                 oram: [60, 240, 240, 7_633_440, 63_045_120, 0, 0],
