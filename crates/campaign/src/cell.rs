@@ -69,6 +69,28 @@ impl CellKind {
     pub fn from_name(tag: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.name() == tag)
     }
+
+    /// The `[[suite]]` keys besides `kind` that this kind reads: the axes
+    /// and parameters [`CellSpec::canon`] prints for it. A suite refuses
+    /// any other key; a `[matrix]` axis the kind does not read is shared
+    /// with the other suites and ignored here.
+    pub fn suite_keys(self) -> &'static [&'static str] {
+        match self {
+            CellKind::Leakage => &["policy", "workload", "samples"],
+            CellKind::Replay | CellKind::Snapshot => &["policy", "workload", "fault_plan", "seed"],
+            CellKind::Fleet => &[
+                "workload",
+                "traffic_shape",
+                "fault_plan",
+                "enclave_size",
+                "seed",
+                "requests",
+            ],
+            CellKind::Bench => &["policy", "workload", "scale", "baseline"],
+            CellKind::Figure => &["workload", "scale"],
+            CellKind::Watch => &["workload", "fault_plan", "seed", "requests"],
+        }
+    }
 }
 
 /// Per-suite parameters: sizes and the bench baseline (kind-specific

@@ -17,10 +17,13 @@
 //! Each kind consumes only the axes that can change its outcome (a
 //! bench cell has no seed; a leakage cell folds the seed axis into
 //! its own per-class sampling), and expansion is the cartesian product
-//! of the consumed axes. A section refuses any key it does not read,
-//! and axis values are validated against the wrapped subsystem's
-//! vocabulary at load time — a typo in a key or a value is a config
-//! error, not a silently ignored setting or a skipped cell.
+//! of the consumed axes. Any other section is refused, as is a second
+//! `[campaign]` or `[matrix]`. A section refuses any key it does not
+//! read: a suite accepts only the keys its kind reads
+//! ([`CellKind::suite_keys`]), while `[matrix]` axes are shared by all
+//! suites. Axis values are validated against the wrapped subsystem's
+//! vocabulary at load time — a typo in a section, a key or a value is a
+//! config error, not a silently ignored setting or a skipped cell.
 
 use std::fmt;
 
@@ -53,8 +56,7 @@ pub const WATCH_FAULT_PLANS: [&str; 2] = ["quiet", "storm"];
 /// member, a kvstore).
 pub const WATCH_WORKLOADS: [&str; 2] = ["kvstore", "mixed"];
 
-/// The matrix axes: the keys of `[matrix]`, and of `[[suite]]` beside
-/// `kind` and [`PARAM_KEYS`].
+/// The matrix axes: the keys of `[matrix]`.
 const AXIS_KEYS: [&str; 6] = [
     "policy",
     "workload",
@@ -63,8 +65,8 @@ const AXIS_KEYS: [&str; 6] = [
     "traffic_shape",
     "seed",
 ];
-/// The parameter keys of `[[suite]]` (the fields of [`SuiteParams`]).
-const PARAM_KEYS: [&str; 4] = ["scale", "baseline", "samples", "requests"];
+/// The sections a config may hold.
+const SECTIONS: &str = "[campaign], [matrix], [[suite]]";
 
 /// A config-level failure (parse or validation).
 #[derive(Debug, Clone, PartialEq)]
@@ -418,6 +420,7 @@ impl CampaignConfig {
     /// Parse and validate a TOML config.
     pub fn from_toml(input: &str) -> Result<Self, ConfigError> {
         let doc = toml::parse(input)?;
+        refuse_unknown_sections(&doc)?;
         let campaign = doc
             .table("campaign")
             .ok_or_else(|| ConfigError("missing [campaign] section".into()))?;
@@ -447,13 +450,7 @@ impl CampaignConfig {
             return Err(ConfigError("config declares no [[suite]]".into()));
         }
         let mut suites = Vec::with_capacity(suite_tables.len());
-        let suite_keys: Vec<&str> = ["kind"]
-            .into_iter()
-            .chain(AXIS_KEYS)
-            .chain(PARAM_KEYS)
-            .collect();
         for (i, table) in suite_tables.iter().enumerate() {
-            refuse_unknown_keys(table, &format!("suite #{}", i + 1), &suite_keys)?;
             let kind_tag = table
                 .get_str("kind")
                 .ok_or_else(|| ConfigError(format!("suite #{}: missing `kind`", i + 1)))?;
@@ -464,6 +461,15 @@ impl CampaignConfig {
                     CellKind::ALL.map(CellKind::name).join(", ")
                 ))
             })?;
+            let suite_keys: Vec<&str> = ["kind"]
+                .into_iter()
+                .chain(kind.suite_keys().iter().copied())
+                .collect();
+            refuse_unknown_keys(
+                table,
+                &format!("suite #{} ({kind_tag})", i + 1),
+                &suite_keys,
+            )?;
             let mut axes = matrix_axes.clone();
             axes.overlay(table)?;
             let params = parse_params(table, SuiteParams::default())?;
@@ -488,6 +494,27 @@ impl CampaignConfig {
         }
         cells
     }
+}
+
+/// Refuse a section other than one `[campaign]`, at most one `[matrix]`
+/// and any number of `[[suite]]`, naming it and the valid sections. The
+/// parser files keys above the first header under a section named "".
+fn refuse_unknown_sections(doc: &toml::Document) -> Result<(), ConfigError> {
+    let refuse = |what: String| Err(ConfigError(format!("{what} (valid sections: {SECTIONS})")));
+    let mut seen: Vec<&str> = Vec::new();
+    for (name, is_array, _) in &doc.sections {
+        match (name.as_str(), is_array) {
+            ("", _) => return refuse("keys before the first section header".into()),
+            ("suite", true) => {}
+            (name @ ("campaign" | "matrix"), false) if seen.contains(&name) => {
+                return refuse(format!("a second [{name}] section"))
+            }
+            (name @ ("campaign" | "matrix"), false) => seen.push(name),
+            (name, true) => return refuse(format!("unknown section [[{name}]]")),
+            (name, false) => return refuse(format!("unknown section [{name}]")),
+        }
+    }
+    Ok(())
 }
 
 /// Refuse the first key of `table` outside `valid`, naming it, the
@@ -649,8 +676,7 @@ workload = ["font", "paging"]
 
     #[test]
     fn unknown_keys_are_refused_by_name() {
-        let suite_keys = "kind, policy, workload, enclave_size, fault_plan, traffic_shape, \
-                          seed, scale, baseline, samples, requests";
+        let suite_keys = "kind, policy, workload, scale, baseline";
         // The gate thresholds that were once suite keys, and a typo.
         for key in [
             "max_growth_pct",
@@ -668,7 +694,7 @@ workload = ["font", "paging"]
             let err = CampaignConfig::from_toml(&toml).expect_err(key);
             assert_eq!(
                 err.0,
-                format!("suite #1: unknown key `{key}` (valid: {suite_keys})"),
+                format!("suite #1 (bench): unknown key `{key}` (valid: {suite_keys})"),
                 "{key}"
             );
         }
@@ -685,6 +711,107 @@ workload = ["font", "paging"]
         ] {
             let err = CampaignConfig::from_toml(toml).expect_err(want);
             assert_eq!(err.0, want);
+        }
+    }
+
+    #[test]
+    fn a_suite_refuses_the_keys_its_kind_does_not_read() {
+        // Each is valid for some other kind, so only the kind can tell.
+        for (key, value) in [("samples", "9"), ("requests", "5"), ("seed", "[1, 2, 3]")] {
+            let toml =
+                format!("[campaign]\nname = \"v\"\n[[suite]]\nkind = \"bench\"\n{key} = {value}\n");
+            let err = CampaignConfig::from_toml(&toml).expect_err(key);
+            assert_eq!(
+                err.0,
+                format!(
+                    "suite #1 (bench): unknown key `{key}` \
+                     (valid: kind, policy, workload, scale, baseline)"
+                )
+            );
+        }
+        let err = CampaignConfig::from_toml(
+            "[campaign]\nname = \"v\"\n[[suite]]\nkind = \"bench\"\n\
+             samples = 9\nrequests = 5\nseed = [1, 2, 3]\n",
+        )
+        .expect_err("three keys bench does not read");
+        assert!(err.0.contains("unknown key `samples`"), "{err}");
+        // A matrix axis stays shared: bench ignores the seed it holds.
+        let config = CampaignConfig::from_toml(
+            "[campaign]\nname = \"v\"\n[matrix]\nseed = [1, 2]\n\
+             [[suite]]\nkind = \"bench\"\n[[suite]]\nkind = \"replay\"\n",
+        )
+        .expect("parses");
+        assert_eq!(config.expand().len(), 1 + 2);
+    }
+
+    #[test]
+    fn unknown_and_repeated_sections_are_refused() {
+        let valid = "(valid sections: [campaign], [matrix], [[suite]])";
+        let suite = "[[suite]]\nkind = \"replay\"\n";
+        for (head, want) in [
+            (
+                "[matrx]\nseed = [1, 2]\n",
+                format!("unknown section [matrx] {valid}"),
+            ),
+            (
+                "[[matrix]]\nseed = [1, 2]\n",
+                format!("unknown section [[matrix]] {valid}"),
+            ),
+            (
+                "[suite]\nkind = \"bench\"\n",
+                format!("unknown section [suite] {valid}"),
+            ),
+            (
+                "[matrix]\nseed = 1\n[matrix]\nseed = 2\n",
+                format!("a second [matrix] section {valid}"),
+            ),
+            (
+                "[campaign]\nname = \"w\"\n",
+                format!("a second [campaign] section {valid}"),
+            ),
+        ] {
+            let toml = format!("[campaign]\nname = \"v\"\n{head}{suite}");
+            let err = CampaignConfig::from_toml(&toml).expect_err(head);
+            assert_eq!(err.0, want, "{head}");
+        }
+        let err =
+            CampaignConfig::from_toml(&format!("seed = 1\n[campaign]\nname = \"v\"\n{suite}"))
+                .expect_err("a key above every header");
+        assert_eq!(
+            err.0,
+            format!("keys before the first section header {valid}")
+        );
+    }
+
+    #[test]
+    fn suite_keys_are_what_canon_prints() {
+        for kind in CellKind::ALL {
+            let suite = Suite {
+                kind,
+                axes: Axes {
+                    fault_plan: vec!["quiet".into(), "stale".into()],
+                    ..Axes::default()
+                },
+                params: SuiteParams::default(),
+            };
+            let mut printed: Vec<&str> = Vec::new();
+            let lines: Vec<String> = suite.expand().iter().map(CellSpec::canon).collect();
+            for token in lines.iter().flat_map(|line| line.split(' ')) {
+                let key = match token.split_once('=') {
+                    Some(("figure", _)) => "workload",
+                    Some((key, _)) => key,
+                    None => continue,
+                };
+                let read = AXIS_KEYS.contains(&key)
+                    || ["scale", "baseline", "samples", "requests"].contains(&key);
+                if read && !printed.contains(&key) {
+                    printed.push(key);
+                }
+            }
+            let mut keys = kind.suite_keys().to_vec();
+            keys.sort_unstable();
+            printed.sort_unstable();
+            assert_eq!(keys, printed, "{}", kind.name());
         }
     }
 

@@ -209,7 +209,7 @@ mod tests {
         // The generator scrambles hot items across the keyspace, so
         // measure skew by the modal key's share: uniform over 1024 keys
         // would give each key ~0.2 of 200 draws; zipf(0.99) concentrates.
-        let mut freq = std::collections::HashMap::new();
+        let mut freq = autarky_prng::SimMap::default();
         for t in &s {
             if let Request::Get { key } = t.request {
                 *freq.entry(key).or_insert(0u64) += 1;

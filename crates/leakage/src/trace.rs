@@ -100,7 +100,7 @@ mod tests {
         };
         // fault=1, fetch of 2 pages=2, untrusted access=1.
         assert_eq!(trace.symbols().len(), 4);
-        let unique: std::collections::HashSet<u64> = trace.symbols().into_iter().collect();
+        let unique: autarky_prng::SimSet<u64> = trace.symbols().into_iter().collect();
         assert_eq!(unique.len(), 4, "distinct things map to distinct symbols");
     }
 }

@@ -10,7 +10,9 @@
 //! The cache is an O(1) LRU; evicted dirty blocks are written back through
 //! the ORAM (an oblivious copy, accounted per byte).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use autarky_prng::SimMap;
 
 use crate::tree::{OramError, PathOram};
 
@@ -23,7 +25,7 @@ struct Entry {
 /// An LRU cache of decrypted blocks in front of a [`PathOram`].
 pub struct CachedOram {
     oram: PathOram,
-    entries: HashMap<u64, Entry>,
+    entries: SimMap<u64, Entry>,
     /// Recency queue with lazy invalidation: entries whose stamp is stale
     /// are skipped at eviction time.
     recency: VecDeque<(u64, u64)>,
@@ -36,7 +38,7 @@ impl CachedOram {
     pub fn new(oram: PathOram, capacity: usize) -> Self {
         Self {
             oram,
-            entries: HashMap::new(),
+            entries: SimMap::default(),
             recency: VecDeque::new(),
             capacity: capacity.max(1),
             next_stamp: 0,
@@ -229,10 +231,9 @@ mod tests {
 
     #[test]
     fn model_check_with_small_cache() {
-        use autarky_prng::SimRng;
-        use std::collections::HashMap;
+        use autarky_prng::{SimMap, SimRng};
         let mut c = cached(32, 3);
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut model: SimMap<u64, Vec<u8>> = SimMap::default();
         let mut rng = SimRng::seed_from_u64(77);
         for _ in 0..1500 {
             let id = rng.gen_range(0..32);

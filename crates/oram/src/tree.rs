@@ -349,7 +349,7 @@ fn parse_bucket(stash: &mut Vec<(u64, Vec<u8>)>, block_size: usize, plaintext: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use autarky_prng::SimMap;
 
     fn oram(capacity: u64, block_size: usize) -> PathOram {
         let storage = MemStorage::new(buckets_for(capacity));
@@ -393,7 +393,7 @@ mod tests {
         // open carries as much of the traffic as the memo.
         for capacity in [64, 1024] {
             let mut o = oram(capacity, 16);
-            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut model: SimMap<u64, Vec<u8>> = SimMap::default();
             let mut rng = SimRng::seed_from_u64(7);
             for step in 0..2000u32 {
                 let id = rng.gen_range(0..capacity);
@@ -462,7 +462,7 @@ mod tests {
         // property.
         let mut o = oram(64, 8);
         o.write(7, &[7; 8]).expect("seed");
-        let mut leaves_seen = std::collections::HashSet::new();
+        let mut leaves_seen = autarky_prng::SimSet::default();
         for _ in 0..200 {
             let log_start = o.storage().log.len();
             o.read(7).expect("read");

@@ -11,12 +11,12 @@ fn oram(seed: u64) -> PathOram {
 
 /// Histogram of leaf-bucket indices touched by reads, given an access
 /// pattern.
-fn leaf_histogram(pattern: &[u64], seed: u64) -> std::collections::HashMap<u32, u64> {
+fn leaf_histogram(pattern: &[u64], seed: u64) -> autarky_prng::SimMap<u32, u64> {
     let mut o = oram(seed);
     for id in 0..256 {
         o.write(id, &[id as u8; 32]).expect("fill");
     }
-    let mut histogram = std::collections::HashMap::new();
+    let mut histogram = autarky_prng::SimMap::default();
     for &id in pattern {
         let log_start = o.storage().log.len();
         o.read(id).expect("read");
@@ -32,11 +32,11 @@ fn leaf_histogram(pattern: &[u64], seed: u64) -> std::collections::HashMap<u32, 
 }
 
 fn total_variation(
-    a: &std::collections::HashMap<u32, u64>,
-    b: &std::collections::HashMap<u32, u64>,
+    a: &autarky_prng::SimMap<u32, u64>,
+    b: &autarky_prng::SimMap<u32, u64>,
     n: u64,
 ) -> f64 {
-    let keys: std::collections::HashSet<u32> = a.keys().chain(b.keys()).copied().collect();
+    let keys: autarky_prng::SimSet<u32> = a.keys().chain(b.keys()).copied().collect();
     keys.iter()
         .map(|k| {
             let pa = *a.get(k).unwrap_or(&0) as f64 / n as f64;

@@ -6,19 +6,20 @@
 //! done before the data arrives here; *access patterns* to this store are
 //! exactly what the demand-paging side channel leaks.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
+use autarky_prng::SimMap;
 use autarky_sgx_sim::{EnclaveId, SealedPage, Vpn};
 
 /// Untrusted host memory holding swapped-out enclave state.
 #[derive(Default)]
 pub struct BackingStore {
-    sealed: HashMap<(EnclaveId, Vpn), SealedPage>,
+    sealed: SimMap<(EnclaveId, Vpn), SealedPage>,
     /// Superseded sealed blobs. An honest OS would discard these; a
     /// hostile one (the fault injector) keeps them around to mount
     /// replay attacks.
-    stale: HashMap<(EnclaveId, Vpn), SealedPage>,
-    blobs: HashMap<u64, Vec<u8>>,
+    stale: SimMap<(EnclaveId, Vpn), SealedPage>,
+    blobs: SimMap<u64, Vec<u8>>,
 }
 
 impl BackingStore {
@@ -62,11 +63,13 @@ impl BackingStore {
     }
 
     /// Hostile tampering: flip one byte of the current sealed blob for
-    /// the page. Returns whether a blob was present to corrupt.
+    /// the page. Returns whether a blob was present to corrupt. A
+    /// ciphertext still shared with another handle is copied first, so
+    /// only this store's blob changes.
     pub fn corrupt_sealed(&mut self, eid: EnclaveId, vpn: Vpn) -> bool {
         match self.sealed.get_mut(&(eid, vpn)) {
             Some(blob) => {
-                match blob.ciphertext.first_mut() {
+                match Arc::make_mut(&mut blob.ciphertext).first_mut() {
                     Some(byte) => *byte ^= 0x01,
                     None => blob.tag[0] ^= 0x01,
                 }
@@ -92,8 +95,9 @@ impl BackingStore {
     /// (fleet checkpointing: the supervisor bundles this with the sealed
     /// runtime checkpoint so a snapshot-based restart can reinstate the
     /// exact untrusted backing the enclave will demand-fault against).
+    /// The clones share their ciphertexts with the store's blobs.
     pub fn clone_enclave_sealed(&self, eid: EnclaveId) -> (Vec<SealedPage>, Vec<SealedPage>) {
-        let collect = |map: &HashMap<(EnclaveId, Vpn), SealedPage>| {
+        let collect = |map: &SimMap<(EnclaveId, Vpn), SealedPage>| {
             let mut pages: Vec<SealedPage> = map
                 .iter()
                 .filter(|((e, _), _)| *e == eid)
@@ -170,7 +174,7 @@ mod tests {
             vpn: Vpn(vpn),
             version: 1,
             perms: Perms::RW,
-            ciphertext: vec![0; 16],
+            ciphertext: Arc::new(vec![0; 16]),
             tag: [0; 16],
         }
     }

@@ -96,7 +96,7 @@ impl EvictionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use autarky_prng::SimSet;
 
     #[test]
     fn fifo_order() {
@@ -116,7 +116,7 @@ mod tests {
         ev.on_resident(Vpn(1));
         ev.on_resident(Vpn(2));
         // Page 1 is hot; page 2 is cold.
-        let hot: HashSet<Vpn> = [Vpn(1)].into_iter().collect();
+        let hot: SimSet<Vpn> = [Vpn(1)].into_iter().collect();
         let mut cleared = Vec::new();
         let victim = ev.pick_victim(|v| hot.contains(&v), |v| cleared.push(v));
         assert_eq!(victim, Some(Vpn(2)));

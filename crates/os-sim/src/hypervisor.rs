@@ -16,8 +16,9 @@
 //! A VM here is a group of enclaves hosted by the (single) guest OS; the
 //! hypervisor accounts their aggregate EPC frames against the partition.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use autarky_prng::SimMap;
 use autarky_sgx_sim::EnclaveId;
 
 use crate::kernel::{Os, OsError};
@@ -54,7 +55,7 @@ pub enum BalloonOutcome {
 /// The hypervisor's EPC view.
 #[derive(Debug, Default)]
 pub struct Hypervisor {
-    partitions: HashMap<VmId, Partition>,
+    partitions: SimMap<VmId, Partition>,
 }
 
 impl Hypervisor {

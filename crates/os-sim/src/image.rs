@@ -196,7 +196,7 @@ mod tests {
         assert_eq!(img.library_pages(app)[0].0, img.code_start().0 + 7);
         // Disjoint coverage.
         let all: Vec<_> = (0..3).flat_map(|i| img.library_pages(i)).collect();
-        let distinct: std::collections::HashSet<_> = all.iter().collect();
+        let distinct: autarky_prng::SimSet<_> = all.iter().collect();
         assert_eq!(distinct.len(), all.len());
     }
 

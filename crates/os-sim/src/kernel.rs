@@ -5,8 +5,9 @@
 //! the resource manager the enclave depends on and — via
 //! [`crate::attack`] — the adversary of the paper's threat model (§3).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use autarky_prng::SimMap;
 use autarky_sgx_sim::machine::MachineConfig;
 use autarky_sgx_sim::pagetable::Pte;
 use autarky_sgx_sim::{
@@ -177,7 +178,7 @@ pub struct Os {
     /// (unprivileged) instructions on it, exactly as real enclave code
     /// shares the CPU with the kernel.
     pub machine: Machine,
-    pub(crate) procs: HashMap<EnclaveId, Proc>,
+    pub(crate) procs: SimMap<EnclaveId, Proc>,
     /// Untrusted swap space.
     pub backing: BackingStore,
     /// The currently armed attacker (part of the OS).
@@ -199,7 +200,7 @@ impl Os {
     pub fn new(config: MachineConfig) -> Self {
         Self {
             machine: Machine::new(config),
-            procs: HashMap::new(),
+            procs: SimMap::default(),
             backing: BackingStore::new(),
             attacker: Attacker::None,
             observations: Vec::new(),

@@ -6,6 +6,8 @@
 //! *defense* — are tested in `autarky-runtime` and the workspace-level
 //! `tests/attack_defense.rs`.)
 
+use std::sync::Arc;
+
 use autarky_os_sim::{
     EnclaveImage, FaultDisposition, FaultPlan, InjectedFault, Observation, Os, OsError,
 };
@@ -291,6 +293,42 @@ fn driver_fetch_evict_roundtrip() {
     os.ay_evict_pages(eid, &[page]).expect("evict");
     assert!(!os.machine.is_resident(eid, page));
     os.ay_fetch_pages(eid, &[page]).expect("fetch");
+    let mut buf = [0u8; 4];
+    os.machine
+        .read_bytes(eid, 0, page.base(), &mut buf)
+        .expect("read back");
+    assert_eq!(buf, [0xEE; 4]);
+}
+
+#[test]
+fn corrupting_a_shared_blob_copies_it_first() {
+    // The machine keeps a handle on every blob it seals, for `ELDU`; the
+    // OS's tampering must write a copy, never the bytes behind it.
+    let mut os = os_with_frames(128);
+    let img = small_image("tamper", true);
+    let eid = os.load_enclave(&img).expect("load");
+    let page = img.data_start();
+    os.ay_set_enclave_managed(eid, &[page]).expect("claim");
+    os.machine
+        .write_bytes(eid, 0, page.base(), &[0xEE; 4])
+        .expect("write while resident");
+    os.ay_evict_pages(eid, &[page]).expect("evict");
+    let genuine = os.backing.get_sealed(eid, page).expect("blob").clone();
+    let sealed_bytes = genuine.ciphertext.to_vec();
+
+    assert!(os.backing.corrupt_sealed(eid, page));
+    let corrupt = os.backing.get_sealed(eid, page).expect("blob");
+    assert!(!Arc::ptr_eq(&corrupt.ciphertext, &genuine.ciphertext));
+    assert_ne!(corrupt.ciphertext, genuine.ciphertext);
+    assert_eq!(*genuine.ciphertext, sealed_bytes, "shared bytes untouched");
+    assert!(matches!(
+        os.ay_fetch_pages(eid, &[page]),
+        Err(OsError::Sgx(SgxError::SealBroken))
+    ));
+
+    os.backing.put_sealed(genuine);
+    os.ay_fetch_pages(eid, &[page])
+        .expect("the genuine blob loads");
     let mut buf = [0u8; 4];
     os.machine
         .read_bytes(eid, 0, page.base(), &mut buf)

@@ -8,9 +8,17 @@
 //! The standard library has no PRNG and external crates are unavailable
 //! in the offline build, so this crate provides one: xoshiro256++ with a
 //! SplitMix64 seeder (Blackman & Vigna's reference parameters).
+//!
+//! For the same reason it also hosts the one hasher the simulator's hash
+//! maps use ([`SimMap`], [`SimSet`]): deterministic and cheap, where std's
+//! default is randomly keyed SipHash.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod map;
+
+pub use map::{SimHasher, SimMap, SimSet};
 
 /// A seedable xoshiro256++ generator.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,8 +14,9 @@
 //! cluster at a time is always safe (§5.2.3's argument), and both rules
 //! are property-tested.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
+use autarky_prng::SimMap;
 use autarky_sgx_sim::Vpn;
 
 use crate::error::RtError;
@@ -32,8 +33,8 @@ struct Cluster {
 /// The cluster registry (the Table 1 API surface).
 #[derive(Debug, Default)]
 pub struct ClusterMap {
-    clusters: HashMap<ClusterId, Cluster>,
-    by_page: HashMap<Vpn, BTreeSet<ClusterId>>,
+    clusters: SimMap<ClusterId, Cluster>,
+    by_page: SimMap<Vpn, BTreeSet<ClusterId>>,
     next_id: u32,
     /// Target size for automatically grown clusters (`ay_init_clusters`'s
     /// `s` parameter); 0 disables auto-clustering.

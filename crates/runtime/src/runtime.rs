@@ -19,10 +19,11 @@
 //! through driver syscalls, and SGXv2 software sealing with
 //! `EAUG`/`EACCEPTCOPY`/`EMODT`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use autarky_crypto::aead::{self, NONCE_LEN, TAG_LEN};
 use autarky_os_sim::{FaultDisposition, FlightEvent, Os, OsError};
+use autarky_prng::SimMap;
 use autarky_sgx_sim::{
     AccessError, CostTag, EnclaveId, FaultCause, Perms, SgxError, Va, Vpn, PAGE_SIZE,
 };
@@ -188,7 +189,7 @@ pub struct Runtime {
     /// TCS used for execution.
     pub tcs: usize,
     config: RuntimeConfig,
-    tracked: HashMap<Vpn, PageState>,
+    tracked: SimMap<Vpn, PageState>,
     /// Page clusters (public: applications call the Table 1 API on it).
     pub clusters: ClusterMap,
     self_paging: bool,
@@ -197,18 +198,18 @@ pub struct Runtime {
     resident_count: usize,
     limiter: RateLimiter,
     sealing_key: [u8; 32],
-    sw_versions: HashMap<Vpn, u64>,
+    sw_versions: SimMap<Vpn, u64>,
     /// Original EPCM permissions of pages evicted via the SGXv2 software
     /// path, restored at `EACCEPTCOPY` time (the hardware path carries
     /// them in the sealed blob instead).
-    sw_perms: HashMap<Vpn, Perms>,
+    sw_perms: SimMap<Vpn, Perms>,
     /// Trusted mirror of the hardware anti-replay versions for pages the
     /// runtime evicted via `EWB` (seal-freshness enforcement): the sealed
     /// blob authenticates any self-consistent `(vpn, version)` pair, so
     /// only this mirror can tell that the version the hardware is willing
     /// to accept has moved *backwards* — the signature of restored-stale
     /// state. Forward movement is benign OS churn (suspend/resume).
-    hw_versions: HashMap<Vpn, u64>,
+    hw_versions: SimMap<Vpn, u64>,
     /// Heap bump/free-list allocator state.
     heap: Heap,
     /// Event counters.
@@ -230,7 +231,7 @@ struct Heap {
     start: Va,
     pages: usize,
     bump: u64,
-    free_lists: HashMap<usize, Vec<Va>>,
+    free_lists: SimMap<usize, Vec<Va>>,
     /// One-past-the-highest page already backed by EPC.
     allocated_until: u64,
 }
@@ -246,20 +247,20 @@ impl Runtime {
             eid,
             tcs: 0,
             self_paging,
-            tracked: HashMap::new(),
+            tracked: SimMap::default(),
             clusters: ClusterMap::default(),
             fifo: VecDeque::new(),
             resident_count: 0,
             limiter: RateLimiter::new(config.rate_limit),
             sealing_key: derive_sealing_key(eid),
-            sw_versions: HashMap::new(),
-            sw_perms: HashMap::new(),
-            hw_versions: HashMap::new(),
+            sw_versions: SimMap::default(),
+            sw_perms: SimMap::default(),
+            hw_versions: SimMap::default(),
             heap: Heap {
                 start: image.heap_start().base(),
                 pages: image.heap_pages,
                 bump: 0,
-                free_lists: HashMap::new(),
+                free_lists: SimMap::default(),
                 allocated_until: image.heap_start().0,
             },
             stats: RtStats::default(),
@@ -1642,7 +1643,7 @@ fn open_snapshot(key: &[u8; 32], expected_epoch: u64, blob: &[u8]) -> Option<Vec
 
 /// Encode a vpn→u64 map sorted by vpn so identical maps always produce
 /// identical bytes regardless of hash-map iteration order.
-fn encode_vpn_u64_map(out: &mut Vec<u8>, map: &HashMap<Vpn, u64>) {
+fn encode_vpn_u64_map(out: &mut Vec<u8>, map: &SimMap<Vpn, u64>) {
     let mut entries: Vec<(Vpn, u64)> = map.iter().map(|(&vpn, &value)| (vpn, value)).collect();
     entries.sort_by_key(|&(vpn, _)| vpn.0);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
@@ -1652,7 +1653,7 @@ fn encode_vpn_u64_map(out: &mut Vec<u8>, map: &HashMap<Vpn, u64>) {
     }
 }
 
-fn decode_vpn_u64_map(r: &mut Reader<'_>) -> Result<HashMap<Vpn, u64>, DecodeError> {
+fn decode_vpn_u64_map(r: &mut Reader<'_>) -> Result<SimMap<Vpn, u64>, DecodeError> {
     Ok(r.list(16, |r| Ok((Vpn(r.u64()?), r.u64()?)))?
         .into_iter()
         .collect())

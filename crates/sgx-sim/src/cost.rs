@@ -378,8 +378,7 @@ mod tests {
 
     #[test]
     fn tag_names_are_unique() {
-        let names: std::collections::HashSet<&str> =
-            CostTag::ALL.iter().map(|t| t.name()).collect();
+        let names: autarky_prng::SimSet<&str> = CostTag::ALL.iter().map(|t| t.name()).collect();
         assert_eq!(names.len(), COST_TAGS);
         for (i, tag) in CostTag::ALL.iter().enumerate() {
             assert_eq!(*tag as usize, i);

@@ -167,7 +167,8 @@ impl Epc {
     }
 
     /// Allocate a frame, installing `entry` and `contents`, the buffer
-    /// itself rather than a copy (`ELDU` installs the page it decrypted).
+    /// itself rather than a copy (`ELDU` installs the page it decrypted,
+    /// or the one `EWB` kept).
     pub fn alloc_with(&mut self, entry: EpcmEntry, contents: PageData) -> Result<Frame, SgxError> {
         let frame = self.free.pop().ok_or(SgxError::EpcFull)?;
         *self.counts.entry(entry.eid).or_insert(0) += 1;
@@ -178,8 +179,8 @@ impl Epc {
 
     /// Free a frame and hand back its page buffer; the EPC keeps nothing
     /// of it, and the next allocation of the frame gets fresh contents.
-    /// `EWB` encrypts the returned buffer in place as the sealed blob's
-    /// ciphertext; other callers drop it.
+    /// `EWB` keeps the returned buffer for the page's `ELDU` and seals a
+    /// copy; other callers drop it.
     pub fn free(&mut self, frame: Frame) -> Result<PageData, SgxError> {
         let idx = frame.0 as usize;
         let entry = self

@@ -17,13 +17,17 @@
 //! The module enforces the architectural contract between them; policy
 //! lives in the higher crates.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
+
+use autarky_crypto::aead::TAG_LEN;
+use autarky_prng::SimMap;
 
 use crate::addr::{pages_covering, EnclaveId, Frame, Va, Vpn, PAGE_SIZE};
 use crate::attest::{make_report, Measurement, Report};
 use crate::cost::{Clock, CostModel, CostTag, COST_TAGS};
 use crate::enclave::{Attributes, Secs, SsaExInfo, SsaFrame, Tcs};
-use crate::epc::{Epc, EpcmEntry, PageType, Perms};
+use crate::epc::{Epc, EpcmEntry, PageData, PageType, Perms};
 use crate::error::{AccessKind, FaultCause, FaultEvent, SgxError};
 use crate::pagetable::{PageTable, Pte};
 use crate::seal::{nonce_fits, open_page, seal_page, SealedPage};
@@ -201,10 +205,43 @@ struct EnclaveState {
     tcs: Vec<Tcs>,
     building: Option<Measurement>,
     /// Next anti-replay version per page.
-    next_version: HashMap<Vpn, u64>,
+    next_version: SimMap<Vpn, u64>,
     /// Version of the currently outstanding evicted blob, if the page is
     /// swapped out (models the Version Array slot).
-    outstanding: HashMap<Vpn, u64>,
+    outstanding: SimMap<Vpn, u64>,
+    /// What `EWB` kept of each outstanding blob it sealed: host-only, so
+    /// no capture, flight record or cycle charge sees it.
+    kept: SimMap<Vpn, KeptPage>,
+}
+
+/// A page `EWB` sealed, kept until its `ELDU`, which then installs
+/// `plaintext` instead of decrypting the blob, if the blob presented is
+/// provably the one sealed.
+///
+/// Provably, because every crate but `crypto` forbids `unsafe`, and so
+/// the bytes behind an `Arc` cannot change while a second handle exists
+/// (`Arc::get_mut` refuses and `Arc::make_mut` copies); this entry holds
+/// one. So a blob whose ciphertext is this allocation carries the
+/// bytes `EWB` wrote. With the same version, permissions and tag, under
+/// the same key, enclave and page, opening it would return exactly
+/// `plaintext`. Any other blob, an equal copy included, is opened.
+struct KeptPage {
+    version: u64,
+    perms: Perms,
+    tag: [u8; TAG_LEN],
+    ciphertext: Arc<Vec<u8>>,
+    plaintext: PageData,
+}
+
+impl KeptPage {
+    /// Whether `sealed` (already known to be this enclave's and this
+    /// page's) is the blob this page was sealed into.
+    fn sealed_as(&self, sealed: &SealedPage) -> bool {
+        Arc::ptr_eq(&self.ciphertext, &sealed.ciphertext)
+            && self.version == sealed.version
+            && self.perms == sealed.perms
+            && self.tag == sealed.tag
+    }
 }
 
 /// Configuration for building a [`Machine`].
@@ -240,8 +277,8 @@ pub struct Machine {
     /// Global cycle counter.
     pub clock: Clock,
     epc: Epc,
-    enclaves: HashMap<EnclaveId, EnclaveState>,
-    page_tables: HashMap<EnclaveId, PageTable>,
+    enclaves: SimMap<EnclaveId, EnclaveState>,
+    page_tables: SimMap<EnclaveId, PageTable>,
     tlb: Tlb,
     platform_key: [u8; 32],
     next_eid: u32,
@@ -249,13 +286,16 @@ pub struct Machine {
     /// O(1) reverse map from (enclave, vpn) to the backing EPC frame,
     /// mirroring the EPCM (a real EPCM lookup is indexed by physical
     /// address; this index keeps `frame_of` constant-time).
-    frame_index: HashMap<(EnclaveId, Vpn), Frame>,
+    frame_index: SimMap<(EnclaveId, Vpn), Frame>,
     elide_aex: bool,
     elide_handler_invocation: bool,
     /// Opt-in transition log (flight-recorder feed); empty and free when
     /// recording is off.
     transitions: Vec<TransitionEvent>,
     record_transitions: bool,
+    /// `ELDU`s that installed a kept page instead of opening the blob.
+    #[cfg(test)]
+    kept_hits: u64,
 }
 
 impl Machine {
@@ -265,17 +305,19 @@ impl Machine {
             costs: CostModel::default(),
             clock: Clock::new(),
             epc: Epc::new(config.epc_frames),
-            enclaves: HashMap::new(),
-            page_tables: HashMap::new(),
+            enclaves: SimMap::default(),
+            page_tables: SimMap::default(),
             tlb: Tlb::new(),
             platform_key: [0xA5; 32],
             next_eid: 1,
             stats: MachineStats::default(),
-            frame_index: HashMap::new(),
+            frame_index: SimMap::default(),
             elide_aex: config.elide_aex,
             elide_handler_invocation: config.elide_handler_invocation,
             transitions: Vec::new(),
             record_transitions: false,
+            #[cfg(test)]
+            kept_hits: 0,
         }
     }
 
@@ -403,8 +445,9 @@ impl Machine {
                 building: Some(Measurement::start(base.0, size, attributes)),
                 secs,
                 tcs: Vec::new(),
-                next_version: HashMap::new(),
-                outstanding: HashMap::new(),
+                next_version: SimMap::default(),
+                outstanding: SimMap::default(),
+                kept: SimMap::default(),
             },
         );
         self.page_tables.insert(eid, PageTable::new());
@@ -620,7 +663,8 @@ impl Machine {
 
     /// `EWB`: evict a blocked page, returning the sealed blob that the OS
     /// stores in untrusted memory. Frees the EPC frame, whose page buffer
-    /// is encrypted in place as the blob's ciphertext. Refuses with
+    /// is kept for the blob's `ELDU` (see `KeptPage`); a copy is
+    /// encrypted in place as the blob's ciphertext. Refuses with
     /// [`SgxError::NonceExhausted`], leaving the page resident and its
     /// bytes untouched, when the page number or its next version does not
     /// fit the sealing nonce.
@@ -645,8 +689,25 @@ impl Machine {
         state.next_version.insert(vpn, version);
         state.outstanding.insert(vpn, version);
         // Every refusal is behind us, so the frame's buffer can go.
-        let contents = self.epc.free(frame)?;
-        let sealed = seal_page(&self.platform_key, eid, vpn, version, entry.perms, contents);
+        let plaintext = self.epc.free(frame)?;
+        let sealed = seal_page(
+            &self.platform_key,
+            eid,
+            vpn,
+            version,
+            entry.perms,
+            plaintext.clone(),
+        );
+        state.kept.insert(
+            vpn,
+            KeptPage {
+                version,
+                perms: entry.perms,
+                tag: sealed.tag,
+                ciphertext: Arc::clone(&sealed.ciphertext),
+                plaintext,
+            },
+        );
         self.frame_index.remove(&(eid, vpn));
         self.stats.ewbs += 1;
         self.clock
@@ -656,21 +717,35 @@ impl Machine {
 
     /// `ELDU`: reload a sealed page into a fresh EPC frame, verifying
     /// authenticity and anti-replay freshness. The frame's contents are
-    /// the buffer the blob was decrypted into. A blob that fails either
-    /// check changes nothing. The OS must then remap the page table entry.
+    /// the page `EWB` kept when the blob is provably the one it sealed
+    /// (see `KeptPage`), and otherwise the buffer the blob was decrypted
+    /// into. A blob that fails either check changes nothing. The OS must
+    /// then remap the page table entry.
     pub fn eldu(&mut self, eid: EnclaveId, sealed: &SealedPage) -> Result<Frame, SgxError> {
         if sealed.eid != eid {
             return Err(SgxError::SealBroken);
         }
-        {
-            let state = self.enclave(eid)?;
-            match state.outstanding.get(&sealed.vpn) {
-                Some(&v) if v == sealed.version => {}
-                Some(_) => return Err(SgxError::Replay(sealed.vpn)),
-                None => return Err(SgxError::Replay(sealed.vpn)),
-            }
+        let state = self
+            .enclaves
+            .get_mut(&eid)
+            .ok_or(SgxError::NoSuchEnclave(eid))?;
+        match state.outstanding.get(&sealed.vpn) {
+            Some(&v) if v == sealed.version => {}
+            Some(_) => return Err(SgxError::Replay(sealed.vpn)),
+            None => return Err(SgxError::Replay(sealed.vpn)),
         }
-        let contents = open_page(&self.platform_key, sealed).map_err(|_| SgxError::SealBroken)?;
+        // The kept page leaves only with a frame to go to, so a refusal
+        // keeps it.
+        let contents = match state.kept.entry(sealed.vpn) {
+            Entry::Occupied(kept) if kept.get().sealed_as(sealed) && self.epc.free_frames() > 0 => {
+                #[cfg(test)]
+                {
+                    self.kept_hits += 1;
+                }
+                kept.remove().plaintext
+            }
+            _ => open_page(&self.platform_key, sealed).map_err(|_| SgxError::SealBroken)?,
+        };
         let frame = self.epc.alloc_with(
             EpcmEntry {
                 valid: true,
@@ -685,8 +760,8 @@ impl Machine {
             contents,
         )?;
         self.frame_index.insert((eid, sealed.vpn), frame);
-        let state = self.enclave_mut(eid)?;
         state.outstanding.remove(&sealed.vpn);
+        state.kept.remove(&sealed.vpn);
         self.stats.eldus += 1;
         self.clock
             .charge_tagged(CostTag::Paging, self.costs.eldu_page);
@@ -1271,7 +1346,7 @@ impl Machine {
         if self.epc_free_frames() < capture.pages.len() {
             return Err(SgxError::EpcFull);
         }
-        let mut new_frames: HashMap<Vpn, Frame> = HashMap::new();
+        let mut new_frames: SimMap<Vpn, Frame> = SimMap::default();
         for page in &capture.pages {
             let frame = self.epc.alloc(EpcmEntry {
                 valid: true,
@@ -1322,6 +1397,7 @@ impl Machine {
                 building: None,
                 next_version: capture.next_version.iter().copied().collect(),
                 outstanding: capture.outstanding.iter().copied().collect(),
+                kept: SimMap::default(),
             },
         );
         if overwrite_timing {
@@ -1653,7 +1729,7 @@ mod tests {
         let version = machine.outstanding_version(eid, vpn).expect("query");
         assert_eq!(version, Some(sealed.version));
         let mut bad_ciphertext = sealed.clone();
-        bad_ciphertext.ciphertext[1234] ^= 0x01;
+        Arc::make_mut(&mut bad_ciphertext.ciphertext)[1234] ^= 0x01;
         let mut bad_tag = sealed.clone();
         bad_tag.tag[7] ^= 0x80;
         for (what, blob) in [("ciphertext", &bad_ciphertext), ("tag", &bad_tag)] {
@@ -1669,6 +1745,156 @@ mod tests {
             .expect("the genuine blob still loads");
         assert_eq!(frame_bytes(&machine, eid, vpn), page_pattern());
         assert_eq!(machine.stats().eldus, eldus + 1);
+    }
+
+    /// `EBLOCK`, `ETRACK`, `EWB` and unmap `vpn`.
+    fn evict(machine: &mut Machine, eid: EnclaveId, vpn: Vpn) -> SealedPage {
+        machine.eblock(eid, vpn).expect("eblock");
+        machine.etrack(eid).expect("etrack");
+        let blob = machine.ewb(eid, vpn).expect("ewb");
+        machine.page_table_mut(eid).expect("pt").unmap(vpn);
+        blob
+    }
+
+    /// Map the resident `vpn` again and fill it with `byte`.
+    fn remap_and_fill(machine: &mut Machine, eid: EnclaveId, vpn: Vpn, byte: u8) {
+        let frame = machine.frame_of(eid, vpn).expect("resident");
+        machine.page_table_mut(eid).expect("pt").map(
+            vpn,
+            Pte {
+                present: true,
+                frame,
+                perms: Perms::RW,
+                accessed: true,
+                dirty: true,
+            },
+        );
+        machine
+            .write_bytes(eid, 0, vpn.base(), &[byte; PAGE_SIZE])
+            .expect("write");
+    }
+
+    /// `ELDU` of `blob`, which must end as a full open of the blob would:
+    /// the same refusal, or a frame holding the bytes `open_page` returns.
+    /// Returns whether it took the kept page.
+    fn eldu_like_open(machine: &mut Machine, eid: EnclaveId, blob: &SealedPage) -> bool {
+        let expected = if blob.eid != eid {
+            Err(SgxError::SealBroken)
+        } else if machine.outstanding_version(eid, blob.vpn) != Ok(Some(blob.version)) {
+            Err(SgxError::Replay(blob.vpn))
+        } else {
+            open_page(machine.platform_key(), blob)
+                .map(|page| page.to_vec())
+                .map_err(|_| SgxError::SealBroken)
+        };
+        let hits = machine.kept_hits;
+        let got = machine
+            .eldu(eid, blob)
+            .map(|_| frame_bytes(machine, eid, blob.vpn));
+        let label = (blob.eid, blob.vpn, blob.version, blob.perms);
+        assert_eq!(got, expected, "ELDU of the blob labelled {label:?}");
+        machine.kept_hits > hits
+    }
+
+    #[test]
+    fn eldu_with_a_kept_page_ends_as_a_full_open() {
+        let mut machine = Machine::new(MachineConfig::default());
+        let eid = build_enclave(&mut machine, true, 4);
+        let (x, y) = (Vpn(0x101), Vpn(0x102));
+        machine
+            .write_bytes(eid, 0, x.base(), &page_pattern())
+            .expect("write");
+
+        // The honest round trip, and a clone sharing its ciphertext.
+        let blob = evict(&mut machine, eid, x);
+        assert!(eldu_like_open(&mut machine, eid, &blob), "honest");
+        remap_and_fill(&mut machine, eid, x, 0x11);
+        let blob = evict(&mut machine, eid, x);
+        assert!(eldu_like_open(&mut machine, eid, &blob.clone()), "clone");
+
+        // A flipped ciphertext byte copies the shared buffer; flipping it
+        // back gives equal bytes in another allocation, which is opened.
+        remap_and_fill(&mut machine, eid, x, 0x22);
+        let blob = evict(&mut machine, eid, x);
+        let mut flipped = blob.clone();
+        Arc::make_mut(&mut flipped.ciphertext)[9] ^= 0x01;
+        assert!(!Arc::ptr_eq(&flipped.ciphertext, &blob.ciphertext));
+        assert!(!eldu_like_open(&mut machine, eid, &flipped), "flipped");
+        Arc::make_mut(&mut flipped.ciphertext)[9] ^= 0x01;
+        assert_eq!(flipped.ciphertext, blob.ciphertext);
+        assert!(!eldu_like_open(&mut machine, eid, &flipped), "flipped back");
+
+        // Tag and labels: each relabelled blob is refused, and the blob
+        // as sealed still takes the kept page afterwards.
+        remap_and_fill(&mut machine, eid, x, 0x33);
+        let blob = evict(&mut machine, eid, x);
+        machine
+            .write_bytes(eid, 0, y.base(), &[0x44; 8])
+            .expect("write");
+        let other_page = evict(&mut machine, eid, y);
+        let mut relabelled = Vec::new();
+        let mut bad_tag = blob.clone();
+        bad_tag.tag[0] ^= 0x80;
+        relabelled.push(bad_tag);
+        for version in [blob.version - 1, blob.version + 1] {
+            relabelled.push(SealedPage {
+                version,
+                ..blob.clone()
+            });
+        }
+        relabelled.push(SealedPage {
+            perms: Perms::RX,
+            ..blob.clone()
+        });
+        relabelled.push(SealedPage {
+            vpn: y,
+            version: other_page.version,
+            ..blob.clone()
+        });
+        for bad in &relabelled {
+            assert!(!eldu_like_open(&mut machine, eid, bad), "{bad:?}");
+        }
+        assert!(eldu_like_open(&mut machine, eid, &blob), "x as sealed");
+        assert!(eldu_like_open(&mut machine, eid, &other_page), "y");
+
+        // A stale blob is a replay, resident or not.
+        remap_and_fill(&mut machine, eid, x, 0x55);
+        assert!(!eldu_like_open(&mut machine, eid, &blob), "resident");
+        let fresh = evict(&mut machine, eid, x);
+        assert!(!eldu_like_open(&mut machine, eid, &blob), "stale");
+
+        // Another enclave at the same pages: neither the blob nor a copy
+        // relabelled to it loads there.
+        let other = build_enclave(&mut machine, true, 4);
+        let theirs = evict(&mut machine, other, x);
+        assert!(!eldu_like_open(&mut machine, other, &fresh), "foreign");
+        let moved = SealedPage {
+            eid: other,
+            version: theirs.version,
+            ..fresh.clone()
+        };
+        assert!(!eldu_like_open(&mut machine, other, &moved), "moved");
+        assert!(eldu_like_open(&mut machine, other, &theirs), "theirs");
+        assert!(eldu_like_open(&mut machine, eid, &fresh), "ours");
+
+        // A restore starts with nothing kept. The blob sealed before the
+        // restore is opened, as is the pre-crash blob, which loads because
+        // the restore rewinds `next_version` (ROADMAP item 5).
+        remap_and_fill(&mut machine, eid, x, 0x66);
+        let before = evict(&mut machine, eid, x);
+        let capture = machine.capture_enclave(eid).expect("capture");
+        assert!(eldu_like_open(&mut machine, eid, &before), "before");
+        remap_and_fill(&mut machine, eid, x, 0xAA);
+        let pre_crash = evict(&mut machine, eid, x);
+        let mut restored = Machine::new(MachineConfig::default());
+        restored.restore_enclave(&capture).expect("restore");
+        assert!(!eldu_like_open(&mut restored, eid, &before), "restored");
+        remap_and_fill(&mut restored, eid, x, 0x55);
+        let after = evict(&mut restored, eid, x);
+        assert_eq!(after.version, pre_crash.version, "the version rewinds");
+        assert!(!eldu_like_open(&mut restored, eid, &pre_crash), "pre-crash");
+        assert!(!eldu_like_open(&mut restored, eid, &after), "after");
+        assert_eq!(machine.kept_hits, 7);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The controlled channel lives here: present bits, permissions, and A/D
 //! bits are all OS-visible and OS-controllable state.
 
-use std::collections::HashMap;
+use autarky_prng::SimMap;
 
 use crate::addr::{Frame, Vpn};
 use crate::epc::Perms;
@@ -34,7 +34,7 @@ pub struct Pte {
 /// One process address space's page table.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    entries: HashMap<Vpn, Pte>,
+    entries: SimMap<Vpn, Pte>,
 }
 
 impl PageTable {

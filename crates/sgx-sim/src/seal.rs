@@ -6,6 +6,8 @@
 //! guarantee). `ELDU` rejects blobs whose authentication fails or whose
 //! version does not match the outstanding one.
 
+use std::sync::Arc;
+
 use autarky_crypto::aead::{self, AeadError, NONCE_LEN, TAG_LEN};
 
 use crate::addr::{EnclaveId, Vpn, PAGE_SIZE};
@@ -15,6 +17,11 @@ use crate::epc::{PageData, Perms};
 ///
 /// Everything in this struct is visible to the adversary; confidentiality
 /// and integrity come only from the ciphertext/tag pair.
+///
+/// The ciphertext is shared: cloning a blob copies no page, and the
+/// bytes behind one allocation never change while two handles hold it.
+/// Writing through a shared blob goes through [`Arc::make_mut`], which
+/// copies it first. `ELDU` relies on that (see [`crate::machine`]).
 #[derive(Debug, Clone)]
 pub struct SealedPage {
     /// Owning enclave (metadata, also authenticated).
@@ -26,7 +33,7 @@ pub struct SealedPage {
     /// Permissions to restore.
     pub perms: Perms,
     /// Encrypted page contents.
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: Arc<Vec<u8>>,
     /// Authentication tag over ciphertext and metadata.
     pub tag: [u8; TAG_LEN],
 }
@@ -81,7 +88,7 @@ pub fn seal_page(
         vpn,
         version,
         perms,
-        ciphertext,
+        ciphertext: Arc::new(ciphertext),
         tag,
     }
 }
@@ -92,7 +99,7 @@ pub fn open_page(key: &[u8; 32], sealed: &SealedPage) -> Result<PageData, AeadEr
     if sealed.ciphertext.len() != PAGE_SIZE {
         return Err(AeadError::TagMismatch);
     }
-    let mut buf = sealed.ciphertext.clone();
+    let mut buf = sealed.ciphertext.to_vec();
     let nonce = nonce_for(sealed.eid, sealed.vpn, sealed.version);
     let aad = aad_for(sealed.eid, sealed.vpn, sealed.version, sealed.perms);
     aead::open(key, &nonce, &aad, &mut buf, &sealed.tag)?;
@@ -126,7 +133,7 @@ mod tests {
     fn tamper_detected() {
         let page = page_with(1);
         let mut sealed = seal_page(&KEY, EnclaveId(1), Vpn(5), 3, Perms::RW, page);
-        sealed.ciphertext[100] ^= 0xff;
+        Arc::make_mut(&mut sealed.ciphertext)[100] ^= 0xff;
         assert!(open_page(&KEY, &sealed).is_err());
     }
 

@@ -12,7 +12,7 @@
 //!   stale TLB entry is shot down, which is why the published attacks pair
 //!   bit-clearing with IPI shootdowns.
 
-use std::collections::HashMap;
+use autarky_prng::SimMap;
 
 use crate::addr::{EnclaveId, Frame, Vpn};
 use crate::epc::Perms;
@@ -33,7 +33,7 @@ pub struct TlbEntry {
 /// Simulated TLB holding enclave translations, tagged by enclave.
 #[derive(Debug, Default)]
 pub struct Tlb {
-    entries: HashMap<(EnclaveId, Vpn), TlbEntry>,
+    entries: SimMap<(EnclaveId, Vpn), TlbEntry>,
     fills: u64,
     hits: u64,
     flushes: u64,

@@ -122,7 +122,7 @@ mod tests {
         for (i, kind) in SpanKind::ALL.iter().enumerate() {
             assert_eq!(*kind as usize, i);
         }
-        let names: std::collections::HashSet<&str> =
+        let names: std::collections::BTreeSet<&str> =
             SpanKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), SPAN_KINDS);
     }

@@ -102,7 +102,7 @@ mod tests {
     fn fourteen_apps_like_the_paper() {
         let apps = fig7_apps();
         assert_eq!(apps.len(), 14);
-        let names: std::collections::HashSet<&str> = apps.iter().map(|a| a.name).collect();
+        let names: autarky_prng::SimSet<&str> = apps.iter().map(|a| a.name).collect();
         assert_eq!(names.len(), 14, "no duplicate app names");
         assert!(!names.contains("vips"), "vips excluded, as in the paper");
     }

@@ -217,7 +217,7 @@ mod tests {
     fn glyph_signatures_are_deterministic_and_mostly_distinct() {
         assert_eq!(glyph_code_pages('a'), glyph_code_pages('a'));
         let alphabet: Vec<char> = ('a'..='z').collect();
-        let sigs: std::collections::HashSet<Vec<u64>> =
+        let sigs: autarky_prng::SimSet<Vec<u64>> =
             alphabet.iter().map(|&c| glyph_code_pages(c)).collect();
         assert!(sigs.len() > 20, "only {} distinct signatures", sigs.len());
     }

@@ -222,8 +222,8 @@ mod tests {
         let (a, b) = secret_pair(64, 40);
         assert_eq!(a.len(), 40);
         assert_eq!(b.len(), 40);
-        let set_a: std::collections::HashSet<u64> = a.iter().copied().collect();
-        let set_b: std::collections::HashSet<u64> = b.iter().copied().collect();
+        let set_a: autarky_prng::SimSet<u64> = a.iter().copied().collect();
+        let set_b: autarky_prng::SimSet<u64> = b.iter().copied().collect();
         assert!(set_a.is_disjoint(&set_b), "key sets are disjoint");
         assert!(a.iter().chain(&b).all(|&k| k < 64), "all keys loadable");
     }

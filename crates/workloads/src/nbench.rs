@@ -854,7 +854,7 @@ mod tests {
 
     #[test]
     fn kernels_have_distinct_checksums() {
-        let mut sums = std::collections::HashSet::new();
+        let mut sums = autarky_prng::SimSet::default();
         for kernel in all_kernels() {
             let mut w = world();
             let mut h = EncHeap::direct();

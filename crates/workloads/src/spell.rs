@@ -254,7 +254,7 @@ mod tests {
         let c = synth_wordlist("de", 100);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        let unique: std::collections::HashSet<&String> = a.iter().collect();
+        let unique: autarky_prng::SimSet<&String> = a.iter().collect();
         assert_eq!(unique.len(), 100, "no duplicate words");
     }
 
@@ -285,7 +285,7 @@ mod tests {
             assert_ne!(word_key(wa), word_key(wb), "different bucket chains");
         }
         // Both sides are real dictionary words (lookups succeed).
-        let dict_words: std::collections::HashSet<String> =
+        let dict_words: autarky_prng::SimSet<String> =
             synth_wordlist("en", 300).into_iter().collect();
         assert!(a.iter().all(|w| dict_words.contains(w)));
         assert!(b.iter().all(|w| dict_words.contains(w)));

@@ -106,10 +106,10 @@ fn zeta(n: u64, theta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use autarky_prng::SimMap;
 
-    fn histogram(generator: &mut KeyGenerator, samples: usize) -> HashMap<u64, u64> {
-        let mut h = HashMap::new();
+    fn histogram(generator: &mut KeyGenerator, samples: usize) -> SimMap<u64, u64> {
+        let mut h = SimMap::default();
         for _ in 0..samples {
             *h.entry(generator.next_key()).or_insert(0) += 1;
         }

@@ -179,8 +179,7 @@ fn hunspell_word_signatures_leak_on_vanilla_and_not_under_clusters() {
         }
     }
     // Signatures must be discriminative for most words.
-    let distinct: std::collections::HashSet<&Vec<Vpn>> =
-        signatures.iter().map(|(_, s)| s).collect();
+    let distinct: autarky_prng::SimSet<&Vec<Vpn>> = signatures.iter().map(|(_, s)| s).collect();
     assert!(
         distinct.len() > signatures.len() / 2,
         "page-trace signatures distinguish words ({} / {})",
@@ -475,7 +474,7 @@ fn tampered_ewb_blob_rejected_on_reload() {
         .backing
         .take_sealed(world.eid, vpn)
         .expect("blob exists");
-    sealed.ciphertext[123] ^= 0xFF;
+    std::sync::Arc::make_mut(&mut sealed.ciphertext)[123] ^= 0xFF;
     world.os.backing.put_sealed(sealed);
 
     let err = heap

@@ -178,7 +178,7 @@ fn pathoram_matches_model() {
         };
         let storage = MemStorage::new(buckets_for(32));
         let mut oram = PathOram::new(32, 16, 5, [1; 32], storage);
-        let mut model = std::collections::HashMap::new();
+        let mut model = autarky_prng::SimMap::default();
         for (id, byte) in ops {
             if byte % 2 == 0 {
                 let data = vec![byte; 16];
