@@ -6,8 +6,6 @@
 //! done before the data arrives here; *access patterns* to this store are
 //! exactly what the demand-paging side channel leaks.
 
-use std::sync::Arc;
-
 use autarky_prng::SimMap;
 use autarky_sgx_sim::{EnclaveId, SealedPage, Vpn};
 
@@ -63,15 +61,17 @@ impl BackingStore {
     }
 
     /// Hostile tampering: flip one byte of the current sealed blob for
-    /// the page. Returns whether a blob was present to corrupt. A
-    /// ciphertext still shared with another handle is copied first, so
-    /// only this store's blob changes.
+    /// the page. Returns whether a blob was present to corrupt. This is
+    /// the one read of a blob's bytes the OS makes: it seals the blob,
+    /// once for every handle sharing it, and writes a copy, so only this
+    /// store's blob changes.
     pub fn corrupt_sealed(&mut self, eid: EnclaveId, vpn: Vpn) -> bool {
         match self.sealed.get_mut(&(eid, vpn)) {
             Some(blob) => {
-                match Arc::make_mut(&mut blob.ciphertext).first_mut() {
+                let bytes = blob.bytes_mut();
+                match bytes.ciphertext.first_mut() {
                     Some(byte) => *byte ^= 0x01,
-                    None => blob.tag[0] ^= 0x01,
+                    None => bytes.tag[0] ^= 0x01,
                 }
                 true
             }
@@ -95,7 +95,7 @@ impl BackingStore {
     /// (fleet checkpointing: the supervisor bundles this with the sealed
     /// runtime checkpoint so a snapshot-based restart can reinstate the
     /// exact untrusted backing the enclave will demand-fault against).
-    /// The clones share their ciphertexts with the store's blobs.
+    /// The clones share their bodies with the store's blobs.
     pub fn clone_enclave_sealed(&self, eid: EnclaveId) -> (Vec<SealedPage>, Vec<SealedPage>) {
         let collect = |map: &SimMap<(EnclaveId, Vpn), SealedPage>| {
             let mut pages: Vec<SealedPage> = map
@@ -166,17 +166,24 @@ impl BackingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autarky_sgx_sim::Perms;
+    use autarky_sgx_sim::machine::MachineConfig;
+    use autarky_sgx_sim::{Attributes, Machine, PageType, Perms, Va, PAGE_SIZE};
 
+    /// A blob `EWB` sealed, relabelled to `(eid, vpn)`.
     fn sealed(eid: u32, vpn: u64) -> SealedPage {
-        SealedPage {
-            eid: EnclaveId(eid),
-            vpn: Vpn(vpn),
-            version: 1,
-            perms: Perms::RW,
-            ciphertext: Arc::new(vec![0; 16]),
-            tag: [0; 16],
-        }
+        let mut machine = Machine::new(MachineConfig {
+            epc_frames: 1,
+            ..Default::default()
+        });
+        let id = machine.ecreate(Va(0), PAGE_SIZE as u64, Attributes::default());
+        machine
+            .eadd(id, Vpn(0), PageType::Reg, Perms::RW, None)
+            .expect("eadd");
+        machine.eblock(id, Vpn(0)).expect("eblock");
+        let mut blob = machine.ewb(id, Vpn(0)).expect("ewb");
+        blob.eid = EnclaveId(eid);
+        blob.vpn = Vpn(vpn);
+        blob
     }
 
     #[test]

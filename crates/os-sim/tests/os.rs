@@ -6,12 +6,11 @@
 //! *defense* — are tested in `autarky-runtime` and the workspace-level
 //! `tests/attack_defense.rs`.)
 
-use std::sync::Arc;
-
 use autarky_os_sim::{
     EnclaveImage, FaultDisposition, FaultPlan, InjectedFault, Observation, Os, OsError,
 };
 use autarky_sgx_sim::machine::MachineConfig;
+use autarky_sgx_sim::seal::seals_computed;
 use autarky_sgx_sim::{AccessError, EnclaveId, SgxError, Va, Vpn};
 
 fn small_image(name: &str, self_paging: bool) -> EnclaveImage {
@@ -301,9 +300,36 @@ fn driver_fetch_evict_roundtrip() {
 }
 
 #[test]
+fn an_honest_cluster_round_trip_computes_no_seal() {
+    let mut os = os_with_frames(128);
+    let img = small_image("honest", true);
+    let eid = os.load_enclave(&img).expect("load");
+    let cluster: Vec<Vpn> = (0..img.data_pages as u64)
+        .map(|i| Vpn(img.data_start().0 + i))
+        .collect();
+    os.ay_set_enclave_managed(eid, &cluster).expect("claim");
+    for (i, vpn) in cluster.iter().enumerate() {
+        os.machine
+            .write_bytes(eid, 0, vpn.base(), &[i as u8 + 1; 8])
+            .expect("write while resident");
+    }
+    let seals = seals_computed();
+    os.ay_evict_pages(eid, &cluster).expect("evict");
+    os.ay_fetch_pages(eid, &cluster).expect("fetch");
+    assert_eq!(seals_computed(), seals, "no blob's bytes were read");
+    for (i, vpn) in cluster.iter().enumerate() {
+        let mut buf = [0u8; 8];
+        os.machine
+            .read_bytes(eid, 0, vpn.base(), &mut buf)
+            .expect("read back");
+        assert_eq!(buf, [i as u8 + 1; 8]);
+    }
+}
+
+#[test]
 fn corrupting_a_shared_blob_copies_it_first() {
-    // The machine keeps a handle on every blob it seals, for `ELDU`; the
-    // OS's tampering must write a copy, never the bytes behind it.
+    // A clone shares the blob's body; the OS's tampering must seal it
+    // once and write a copy, never the body behind the clone.
     let mut os = os_with_frames(128);
     let img = small_image("tamper", true);
     let eid = os.load_enclave(&img).expect("load");
@@ -314,13 +340,15 @@ fn corrupting_a_shared_blob_copies_it_first() {
         .expect("write while resident");
     os.ay_evict_pages(eid, &[page]).expect("evict");
     let genuine = os.backing.get_sealed(eid, page).expect("blob").clone();
-    let sealed_bytes = genuine.ciphertext.to_vec();
 
+    let seals = seals_computed();
     assert!(os.backing.corrupt_sealed(eid, page));
+    assert_eq!(seals_computed(), seals + 1, "one seal");
     let corrupt = os.backing.get_sealed(eid, page).expect("blob");
-    assert!(!Arc::ptr_eq(&corrupt.ciphertext, &genuine.ciphertext));
-    assert_ne!(corrupt.ciphertext, genuine.ciphertext);
-    assert_eq!(*genuine.ciphertext, sealed_bytes, "shared bytes untouched");
+    let mut unflipped = corrupt.ciphertext().to_vec();
+    unflipped[0] ^= 0x01;
+    assert_eq!(unflipped, genuine.ciphertext(), "shared bytes untouched");
+    assert_eq!(corrupt.tag(), genuine.tag());
     assert!(matches!(
         os.ay_fetch_pages(eid, &[page]),
         Err(OsError::Sgx(SgxError::SealBroken))
@@ -329,6 +357,7 @@ fn corrupting_a_shared_blob_copies_it_first() {
     os.backing.put_sealed(genuine);
     os.ay_fetch_pages(eid, &[page])
         .expect("the genuine blob loads");
+    assert_eq!(seals_computed(), seals + 1, "still one seal");
     let mut buf = [0u8; 4];
     os.machine
         .read_bytes(eid, 0, page.base(), &mut buf)

@@ -17,20 +17,16 @@
 //! The module enforces the architectural contract between them; policy
 //! lives in the higher crates.
 
-use std::collections::hash_map::Entry;
-use std::sync::Arc;
-
-use autarky_crypto::aead::TAG_LEN;
 use autarky_prng::SimMap;
 
 use crate::addr::{pages_covering, EnclaveId, Frame, Va, Vpn, PAGE_SIZE};
 use crate::attest::{make_report, Measurement, Report};
 use crate::cost::{Clock, CostModel, CostTag, COST_TAGS};
 use crate::enclave::{Attributes, Secs, SsaExInfo, SsaFrame, Tcs};
-use crate::epc::{Epc, EpcmEntry, PageData, PageType, Perms};
+use crate::epc::{Epc, EpcmEntry, PageType, Perms};
 use crate::error::{AccessKind, FaultCause, FaultEvent, SgxError};
 use crate::pagetable::{PageTable, Pte};
-use crate::seal::{nonce_fits, open_page, seal_page, SealedPage};
+use crate::seal::{nonce_fits, open_page, seal_page, SealedPage, PLATFORM_KEY};
 use crate::tlb::{Tlb, TlbEntry};
 
 /// Outcome of a memory access that did not complete.
@@ -209,39 +205,6 @@ struct EnclaveState {
     /// Version of the currently outstanding evicted blob, if the page is
     /// swapped out (models the Version Array slot).
     outstanding: SimMap<Vpn, u64>,
-    /// What `EWB` kept of each outstanding blob it sealed: host-only, so
-    /// no capture, flight record or cycle charge sees it.
-    kept: SimMap<Vpn, KeptPage>,
-}
-
-/// A page `EWB` sealed, kept until its `ELDU`, which then installs
-/// `plaintext` instead of decrypting the blob, if the blob presented is
-/// provably the one sealed.
-///
-/// Provably, because every crate but `crypto` forbids `unsafe`, and so
-/// the bytes behind an `Arc` cannot change while a second handle exists
-/// (`Arc::get_mut` refuses and `Arc::make_mut` copies); this entry holds
-/// one. So a blob whose ciphertext is this allocation carries the
-/// bytes `EWB` wrote. With the same version, permissions and tag, under
-/// the same key, enclave and page, opening it would return exactly
-/// `plaintext`. Any other blob, an equal copy included, is opened.
-struct KeptPage {
-    version: u64,
-    perms: Perms,
-    tag: [u8; TAG_LEN],
-    ciphertext: Arc<Vec<u8>>,
-    plaintext: PageData,
-}
-
-impl KeptPage {
-    /// Whether `sealed` (already known to be this enclave's and this
-    /// page's) is the blob this page was sealed into.
-    fn sealed_as(&self, sealed: &SealedPage) -> bool {
-        Arc::ptr_eq(&self.ciphertext, &sealed.ciphertext)
-            && self.version == sealed.version
-            && self.perms == sealed.perms
-            && self.tag == sealed.tag
-    }
 }
 
 /// Configuration for building a [`Machine`].
@@ -280,7 +243,6 @@ pub struct Machine {
     enclaves: SimMap<EnclaveId, EnclaveState>,
     page_tables: SimMap<EnclaveId, PageTable>,
     tlb: Tlb,
-    platform_key: [u8; 32],
     next_eid: u32,
     stats: MachineStats,
     /// O(1) reverse map from (enclave, vpn) to the backing EPC frame,
@@ -293,9 +255,10 @@ pub struct Machine {
     /// recording is off.
     transitions: Vec<TransitionEvent>,
     record_transitions: bool,
-    /// `ELDU`s that installed a kept page instead of opening the blob.
+    /// `ELDU`s that copied out the page of an unwritten blob instead of
+    /// opening it.
     #[cfg(test)]
-    kept_hits: u64,
+    unopened_eldus: u64,
 }
 
 impl Machine {
@@ -308,7 +271,6 @@ impl Machine {
             enclaves: SimMap::default(),
             page_tables: SimMap::default(),
             tlb: Tlb::new(),
-            platform_key: [0xA5; 32],
             next_eid: 1,
             stats: MachineStats::default(),
             frame_index: SimMap::default(),
@@ -317,7 +279,7 @@ impl Machine {
             transitions: Vec::new(),
             record_transitions: false,
             #[cfg(test)]
-            kept_hits: 0,
+            unopened_eldus: 0,
         }
     }
 
@@ -447,7 +409,6 @@ impl Machine {
                 tcs: Vec::new(),
                 next_version: SimMap::default(),
                 outstanding: SimMap::default(),
-                kept: SimMap::default(),
             },
         );
         self.page_tables.insert(eid, PageTable::new());
@@ -525,16 +486,18 @@ impl Machine {
             return Err(SgxError::LifecycleViolation);
         }
         Ok(make_report(
-            &self.platform_key,
+            &PLATFORM_KEY,
             state.secs.measurement,
             state.secs.attributes,
             report_data,
         ))
     }
 
-    /// The platform report key (for verifier-side tests only).
+    /// The platform key, the same on every machine: `EREPORT` signs and
+    /// `EWB` seals under it, and monotonic counters and snapshot seal
+    /// keys derive from it.
     pub fn platform_key(&self) -> &[u8; 32] {
-        &self.platform_key
+        &PLATFORM_KEY
     }
 
     /// Trusted-runtime request: terminate the enclave (attack response).
@@ -662,9 +625,10 @@ impl Machine {
     }
 
     /// `EWB`: evict a blocked page, returning the sealed blob that the OS
-    /// stores in untrusted memory. Frees the EPC frame, whose page buffer
-    /// is kept for the blob's `ELDU` (see `KeptPage`); a copy is
-    /// encrypted in place as the blob's ciphertext. Refuses with
+    /// stores in untrusted memory. Frees the EPC frame and moves its page
+    /// buffer into the blob, which seals it when someone first reads its
+    /// bytes (see [`crate::seal`]); on the honest path no one does, so
+    /// nothing is copied or encrypted here. Refuses with
     /// [`SgxError::NonceExhausted`], leaving the page resident and its
     /// bytes untouched, when the page number or its next version does not
     /// fit the sealing nonce.
@@ -689,25 +653,7 @@ impl Machine {
         state.next_version.insert(vpn, version);
         state.outstanding.insert(vpn, version);
         // Every refusal is behind us, so the frame's buffer can go.
-        let plaintext = self.epc.free(frame)?;
-        let sealed = seal_page(
-            &self.platform_key,
-            eid,
-            vpn,
-            version,
-            entry.perms,
-            plaintext.clone(),
-        );
-        state.kept.insert(
-            vpn,
-            KeptPage {
-                version,
-                perms: entry.perms,
-                tag: sealed.tag,
-                ciphertext: Arc::clone(&sealed.ciphertext),
-                plaintext,
-            },
-        );
+        let sealed = seal_page(eid, vpn, version, entry.perms, self.epc.free(frame)?);
         self.frame_index.remove(&(eid, vpn));
         self.stats.ewbs += 1;
         self.clock
@@ -716,11 +662,12 @@ impl Machine {
     }
 
     /// `ELDU`: reload a sealed page into a fresh EPC frame, verifying
-    /// authenticity and anti-replay freshness. The frame's contents are
-    /// the page `EWB` kept when the blob is provably the one it sealed
-    /// (see `KeptPage`), and otherwise the buffer the blob was decrypted
-    /// into. A blob that fails either check changes nothing. The OS must
-    /// then remap the page table entry.
+    /// authenticity and anti-replay freshness. When no one wrote the
+    /// blob's bytes and its labels are the ones `EWB` sealed it under,
+    /// the frame gets a copy of the page the blob holds, which is exactly
+    /// what opening it would return; any other blob is decrypted into the
+    /// frame's buffer. A blob that fails either check changes nothing.
+    /// The OS must then remap the page table entry.
     pub fn eldu(&mut self, eid: EnclaveId, sealed: &SealedPage) -> Result<Frame, SgxError> {
         if sealed.eid != eid {
             return Err(SgxError::SealBroken);
@@ -734,17 +681,15 @@ impl Machine {
             Some(_) => return Err(SgxError::Replay(sealed.vpn)),
             None => return Err(SgxError::Replay(sealed.vpn)),
         }
-        // The kept page leaves only with a frame to go to, so a refusal
-        // keeps it.
-        let contents = match state.kept.entry(sealed.vpn) {
-            Entry::Occupied(kept) if kept.get().sealed_as(sealed) && self.epc.free_frames() > 0 => {
+        let contents = match sealed.unwritten_page() {
+            Some(page) => {
                 #[cfg(test)]
                 {
-                    self.kept_hits += 1;
+                    self.unopened_eldus += 1;
                 }
-                kept.remove().plaintext
+                page.clone()
             }
-            _ => open_page(&self.platform_key, sealed).map_err(|_| SgxError::SealBroken)?,
+            None => open_page(sealed).map_err(|_| SgxError::SealBroken)?,
         };
         let frame = self.epc.alloc_with(
             EpcmEntry {
@@ -761,7 +706,6 @@ impl Machine {
         )?;
         self.frame_index.insert((eid, sealed.vpn), frame);
         state.outstanding.remove(&sealed.vpn);
-        state.kept.remove(&sealed.vpn);
         self.stats.eldus += 1;
         self.clock
             .charge_tagged(CostTag::Paging, self.costs.eldu_page);
@@ -1397,7 +1341,6 @@ impl Machine {
                 building: None,
                 next_version: capture.next_version.iter().copied().collect(),
                 outstanding: capture.outstanding.iter().copied().collect(),
-                kept: SimMap::default(),
             },
         );
         if overwrite_timing {
@@ -1729,9 +1672,9 @@ mod tests {
         let version = machine.outstanding_version(eid, vpn).expect("query");
         assert_eq!(version, Some(sealed.version));
         let mut bad_ciphertext = sealed.clone();
-        Arc::make_mut(&mut bad_ciphertext.ciphertext)[1234] ^= 0x01;
+        bad_ciphertext.bytes_mut().ciphertext[1234] ^= 0x01;
         let mut bad_tag = sealed.clone();
-        bad_tag.tag[7] ^= 0x80;
+        bad_tag.bytes_mut().tag[7] ^= 0x80;
         for (what, blob) in [("ciphertext", &bad_ciphertext), ("tag", &bad_tag)] {
             assert_eq!(machine.eldu(eid, blob), Err(SgxError::SealBroken), "{what}");
             assert!(!machine.is_resident(eid, vpn), "{what}");
@@ -1776,28 +1719,28 @@ mod tests {
 
     /// `ELDU` of `blob`, which must end as a full open of the blob would:
     /// the same refusal, or a frame holding the bytes `open_page` returns.
-    /// Returns whether it took the kept page.
+    /// Returns whether it copied out the page of an unwritten blob.
     fn eldu_like_open(machine: &mut Machine, eid: EnclaveId, blob: &SealedPage) -> bool {
         let expected = if blob.eid != eid {
             Err(SgxError::SealBroken)
         } else if machine.outstanding_version(eid, blob.vpn) != Ok(Some(blob.version)) {
             Err(SgxError::Replay(blob.vpn))
         } else {
-            open_page(machine.platform_key(), blob)
+            open_page(blob)
                 .map(|page| page.to_vec())
                 .map_err(|_| SgxError::SealBroken)
         };
-        let hits = machine.kept_hits;
+        let hits = machine.unopened_eldus;
         let got = machine
             .eldu(eid, blob)
             .map(|_| frame_bytes(machine, eid, blob.vpn));
         let label = (blob.eid, blob.vpn, blob.version, blob.perms);
         assert_eq!(got, expected, "ELDU of the blob labelled {label:?}");
-        machine.kept_hits > hits
+        machine.unopened_eldus > hits
     }
 
     #[test]
-    fn eldu_with_a_kept_page_ends_as_a_full_open() {
+    fn eldu_of_an_unwritten_blob_ends_as_a_full_open() {
         let mut machine = Machine::new(MachineConfig::default());
         let eid = build_enclave(&mut machine, true, 4);
         let (x, y) = (Vpn(0x101), Vpn(0x102));
@@ -1805,53 +1748,48 @@ mod tests {
             .write_bytes(eid, 0, x.base(), &page_pattern())
             .expect("write");
 
-        // The honest round trip, and a clone sharing its ciphertext.
+        // The honest round trip, and a clone sharing its body.
         let blob = evict(&mut machine, eid, x);
         assert!(eldu_like_open(&mut machine, eid, &blob), "honest");
         remap_and_fill(&mut machine, eid, x, 0x11);
         let blob = evict(&mut machine, eid, x);
         assert!(eldu_like_open(&mut machine, eid, &blob.clone()), "clone");
 
-        // A flipped ciphertext byte copies the shared buffer; flipping it
-        // back gives equal bytes in another allocation, which is opened.
+        // A flipped ciphertext byte moves the clone onto bytes of its
+        // own; flipping it back gives the sealed bytes, which are opened.
         remap_and_fill(&mut machine, eid, x, 0x22);
         let blob = evict(&mut machine, eid, x);
         let mut flipped = blob.clone();
-        Arc::make_mut(&mut flipped.ciphertext)[9] ^= 0x01;
-        assert!(!Arc::ptr_eq(&flipped.ciphertext, &blob.ciphertext));
+        flipped.bytes_mut().ciphertext[9] ^= 0x01;
         assert!(!eldu_like_open(&mut machine, eid, &flipped), "flipped");
-        Arc::make_mut(&mut flipped.ciphertext)[9] ^= 0x01;
-        assert_eq!(flipped.ciphertext, blob.ciphertext);
+        flipped.bytes_mut().ciphertext[9] ^= 0x01;
+        assert_eq!(flipped.ciphertext(), blob.ciphertext());
         assert!(!eldu_like_open(&mut machine, eid, &flipped), "flipped back");
 
         // Tag and labels: each relabelled blob is refused, and the blob
-        // as sealed still takes the kept page afterwards.
+        // as sealed still loads without an open afterwards.
         remap_and_fill(&mut machine, eid, x, 0x33);
         let blob = evict(&mut machine, eid, x);
         machine
             .write_bytes(eid, 0, y.base(), &[0x44; 8])
             .expect("write");
         let other_page = evict(&mut machine, eid, y);
-        let mut relabelled = Vec::new();
-        let mut bad_tag = blob.clone();
-        bad_tag.tag[0] ^= 0x80;
-        relabelled.push(bad_tag);
-        for version in [blob.version - 1, blob.version + 1] {
-            relabelled.push(SealedPage {
-                version,
-                ..blob.clone()
-            });
-        }
-        relabelled.push(SealedPage {
-            perms: Perms::RX,
-            ..blob.clone()
-        });
-        relabelled.push(SealedPage {
-            vpn: y,
-            version: other_page.version,
-            ..blob.clone()
-        });
-        for bad in &relabelled {
+        let relabelled = |edit: &dyn Fn(&mut SealedPage)| {
+            let mut bad = blob.clone();
+            edit(&mut bad);
+            bad
+        };
+        let bad_blobs = [
+            relabelled(&|bad| bad.bytes_mut().tag[0] ^= 0x80),
+            relabelled(&|bad| bad.version -= 1),
+            relabelled(&|bad| bad.version += 1),
+            relabelled(&|bad| bad.perms = Perms::RX),
+            relabelled(&|bad| {
+                bad.vpn = y;
+                bad.version = other_page.version;
+            }),
+        ];
+        for bad in &bad_blobs {
             assert!(!eldu_like_open(&mut machine, eid, bad), "{bad:?}");
         }
         assert!(eldu_like_open(&mut machine, eid, &blob), "x as sealed");
@@ -1868,18 +1806,17 @@ mod tests {
         let other = build_enclave(&mut machine, true, 4);
         let theirs = evict(&mut machine, other, x);
         assert!(!eldu_like_open(&mut machine, other, &fresh), "foreign");
-        let moved = SealedPage {
-            eid: other,
-            version: theirs.version,
-            ..fresh.clone()
-        };
+        let mut moved = fresh.clone();
+        moved.eid = other;
+        moved.version = theirs.version;
         assert!(!eldu_like_open(&mut machine, other, &moved), "moved");
         assert!(eldu_like_open(&mut machine, other, &theirs), "theirs");
         assert!(eldu_like_open(&mut machine, eid, &fresh), "ours");
 
-        // A restore starts with nothing kept. The blob sealed before the
-        // restore is opened, as is the pre-crash blob, which loads because
-        // the restore rewinds `next_version` (ROADMAP item 5).
+        // A restored machine loads the blob sealed before the restore and
+        // the pre-crash blob without an open either: every machine seals
+        // under one key. The pre-crash blob loads because the restore
+        // rewinds `next_version` (ROADMAP item 5).
         remap_and_fill(&mut machine, eid, x, 0x66);
         let before = evict(&mut machine, eid, x);
         let capture = machine.capture_enclave(eid).expect("capture");
@@ -1888,13 +1825,14 @@ mod tests {
         let pre_crash = evict(&mut machine, eid, x);
         let mut restored = Machine::new(MachineConfig::default());
         restored.restore_enclave(&capture).expect("restore");
-        assert!(!eldu_like_open(&mut restored, eid, &before), "restored");
+        assert!(eldu_like_open(&mut restored, eid, &before), "restored");
         remap_and_fill(&mut restored, eid, x, 0x55);
         let after = evict(&mut restored, eid, x);
         assert_eq!(after.version, pre_crash.version, "the version rewinds");
-        assert!(!eldu_like_open(&mut restored, eid, &pre_crash), "pre-crash");
+        assert!(eldu_like_open(&mut restored, eid, &pre_crash), "pre-crash");
         assert!(!eldu_like_open(&mut restored, eid, &after), "after");
-        assert_eq!(machine.kept_hits, 7);
+        assert_eq!(machine.unopened_eldus, 7);
+        assert_eq!(restored.unopened_eldus, 2);
     }
 
     #[test]

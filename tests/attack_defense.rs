@@ -474,7 +474,7 @@ fn tampered_ewb_blob_rejected_on_reload() {
         .backing
         .take_sealed(world.eid, vpn)
         .expect("blob exists");
-    std::sync::Arc::make_mut(&mut sealed.ciphertext)[123] ^= 0xFF;
+    sealed.bytes_mut().ciphertext[123] ^= 0xFF;
     world.os.backing.put_sealed(sealed);
 
     let err = heap
